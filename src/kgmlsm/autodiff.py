@@ -174,10 +174,6 @@ def relu(a):
     return Tensor(np.where(mask, a.data, 0.0), _parents=(a,), _backward=backward, name="relu")
 
 
-# max(0, x) and relu are the same primitive; both names read naturally.
-max_with_zero = relu
-
-
 def square(a):
     def backward(go):
         if a.requires_grad:

@@ -9,7 +9,7 @@ the path:
     unset / "auto"      numba if importable, fallback otherwise
 
 Both paths execute the identical statement sequence, so results agree
-bit-for-bit; ``benchmarks/bench_kernels.py`` measures the gap.
+bit-for-bit; ``tests/test_kernels.py`` checks that when numba is present.
 """
 
 import os
@@ -35,10 +35,3 @@ def numba_requested() -> bool:
 
 
 USE_NUMBA = numba_requested()
-
-
-def jit_if_enabled(fn):
-    """Return the njit-compiled twin of fn, or fn itself on the fallback path."""
-    if USE_NUMBA:
-        return njit(cache=True)(fn)
-    return fn

@@ -10,12 +10,13 @@ import argparse
 import json
 import os
 import sys
+from collections import defaultdict
 from importlib import resources
 
 import numpy as np
 
 from . import attnreport, cropsim, filtering, ingest, losses, metrics, model, training
-from .errors import ConfigError, KgmlsmError
+from .errors import CheckpointMismatch, ConfigError, KgmlsmError
 
 DEFAULTS = {
     "paths": {"run_dir": "runs/out"},
@@ -281,34 +282,42 @@ def cmd_finetune(cfg, paths):
     return artifacts
 
 
+def _require_test_samples(county, year):
+    n = sum(s.year == year for s in county.samples)
+    if n < 2:
+        raise KgmlsmError(f"target year {year} has {n} county sample(s); "
+                          "scoring needs at least 2")
+
+
+def _require_split(bundle, spec, stem):
+    wanted = spec.to_meta()
+    recorded = {key: bundle.meta.get(key) for key in wanted}
+    if recorded != wanted:
+        raise CheckpointMismatch(f"{stem}.json was finetuned on split {recorded}, but this run "
+                                 f"asks for {wanted}; rerun the `finetune` subcommand")
+
+
 def cmd_evaluate(cfg, paths):
     _require(paths.county_samples, "ingest")
     county = ingest.read_samples_csv(paths.county_samples)
     spec = split_spec(cfg)
+    _require_test_samples(county, spec.target_year)
     split = training.temporal_split(county, spec)
     y_test = np.array([s.yield_label for s in split.test.samples])
     _ensure_dirs(paths.evaluate)
 
-    per_seed = {"rmse": [], "r2": [], "mean_signed_error_drought": [],
-                "mean_signed_error_non_drought": [], "mean_signed_error": []}
+    per_seed = defaultdict(list)
     all_rows = []
-    has_sm = None
     for seed in cfg["seeds"]:
         stem = paths.checkpoint_stem("finetune", seed)
         if not os.path.exists(stem + ".json"):
             raise KgmlsmError(f"missing {stem}.json; run the `finetune` subcommand first")
         bundle = model.load_checkpoint(stem)
-        pred = bundle.predict(split.test)
-        rows, groups = metrics.error_report(split.test, pred["y_hat"], pred["sm_hat"])
-        has_sm = pred["sm_hat"] is not None
-        for r in rows:
-            r["seed"] = seed
+        _require_split(bundle, spec, stem)
+        rows, numbers = metrics.score_seed(split.test, bundle.predict(split.test), seed)
         all_rows.extend(rows)
-        per_seed["rmse"].append(metrics.rmse(y_test, pred["y_hat"]))
-        per_seed["r2"].append(metrics.r2(y_test, pred["y_hat"]))
-        per_seed["mean_signed_error"].append(groups["all"]["mean_signed_error"])
-        per_seed["mean_signed_error_drought"].append(groups["drought"]["mean_signed_error"])
-        per_seed["mean_signed_error_non_drought"].append(groups["non_drought"]["mean_signed_error"])
+        for key, value in numbers.items():
+            per_seed[key].append(value)
 
     baselines = {}
     for kind in ("lr", "ridge"):
@@ -335,27 +344,20 @@ def cmd_evaluate(cfg, paths):
         "baselines": baselines,
     }
     _write_json(paths.metrics, payload)
-    _write_errors_csv(paths.errors, all_rows, has_sm)
+    metrics.write_errors_csv(paths.errors, all_rows)
     print(f"evaluate: RMSE {payload['rmse_mean']:.3f}, R2 {payload['r2_mean']:.3f} "
           f"over {len(cfg['seeds'])} seeds")
     return [paths.metrics, paths.errors]
 
 
-def _write_errors_csv(path, rows, has_sm):
-    import csv
-
-    header = ["seed", "id", "year", "drought_flag", "y", "y_hat", "signed_error", "abs_error"]
-    if has_sm:
-        header.append("sm_abs_error")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for r in rows:
-            row = [str(r["seed"]), r["id"], str(r["year"]), str(int(r["drought_flag"])),
-                   repr(r["y"]), repr(r["y_hat"]), repr(r["signed_error"]), repr(r["abs_error"])]
-            if has_sm:
-                row.append(repr(r["sm_abs_error"]))
-            w.writerow(row)
+def _require_drought_classes(county):
+    counts = {}
+    for s in county.samples:
+        counts.setdefault(s.year, [0, 0])[int(s.drought_flag)] += 1
+    for year, (n_other, n_drought) in sorted(counts.items()):
+        if not n_other or not n_drought:
+            raise KgmlsmError(f"year {year} has {n_drought} drought-flagged and {n_other} other "
+                              "county samples; the attention box statistics need both classes")
 
 
 def cmd_attn_report(cfg, paths):
@@ -366,6 +368,8 @@ def cmd_attn_report(cfg, paths):
         raise KgmlsmError(f"missing {stem}.json; run the `finetune` subcommand first")
     bundle = model.load_checkpoint(stem)
     county = ingest.read_samples_csv(paths.county_samples)
+    if bundle.config.use_sm_tokens:
+        _require_drought_classes(county)
     _ensure_dirs(paths.attn)
     extraction = attnreport.extract(bundle, county)
     attnreport.write_raw_csv(paths.attn_raw, extraction)
@@ -400,10 +404,11 @@ def cmd_ablate(cfg, paths, variant=None, unfiltered=False):
     vspec = training.get_variant(variant_name)
     field = ingest.read_samples_csv(source) if vspec.use_pretrain else None
     county = ingest.read_samples_csv(paths.county_samples)
+    _require_test_samples(county, int(cfg["target_year"]))
     pre_cfg, fine_cfg = stage_configs(cfg)
-    result = training.run_ablation(field, county, variant_name, [int(s) for s in cfg["seeds"]],
-                                   split_spec(cfg), pre_cfg, fine_cfg, loss_config(cfg),
-                                   sizes=cfg["model"])
+    result = training.run_experiment(field, county, variant_name, [int(s) for s in cfg["seeds"]],
+                                     split_spec(cfg), pre_cfg, fine_cfg, loss_config(cfg),
+                                     sizes=cfg["model"])
     tag = variant_name + ("_unfiltered" if unfiltered else "")
     out_dir = os.path.join(paths.ablate, tag)
     _ensure_dirs(out_dir)

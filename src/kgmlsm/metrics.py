@@ -5,9 +5,9 @@ import csv
 
 import numpy as np
 
-from .autodiff import ParamStore, Tensor, gradients, matmul, mean, relu, square
+from .autodiff import ParamStore, Tensor, matmul, mean, relu, square
 from .errors import ShapeError
-from .optim import PlateauScheduler, adam_init, adam_step
+from .optim import default_finetune_config, fit
 
 
 def rmse(y, y_hat):
@@ -67,50 +67,6 @@ def _lstsq_normal_equations(design, y, ridge_alpha=0.0):
         raise ValueError("singular normal equations; use the ridge baseline")
 
 
-def _fit_mlp(train_x, train_y, val_x, val_y, seed, hidden=64, lr=0.001, batch_size=16,
-             max_epochs=30, patience=10):
-    """One-hidden-layer regressor trained like the finetune stage."""
-    d = train_x.shape[1]
-    rng = np.random.default_rng([seed, 773])
-    p = ParamStore()
-    p.add("h.w", rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=(d, hidden)))
-    p.add("h.b", np.zeros(hidden))
-    p.add("o.w", rng.uniform(-1 / np.sqrt(hidden), 1 / np.sqrt(hidden), size=(hidden, 1)))
-    p.add("o.b", np.zeros(1))
-
-    def forward(x):
-        h = relu(matmul(Tensor(x), p["h.w"]) + p["h.b"])
-        return matmul(h, p["o.w"])[:, 0] + p["o.b"]
-
-    def loss_on(x, y):
-        return mean(square(forward(x) - Tensor(y)))
-
-    adam = adam_init(p, lr)
-    sched = PlateauScheduler(lr=lr, patience=5)
-    best_val = None
-    best = p.to_arrays()
-    bad = 0
-    n = train_x.shape[0]
-    for epoch in range(max_epochs):
-        order = np.random.default_rng([seed, 787, epoch]).permutation(n)
-        for i in range(0, n, batch_size):
-            idx = order[i: i + batch_size]
-            total = loss_on(train_x[idx], train_y[idx])
-            grads = gradients(total, p)
-            adam.lr = sched.lr
-            adam_step(p, grads, adam)
-        val_loss = float(loss_on(val_x, val_y).data)
-        sched.step(val_loss)
-        if best_val is None or val_loss < best_val:
-            best_val, best, bad = val_loss, p.to_arrays(), 0
-        else:
-            bad += 1
-            if bad >= patience:
-                break
-    p.load_arrays(best)
-    return forward
-
-
 def baseline_fit_predict(kind, train, test, val=None, seed=0, ridge_alpha=1.0):
     """Fit a reference model on the train split and predict the test split.
 
@@ -133,7 +89,24 @@ def baseline_fit_predict(kind, train, test, val=None, seed=0, ridge_alpha=1.0):
         val_x = sample_features(val)
         val_y = (np.array([s.yield_label for s in val.samples]) - y_mu) / y_sd
         train_x, test_x, val_x = _standardize_features(train_x, test_x, val_x)
-        forward = _fit_mlp(train_x, train_t, val_x, val_y, seed)
+        d, hidden = train_x.shape[1], 64
+        rng = np.random.default_rng([seed, 773])
+        p = ParamStore()
+        p.add("h.w", rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=(d, hidden)))
+        p.add("h.b", np.zeros(hidden))
+        p.add("o.w", rng.uniform(-1 / np.sqrt(hidden), 1 / np.sqrt(hidden), size=(hidden, 1)))
+        p.add("o.b", np.zeros(1))
+
+        def forward(x):
+            h = relu(matmul(Tensor(x), p["h.w"]) + p["h.b"])
+            return matmul(h, p["o.w"])[:, 0] + p["o.b"]
+
+        def loss_on(x, y):
+            return mean(square(forward(x) - Tensor(y)))
+
+        fit(p, train_x.shape[0], lambda idx: loss_on(train_x[idx], train_t[idx]),
+            lambda: (float(loss_on(val_x, val_y).data), None),
+            default_finetune_config(), seed, 787)
         return forward(test_x).data * y_sd + y_mu
 
     train_x, test_x = _standardize_features(train_x, test_x)
@@ -187,10 +160,32 @@ def error_report(dataset, y_hat, sm_hat=None):
     return rows, groups
 
 
-def write_errors_csv(path, rows, seed=None):
+def score_seed(dataset, pred, seed):
+    """Score one seed's model on dataset from its ModelBundle.predict output.
+
+    Returns the error rows, each tagged with the seed, and the per-seed
+    numbers: RMSE, R2 and the mean signed error over all samples and per
+    drought group. An empty drought group scores None, as in error_report.
+    """
+    rows, groups = error_report(dataset, pred["y_hat"], pred["sm_hat"])
+    for r in rows:
+        r["seed"] = seed
+    y = np.array([s.yield_label for s in dataset.samples])
+    return rows, {
+        "rmse": rmse(y, pred["y_hat"]),
+        "r2": r2(y, pred["y_hat"]),
+        "mean_signed_error": groups["all"]["mean_signed_error"],
+        "mean_signed_error_drought": groups["drought"]["mean_signed_error"],
+        "mean_signed_error_non_drought": groups["non_drought"]["mean_signed_error"],
+    }
+
+
+def write_errors_csv(path, rows):
+    """One line per error row; a leading seed column when the rows carry one."""
+    has_seed = rows and "seed" in rows[0]
     has_sm = rows and "sm_abs_error" in rows[0]
     header = ["id", "year", "drought_flag", "y", "y_hat", "signed_error", "abs_error"]
-    if seed is not None:
+    if has_seed:
         header = ["seed"] + header
     if has_sm:
         header.append("sm_abs_error")
@@ -200,8 +195,8 @@ def write_errors_csv(path, rows, seed=None):
         for r in rows:
             row = [r["id"], str(r["year"]), str(int(r["drought_flag"])), repr(r["y"]),
                    repr(r["y_hat"]), repr(r["signed_error"]), repr(r["abs_error"])]
-            if seed is not None:
-                row = [str(seed)] + row
+            if has_seed:
+                row = [str(r["seed"])] + row
             if has_sm:
                 row.append(repr(r["sm_abs_error"]))
             w.writerow(row)

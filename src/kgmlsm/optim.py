@@ -1,9 +1,11 @@
-"""Adam updates and a reduce-on-plateau learning-rate schedule."""
+"""Adam updates, a reduce-on-plateau learning-rate schedule and the one
+minibatch training loop that every trained model runs through."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import gradients
 from .errors import ShapeError
 
 
@@ -80,6 +82,73 @@ class PlateauScheduler:
         return self.lr
 
 
-def plateau_scheduler_step(state, monitored_value):
-    """Functional form of PlateauScheduler.step; returns the new lr."""
-    return state.step(monitored_value)
+@dataclass
+class StageConfig:
+    batch_size: int
+    lr: float = 0.001
+    max_epochs: int = 50
+    scheduler_patience: int = 5
+    rmse_stop: float = None  # stop when the epoch's RMSE drops below
+    early_stop_patience: int = None  # epochs of no val improvement
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("lr must be > 0")
+
+
+def default_finetune_config():
+    """The paper's finetune recipe, which the MLP baseline also trains with."""
+    return StageConfig(batch_size=16, lr=0.001, max_epochs=30, scheduler_patience=5,
+                       early_stop_patience=10)
+
+
+def fit(params, n, batch_loss, end_epoch, cfg, seed, tag):
+    """Train params by minibatch Adam on n samples under one stage's recipe.
+
+    Each epoch visits the samples in the permutation drawn from
+    [seed, tag, epoch]; batch_loss(idx) builds the loss graph of one batch.
+    After the epoch, end_epoch() returns (val_loss, rmse), either
+    of which may be None. The plateau scheduler watches val_loss, or the
+    mean train loss when there is no validation. Training stops once rmse
+    drops below cfg.rmse_stop, or after cfg.early_stop_patience epochs
+    without a lower val_loss; the best-val_loss parameters are then restored.
+
+    Returns (per-epoch rows, stop reason, best epoch, best val_loss).
+    """
+    adam = adam_init(params, cfg.lr)
+    sched = PlateauScheduler(lr=cfg.lr, patience=cfg.scheduler_patience)
+    best_val, best_arrays, best_epoch, bad = None, None, -1, 0
+    rows = []
+    stop_reason = "max_epochs"
+    for epoch in range(cfg.max_epochs):
+        order = np.random.default_rng([seed, tag, epoch]).permutation(n)
+        train_loss = 0.0
+        for i in range(0, n, cfg.batch_size):
+            idx = order[i: i + cfg.batch_size]
+            total = batch_loss(idx)
+            grads = gradients(total, params)
+            adam.lr = sched.lr
+            adam_step(params, grads, adam)
+            train_loss += float(total.data) * len(idx)
+        train_loss /= n
+        val_loss, rmse = end_epoch()
+        lr = sched.step(train_loss if val_loss is None else val_loss)
+        rows.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss,
+                     "lr": lr, "rmse": rmse})
+        if cfg.rmse_stop is not None and rmse < cfg.rmse_stop:
+            stop_reason = "train_rmse_below_target"
+            break
+        if val_loss is None:
+            continue
+        if best_val is None or val_loss < best_val:
+            best_val, best_arrays, best_epoch, bad = val_loss, params.to_arrays(), epoch, 0
+        else:
+            bad += 1
+            if cfg.early_stop_patience is not None and bad >= cfg.early_stop_patience:
+                stop_reason = "early_stopping"
+                break
+    if best_arrays is not None:
+        params.load_arrays(best_arrays)
+    return rows, stop_reason, best_epoch, best_val

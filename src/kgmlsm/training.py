@@ -1,43 +1,18 @@
 """Two-stage optimization: pretraining on the (filtered) field-level
-dataset and finetuning on the county-level dataset, with temporal splits,
-plateau scheduling, early stopping, multi-seed experiment runners, and
+dataset and finetuning on the county-level dataset (both through
+optim.fit), with temporal splits, the multi-seed experiment runner, and
 the component-ablation variants.
 """
 
 import csv
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import losses, metrics, model
-from .autodiff import gradients
 from .errors import CheckpointMismatch, TrainingDiverged
-from .optim import PlateauScheduler, adam_init, adam_step
-
-
-@dataclass
-class StageConfig:
-    batch_size: int
-    lr: float = 0.001
-    max_epochs: int = 50
-    scheduler_patience: int = 5
-    rmse_stop: float = None  # pretrain: stop when train yield RMSE drops below
-    early_stop_patience: int = None  # finetune: epochs of no val improvement
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-
-
-def default_pretrain_config():
-    return StageConfig(batch_size=64, lr=0.001, max_epochs=50, scheduler_patience=5, rmse_stop=1.0)
-
-
-def default_finetune_config():
-    return StageConfig(batch_size=16, lr=0.001, max_epochs=30, scheduler_patience=5,
-                       early_stop_patience=10)
+from .optim import StageConfig, fit  # noqa: F401 (StageConfig is re-exported for callers)
 
 
 @dataclass
@@ -45,6 +20,11 @@ class SplitSpec:
     target_year: int
     train_fraction: float = 0.8
     shuffle_seed: int = 0
+
+    def to_meta(self):
+        """What a finetune checkpoint records of the split it was trained on."""
+        return {"target_year": self.target_year, "split_seed": self.shuffle_seed,
+                "train_fraction": self.train_fraction}
 
 
 @dataclass
@@ -121,17 +101,13 @@ def _take(arrays, idx):
     return out
 
 
-def _batch_indices(n, batch_size, rng):
-    order = rng.permutation(n)
-    return [order[i: i + batch_size] for i in range(0, n, batch_size)]
-
-
 def _compute_loss(batch, params, mconfig, variant, loss_cfg):
     """Build the loss graph for one standardized batch.
 
-    Returns (total tensor, float dict). The SM term exists only when the
-    W2S branch runs; without the SMW component the drought weight is
-    forced to exactly 1 by zeroing sbar under epsilon=1.
+    Returns (total tensor, standardized yield estimate tensor). The SM
+    term exists only when the W2S branch runs; without the SMW component
+    the drought weight is forced to exactly 1 by zeroing sbar under
+    epsilon=1.
     """
     y_hat, sm_hat, _alpha = model.forward_graph(batch, params, mconfig)
     lam = loss_cfg.lam if variant.use_oe else 0.0
@@ -152,7 +128,7 @@ def _compute_loss(batch, params, mconfig, variant, loss_cfg):
         parts = {"sm": 0.0, "yield": float(y_term.data)}
     if not np.isfinite(total.data):
         raise TrainingDiverged(f"non-finite loss: {parts}")
-    return total, parts
+    return total, y_hat
 
 
 def _eval_loss(arrays, params, mconfig, variant, loss_cfg):
@@ -160,10 +136,8 @@ def _eval_loss(arrays, params, mconfig, variant, loss_cfg):
     return float(total.data)
 
 
-def _yield_rmse(arrays, params, mconfig, stats):
-    y_hat, _, _ = model.forward_graph(arrays, params, mconfig)
-    pred = y_hat.data * stats.y_sd + stats.y_mu
-    return metrics.rmse(arrays["y"], pred)
+def _yield_rmse(arrays, y_hat, stats):
+    return metrics.rmse(arrays["y"], y_hat.data * stats.y_sd + stats.y_mu)
 
 
 def write_epochs_csv(path, rows):
@@ -189,31 +163,16 @@ def pretrain(field_dataset, stage_cfg, loss_cfg, variant, sizes, seed):
     stats = model.Normalization.from_dataset(field_dataset)
     params = model.init_params(mconfig, seed)
     arrays = model.standardize(model.stack_dataset(field_dataset), stats)
-    n = len(field_dataset)
 
-    adam = adam_init(params, stage_cfg.lr)
-    sched = PlateauScheduler(lr=stage_cfg.lr, patience=stage_cfg.scheduler_patience)
-    rows = []
-    stop_reason = "max_epochs"
-    for epoch in range(stage_cfg.max_epochs):
-        rng = np.random.default_rng([seed, 503, epoch])
-        epoch_loss = 0.0
-        for idx in _batch_indices(n, stage_cfg.batch_size, rng):
-            batch = _take(arrays, idx)
-            total, _ = _compute_loss(batch, params, mconfig, variant, loss_cfg)
-            grads = gradients(total, params)
-            adam.lr = sched.lr
-            adam_step(params, grads, adam)
-            epoch_loss += float(total.data) * len(idx)
-        epoch_loss /= n
-        train_rmse = _yield_rmse(arrays, params, mconfig, stats)
-        lr_now = sched.step(epoch_loss)
-        rows.append({"epoch": epoch, "train_loss": epoch_loss, "val_loss": None,
-                     "lr": lr_now, "rmse": train_rmse})
-        if stage_cfg.rmse_stop is not None and train_rmse < stage_cfg.rmse_stop:
-            stop_reason = "train_rmse_below_target"
-            break
+    def batch_loss(idx):
+        return _compute_loss(_take(arrays, idx), params, mconfig, variant, loss_cfg)[0]
 
+    def end_epoch():
+        y_hat, _, _ = model.forward_graph(arrays, params, mconfig)
+        return None, _yield_rmse(arrays, y_hat, stats)
+
+    rows, stop_reason, _, _ = fit(params, len(field_dataset), batch_loss, end_epoch,
+                                  stage_cfg, seed, 503)
     meta = {
         "stage": "pretrain", "seed": seed, "variant": variant.name,
         "stop_reason": stop_reason, "epochs_run": len(rows),
@@ -254,50 +213,23 @@ def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, varian
 
     train_arrays = model.standardize(model.stack_dataset(split.train), stats)
     val_arrays = model.standardize(model.stack_dataset(split.val), stats)
-    n = len(split.train)
 
-    adam = adam_init(params, stage_cfg.lr)
-    sched = PlateauScheduler(lr=stage_cfg.lr, patience=stage_cfg.scheduler_patience)
-    best_val = None
-    best_arrays = params.to_arrays()
-    best_epoch = -1
-    bad = 0
-    rows = []
-    stop_reason = "max_epochs"
-    for epoch in range(stage_cfg.max_epochs):
-        rng = np.random.default_rng([seed, 907, epoch])
-        epoch_loss = 0.0
-        for idx in _batch_indices(n, stage_cfg.batch_size, rng):
-            batch = _take(train_arrays, idx)
-            total, _ = _compute_loss(batch, params, mconfig, variant, loss_cfg)
-            grads = gradients(total, params)
-            adam.lr = sched.lr
-            adam_step(params, grads, adam)
-            epoch_loss += float(total.data) * len(idx)
-        epoch_loss /= n
-        val_loss = _eval_loss(val_arrays, params, mconfig, variant, loss_cfg)
-        val_rmse = _yield_rmse(val_arrays, params, mconfig, stats)
-        lr_now = sched.step(val_loss)
-        rows.append({"epoch": epoch, "train_loss": epoch_loss, "val_loss": val_loss,
-                     "lr": lr_now, "rmse": val_rmse})
-        if best_val is None or val_loss < best_val:
-            best_val = val_loss
-            best_arrays = params.to_arrays()
-            best_epoch = epoch
-            bad = 0
-        else:
-            bad += 1
-            if stage_cfg.early_stop_patience is not None and bad >= stage_cfg.early_stop_patience:
-                stop_reason = "early_stopping"
-                break
+    def batch_loss(idx):
+        return _compute_loss(_take(train_arrays, idx), params, mconfig, variant, loss_cfg)[0]
 
-    params.load_arrays(best_arrays)
+    def end_epoch():
+        total, y_hat = _compute_loss(val_arrays, params, mconfig, variant, loss_cfg)
+        return float(total.data), _yield_rmse(val_arrays, y_hat, stats)
+
+    rows, stop_reason, best_epoch, best_val = fit(params, len(split.train), batch_loss,
+                                                  end_epoch, stage_cfg, seed, 907)
     meta = {
         "stage": "finetune", "seed": seed, "variant": variant.name,
         "stop_reason": stop_reason, "epochs_run": len(rows),
         "best_epoch": best_epoch, "best_val_loss": best_val,
         "pretrained": checkpoint is not None,
         "val_loss_history": [r["val_loss"] for r in rows],
+        **split_spec.to_meta(),
     }
     bundle = model.ModelBundle(config=mconfig, params=params, stats=stats, meta=meta)
     return bundle, rows, split
@@ -314,74 +246,46 @@ class ExperimentResult:
     seeds: list
     per_seed: dict
     summary: dict
-    bundles: list = field(default_factory=list)
-    splits: list = field(default_factory=list)
-    epoch_rows: dict = field(default_factory=dict)
 
 
 def run_experiment(field_dataset, county_dataset, variant_name, seeds, split_spec,
-                   pre_cfg, fine_cfg, loss_cfg, sizes=None, keep_bundles=False):
+                   pre_cfg, fine_cfg, loss_cfg, sizes=None):
     """Pretrain (when the variant asks for it) and finetune once per seed;
-    aggregate test metrics across seeds."""
+    aggregate test metrics across seeds and report the variant's tokens
+    and components."""
     variant = get_variant(variant_name)
     if variant.use_pretrain and field_dataset is None:
         raise ValueError(f"variant {variant.name} pretrains and needs a field dataset")
-    per_seed = {"rmse": [], "r2": [], "mean_signed_error": [],
-                "mean_signed_error_drought": [], "mean_signed_error_non_drought": []}
-    bundles, splits = [], []
-    epoch_rows = {}
+    per_seed = defaultdict(list)
+    n_test = 0
     for seed in seeds:
         checkpoint = None
         if variant.use_pretrain:
-            checkpoint, pre_rows = pretrain(field_dataset, pre_cfg, loss_cfg, variant, sizes, seed)
-            epoch_rows[("pretrain", seed)] = pre_rows
-        bundle, fine_rows, split = finetune(checkpoint, county_dataset, split_spec,
-                                            fine_cfg, loss_cfg, variant, sizes, seed)
-        epoch_rows[("finetune", seed)] = fine_rows
-        pred = bundle.predict(split.test)
-        y = np.array([s.yield_label for s in split.test.samples])
-        flags = np.array([s.drought_flag for s in split.test.samples], dtype=bool)
-        signed = pred["y_hat"] - y
-        per_seed["rmse"].append(metrics.rmse(y, pred["y_hat"]))
-        per_seed["r2"].append(metrics.r2(y, pred["y_hat"]))
-        per_seed["mean_signed_error"].append(float(signed.mean()))
-        per_seed["mean_signed_error_drought"].append(
-            float(signed[flags].mean()) if flags.any() else float("nan"))
-        per_seed["mean_signed_error_non_drought"].append(
-            float(signed[~flags].mean()) if (~flags).any() else float("nan"))
-        bundles.append(bundle)
-        splits.append(split)
+            checkpoint, _ = pretrain(field_dataset, pre_cfg, loss_cfg, variant, sizes, seed)
+        bundle, _, split = finetune(checkpoint, county_dataset, split_spec,
+                                    fine_cfg, loss_cfg, variant, sizes, seed)
+        _, numbers = metrics.score_seed(split.test, bundle.predict(split.test), seed)
+        for key, value in numbers.items():
+            per_seed[key].append(value)
+        n_test = len(split.test)
 
+    drought = per_seed["mean_signed_error_drought"]
     summary = {
         "rmse_mean": float(np.mean(per_seed["rmse"])),
         "r2_mean": float(np.mean(per_seed["r2"])),
         "rmse_median": float(np.median(per_seed["rmse"])),
-        "mean_signed_error_drought_median": float(np.median(per_seed["mean_signed_error_drought"])),
-        "n_test": len(splits[0].test) if splits else 0,
+        # None, like the per-seed values, when the test set has no drought sample
+        "mean_signed_error_drought_median": None if None in drought else float(np.median(drought)),
+        "n_test": n_test,
+        "token_count": model_config_for(variant, sizes).n_tokens,
+        "components": {
+            "attention": True,
+            "soil_moisture_tokens": variant.use_sm_tokens,
+            "field_pretraining": variant.use_pretrain,
+            "w2s_encoder": variant.use_w2s,
+            "smw_loss": variant.use_smw,
+            "oe_loss": variant.use_oe,
+        },
     }
-    result = ExperimentResult(variant=variant_name, lam=loss_cfg.lam, seeds=list(seeds),
-                              per_seed=per_seed, summary=summary,
-                              epoch_rows=epoch_rows)
-    if keep_bundles:
-        result.bundles = bundles
-        result.splits = splits
-    return result
-
-
-def run_ablation(field_dataset, county_dataset, variant_name, seeds, split_spec,
-                 pre_cfg, fine_cfg, loss_cfg, sizes=None, keep_bundles=False):
-    """run_experiment plus the variant's token arithmetic in the report."""
-    variant = get_variant(variant_name)
-    result = run_experiment(field_dataset, county_dataset, variant_name, seeds, split_spec,
-                            pre_cfg, fine_cfg, loss_cfg, sizes=sizes, keep_bundles=keep_bundles)
-    mconfig = model_config_for(variant, sizes)
-    result.summary["token_count"] = mconfig.n_tokens
-    result.summary["components"] = {
-        "attention": True,
-        "soil_moisture_tokens": variant.use_sm_tokens,
-        "field_pretraining": variant.use_pretrain,
-        "w2s_encoder": variant.use_w2s,
-        "smw_loss": variant.use_smw,
-        "oe_loss": variant.use_oe,
-    }
-    return result
+    return ExperimentResult(variant=variant_name, lam=loss_cfg.lam, seeds=list(seeds),
+                            per_seed=per_seed, summary=summary)

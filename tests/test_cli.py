@@ -1,10 +1,11 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
-from kgmlsm import cli
+from kgmlsm import cli, ingest, training
 from kgmlsm.errors import ConfigError
 
 MICRO = {
@@ -156,3 +157,75 @@ class TestEndToEnd:
             for ext in (".json", ".bin"):
                 assert digest(paths_a.checkpoint_stem(stage, 0) + ext) \
                     == digest(paths_b.checkpoint_stem(stage, 0) + ext)
+
+
+def _tiny_train():
+    return {
+        "pretrain": {"batch_size": 16, "lr": 0.001, "max_epochs": 1,
+                     "scheduler_patience": 5, "rmse_stop": 1.0},
+        "finetune": {"batch_size": 8, "lr": 0.001, "max_epochs": 2,
+                     "scheduler_patience": 5, "early_stop_patience": 10},
+    }
+
+
+class TestRefusals:
+    def test_single_county_refused_with_year_and_counts(self, tmp_path, capsys):
+        cropsim = dict(MICRO["cropsim"], n_counties=1)
+        path = micro_config(tmp_path, run_name="one_county", cropsim=cropsim,
+                            train=_tiny_train())
+        assert cli.main(["all", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: target year 2022 has 1 county sample(s)")
+        # a lone county per year is never drought-flagged
+        assert cli.main(["attn-report", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: year 2019 has 0 drought-flagged and 1 other county samples")
+
+    def test_evaluate_refuses_a_split_the_checkpoint_was_not_trained_on(self, micro_run, capsys):
+        _, paths, cfg_path, _ = micro_run
+        before = open(paths.metrics).read()
+        rc = cli.main(["evaluate", "--config", cfg_path, "--target-year", "2021"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'target_year': 2022" in err and "'target_year': 2021" in err
+        assert open(paths.metrics).read() == before
+
+    def test_evaluate_refuses_a_checkpoint_without_its_split(self, micro_run, tmp_path, capsys):
+        _, paths, cfg_path, _ = micro_run
+        run_dir = tmp_path / "no_split"
+        shutil.copytree(paths.data, run_dir / "data")
+        shutil.copytree(paths.finetune, run_dir / "finetune")
+        manifest_path = run_dir / "finetune" / "seed0" / "model.json"
+        manifest = json.loads(manifest_path.read_text())
+        for key in ("target_year", "split_seed", "train_fraction"):
+            del manifest["meta"][key]
+        manifest_path.write_text(json.dumps(manifest))
+        rc = cli.main(["evaluate", "--config", cfg_path, "--run-dir", str(run_dir)])
+        assert rc == 1
+        assert "'target_year': None" in capsys.readouterr().err
+
+
+def test_empty_drought_group_scores_none(micro_run, tmp_path):
+    """A test set without drought-flagged samples: both scorers report None."""
+    _, paths, cfg_path, _ = micro_run
+    run_dir = tmp_path / "no_drought"
+    shutil.copytree(paths.finetune, run_dir / "finetune")
+    county = ingest.read_samples_csv(paths.county_samples)
+    for s in county.samples:
+        if s.year == 2022:
+            s.drought_flag = False
+    os.makedirs(run_dir / "data")
+    ingest.write_samples_csv(county, run_dir / "data" / "county_samples.csv")
+
+    assert cli.main(["evaluate", "--config", cfg_path, "--run-dir", str(run_dir)]) == 0
+    payload = json.loads((run_dir / "evaluate" / "metrics.json").read_text())
+    assert payload["per_seed"]["mean_signed_error_drought"] == [None]
+    assert payload["per_seed"]["mean_signed_error_non_drought"][0] is not None
+
+    cfg = cli.load_config(cfg_path)
+    pre_cfg, fine_cfg = cli.stage_configs(cfg)
+    fine_cfg.max_epochs = 1
+    res = training.run_experiment(None, county, "att", [0], cli.split_spec(cfg), pre_cfg,
+                                  fine_cfg, cli.loss_config(cfg), sizes=cfg["model"])
+    assert res.per_seed["mean_signed_error_drought"] == [None]
+    assert res.summary["mean_signed_error_drought_median"] is None

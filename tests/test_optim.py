@@ -3,7 +3,7 @@ import pytest
 
 from kgmlsm.autodiff import ParamStore
 from kgmlsm.errors import ShapeError
-from kgmlsm.optim import PlateauScheduler, adam_init, adam_step, plateau_scheduler_step
+from kgmlsm.optim import PlateauScheduler, adam_init, adam_step
 
 
 class TestAdam:
@@ -83,7 +83,3 @@ class TestPlateauScheduler:
         for _ in range(6):
             sched.step(1.0)
         assert sched.lr == pytest.approx(1e-6)
-
-    def test_functional_form(self):
-        sched = PlateauScheduler(lr=0.4)
-        assert plateau_scheduler_step(sched, 2.0) == 0.4

@@ -8,7 +8,7 @@ from conftest import make_dataset
 from kgmlsm import ingest, losses, model, training
 from kgmlsm.errors import CheckpointMismatch
 from kgmlsm.training import (SplitSpec, StageConfig, VARIANTS, get_variant, pretrain,
-                             finetune, run_ablation, run_experiment, temporal_split)
+                             finetune, run_experiment, temporal_split)
 
 SMALL = dict(d_model=8, d_k=8, enc_width1=4, enc_width2=8, dec_width=4)
 LCFG = losses.LossConfig()
@@ -222,8 +222,8 @@ class TestRunners:
         assert json.dumps(a.per_seed, sort_keys=True) == json.dumps(b.per_seed, sort_keys=True)
 
     def test_ablation_reports_token_count(self, tiny_county):
-        res = run_ablation(None, tiny_county, "att_wo_sm", [0], SplitSpec(target_year=2023),
-                           fast_pre(), fast_fine(max_epochs=2), LCFG, SMALL)
+        res = run_experiment(None, tiny_county, "att_wo_sm", [0], SplitSpec(target_year=2023),
+                             fast_pre(), fast_fine(max_epochs=2), LCFG, SMALL)
         assert res.summary["token_count"] == 108
         assert res.summary["components"]["soil_moisture_tokens"] is False
 

@@ -40,9 +40,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -2,8 +2,7 @@
 finetune -> evaluate -> attn-report, plus `ablate` for component studies
 and `all` to chain everything, driven by one JSON config file.
 
-Flags override config keys; nothing is read from the environment except
-the kernel-backend switch documented in backend.py.
+Flags override config keys; nothing is read from the environment.
 """
 
 import argparse
@@ -266,8 +265,8 @@ def cmd_finetune(cfg, paths):
         checkpoint = None
         if variant.use_pretrain:
             stem = paths.checkpoint_stem("pretrain", seed)
-            if not os.path.exists(stem + ".json"):
-                raise KgmlsmError(f"missing {stem}.json; run the `pretrain` subcommand first")
+            _require(stem + ".json", "pretrain")
+            _require(stem + ".bin", "pretrain")
             checkpoint = model.load_checkpoint(stem)
         bundle, rows, _split = training.finetune(checkpoint, county, spec, fine_cfg,
                                                  loss_config(cfg), variant, cfg["model"],
@@ -310,8 +309,8 @@ def cmd_evaluate(cfg, paths):
     all_rows = []
     for seed in cfg["seeds"]:
         stem = paths.checkpoint_stem("finetune", seed)
-        if not os.path.exists(stem + ".json"):
-            raise KgmlsmError(f"missing {stem}.json; run the `finetune` subcommand first")
+        _require(stem + ".json", "finetune")
+        _require(stem + ".bin", "finetune")
         bundle = model.load_checkpoint(stem)
         _require_split(bundle, spec, stem)
         rows, numbers = metrics.score_seed(split.test, bundle.predict(split.test), seed)
@@ -364,8 +363,8 @@ def cmd_attn_report(cfg, paths):
     _require(paths.county_samples, "ingest")
     seed = int(cfg["seeds"][0])
     stem = paths.checkpoint_stem("finetune", seed)
-    if not os.path.exists(stem + ".json"):
-        raise KgmlsmError(f"missing {stem}.json; run the `finetune` subcommand first")
+    _require(stem + ".json", "finetune")
+    _require(stem + ".bin", "finetune")
     bundle = model.load_checkpoint(stem)
     county = ingest.read_samples_csv(paths.county_samples)
     if bundle.config.use_sm_tokens:

@@ -29,8 +29,6 @@ INITIAL_SOIL_WATER_CHOICES = (0.40, 0.50, 0.60)  # fraction of the SM span
 
 POTENTIAL_YIELD_CAP = 12.5  # t/ha
 
-SCENARIO_WET_PROB = {"normal": 0.30, "drought": 0.05, "anomalous": 0.30}
-
 # per-draw ranges around the nominal scenario knobs; the spread across
 # station-years is what gives yields enough variance to learn from
 SCENARIO_WET_PROB_RANGE = {
@@ -119,27 +117,30 @@ def initial_sm(management):
     return SM_MIN + management.initial_soil_water * (SM_SAT - SM_MIN)
 
 
-def simulate_station_year(weather, management):
-    """Daily water balance plus the stress-scaled yield for one year.
+def simulate_station_years(weathers, managements):
+    """Daily water balance plus the stress-scaled yield for a batch of
+    station-years, in one kernel call; one SimOutput per station-year.
 
     The seasonal stress index is the whole-window met-demand fraction
     multiplied by the reproductive-window fraction, so equal season totals
     with badly timed dry spells still cost yield.
     """
-    sm_s = np.empty(DAYS_PER_YEAR)
-    sm_r = np.empty(DAYS_PER_YEAR)
-    sm0 = initial_sm(management)
-    sow_day, stress_mean, critical_mean = bucket_water_balance(
-        weather.radn, weather.tmax, weather.tmin, weather.ppt,
-        sm0, sm0, management.sow_window_start, management.sow_window_end,
-        sm_s, sm_r)
+    sow_day, stress_mean, critical_mean, sm_s, sm_r = bucket_water_balance(
+        np.stack([w.radn for w in weathers]), np.stack([w.tmax for w in weathers]),
+        np.stack([w.tmin for w in weathers]), np.stack([w.ppt for w in weathers]),
+        np.array([initial_sm(m) for m in managements]),
+        np.array([m.sow_window_start for m in managements]),
+        np.array([m.sow_window_end for m in managements]))
     # reproductive-window stress modulates up to 40% of the yield on top
     # of the season-long supply ratio
     index = stress_mean * (0.6 + 0.4 * critical_mean)
-    pot = potential_yield(management.plant_population, management.fertilizer)
-    return SimOutput(sm_surface=sm_s, sm_rootzone=sm_r,
-                     yield_tha=pot * index, stress_index=index,
-                     sow_day=int(sow_day), potential_yield=pot)
+    outs = []
+    for i, m in enumerate(managements):
+        pot = potential_yield(m.plant_population, m.fertilizer)
+        outs.append(SimOutput(sm_surface=sm_s[i], sm_rootzone=sm_r[i],
+                              yield_tha=float(pot * index[i]), stress_index=float(index[i]),
+                              sow_day=int(sow_day[i]), potential_yield=pot))
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +191,16 @@ def _composited_sample(sid, year, lat, lon, hist, yield_label, weather, sim, vis
                          weather=wmat, vis=vis, sm=smat)
 
 
-def simulate_field_station_year(seed, station, year, scenario_mix):
-    """Weather + simulation for one station-year under the scenario mix.
+def draw_field_station_year(seed, station, year, scenario_mix):
+    """Every random draw for one station-year under the scenario mix.
 
-    Anomalous station-years report one weather draw while their soil
-    moisture and yield come from an opposite-rainfall draw with a level
-    shift on the SM series, standing in for unrealistic uncalibrated
-    simulator output: the recorded weather no longer explains the
-    recorded soil moisture or yield.
+    Returns (lat, lon), the recorded weather, the weather the water
+    balance runs on, the management and the SM level shift (None for a
+    faithful station-year). Anomalous station-years report one weather
+    draw while their soil moisture and yield come from an opposite-rainfall
+    draw with a level shift on the SM series, standing in for unrealistic
+    uncalibrated simulator output: the recorded weather no longer explains
+    the recorded soil moisture or yield.
     """
     lat, lon = station_location(seed, station)
     sc_rng = _rng(seed, "scenario", station, year)
@@ -207,20 +210,37 @@ def simulate_field_station_year(seed, station, year, scenario_mix):
     mgmt = sample_management(_rng(seed, "management", station, year))
     weather = synth_weather(_rng(seed, "weather", station, year), year, (lat, lon),
                             wet_prob, event_scale)
-    if scenario == "anomalous":
-        decoy_wet = wet_prob < 0.25
-        decoy_prob = float(sc_rng.uniform(0.35, 0.45) if decoy_wet
-                           else sc_rng.uniform(0.02, 0.08))
-        decoy = synth_weather(_rng(seed, "decoy", station, year), year, (lat, lon),
-                              decoy_prob, event_scale)
-        sim = simulate_station_year(decoy, mgmt)
-        # level shift pushes the series further in the decoy's direction
-        shift = float(sc_rng.uniform(0.10, 0.16)) * (1.0 if decoy_wet else -1.0)
+    if scenario != "anomalous":
+        return (lat, lon), weather, weather, mgmt, None
+    decoy_wet = wet_prob < 0.25
+    decoy_prob = float(sc_rng.uniform(0.35, 0.45) if decoy_wet
+                       else sc_rng.uniform(0.02, 0.08))
+    decoy = synth_weather(_rng(seed, "decoy", station, year), year, (lat, lon),
+                          decoy_prob, event_scale)
+    # level shift pushes the series further in the decoy's direction
+    shift = float(sc_rng.uniform(0.10, 0.16)) * (1.0 if decoy_wet else -1.0)
+    return (lat, lon), weather, decoy, mgmt, shift
+
+
+def shift_sm(sim, shift):
+    """Apply an anomalous station-year's SM level shift, clipped to the
+    physical range; a None shift leaves the simulation as it is."""
+    if shift is not None:
         sim.sm_surface = np.clip(sim.sm_surface + shift, SM_MIN, SM_SAT)
         sim.sm_rootzone = np.clip(sim.sm_rootzone + shift, SM_MIN, SM_SAT)
-    else:
-        sim = simulate_station_year(weather, mgmt)
-    return (lat, lon), weather, sim
+    return sim
+
+
+def simulate_field_station_years(seed, keys, scenario_mix):
+    """Draw each (station, year) in keys, then simulate them all at once.
+
+    Returns [((lat, lon), weather, sim)] in the order of keys. Every draw
+    has its own rng stream, so the batch does not change any value.
+    """
+    draws = [draw_field_station_year(seed, st, year, scenario_mix) for st, year in keys]
+    sims = simulate_station_years([d[2] for d in draws], [d[3] for d in draws])
+    return [(loc, weather, shift_sm(sim, shift))
+            for (loc, weather, _, _, shift), sim in zip(draws, sims)]
 
 
 def build_field_dataset(n_stations, years, scenario_mix, seed):
@@ -231,17 +251,16 @@ def build_field_dataset(n_stations, years, scenario_mix, seed):
     """
     years = sorted(years)
     all_years = list(range(years[0] - 5, years[-1] + 1))
+    keys = [(st, year) for st in range(n_stations) for year in all_years]
     ds = ingest.Dataset(level="field")
-    for st in range(n_stations):
-        sid = f"st{st:03d}"
-        history = {}
-        for year in all_years:
-            (lat, lon), weather, sim = simulate_field_station_year(seed, st, year, scenario_mix)
-            if year in years:
-                hist = float(np.mean([history[y] for y in range(year - 5, year)]))
-                ds.samples.append(_composited_sample(
-                    sid, year, lat, lon, hist, sim.yield_tha, weather, sim))
-            history[year] = sim.yield_tha
+    history = {}
+    for (st, year), ((lat, lon), weather, sim) in zip(
+            keys, simulate_field_station_years(seed, keys, scenario_mix)):
+        if year in years:
+            hist = float(np.mean([history[st, y] for y in range(year - 5, year)]))
+            ds.samples.append(_composited_sample(
+                f"st{st:03d}", year, lat, lon, hist, sim.yield_tha, weather, sim))
+        history[st, year] = sim.yield_tha
     ingest.label_drought(ds)
     return ds
 
@@ -278,13 +297,8 @@ def _pixel_reflectances(rng, canopy, sm_surface, corn):
             clip(green, 0.01, 0.5), clip(swir, 0.02, 0.8))
 
 
-def simulate_county_year(seed, county, year, scenario_mix):
-    """County truth + observables for one year.
-
-    Returns (lat, lon), weather, sim, county_yield, canopy. The reported
-    county yield adds a management effect (visible through the canopy and
-    hence the VIs) plus observation noise on top of the simulated yield.
-    """
+def draw_county_year(seed, county, year, scenario_mix):
+    """Location, weather and management of one county-year."""
     lat, lon = station_location(seed, county, purpose="county_loc")
     sc_rng = _rng(seed, "county_scenario", county, year)
     scenario = _pick_scenario(sc_rng, scenario_mix)
@@ -293,14 +307,23 @@ def simulate_county_year(seed, county, year, scenario_mix):
     mgmt = sample_management(_rng(seed, "county_mgmt", county, year))
     weather = synth_weather(_rng(seed, "county_weather", county, year), year, (lat, lon),
                             wet_prob, event_scale)
-    sim = simulate_station_year(weather, mgmt)
+    return (lat, lon), weather, mgmt
+
+
+def county_outcome(seed, county, year, sim):
+    """Reported county yield and daily canopy for a simulated county-year.
+
+    The reported yield adds a management effect (visible through the
+    canopy and hence the VIs) plus observation noise on top of the
+    simulated yield.
+    """
     effect = float(_rng(seed, "county_effect", county, year).normal(0.0, 1.0))
     noise = float(_rng(seed, "county_yield", county, year).lognormal(0.0, 0.16))
     # multiplicative observation model: low yields carry proportionally
     # low noise, so crop failures stay near zero instead of clipping
     county_yield = sim.yield_tha * np.exp(0.10 * effect) * noise
     canopy = _canopy_curve(sim.sow_day, sim.stress_index, effect)
-    return (lat, lon), weather, sim, county_yield, canopy
+    return county_yield, canopy
 
 
 PIXELS_PER_COUNTY = 5  # 4 corn-masked + 1 unmasked
@@ -323,48 +346,50 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
     daily_rows = []
     truth_rows = []
 
-    for c in range(n_counties):
+    keys = [(c, year) for c in range(n_counties) for year in all_years]
+    draws = [draw_county_year(seed, c, year, overrides.get(year, scenario_mix))
+             for c, year in keys]
+    sims = simulate_station_years([d[1] for d in draws], [d[2] for d in draws])
+    history = {}
+    for (c, year), ((lat, lon), weather, _), sim in zip(keys, draws, sims):
         sid = f"c{c:03d}"
-        history = {}
-        for year in all_years:
-            (lat, lon), weather, sim, county_yield, canopy = simulate_county_year(
-                seed, c, year, overrides.get(year, scenario_mix))
-            history[year] = county_yield
-            if year not in years:
-                continue
-            hist = float(np.mean([history[y] for y in range(year - 5, year)]))
-            truth_rows.append((sid, year, lat, lon, county_yield, hist))
+        county_yield, canopy = county_outcome(seed, c, year, sim)
+        history[c, year] = county_yield
+        if year not in years:
+            continue
+        hist = float(np.mean([history[c, y] for y in range(year - 5, year)]))
+        truth_rows.append((sid, year, lat, lon, county_yield, hist))
 
-            dates = [date_str(year, start + d) for d in range(ingest.SEASON_DAYS)]
-            # gridded-product observation noise: the county record is a
-            # noisy view of the true weather/SM that drove the simulation
-            obs = _rng(seed, "county_obs", c, year)
-            nd = ingest.SEASON_DAYS
-            sradn = np.clip(season(weather.radn) + obs.normal(0, 1.5, nd), 0.1, None)
-            stmax = season(weather.tmax) + obs.normal(0, 0.8, nd)
-            stmin = np.minimum(season(weather.tmin) + obs.normal(0, 0.8, nd), stmax)
-            sppt = np.clip(season(weather.ppt) * obs.lognormal(0.0, 0.20, nd)
-                           + obs.normal(0, 0.3, nd), 0.0, None)
-            ssm_s = np.clip(season(sim.sm_surface) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
-            ssm_r = np.clip(season(sim.sm_rootzone) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
-            for d in range(ingest.SEASON_DAYS):
-                daily_rows.append((sid, dates[d], sradn[d], stmax[d], stmin[d], sppt[d],
-                                   ssm_s[d], ssm_r[d]))
+        dates = [date_str(year, start + d) for d in range(ingest.SEASON_DAYS)]
+        # gridded-product observation noise: the county record is a
+        # noisy view of the true weather/SM that drove the simulation
+        obs = _rng(seed, "county_obs", c, year)
+        nd = ingest.SEASON_DAYS
+        sradn = np.clip(season(weather.radn) + obs.normal(0, 1.5, nd), 0.1, None)
+        stmax = season(weather.tmax) + obs.normal(0, 0.8, nd)
+        stmin = np.minimum(season(weather.tmin) + obs.normal(0, 0.8, nd), stmax)
+        sppt = np.clip(season(weather.ppt) * obs.lognormal(0.0, 0.20, nd)
+                       + obs.normal(0, 0.3, nd), 0.0, None)
+        ssm_s = np.clip(season(sim.sm_surface) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
+        ssm_r = np.clip(season(sim.sm_rootzone) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
+        for d in range(ingest.SEASON_DAYS):
+            daily_rows.append((sid, dates[d], sradn[d], stmax[d], stmin[d], sppt[d],
+                               ssm_s[d], ssm_r[d]))
 
-            px_rng = _rng(seed, "county_pixels", c, year)
-            scanopy = season(canopy)
-            true_sm_s = season(sim.sm_surface)  # reflectance follows the true state
-            for p in range(PIXELS_PER_COUNTY):
-                corn = p < PIXELS_PER_COUNTY - 1
-                red, nir, blue, green, swir = _pixel_reflectances(px_rng, scanopy, true_sm_s, corn)
-                pixel_cols["county_id"].extend([sid] * ingest.SEASON_DAYS)
-                pixel_cols["date"].extend(dates)
-                pixel_cols["red"].extend(red.tolist())
-                pixel_cols["nir"].extend(nir.tolist())
-                pixel_cols["blue"].extend(blue.tolist())
-                pixel_cols["green"].extend(green.tolist())
-                pixel_cols["swir"].extend(swir.tolist())
-                pixel_cols["corn_mask"].extend([corn] * ingest.SEASON_DAYS)
+        px_rng = _rng(seed, "county_pixels", c, year)
+        scanopy = season(canopy)
+        true_sm_s = season(sim.sm_surface)  # reflectance follows the true state
+        for p in range(PIXELS_PER_COUNTY):
+            corn = p < PIXELS_PER_COUNTY - 1
+            red, nir, blue, green, swir = _pixel_reflectances(px_rng, scanopy, true_sm_s, corn)
+            pixel_cols["county_id"].extend([sid] * ingest.SEASON_DAYS)
+            pixel_cols["date"].extend(dates)
+            pixel_cols["red"].extend(red.tolist())
+            pixel_cols["nir"].extend(nir.tolist())
+            pixel_cols["blue"].extend(blue.tolist())
+            pixel_cols["green"].extend(green.tolist())
+            pixel_cols["swir"].extend(swir.tolist())
+            pixel_cols["corn_mask"].extend([corn] * ingest.SEASON_DAYS)
 
     table = ingest.PixelTable(
         county_id=np.array(pixel_cols["county_id"]),

@@ -30,8 +30,8 @@ class SchemaError(KgmlsmError):
     """A CSV/JSON artifact does not match its declared schema."""
 
 
-class ConfigError(KgmlsmError):
-    """Invalid run configuration."""
+class ConfigError(KgmlsmError, ValueError):
+    """Invalid run configuration; also a ValueError, like other bad values."""
 
 
 class CheckpointMismatch(KgmlsmError):

@@ -299,7 +299,11 @@ def _sample_header():
     return cols
 
 
-def write_samples_csv(dataset, csv_path, manifest_path=None):
+def _manifest_path(csv_path):
+    return csv_path.rsplit(".", 1)[0] + "_manifest.json"
+
+
+def write_samples_csv(dataset, csv_path):
     csv_path = str(csv_path)
     with open(csv_path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
@@ -311,25 +315,21 @@ def write_samples_csv(dataset, csv_path, manifest_path=None):
             row += [_fmt(x) for x in s.vis.T.reshape(-1)]
             row += [_fmt(x) for x in s.sm.T.reshape(-1)]
             w.writerow(row)
-    if manifest_path is None:
-        manifest_path = csv_path.rsplit(".", 1)[0] + "_manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as f:
+    with open(_manifest_path(csv_path), "w", encoding="utf-8") as f:
         json.dump(channel_manifest(dataset.level), f, indent=2, sort_keys=True)
         f.write("\n")
     return csv_path
 
 
-def read_samples_csv(csv_path, level=None, manifest_path=None):
+def read_samples_csv(csv_path):
     csv_path = str(csv_path)
-    if manifest_path is None:
-        manifest_path = csv_path.rsplit(".", 1)[0] + "_manifest.json"
+    manifest_path = _manifest_path(csv_path)
     try:
         with open(manifest_path, encoding="utf-8") as f:
             manifest = json.load(f)
     except FileNotFoundError:
         raise SchemaError(f"missing manifest for {csv_path}")
-    if level is None:
-        level = manifest["level"]
+    level = manifest["level"]
     expected = channel_manifest(level)
     if manifest != expected:
         raise SchemaError(f"manifest {manifest_path} does not match the {level}-level schema")

@@ -1,12 +1,9 @@
 """Daily two-bucket water-balance kernel.
 
-This is the one genuinely sequential inner loop in the package (each day
-depends on the previous day's soil state), so it is the numba target. The
-module exposes both builds:
-
-    bucket_water_balance_numpy   plain Python/numpy reference
-    bucket_water_balance_numba   @njit twin (None when numba is unavailable)
-    bucket_water_balance         the backend-selected default
+Each day depends on the previous day's soil state, so the loop runs over
+the 365 days of the year; the station-years of a whole build ride along
+as an (N,) state updated with elementwise numpy ops, one call per build.
+There is one implementation and nothing is read from the environment.
 
 Water is tracked in mm over two buckets: a 50 mm surface layer and a
 1000 mm rootzone. Each day: rain infiltrates, overflow above saturation
@@ -15,9 +12,7 @@ field capacity drains. Crop water stress on a day is the met fraction of
 the ET demand; the seasonal stress index is its mean over the crop window.
 """
 
-import math
-
-from .backend import HAVE_NUMBA, USE_NUMBA, njit
+import numpy as np
 
 SM_MIN = 0.05  # wilting floor, volumetric fraction
 SM_SAT = 0.55  # saturation ceiling
@@ -39,102 +34,83 @@ CRITICAL_END = 95
 HARGREAVES_COEF = 0.00216
 
 
-def _bucket_loop(radn, tmax, tmin, ppt, sm_s0, sm_r0, sow_start, sow_end,
-                 sm_s_out, sm_r_out):
-    """Run the daily balance over one year; fill the per-day SM outputs.
+def _bucket_step(w, ppt, demand, depth, drain_rate):
+    """One day of one bucket: rain, saturation overflow, ET up to the
+    water above the wilting floor, drainage above field capacity.
 
-    Returns (sow_day, stress_mean, critical_mean): the met-demand fraction
-    averaged over the whole crop window and over the reproductive window.
-    Days are 0-based day-of-year indices; sow_start/sow_end bound the
-    sowing window. The crop is sown on the first window day with rootzone
-    SM >= SOW_SM_THRESHOLD, else at the window end.
+    Returns (new water content in mm, actual ET in mm)."""
+    w = w + ppt
+    w = np.where(w > SM_SAT * depth, SM_SAT * depth, w)
+    avail = w - SM_MIN * depth
+    avail = np.where(avail < 0.0, 0.0, avail)
+    et_act = np.where(demand <= avail, demand, avail)
+    w = w - et_act
+    excess = w - SM_FC * depth
+    w = np.where(excess > 0.0, w - drain_rate * excess, w)
+    return w, et_act
+
+
+def _window_mean(total, days):
+    """Mean met fraction over a window; 1.0 (no stress) for empty windows."""
+    return np.divide(total, days, out=np.ones_like(total), where=days > 0)
+
+
+def bucket_water_balance(radn, tmax, tmin, ppt, sm0, sow_start, sow_end):
+    """Run the daily balance over a batch of station-years.
+
+    radn/tmax/tmin/ppt are (N, days) daily series; sm0, sow_start and
+    sow_end are (N,): the starting volumetric SM of both buckets and the
+    0-based day-of-year bounds of the sowing window. The crop is sown on
+    the first window day with rootzone SM >= SOW_SM_THRESHOLD, else at the
+    window end (-1 when the window starts after the last day).
+
+    Returns (sow_day, stress_mean, critical_mean, sm_surface, sm_rootzone):
+    the sowing day, the met-demand fraction averaged over the whole crop
+    window and over the reproductive window (1.0 for a window with no
+    days), each (N,), and the daily SM of both buckets, each (N, days).
     """
-    n = radn.shape[0]
-    sm_s = sm_s0
-    sm_r = sm_r0
-    sow_day = -1
-    stress_sum = 0.0
-    stress_days = 0
-    critical_sum = 0.0
-    critical_days = 0
-    for d in range(n):
-        if sow_day < 0 and d >= sow_start:
-            if sm_r >= SOW_SM_THRESHOLD or d >= sow_end:
-                sow_day = d
+    n, days = radn.shape
+    sm_s = sm_r = np.asarray(sm0, dtype=np.float64)
+    sow_day = np.full(n, -1, dtype=np.int64)
+    stress_sum = np.zeros(n)
+    stress_days = np.zeros(n, dtype=np.int64)
+    critical_sum = np.zeros(n)
+    critical_days = np.zeros(n, dtype=np.int64)
+    sm_s_out = np.empty((n, days))
+    sm_r_out = np.empty((n, days))
+    for d in range(days):
+        sows = (sow_day < 0) & (d >= sow_start) & ((sm_r >= SOW_SM_THRESHOLD) | (d >= sow_end))
+        sow_day[sows] = d
 
-        tm = 0.5 * (tmax[d] + tmin[d])
-        dtr = tmax[d] - tmin[d]
-        if dtr < 0.0:
-            dtr = 0.0
-        et0 = HARGREAVES_COEF * radn[d] * (tm + 17.8) * math.sqrt(dtr)
-        if et0 < 0.0:
-            et0 = 0.0
+        tm = 0.5 * (tmax[:, d] + tmin[:, d])
+        dtr = tmax[:, d] - tmin[:, d]
+        dtr = np.where(dtr < 0.0, 0.0, dtr)
+        et0 = HARGREAVES_COEF * radn[:, d] * (tm + 17.8) * np.sqrt(dtr)
+        et0 = np.where(et0 < 0.0, 0.0, et0)
 
-        crop_active = sow_day >= 0 and d >= sow_day and d < sow_day + CROP_DURATION_DAYS
-        if crop_active:
-            demand = et0
-        else:
-            demand = BARE_ET_FRAC * et0
+        crop_active = (sow_day >= 0) & (d >= sow_day) & (d < sow_day + CROP_DURATION_DAYS)
+        demand = np.where(crop_active, et0, BARE_ET_FRAC * et0)
 
         # rootzone bucket (contains the full profile; receives all rain)
-        w_r = sm_r * DEPTH_ROOTZONE + ppt[d]
-        if w_r > SM_SAT * DEPTH_ROOTZONE:
-            w_r = SM_SAT * DEPTH_ROOTZONE
-        avail = w_r - SM_MIN * DEPTH_ROOTZONE
-        if avail < 0.0:
-            avail = 0.0
-        et_act = demand if demand <= avail else avail
-        w_r -= et_act
-        excess = w_r - SM_FC * DEPTH_ROOTZONE
-        if excess > 0.0:
-            w_r -= DRAIN_RATE_ROOTZONE * excess
+        w_r, et_act = _bucket_step(sm_r * DEPTH_ROOTZONE, ppt[:, d], demand,
+                                   DEPTH_ROOTZONE, DRAIN_RATE_ROOTZONE)
         sm_r = w_r / DEPTH_ROOTZONE
 
-        if crop_active:
-            if demand > 0.0:
-                met = et_act / demand
-            else:
-                met = 1.0
-            stress_sum += met
-            stress_days += 1
-            age = d - sow_day
-            if CRITICAL_START <= age < CRITICAL_END:
-                critical_sum += met
-                critical_days += 1
+        met = np.divide(et_act, demand, out=np.ones(n), where=demand > 0.0)
+        np.add(stress_sum, met, out=stress_sum, where=crop_active)
+        stress_days += crop_active
+        age = d - sow_day
+        critical = crop_active & (CRITICAL_START <= age) & (age < CRITICAL_END)
+        np.add(critical_sum, met, out=critical_sum, where=critical)
+        critical_days += critical
 
         # surface bucket (diagnostic top layer, dries and rewets fast)
-        w_s = sm_s * DEPTH_SURFACE + ppt[d]
-        if w_s > SM_SAT * DEPTH_SURFACE:
-            w_s = SM_SAT * DEPTH_SURFACE
-        avail_s = w_s - SM_MIN * DEPTH_SURFACE
-        if avail_s < 0.0:
-            avail_s = 0.0
-        dem_s = SURFACE_ET_FRAC * et0
-        e_s = dem_s if dem_s <= avail_s else avail_s
-        w_s -= e_s
-        excess_s = w_s - SM_FC * DEPTH_SURFACE
-        if excess_s > 0.0:
-            w_s -= DRAIN_RATE_SURFACE * excess_s
+        w_s, _ = _bucket_step(sm_s * DEPTH_SURFACE, ppt[:, d], SURFACE_ET_FRAC * et0,
+                              DEPTH_SURFACE, DRAIN_RATE_SURFACE)
         sm_s = w_s / DEPTH_SURFACE
 
-        sm_s_out[d] = sm_s
-        sm_r_out[d] = sm_r
+        sm_s_out[:, d] = sm_s
+        sm_r_out[:, d] = sm_r
 
-    if stress_days > 0:
-        stress_mean = stress_sum / stress_days
-    else:
-        stress_mean = 1.0
-    if critical_days > 0:
-        critical_mean = critical_sum / critical_days
-    else:
-        critical_mean = 1.0
-    return sow_day, stress_mean, critical_mean
-
-
-bucket_water_balance_numpy = _bucket_loop
-bucket_water_balance_numba = njit(cache=True)(_bucket_loop) if HAVE_NUMBA else None
-
-if USE_NUMBA:
-    bucket_water_balance = bucket_water_balance_numba
-else:
-    bucket_water_balance = bucket_water_balance_numpy
+    return (sow_day, _window_mean(stress_sum, stress_days),
+            _window_mean(critical_sum, critical_days), sm_s_out, sm_r_out)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, mean, mul, relu, scale, square
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass
@@ -26,9 +26,9 @@ class LossConfig:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
 
 
 def _as_t(x):

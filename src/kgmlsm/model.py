@@ -23,7 +23,6 @@ from .autodiff import (ParamStore, Tensor, concat, matmul, mul, pool_mean2, relu
 from .errors import CheckpointMismatch, ShapeError
 
 T = ingest.N_WINDOWS  # 13
-T_PAD = 16  # two stride-2 levels need a multiple of 4
 
 
 @dataclass

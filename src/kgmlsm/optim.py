@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import gradients
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass
@@ -93,9 +93,9 @@ class StageConfig:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+            raise ConfigError("lr must be > 0")
 
 
 def default_finetune_config():

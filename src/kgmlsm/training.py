@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, metrics, model
-from .errors import CheckpointMismatch, TrainingDiverged
+from .errors import CheckpointMismatch, ConfigError, TrainingDiverged
 from .optim import StageConfig, fit  # noqa: F401 (StageConfig is re-exported for callers)
 
 
@@ -39,11 +39,11 @@ def temporal_split(dataset, spec):
     train_fraction/rest. Years after the target never enter any part."""
     years = {s.year for s in dataset.samples}
     if spec.target_year not in years:
-        raise ValueError(f"target year {spec.target_year} absent from dataset years {sorted(years)}")
+        raise ConfigError(f"target year {spec.target_year} absent from dataset years {sorted(years)}")
     test = [s for s in dataset.samples if s.year == spec.target_year]
     pre = [s for s in dataset.samples if s.year < spec.target_year]
     if not pre:
-        raise ValueError("no samples precede the target year")
+        raise ConfigError(f"no samples precede the target year {spec.target_year}")
     rng = np.random.default_rng([spec.shuffle_seed, 211])
     order = rng.permutation(len(pre))
     n_train = int(np.floor(spec.train_fraction * len(pre)))
@@ -79,7 +79,7 @@ VARIANTS = {
 
 def get_variant(name):
     if name not in VARIANTS:
-        raise ValueError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}")
+        raise ConfigError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}")
     return VARIANTS[name]
 
 

@@ -205,6 +205,48 @@ class TestRefusals:
         assert "'target_year': None" in capsys.readouterr().err
 
 
+def _copy_run(paths, run_dir):
+    """Copy a finished run's data and checkpoints, so a failing command's
+    config snapshot lands outside the shared run."""
+    for stage in ("data", "pretrain", "finetune"):
+        shutil.copytree(getattr(paths, stage), run_dir / stage)
+    return str(run_dir)
+
+
+BAD_INPUTS = {
+    "variant": (["finetune", "--variant", "bogus"], {}, "unknown variant 'bogus'"),
+    "target_year_absent": (["finetune", "--target-year", "2030"], {},
+                           "target year 2030 absent"),
+    "target_year_first": (["evaluate", "--target-year", "2019"], {},
+                          "no samples precede the target year 2019"),
+    "batch_size": (["finetune"], {"train": {"finetune": {"batch_size": 0}}},
+                   "batch_size must be >= 1"),
+    "lambda": (["finetune", "--lambda", "-1"], {}, "lambda must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_with_error_line(case, micro_run, tmp_path, capsys):
+    argv, extra, message = BAD_INPUTS[case]
+    _, paths, _, _ = micro_run
+    run_dir = _copy_run(paths, tmp_path / "run")
+    cfg_path = micro_config(tmp_path, run_name="bad", **extra)
+    assert cli.main(argv + ["--config", cfg_path, "--run-dir", run_dir]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command,stage", [("finetune", "pretrain"), ("evaluate", "finetune"),
+                                           ("attn-report", "finetune")])
+def test_missing_checkpoint_blob_names_its_producer(command, stage, micro_run, tmp_path, capsys):
+    _, paths, cfg_path, _ = micro_run
+    run_dir = _copy_run(paths, tmp_path / "run")
+    os.remove(os.path.join(run_dir, stage, "seed0", "model.bin"))
+    assert cli.main([command, "--config", cfg_path, "--run-dir", run_dir]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: missing ") and "model.bin" in err and f"`{stage}`" in err
+
+
 def test_empty_drought_group_scores_none(micro_run, tmp_path):
     """A test set without drought-flagged samples: both scorers report None."""
     _, paths, cfg_path, _ = micro_run

@@ -53,7 +53,7 @@ class TestSimulation:
         for _ in range(10):
             m = cropsim.sample_management(rng)
             w = cropsim.synth_weather(rng, 2020, (42.0, -93.0))
-            out = cropsim.simulate_station_year(w, m)
+            out, = cropsim.simulate_station_years([w], [m])
             assert 0.0 <= out.yield_tha <= out.potential_yield + 1e-12
             assert out.sm_surface.min() >= 0.05 - 1e-12
             assert out.sm_rootzone.max() <= 0.55 + 1e-12
@@ -63,8 +63,8 @@ class TestSimulation:
         w = cropsim.synth_weather(rng, 2020, (42.0, -93.0))
         base = dict(sow_window_start=110, sow_window_end=136, plant_population=8,
                     initial_soil_water=0.5)
-        y_low = cropsim.simulate_station_year(w, cropsim.Management(fertilizer=200, **base))
-        y_high = cropsim.simulate_station_year(w, cropsim.Management(fertilizer=300, **base))
+        y_low, y_high = cropsim.simulate_station_years(
+            [w, w], [cropsim.Management(fertilizer=f, **base) for f in (200, 300)])
         assert y_high.yield_tha >= y_low.yield_tha
 
     def test_wetter_season_never_hurts(self):
@@ -74,8 +74,8 @@ class TestSimulation:
             w = cropsim.synth_weather(rng, 2020, (40.0, -95.0), wet_day_prob=0.15)
             scaled = cropsim.WeatherSeries(radn=w.radn, tmax=w.tmax, tmin=w.tmin,
                                            ppt=w.ppt * 1.4)
-            assert (cropsim.simulate_station_year(scaled, m).yield_tha
-                    >= cropsim.simulate_station_year(w, m).yield_tha - 1e-12)
+            wet, dry = cropsim.simulate_station_years([scaled, w], [m, m])
+            assert wet.yield_tha >= dry.yield_tha - 1e-12
 
     def test_potential_yield_map(self):
         assert cropsim.potential_yield(6, 200) == pytest.approx(9.0)
@@ -105,10 +105,9 @@ class TestFieldDataset:
         ds = cropsim.build_field_dataset(2, [2020, 2021], MIX, seed=9)
         for s in ds.samples[:4]:
             station = int(s.sid[2:])
-            prior = []
-            for year in range(s.year - 5, s.year):
-                _, _, sim = cropsim.simulate_field_station_year(9, station, year, MIX)
-                prior.append(sim.yield_tha)
+            keys = [(station, year) for year in range(s.year - 5, s.year)]
+            prior = [sim.yield_tha for _, _, sim
+                     in cropsim.simulate_field_station_years(9, keys, MIX)]
             assert s.hist_avg_yield == pytest.approx(np.mean(prior), abs=1e-12)
 
     def test_sm_yield_correlation_positive_at_scale(self):

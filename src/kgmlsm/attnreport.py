@@ -6,11 +6,9 @@ Everything emitted downstream is recomputable from attention_raw.csv
 alone; the writers here hold no hidden state.
 """
 
-import csv
-
 import numpy as np
 
-from . import ingest, model
+from . import artifacts, ingest, model
 
 CATEGORIES = ("Weather", "VIs", "SM")
 
@@ -124,44 +122,27 @@ def drought_distribution_stats(values, flags):
 # CSV / SVG emitters
 
 
+RAW_HEADER = ["id", "year", "channel", "timestep", "alpha"]
+
+
 def write_raw_csv(path, extraction):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "year", "channel", "timestep", "alpha"])
-        for row, (sid, year) in zip(extraction["alpha"], extraction["keys"]):
-            for a, (channel, t) in zip(row, extraction["labels"]):
-                w.writerow([sid, str(year), channel, str(t), repr(float(a))])
-
-
-def read_raw_csv(path):
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != ["id", "year", "channel", "timestep", "alpha"]:
-            raise ValueError(f"unexpected header in {path}")
-        for row in r:
-            rows.append({"id": row[0], "year": int(row[1]), "channel": row[2],
-                         "timestep": int(row[3]), "alpha": float(row[4])})
-    return rows
+    """One row per (sample, token), samples in dataset order."""
+    keys, labels = extraction["keys"], extraction["labels"]
+    per_sample = [np.array([key[i] for key in keys]).repeat(len(labels)) for i in (0, 1)]
+    per_token = [np.tile(np.array([label[i] for label in labels]), len(keys)) for i in (0, 1)]
+    artifacts.write_csv(path, RAW_HEADER, [*per_sample, *per_token, extraction["alpha"].ravel()])
 
 
 def write_category_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["year", "category", "timestep", "alpha_mean"])
-        for r in rows:
-            w.writerow([str(r["year"]), r["category"], str(r["timestep"]), repr(r["alpha_mean"])])
+    header = ["year", "category", "timestep", "alpha_mean"]
+    artifacts.write_csv(path, header, [[r[k] for r in rows] for k in header])
 
 
 def write_box_csv(path, stats_by_year):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["year", "class", "median", "q1", "q3", "n", "outliers"])
-        for year in sorted(stats_by_year):
-            for cls, st in sorted(stats_by_year[year].items()):
-                w.writerow([str(year), cls, repr(st["median"]), repr(st["q1"]),
-                            repr(st["q3"]), str(st["n"]), str(st["outliers"])])
+    header = ["year", "class", "median", "q1", "q3", "n", "outliers"]
+    rows = [{"year": year, "class": cls, **st} for year in sorted(stats_by_year)
+            for cls, st in sorted(stats_by_year[year].items())]
+    artifacts.write_csv(path, header, [[r[k] for r in rows] for k in header])
 
 
 _SVG_COLORS = {"Weather": "#1f77b4", "VIs": "#2ca02c", "SM": "#d62728"}
@@ -193,5 +174,4 @@ def render_category_svg(path, rows, width=640, panel_height=120):
     legend = " ".join(f"{cat}={_SVG_COLORS[cat]}" for cat in CATEGORIES)
     parts.append(f'<text x="4" y="{height - 6}" font-size="10">{legend}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(parts) + "\n")
+    artifacts.write_bytes(path, ("\n".join(parts) + "\n").encode("utf-8"))

@@ -15,7 +15,8 @@ from importlib import resources
 import numpy as np
 
 from . import attnreport, cropsim, filtering, ingest, losses, metrics, model, training
-from .errors import CheckpointMismatch, ConfigError, KgmlsmError
+from .artifacts import read_json, write_json
+from .errors import CheckpointMismatch, ConfigError, KgmlsmError, SchemaError
 
 DEFAULTS = {
     "paths": {"run_dir": "runs/out"},
@@ -84,12 +85,9 @@ def load_config(path):
         raw = json.loads(text)
     else:
         try:
-            with open(path, encoding="utf-8") as f:
-                raw = json.load(f)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {path} is not valid JSON: {e}")
+            raw = read_json(path)
+        except SchemaError as e:
+            raise ConfigError(f"config file: {e}") from None
     return _merge(DEFAULTS, raw)
 
 
@@ -168,15 +166,7 @@ def _ensure_dirs(*dirs):
 
 def _snapshot(cfg, paths):
     _ensure_dirs(paths.run_dir)
-    with open(os.path.join(paths.run_dir, "config_snapshot.json"), "w", encoding="utf-8") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(paths.run_dir, "config_snapshot.json"), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +332,7 @@ def cmd_evaluate(cfg, paths):
         "r2_mean": float(np.mean(per_seed["r2"])),
         "baselines": baselines,
     }
-    _write_json(paths.metrics, payload)
+    write_json(paths.metrics, payload)
     metrics.write_errors_csv(paths.errors, all_rows)
     print(f"evaluate: RMSE {payload['rmse_mean']:.3f}, R2 {payload['r2_mean']:.3f} "
           f"over {len(cfg['seeds'])} seeds")
@@ -412,7 +402,7 @@ def cmd_ablate(cfg, paths, variant=None, unfiltered=False):
     out_dir = os.path.join(paths.ablate, tag)
     _ensure_dirs(out_dir)
     report_path = os.path.join(out_dir, "report.json")
-    _write_json(report_path, {
+    write_json(report_path, {
         "variant": result.variant, "lambda": result.lam, "unfiltered": bool(unfiltered),
         "seeds": result.seeds, "per_seed": result.per_seed, "summary": result.summary,
     })
@@ -487,11 +477,7 @@ def _validate_artifacts(artifacts):
         raise KgmlsmError(f"declared artifacts were not written: {missing}")
     for path in artifacts:
         if path.endswith(".json"):
-            try:
-                with open(path, encoding="utf-8") as f:
-                    json.load(f)
-            except json.JSONDecodeError:
-                raise KgmlsmError(f"artifact {path} is not valid JSON")
+            read_json(path)
         elif path.endswith(".csv"):
             with open(path, encoding="utf-8") as f:
                 header = f.readline()

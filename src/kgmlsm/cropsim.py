@@ -342,8 +342,8 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
     season = ingest.season_slice
     start = ingest.SEASON_START_DOY
 
-    pixel_cols = {name: [] for name in ("county_id", "date", "red", "nir", "blue", "green", "swir", "corn_mask")}
-    daily_rows = []
+    pixel_cols = {name: [] for name in ingest.PIXELS_HEADER}
+    daily_ids, daily_dates, daily_values = [], [], []
     truth_rows = []
 
     keys = [(c, year) for c in range(n_counties) for year in all_years]
@@ -372,9 +372,9 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
                        + obs.normal(0, 0.3, nd), 0.0, None)
         ssm_s = np.clip(season(sim.sm_surface) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
         ssm_r = np.clip(season(sim.sm_rootzone) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
-        for d in range(ingest.SEASON_DAYS):
-            daily_rows.append((sid, dates[d], sradn[d], stmax[d], stmin[d], sppt[d],
-                               ssm_s[d], ssm_r[d]))
+        daily_ids += [sid] * nd
+        daily_dates += dates
+        daily_values.append(np.stack([sradn, stmax, stmin, sppt, ssm_s, ssm_r], axis=1))
 
         px_rng = _rng(seed, "county_pixels", c, year)
         scanopy = season(canopy)
@@ -399,6 +399,6 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
         swir=np.array(pixel_cols["swir"]),
         corn_mask=np.array(pixel_cols["corn_mask"], dtype=bool))
     ingest.write_pixels_csv(pixels_path, table)
-    ingest.write_daily_csv(daily_path, daily_rows)
+    ingest.write_daily_csv(daily_path, daily_ids, daily_dates, daily_values)
     ingest.write_truth_csv(truth_path, truth_rows)
     return table

@@ -7,11 +7,11 @@ the sample's weather and the sample's simulated soil moisture. Samples
 scoring above the threshold are discarded.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .errors import ShapeError
 
 COND_LIMIT = 1e10
@@ -88,8 +88,5 @@ def screen_field_samples(dataset, model, threshold=0.5):
 
 
 def write_filter_report(path, report):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "year", "mse", "kept"])
-        for row in report:
-            w.writerow([row["id"], str(row["year"]), repr(row["mse"]), str(int(row["kept"]))])
+    header = ["id", "year", "mse", "kept"]
+    artifacts.write_csv(path, header, [[r[k] for r in report] for k in header])

@@ -1,7 +1,8 @@
 """Feature construction: vegetation indices from band reflectances,
 cropland-masked spatial averaging, 16-day compositing over the April to
-October season, seasonal soil-moisture means, drought labeling, and the
-CSV schemas every stage reads and writes.
+October season, seasonal soil-moisture means and drought labeling, plus
+the header and column types of the samples, pixels, daily and truth CSVs
+(the text format itself is `artifacts`).
 
 Seasonal layout: April 1 through October 31 is 214 days. The first 208
 days form 13 windows of 16 days; the trailing 6 days are dropped.
@@ -9,12 +10,11 @@ Precipitation composites by window sum, everything else by window mean
 (the manifest records the rule per channel).
 """
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .errors import MissingCoverage, SchemaError, ShapeError
 
 SEASON_START_DOY = 90  # 0-based index of April 1 in a 365-day year
@@ -286,17 +286,13 @@ def datasets_equal(a, b):
 # then w_1..w_52, v_1..v_52, s_1..s_26 in channel-major manifest order
 # (w_1..w_13 = radn windows 1..13, w_14..w_26 = tmax, ...).
 
-
-def _fmt(x):
-    return repr(float(x))
-
-
-def _sample_header():
-    cols = ["id", "year", "lat", "lon", "hist_avg_yield", "yield", "sbar", "drought_flag"]
-    cols += [f"w_{i + 1}" for i in range(4 * N_WINDOWS)]
-    cols += [f"v_{i + 1}" for i in range(4 * N_WINDOWS)]
-    cols += [f"s_{i + 1}" for i in range(2 * N_WINDOWS)]
-    return cols
+SAMPLE_HEADER = (["id", "year", "lat", "lon", "hist_avg_yield", "yield", "sbar", "drought_flag"]
+                 + [f"w_{i + 1}" for i in range(4 * N_WINDOWS)]
+                 + [f"v_{i + 1}" for i in range(4 * N_WINDOWS)]
+                 + [f"s_{i + 1}" for i in range(2 * N_WINDOWS)])
+PIXELS_HEADER = ["county_id", "date", "red", "nir", "blue", "green", "swir", "corn_mask"]
+DAILY_HEADER = ["id", "date", "radn", "tmax", "tmin", "ppt", "sm_surface", "sm_rootzone"]
+TRUTH_HEADER = ["id", "year", "lat", "lon", "yield", "hist_avg_yield"]
 
 
 def _manifest_path(csv_path):
@@ -305,153 +301,93 @@ def _manifest_path(csv_path):
 
 def write_samples_csv(dataset, csv_path):
     csv_path = str(csv_path)
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_sample_header())
-        for s in dataset.samples:
-            row = [s.sid, str(s.year), _fmt(s.lat), _fmt(s.lon), _fmt(s.hist_avg_yield),
-                   _fmt(s.yield_label), _fmt(s.sbar), str(int(s.drought_flag))]
-            row += [_fmt(x) for x in s.weather.T.reshape(-1)]
-            row += [_fmt(x) for x in s.vis.T.reshape(-1)]
-            row += [_fmt(x) for x in s.sm.T.reshape(-1)]
-            w.writerow(row)
-    with open(_manifest_path(csv_path), "w", encoding="utf-8") as f:
-        json.dump(channel_manifest(dataset.level), f, indent=2, sort_keys=True)
-        f.write("\n")
+    ss = dataset.samples
+    numbers = np.array([np.concatenate([[s.lat, s.lon, s.hist_avg_yield, s.yield_label, s.sbar],
+                                        s.weather.T.ravel(), s.vis.T.ravel(), s.sm.T.ravel()])
+                        for s in ss]).reshape(len(ss), 5 + 10 * N_WINDOWS)
+    artifacts.write_csv(csv_path, SAMPLE_HEADER,
+                        [[s.sid for s in ss], [s.year for s in ss], *numbers[:, :5].T,
+                         [s.drought_flag for s in ss], *numbers[:, 5:].T])
+    artifacts.write_json(_manifest_path(csv_path), channel_manifest(dataset.level))
     return csv_path
 
 
 def read_samples_csv(csv_path):
     csv_path = str(csv_path)
     manifest_path = _manifest_path(csv_path)
-    try:
-        with open(manifest_path, encoding="utf-8") as f:
-            manifest = json.load(f)
-    except FileNotFoundError:
-        raise SchemaError(f"missing manifest for {csv_path}")
-    level = manifest["level"]
-    expected = channel_manifest(level)
-    if manifest != expected:
-        raise SchemaError(f"manifest {manifest_path} does not match the {level}-level schema")
+    manifest = artifacts.read_json(manifest_path)
+    if not isinstance(manifest, dict) or manifest != channel_manifest(manifest.get("level")):
+        raise SchemaError(f"manifest {manifest_path} does not match the schema of its level")
 
-    ds = Dataset(level=level)
-    with open(csv_path, newline="", encoding="utf-8") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != _sample_header():
-            raise SchemaError(f"unexpected header in {csv_path}")
-        nw = 4 * N_WINDOWS
-        for row in r:
-            vals = row[8:]
-            # C-contiguous layout keeps later reductions bit-identical to
-            # the arrays the writer saw
-            weather = np.ascontiguousarray(
-                np.array(vals[:nw], dtype=np.float64).reshape(4, N_WINDOWS).T)
-            vis = np.ascontiguousarray(
-                np.array(vals[nw: 2 * nw], dtype=np.float64).reshape(4, N_WINDOWS).T)
-            sm = np.ascontiguousarray(
-                np.array(vals[2 * nw:], dtype=np.float64).reshape(2, N_WINDOWS).T)
-            s = Sample(sid=row[0], year=int(row[1]), lat=float(row[2]), lon=float(row[3]),
-                       hist_avg_yield=float(row[4]), yield_label=float(row[5]),
-                       weather=weather, vis=vis, sm=sm,
-                       drought_flag=bool(int(row[7])))
-            if abs(s.sbar - float(row[6])) > 1e-9:
-                raise SchemaError(f"stale sbar for {s.sid}/{s.year} in {csv_path}")
-            ds.samples.append(s)
+    cols = artifacts.read_csv(csv_path, SAMPLE_HEADER)
+    numbers = np.stack([cols.floats(name) for name in SAMPLE_HEADER[2:7] + SAMPLE_HEADER[8:]],
+                       axis=1)
+    ids, years = np.array(cols["id"]).tolist(), cols.ints("year").tolist()
+    flags = cols.ints("drought_flag").astype(bool).tolist()
+    del cols  # a cell string kept past here would pin the memory of its neighbours
+    nw = 4 * N_WINDOWS
+    ds = Dataset(level=manifest["level"])
+    for sid, year, flag, row in zip(ids, years, flags, numbers):
+        lat, lon, hist, yld, sbar = row[:5].tolist()
+        series = row[5:]
+        # C-contiguous layout keeps later reductions bit-identical to
+        # the arrays the writer saw
+        s = Sample(sid=sid, year=year, lat=lat, lon=lon, hist_avg_yield=hist, yield_label=yld,
+                   weather=np.ascontiguousarray(series[:nw].reshape(4, N_WINDOWS).T),
+                   vis=np.ascontiguousarray(series[nw: 2 * nw].reshape(4, N_WINDOWS).T),
+                   sm=np.ascontiguousarray(series[2 * nw:].reshape(2, N_WINDOWS).T),
+                   drought_flag=flag)
+        if abs(s.sbar - sbar) > 1e-9:
+            raise SchemaError(f"stale sbar for {s.sid}/{s.year} in {csv_path}")
+        ds.samples.append(s)
     if len({(s.sid, s.year) for s in ds.samples}) != len(ds.samples):
         raise SchemaError(f"duplicate (id, year) keys in {csv_path}")
     return ds
 
 
-PIXELS_HEADER = ["county_id", "date", "red", "nir", "blue", "green", "swir", "corn_mask"]
-DAILY_HEADER = ["id", "date", "radn", "tmax", "tmin", "ppt", "sm_surface", "sm_rootzone"]
-TRUTH_HEADER = ["id", "year", "lat", "lon", "yield", "hist_avg_yield"]
-
-
 def write_pixels_csv(path, table):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(PIXELS_HEADER)
-        for i in range(len(table)):
-            w.writerow([table.county_id[i], table.date[i], _fmt(table.red[i]), _fmt(table.nir[i]),
-                        _fmt(table.blue[i]), _fmt(table.green[i]), _fmt(table.swir[i]),
-                        str(int(table.corn_mask[i]))])
+    artifacts.write_csv(path, PIXELS_HEADER, [getattr(table, name) for name in PIXELS_HEADER])
 
 
 def read_pixels_csv(path):
-    cols = {name: [] for name in PIXELS_HEADER}
-    with open(path, newline="", encoding="utf-8") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != PIXELS_HEADER:
-            raise SchemaError(f"unexpected header in {path}")
-        for row in r:
-            for name, val in zip(PIXELS_HEADER, row):
-                cols[name].append(val)
-    return PixelTable(
-        county_id=np.array(cols["county_id"]),
-        date=np.array(cols["date"]),
-        red=np.array(cols["red"], dtype=np.float64),
-        nir=np.array(cols["nir"], dtype=np.float64),
-        blue=np.array(cols["blue"], dtype=np.float64),
-        green=np.array(cols["green"], dtype=np.float64),
-        swir=np.array(cols["swir"], dtype=np.float64),
-        corn_mask=np.array(cols["corn_mask"], dtype=np.int64).astype(bool),
-    )
+    cols = artifacts.read_csv(path, PIXELS_HEADER)
+    return PixelTable(county_id=np.array(cols["county_id"]), date=np.array(cols["date"]),
+                      **{name: cols.floats(name) for name in PIXELS_HEADER[2:7]},
+                      corn_mask=cols.ints("corn_mask").astype(bool))
 
 
-def write_daily_csv(path, rows):
-    """rows: iterable of (id, date, radn, tmax, tmin, ppt, sm_surface, sm_rootzone)."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(DAILY_HEADER)
-        for sid, date, *vals in rows:
-            w.writerow([sid, date] + [_fmt(v) for v in vals])
+def write_daily_csv(path, ids, dates, values):
+    """values: each row's six numbers in DAILY_HEADER order, as (rows, 6) or row blocks."""
+    artifacts.write_csv(path, DAILY_HEADER, [ids, dates, *np.reshape(values, (-1, 6)).T])
 
 
 def read_daily_csv(path):
     """Group daily.csv rows into dict (id, year) -> (dates, values (n, 6))."""
+    cols = artifacts.read_csv(path, DAILY_HEADER)
+    values = np.stack([cols.floats(name) for name in DAILY_HEADER[2:]], axis=1)
+    ids, dates = np.array(cols["id"]), np.array(cols["date"])
+    del cols  # a cell string kept past here would pin the memory of its neighbours
     groups = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != DAILY_HEADER:
-            raise SchemaError(f"unexpected header in {path}")
-        for row in r:
-            sid, date = row[0], row[1]
-            year = int(date[:4])
-            groups.setdefault((sid, year), []).append((date, [float(x) for x in row[2:]]))
+    for i, (sid, date) in enumerate(zip(ids.tolist(), dates.tolist())):
+        groups.setdefault((sid, int(date[:4])), []).append(i)
     out = {}
-    for key, entries in groups.items():
-        entries.sort(key=lambda e: e[0])
-        dates = [e[0] for e in entries]
-        vals = np.array([e[1] for e in entries], dtype=np.float64)
-        out[key] = (dates, vals)
+    for key, rows in groups.items():
+        rows = np.array(rows)[np.argsort(dates[rows], kind="stable")]
+        out[key] = (dates[rows].tolist(), values[rows])
     return out
 
 
 def write_truth_csv(path, rows):
-    """rows: iterable of (id, year, lat, lon, yield, hist_avg_yield)."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(TRUTH_HEADER)
-        for sid, year, lat, lon, yld, hist in rows:
-            w.writerow([sid, str(year), _fmt(lat), _fmt(lon), _fmt(yld), _fmt(hist)])
+    """rows: list of (id, year, lat, lon, yield, hist_avg_yield)."""
+    columns = [[r[i] for r in rows] for i in range(len(TRUTH_HEADER))]
+    artifacts.write_csv(path, TRUTH_HEADER, columns)
 
 
 def read_truth_csv(path):
-    out = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != TRUTH_HEADER:
-            raise SchemaError(f"unexpected header in {path}")
-        for row in r:
-            out[(row[0], int(row[1]))] = {
-                "lat": float(row[2]), "lon": float(row[3]),
-                "yield": float(row[4]), "hist_avg_yield": float(row[5]),
-            }
-    return out
+    cols = artifacts.read_csv(path, TRUTH_HEADER)
+    numbers = zip(*(cols.floats(name).tolist() for name in TRUTH_HEADER[2:]))
+    return {(sid, year): dict(zip(TRUTH_HEADER[2:], row))
+            for sid, year, row in zip(cols["id"], cols.ints("year").tolist(), numbers)}
 
 
 def build_county_dataset(pixels_path, daily_path, truth_path):

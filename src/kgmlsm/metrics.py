@@ -1,10 +1,9 @@
 """Evaluation: RMSE and R2, the LR/Ridge/MLP reference models, and the
 signed-error reports used for over/underestimation diagnostics."""
 
-import csv
-
 import numpy as np
 
+from . import artifacts
 from .autodiff import ParamStore, Tensor, matmul, mean, relu, square
 from .errors import ShapeError
 from .optim import default_finetune_config, fit
@@ -181,22 +180,8 @@ def score_seed(dataset, pred, seed):
 
 
 def write_errors_csv(path, rows):
-    """One line per error row; a leading seed column when the rows carry one."""
-    has_seed = rows and "seed" in rows[0]
-    has_sm = rows and "sm_abs_error" in rows[0]
-    header = ["id", "year", "drought_flag", "y", "y_hat", "signed_error", "abs_error"]
-    if has_seed:
-        header = ["seed"] + header
-    if has_sm:
-        header.append("sm_abs_error")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for r in rows:
-            row = [r["id"], str(r["year"]), str(int(r["drought_flag"])), repr(r["y"]),
-                   repr(r["y_hat"]), repr(r["signed_error"]), repr(r["abs_error"])]
-            if has_seed:
-                row = [str(r["seed"])] + row
-            if has_sm:
-                row.append(repr(r["sm_abs_error"]))
-            w.writerow(row)
+    """One line per error row; seed and sm_abs_error columns when the rows carry them."""
+    header = ["seed", "id", "year", "drought_flag", "y", "y_hat", "signed_error", "abs_error",
+              "sm_abs_error"]
+    header = [k for k in header if k in rows[0]] if rows else header[1:-1]
+    artifacts.write_csv(path, header, [[r[k] for r in rows] for k in header])

@@ -11,16 +11,15 @@ standardized with statistics carried in the checkpoint, and predictions
 are mapped back to physical units at the boundary (predict()).
 """
 
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ingest
+from . import artifacts, ingest
 from .autodiff import (ParamStore, Tensor, concat, matmul, mul, pool_mean2, relu,
                        softmax_last, unsqueeze, upsample_repeat2, zeros)
-from .errors import CheckpointMismatch, ShapeError
+from .errors import CheckpointMismatch, SchemaError, ShapeError
 
 T = ingest.N_WINDOWS  # 13
 
@@ -358,12 +357,9 @@ def save_checkpoint(stem, bundle):
         "params": [{"name": n, "shape": list(bundle.params[n].data.shape)} for n in order],
         "meta": bundle.meta,
     }
-    with open(stem + ".json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    artifacts.write_json(stem + ".json", manifest)
     blob = np.concatenate([bundle.params[n].data.ravel() for n in order]) if order else np.zeros(0)
-    with open(stem + ".bin", "wb") as f:
-        f.write(blob.astype("<f8").tobytes())
+    artifacts.write_bytes(stem + ".bin", blob.astype("<f8").tobytes())
     return stem + ".json", stem + ".bin"
 
 
@@ -371,9 +367,11 @@ def load_checkpoint(stem, expect_config=None):
     stem = str(stem)
     if not os.path.exists(stem + ".json") or not os.path.exists(stem + ".bin"):
         raise FileNotFoundError(f"checkpoint {stem} missing .json/.bin")
-    with open(stem + ".json", encoding="utf-8") as f:
-        manifest = json.load(f)
-    if manifest.get("format") != "kgmlsm-checkpoint-v1":
+    try:
+        manifest = artifacts.read_json(stem + ".json")
+    except SchemaError as e:
+        raise CheckpointMismatch(str(e)) from None
+    if not isinstance(manifest, dict) or manifest.get("format") != "kgmlsm-checkpoint-v1":
         raise CheckpointMismatch(f"unknown checkpoint format in {stem}.json")
     config = ModelConfig.from_dict(manifest["config"])
     if expect_config is not None and config.to_dict() != expect_config.to_dict():

@@ -4,13 +4,12 @@ optim.fit), with temporal splits, the multi-seed experiment runner, and
 the component-ablation variants.
 """
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses, metrics, model
+from . import artifacts, losses, metrics, model
 from .errors import CheckpointMismatch, ConfigError, TrainingDiverged
 from .optim import StageConfig, fit  # noqa: F401 (StageConfig is re-exported for callers)
 
@@ -141,13 +140,8 @@ def _yield_rmse(arrays, y_hat, stats):
 
 
 def write_epochs_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "train_loss", "val_loss", "lr", "rmse"])
-        for r in rows:
-            w.writerow([str(r["epoch"]), repr(r["train_loss"]),
-                        "" if r["val_loss"] is None else repr(r["val_loss"]),
-                        repr(r["lr"]), repr(r["rmse"])])
+    header = ["epoch", "train_loss", "val_loss", "lr", "rmse"]
+    artifacts.write_csv(path, header, [[r[k] for r in rows] for k in header])
 
 
 # ---------------------------------------------------------------------------

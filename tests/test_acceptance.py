@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from kgmlsm import attnreport, cli, cropsim, filtering, ingest, losses, metrics, model, training
+from kgmlsm import artifacts, attnreport, cli, cropsim, filtering, ingest, losses, metrics, model, training
 from kgmlsm.autodiff import gradients
 from kgmlsm.gradcheck import check_param_gradients
 
@@ -254,10 +254,12 @@ def test_criterion_8_attention_invariants(demo_run_a):
                  for y in np.unique(extraction["years"]))
 
     # category means recomputed from the raw CSV alone
-    rows = attnreport.read_raw_csv(paths.attn_raw)
+    cols = artifacts.read_csv(paths.attn_raw, attnreport.RAW_HEADER)
     by_key = {}
-    for r in rows:
-        by_key.setdefault((r["id"], r["year"]), {})[(r["channel"], r["timestep"])] = r["alpha"]
+    for sid, year, channel, t, a in zip(cols["id"], cols.ints("year").tolist(), cols["channel"],
+                                        cols.ints("timestep").tolist(),
+                                        cols.floats("alpha").tolist()):
+        by_key.setdefault((sid, year), {})[(channel, t)] = a
     acc, n_by_year = {}, {}
     for (sid, year), toks in by_key.items():
         n_by_year[year] = n_by_year.get(year, 0) + 1

@@ -1,0 +1,98 @@
+import os
+
+import numpy as np
+import pytest
+
+from kgmlsm import artifacts
+from kgmlsm.errors import SchemaError, ShapeError
+
+EDGE_FLOATS = [0.1, -0.0, 5e-324, 1e308, 1 / 3]
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("column", [np.array(EDGE_FLOATS), EDGE_FLOATS,
+                                    [np.float64(x) for x in EDGE_FLOATS]],
+                         ids=["array", "floats", "numpy_scalars"])
+def test_floats_round_trip_bit_for_bit(column, tmp_path):
+    path = tmp_path / "f.csv"
+    artifacts.write_csv(path, ["x"], [column])
+    assert path.read_text().split() == ["x", "0.1", "-0.0", "5e-324", "1e+308",
+                                        "0.3333333333333333"]
+    assert bits(artifacts.read_csv(path, ["x"]).floats("x")) == bits(EDGE_FLOATS)
+
+
+def test_int_bool_and_none_cells(tmp_path):
+    path = tmp_path / "c.csv"
+    artifacts.write_csv(path, ["i", "b", "nb", "n", "s"],
+                        [np.array([7, -2]), [True, False], np.array([False, True]),
+                         [None, 2.5], ["a", "b"]])
+    assert path.read_bytes() == b"i,b,nb,n,s\r\n7,1,0,,a\r\n-2,0,1,2.5,b\r\n"
+    cols = artifacts.read_csv(path, ["i", "b", "nb", "n", "s"])
+    assert cols["n"] == ["", "2.5"] and cols.ints("i").tolist() == [7, -2]
+
+
+def test_header_mismatch_names_the_file(tmp_path):
+    path = tmp_path / "h.csv"
+    artifacts.write_csv(path, ["a", "b"], [[1], [2]])
+    with pytest.raises(SchemaError, match="h.csv"):
+        artifacts.read_csv(path, ["a", "c"])
+
+
+@pytest.mark.parametrize("line", ["1", "1,2,3"], ids=["short", "long"])
+def test_row_of_wrong_width_names_file_and_line(line, tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text(f"a,b\n1,2\n{line}\n")
+    with pytest.raises(SchemaError, match=r"w\.csv line 3"):
+        artifacts.read_csv(path, ["a", "b"])
+
+
+def test_unparsable_number_names_file_and_column(tmp_path):
+    path = tmp_path / "n.csv"
+    path.write_text("a,b\n1,2\n3,abc\n")
+    cols = artifacts.read_csv(path, ["a", "b"])
+    assert cols.floats("a").tolist() == [1.0, 3.0]
+    with pytest.raises(SchemaError, match=r"n\.csv: column 'b'"):
+        cols.floats("b")
+    with pytest.raises(SchemaError, match=r"n\.csv: column 'b'"):
+        cols.ints("b")
+
+
+def test_columns_of_unequal_length_rejected(tmp_path):
+    with pytest.raises(ShapeError):
+        artifacts.write_csv(tmp_path / "u.csv", ["a", "b"], [[1, 2], [3]])
+    assert os.listdir(tmp_path) == []
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format")
+
+
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "keep.csv"
+    artifacts.write_csv(path, ["a"], [[1, 2]])
+    before = path.read_bytes()
+    rows = 3 * artifacts._CHUNK_ROWS  # the failure comes after some rows were written
+    with pytest.raises(RuntimeError, match="cannot format"):
+        artifacts.write_csv(path, ["a"], [[0] * (rows - 1) + [Unprintable()]])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["keep.csv"]
+
+
+def test_json_round_trip_and_format(tmp_path):
+    path = tmp_path / "p.json"
+    artifacts.write_json(path, {"b": [1, 0.1], "a": None})
+    assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    0.1\n  ]\n}\n'
+    assert artifacts.read_json(path) == {"a": None, "b": [1, 0.1]}
+
+
+@pytest.mark.parametrize("text", [None, "{", "\xff"], ids=["missing", "truncated", "not_utf8"])
+def test_bad_json_names_the_file(text, tmp_path):
+    path = tmp_path / "bad.json"
+    if text is not None:
+        path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(SchemaError, match="bad.json"):
+        artifacts.read_json(path)

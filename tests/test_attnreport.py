@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from kgmlsm import attnreport, ingest, model
+from kgmlsm import artifacts, attnreport, ingest, model
 from kgmlsm.attnreport import (category_average, category_report, drought_distribution_stats,
                                normalize_by_year, sm_attention_scalar)
 
@@ -147,12 +147,14 @@ class TestReportRoundTrip:
         ext, _, _ = extraction
         raw_path = tmp_path / "attention_raw.csv"
         attnreport.write_raw_csv(raw_path, ext)
-        rows = attnreport.read_raw_csv(raw_path)
+        cols = artifacts.read_csv(raw_path, attnreport.RAW_HEADER)
 
         # rebuild the per-sample matrix from the csv alone
         by_key = {}
-        for r in rows:
-            by_key.setdefault((r["id"], r["year"]), {})[(r["channel"], r["timestep"])] = r["alpha"]
+        for sid, year, channel, t, a in zip(cols["id"], cols.ints("year").tolist(), cols["channel"],
+                                            cols.ints("timestep").tolist(),
+                                            cols.floats("alpha").tolist()):
+            by_key.setdefault((sid, year), {})[(channel, t)] = a
         reference = category_report(ext)
         acc = {}
         n_by_year = {}

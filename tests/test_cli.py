@@ -271,3 +271,50 @@ def test_empty_drought_group_scores_none(micro_run, tmp_path):
                                   fine_cfg, cli.loss_config(cfg), sizes=cfg["model"])
     assert res.per_seed["mean_signed_error_drought"] == [None]
     assert res.summary["mean_signed_error_drought_median"] is None
+
+
+def _set_cell(path, line, column, value):
+    """Overwrite one cell of a CSV, or drop it when value is None."""
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    at = lines[0].split(",").index(column)
+    cells[at: at + 1] = [] if value is None else [value]
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_manifest_level(path):
+    manifest = json.loads(path.read_text())
+    del manifest["level"]
+    path.write_text(json.dumps(manifest))
+
+
+MANIFEST = os.path.join("data", "county_samples_manifest.json")
+BAD_FILES = {
+    "manifest_without_level": ("filter", MANIFEST, _drop_manifest_level,
+                               "county_samples_manifest.json does not match"),
+    "manifest_truncated": ("filter", MANIFEST, lambda p: p.write_text("{"),
+                           "county_samples_manifest.json is not valid JSON"),
+    "checkpoint_truncated": ("evaluate", os.path.join("finetune", "seed0", "model.json"),
+                             lambda p: p.write_text("{"), "model.json is not valid JSON"),
+    "daily_short_row": ("ingest", os.path.join("data", "daily.csv"),
+                        lambda p: _set_cell(p, 3, "sm_rootzone", None),
+                        "daily.csv line 3: 7 cells under a 8-column header"),
+    "truth_bad_yield": ("ingest", os.path.join("data", "county_truth.csv"),
+                        lambda p: _set_cell(p, 2, "yield", "abc"),
+                        "county_truth.csv: column 'yield'"),
+    "samples_bad_cell": ("evaluate", os.path.join("data", "county_samples.csv"),
+                         lambda p: _set_cell(p, 4, "w_5", "abc"),
+                         "county_samples.csv: column 'w_5'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_malformed_artifact_exits_1_naming_the_file(case, micro_run, tmp_path, capsys):
+    command, name, corrupt, message = BAD_FILES[case]
+    _, paths, cfg_path, _ = micro_run
+    run_dir = _copy_run(paths, tmp_path / "run")
+    corrupt(tmp_path / "run" / name)
+    assert cli.main([command, "--config", cfg_path, "--run-dir", run_dir]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

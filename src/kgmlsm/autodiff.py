@@ -229,13 +229,22 @@ def concat(tensors, axis):
                   _parents=tuple(tensors), _backward=backward, name="concat")
 
 
+def _is_basic(part):
+    return isinstance(part, slice) or (isinstance(part, (int, np.integer))
+                                       and not isinstance(part, bool))
+
+
 def getitem(a, idx):
+    """Basic indexing only (ints and slices), so no element is selected
+    twice and the backward is a plain add into zeros."""
+    if not all(_is_basic(p) for p in (idx if isinstance(idx, tuple) else (idx,))):
+        raise ShapeError(f"getitem: only int and slice indices are supported, got {idx!r}")
     out = a.data[idx]
 
     def backward(go):
         if a.requires_grad:
             g = np.zeros_like(a.data)
-            np.add.at(g, idx, go)
+            g[idx] += go
             _accumulate(a, g)
 
     return Tensor(out, _parents=(a,), _backward=backward, name="slice")
@@ -247,10 +256,6 @@ def reshape(a, shape):
             _accumulate(a, go.reshape(a.data.shape))
 
     return Tensor(a.data.reshape(shape), _parents=(a,), _backward=backward, name="reshape")
-
-
-def unsqueeze(a, axis):
-    return reshape(a, a.data.shape[:axis] + (1,) + a.data.shape[axis:])
 
 
 def pool_mean2(a):

@@ -369,6 +369,8 @@ def read_daily_csv(path):
     del cols  # a cell string kept past here would pin the memory of its neighbours
     groups = {}
     for i, (sid, date) in enumerate(zip(ids.tolist(), dates.tolist())):
+        if not date[:4].isdecimal():
+            raise SchemaError(f"{path}: column 'date' has a cell that is not a date: {date!r}")
         groups.setdefault((sid, int(date[:4])), []).append(i)
     out = {}
     for key, rows in groups.items():

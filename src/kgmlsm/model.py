@@ -6,6 +6,11 @@ scalar (year, lat, lon, historical average yield). With all ten series
 channels that is 10 x 13 + 4 = 134 tokens; without soil-moisture channels,
 8 x 13 + 4 = 108.
 
+The head's scores and readout are affine in each token value, so
+attention_forward folds the embedding and the key, value and output
+projections into four per-token vectors: it costs O(B n), and its
+parameters and checkpoints are those of the unfolded (B, n, d_model) head.
+
 The network operates in z-scored space: inputs and targets are
 standardized with statistics carried in the checkpoint, and predictions
 are mapped back to physical units at the boundary (predict()).
@@ -17,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts, ingest
-from .autodiff import (ParamStore, Tensor, concat, matmul, mul, pool_mean2, relu,
-                       softmax_last, unsqueeze, upsample_repeat2, zeros)
+from .autodiff import (ParamStore, Tensor, concat, matmul, mul, pool_mean2, relu, reshape,
+                       softmax_last, upsample_repeat2, zeros)
 from .errors import CheckpointMismatch, SchemaError, ShapeError
 
 T = ingest.N_WINDOWS  # 13
@@ -54,6 +59,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """Exactly the keys to_dict writes: a missing one would silently
+        take its default (a wrong d_k rescales every score)."""
+        expected = sorted(cls().to_dict())
+        if sorted(d) != expected:
+            raise ValueError(f"keys {sorted(d)} != {expected}")
         return cls(**d)
 
 
@@ -244,17 +254,21 @@ def assemble_input(w, o, v, sm, config):
 
 
 def attention_forward(x, params, config):
-    """Token values (B, n) -> (yield estimate (B,), weights (B, n))."""
-    if x.shape[-1] != config.n_tokens:
-        raise ShapeError(f"attention_forward: {x.shape[-1]} tokens, expected {config.n_tokens}")
-    e = mul(unsqueeze(x, 2), params["att.embed.value"]) + params["att.embed.bias"]
-    k = matmul(e, params["att.wk"])
-    v = matmul(e, params["att.wv"])
-    scores = matmul(k, params["att.q"])[:, :, 0] * (1.0 / np.sqrt(config.d_k))
+    """Token values (B, n) -> (yield estimate (B,), weights (B, n)).
+
+    scores = x a + c and y = sum_n alpha_n (x_n a'_n + c'_n) + b, where
+    a, c = (Ev, Eb) Wk q / sqrt(d_k) and a', c' = (Ev, Eb) Wv w_out.
+    """
+    n = config.n_tokens
+    if x.shape[-1] != n:
+        raise ShapeError(f"attention_forward: {x.shape[-1]} tokens, expected {n}")
+    ev, eb = params["att.embed.value"], params["att.embed.bias"]
+    kq = matmul(params["att.wk"], params["att.q"]) * (1.0 / np.sqrt(config.d_k))
+    vo = matmul(params["att.wv"], params["att.out.w"])
+    scores = mul(x, reshape(matmul(ev, kq), (n,))) + reshape(matmul(eb, kq), (n,))
     alpha = softmax_last(scores)
-    pooled = matmul(unsqueeze(alpha, 1), v)[:, 0, :]
-    y = matmul(pooled, params["att.out.w"])[:, 0] + params["att.out.b"]
-    return y, alpha
+    y = matmul(mul(alpha, x), matmul(ev, vo)) + matmul(alpha, matmul(eb, vo))
+    return reshape(y, (x.shape[0],)) + params["att.out.b"], alpha
 
 
 def forward_graph(batch, params, config):
@@ -373,22 +387,29 @@ def load_checkpoint(stem, expect_config=None):
         raise CheckpointMismatch(str(e)) from None
     if not isinstance(manifest, dict) or manifest.get("format") != "kgmlsm-checkpoint-v1":
         raise CheckpointMismatch(f"unknown checkpoint format in {stem}.json")
-    config = ModelConfig.from_dict(manifest["config"])
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+        stats = Normalization.from_dict(manifest["normalization"])
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in manifest["params"]]
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise CheckpointMismatch(
+            f"{stem}.json is not a checkpoint manifest: {type(e).__name__}: {e}") from None
     if expect_config is not None and config.to_dict() != expect_config.to_dict():
         raise CheckpointMismatch(
             f"checkpoint architecture {config.to_dict()} != requested {expect_config.to_dict()}")
-    stats = Normalization.from_dict(manifest["normalization"])
     with open(stem + ".bin", "rb") as f:
-        blob = np.frombuffer(f.read(), dtype="<f8")
+        raw = f.read()
+    if len(raw) % 8:
+        raise CheckpointMismatch(f"{stem}.bin holds {len(raw)} bytes, not whole float64 values")
+    blob = np.frombuffer(raw, dtype="<f8")
     params = ParamStore()
     offset = 0
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
+    for name, shape in entries:
         size = int(np.prod(shape)) if shape else 1
         chunk = blob[offset: offset + size]
         if chunk.size != size:
-            raise CheckpointMismatch(f"checkpoint blob too short for {entry['name']}")
-        params.add(entry["name"], chunk.reshape(shape))
+            raise CheckpointMismatch(f"checkpoint blob too short for {name}")
+        params.add(name, chunk.reshape(shape))
         offset += size
     if offset != blob.size:
         raise CheckpointMismatch(f"checkpoint blob has {blob.size - offset} trailing values")

@@ -53,6 +53,32 @@ class TestPrimitives:
         np.testing.assert_array_equal(cat.data[:, 3:], b)
 
 
+class TestSliceBackward:
+    # the package's slice shapes: W2S conv windows and time padding, the
+    # per-channel token columns, and the crop back to 13 steps
+    @pytest.mark.parametrize("shape,idx", [
+        ((4, 18, 6), (slice(None), slice(0, 16), slice(None))),
+        ((4, 13, 4), (slice(None), slice(None), 2)),
+        ((4, 13, 4), (slice(None), slice(12, 13), slice(None))),
+        ((4, 16, 2), (slice(None), slice(None, 13), slice(None))),
+    ])
+    def test_matches_add_at_bitwise(self, shape, idx):
+        rng = np.random.default_rng(7)
+        a = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        go = rng.normal(size=a.data[idx].shape)
+        go.flat[0] = -0.0  # a signed zero must come out as add.at leaves it
+        ad.getitem(a, idx)._backward(go)
+        expect = np.zeros(shape)
+        np.add.at(expect, idx, go)
+        assert a.grad.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("idx", [np.array([0, 0, 1]), (slice(None), [1, 2]),
+                                     np.array([True, False, True]), True, None, Ellipsis])
+    def test_non_basic_index_rejected(self, idx):
+        with pytest.raises(ShapeError):
+            ad.getitem(ad.Tensor(np.zeros((3, 3))), idx)
+
+
 class TestErrors:
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeError):

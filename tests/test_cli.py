@@ -283,20 +283,50 @@ def _set_cell(path, line, column, value):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _drop_manifest_level(path):
-    manifest = json.loads(path.read_text())
-    del manifest["level"]
-    path.write_text(json.dumps(manifest))
+def _edit_json(edit):
+    """A corruption that loads a JSON file, applies edit to it, and saves it."""
+    def corrupt(path):
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return corrupt
+
+
+def _cut_bytes(n):
+    def corrupt(path):
+        path.write_bytes(path.read_bytes()[:-n])
+    return corrupt
 
 
 MANIFEST = os.path.join("data", "county_samples_manifest.json")
+CHECKPOINT = os.path.join("finetune", "seed0", "model")
 BAD_FILES = {
-    "manifest_without_level": ("filter", MANIFEST, _drop_manifest_level,
+    "manifest_without_level": ("filter", MANIFEST, _edit_json(lambda m: m.pop("level")),
                                "county_samples_manifest.json does not match"),
     "manifest_truncated": ("filter", MANIFEST, lambda p: p.write_text("{"),
                            "county_samples_manifest.json is not valid JSON"),
-    "checkpoint_truncated": ("evaluate", os.path.join("finetune", "seed0", "model.json"),
+    "checkpoint_truncated": ("evaluate", CHECKPOINT + ".json",
                              lambda p: p.write_text("{"), "model.json is not valid JSON"),
+    "checkpoint_without_config": ("evaluate", CHECKPOINT + ".json",
+                                  _edit_json(lambda m: m.pop("config")),
+                                  "model.json is not a checkpoint manifest"),
+    "checkpoint_without_normalization": ("evaluate", CHECKPOINT + ".json",
+                                         _edit_json(lambda m: m.pop("normalization")),
+                                         "model.json is not a checkpoint manifest"),
+    "checkpoint_without_params": ("evaluate", CHECKPOINT + ".json",
+                                  _edit_json(lambda m: m.pop("params")),
+                                  "model.json is not a checkpoint manifest"),
+    "checkpoint_unknown_config_key": ("evaluate", CHECKPOINT + ".json",
+                                      _edit_json(lambda m: m["config"].update(d_ff=64)),
+                                      "model.json is not a checkpoint manifest"),
+    "checkpoint_config_without_d_k": ("evaluate", CHECKPOINT + ".json",
+                                      _edit_json(lambda m: m["config"].pop("d_k")),
+                                      "model.json is not a checkpoint manifest"),
+    "checkpoint_blob_cut_3_bytes": ("evaluate", CHECKPOINT + ".bin", _cut_bytes(3),
+                                    "model.bin holds"),
+    "daily_bad_date": ("ingest", os.path.join("data", "daily.csv"),
+                       lambda p: _set_cell(p, 3, "date", "x"),
+                       "daily.csv: column 'date'"),
     "daily_short_row": ("ingest", os.path.join("data", "daily.csv"),
                         lambda p: _set_cell(p, 3, "sm_rootzone", None),
                         "daily.csv line 3: 7 cells under a 8-column header"),

@@ -110,6 +110,58 @@ class TestAttention:
             model.attention_forward(ad.Tensor(np.zeros((2, 100))), params, cfg)
 
 
+def _unfolded_head(x, p, d_k):
+    """Plain-numpy oracle of the head before the fold: embed every token
+    into d_model, project keys and values, softmax, pooled readout."""
+    e = x[:, :, None] * p["att.embed.value"] + p["att.embed.bias"]
+    k, v = e @ p["att.wk"], e @ p["att.wv"]
+    scores = (k @ p["att.q"])[:, :, 0] / np.sqrt(d_k)
+    alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    pooled = np.einsum("bn,bnd->bd", alpha, v)
+    return (pooled @ p["att.out.w"])[:, 0] + p["att.out.b"], alpha
+
+
+def _random_head(cfg, seed):
+    """Every parameter (out.b included) and the token values drawn at random."""
+    rng = np.random.default_rng(seed)
+    params = model.init_params(cfg, seed)
+    for name in params.names():
+        params[name].data = rng.normal(scale=0.5, size=params[name].data.shape)
+    return params, rng.normal(size=(6, cfg.n_tokens))
+
+
+class TestFoldedHead:
+    @pytest.mark.parametrize("use_sm_tokens,n_tokens", [(True, 134), (False, 108)])
+    def test_matches_unfolded_oracle(self, use_sm_tokens, n_tokens):
+        cfg = model.ModelConfig(use_sm_tokens=use_sm_tokens, use_w2s=False)
+        assert cfg.n_tokens == n_tokens
+        for seed in range(3):
+            params, x = _random_head(cfg, seed)
+            y, alpha = model.attention_forward(ad.Tensor(x), params, cfg)
+            y_ref, alpha_ref = _unfolded_head(x, params.to_arrays(), cfg.d_k)
+            np.testing.assert_allclose(y.data, y_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(alpha.data, alpha_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("use_sm_tokens", [True, False])
+    def test_every_head_parameter_matches_finite_differences(self, use_sm_tokens):
+        cfg = model.ModelConfig(**SMALL, use_sm_tokens=use_sm_tokens, use_w2s=False)
+        params, x = _random_head(cfg, 1)
+        assert len(params.names()) == 7  # all att.*: the variant has no W2S
+        rng = np.random.default_rng(2)
+        target, weights = rng.normal(size=x.shape[0]), rng.normal(size=x.shape)
+
+        def build():
+            y, alpha = model.attention_forward(ad.Tensor(x), params, cfg)
+            fit = ad.mean(ad.square(y - ad.Tensor(target)))
+            return fit + ad.mean(ad.mul(alpha, ad.Tensor(weights)))
+
+        analytic = ad.gradients(build(), params)
+        worst = check_param_gradients(lambda: build().data, params, analytic, h=1e-5,
+                                      max_coords_per_param=40, rng=np.random.default_rng(0))
+        assert worst < 1e-6
+
+
 class TestPredict:
     def test_composition_consistency(self, tiny_field):
         cfg = model.ModelConfig()

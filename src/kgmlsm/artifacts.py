@@ -4,7 +4,8 @@ CSV: a header row, then one `\\r\\n`-terminated row per record. Floats are
 the shortest `repr` that reads back to the same float64, bools `0`/`1`,
 ints `str`, and `None` an empty cell. JSON: `indent=2`, sorted keys and a
 trailing newline. Each file is written beside its path and moved into place
-with `os.replace`, so a failed write leaves the previous file as it was.
+with `os.replace`, so a failed write leaves the previous file as it was;
+missing parent directories are created first.
 Readers raise SchemaError, naming the file, on anything off-schema.
 """
 
@@ -24,6 +25,7 @@ _CHUNK_ROWS = 1 << 16  # rows formatted at a time, to bound the memory text take
 def _replacing(path, *open_args, **open_kwargs):
     """Yield a temp file that replaces path if the block completes, else is removed."""
     tmp = os.fspath(path) + ".tmp"
+    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
     try:
         with open(tmp, *open_args, **open_kwargs) as f:
             yield f

@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from importlib import resources
 
 import numpy as np
@@ -55,22 +55,34 @@ FREEFORM_KEYS = {
 }
 
 
+# the types a leaf may have, by the type of its default
+LEAF_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), dict: (dict,)}
+
+
+def _leaf(here, value, default):
+    """A copy of value, refused unless it has the JSON type of default."""
+    if here == "seeds":
+        wanted = "a non-empty list of distinct ints"
+        ok = (isinstance(value, list) and value and len(set(value)) == len(value)
+              and all(type(s) is int for s in value))
+    else:
+        types = LEAF_TYPES[type(default)]
+        wanted, ok = " or ".join(t.__name__ for t in types), type(value) in types
+    if not ok:
+        raise ConfigError(f"config key {here} must be {wanted}, not {value!r}")
+    return float(value) if type(default) is float else json.loads(json.dumps(value))
+
+
 def _merge(defaults, override, path=""):
     if not isinstance(override, dict):
         raise ConfigError(f"config key {path or '<root>'} must be an object")
     out = {}
     for key, default in defaults.items():
         here = f"{path}.{key}" if path else key
-        if key in override:
-            value = override[key]
-            if here in FREEFORM_KEYS:
-                out[key] = json.loads(json.dumps(value))
-            elif isinstance(default, dict):
-                out[key] = _merge(default, value, here)
-            else:
-                out[key] = value
+        if isinstance(default, dict) and here not in FREEFORM_KEYS:
+            out[key] = _merge(default, override.get(key, {}), here)
         else:
-            out[key] = json.loads(json.dumps(default))  # deep copy of the default
+            out[key] = _leaf(here, override.get(key, default), default)
     for key in override:
         if key not in defaults:
             here = f"{path}.{key}" if path else key
@@ -99,28 +111,18 @@ def config_years(cfg, key="years"):
 
 
 def loss_config(cfg):
-    return losses.LossConfig(lam=float(cfg["loss"]["lambda"]),
-                             epsilon=float(cfg["loss"]["epsilon"]))
+    return losses.LossConfig(lam=cfg["loss"]["lambda"], epsilon=cfg["loss"]["epsilon"])
 
 
 def stage_configs(cfg):
-    p = cfg["train"]["pretrain"]
-    f = cfg["train"]["finetune"]
-    pre = training.StageConfig(batch_size=int(p["batch_size"]), lr=float(p["lr"]),
-                               max_epochs=int(p["max_epochs"]),
-                               scheduler_patience=int(p["scheduler_patience"]),
-                               rmse_stop=float(p["rmse_stop"]))
-    fine = training.StageConfig(batch_size=int(f["batch_size"]), lr=float(f["lr"]),
-                                max_epochs=int(f["max_epochs"]),
-                                scheduler_patience=int(f["scheduler_patience"]),
-                                early_stop_patience=int(f["early_stop_patience"]))
-    return pre, fine
+    return (training.StageConfig(**cfg["train"]["pretrain"]),
+            training.StageConfig(**cfg["train"]["finetune"]))
 
 
 def split_spec(cfg):
-    return training.SplitSpec(target_year=int(cfg["target_year"]),
-                              train_fraction=float(cfg["train"]["train_fraction"]),
-                              shuffle_seed=int(cfg["train"]["split_seed"]))
+    return training.SplitSpec(target_year=cfg["target_year"],
+                              train_fraction=cfg["train"]["train_fraction"],
+                              shuffle_seed=cfg["train"]["split_seed"])
 
 
 class RunPaths:
@@ -154,27 +156,25 @@ class RunPaths:
         return os.path.join(getattr(self, stage), f"seed{seed}", "epochs.csv")
 
 
-def _require(path, producer):
-    if not os.path.exists(path):
-        raise KgmlsmError(f"missing {path}; run the `{producer}` subcommand first")
+def _variant(cfg):
+    return training.get_variant(cfg["variant"])
 
 
-def _ensure_dirs(*dirs):
-    for d in dirs:
-        os.makedirs(d, exist_ok=True)
+def _field_source(cfg, paths):
+    """The field samples `pretrain` and `ablate` pretrain on."""
+    return paths.field_filtered if cfg["filter"]["enabled"] else paths.field_samples
 
 
-def _snapshot(cfg, paths):
-    _ensure_dirs(paths.run_dir)
-    write_json(os.path.join(paths.run_dir, "config_snapshot.json"), cfg)
+def _ablate_report(cfg, paths):
+    tag = cfg["variant"] + ("" if cfg["filter"]["enabled"] else "_unfiltered")
+    return os.path.join(paths.ablate, tag, "report.json")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each reads and writes the files its STAGES entry declares
 
 
 def cmd_simulate(cfg, paths):
-    _ensure_dirs(paths.data)
     county_years = config_years(cfg)
     field_years = config_years(cfg, "field_years")
     cs = cfg["cropsim"]
@@ -185,24 +185,16 @@ def cmd_simulate(cfg, paths):
                                 int(cs["data_seed"]), paths.pixels, paths.daily, paths.truth,
                                 scenario_overrides=cs["county_scenario_overrides"])
     print(f"simulate: {len(field)} field samples, county inputs for {cs['n_counties']} counties")
-    return [paths.field_samples, paths.pixels, paths.daily, paths.truth]
 
 
 def cmd_ingest(cfg, paths):
-    for p in (paths.pixels, paths.daily, paths.truth):
-        _require(p, "simulate")
-    _ensure_dirs(paths.data)
     county = ingest.build_county_dataset(paths.pixels, paths.daily, paths.truth)
     ingest.label_drought(county)
     ingest.write_samples_csv(county, paths.county_samples)
     print(f"ingest: {len(county)} county samples")
-    return [paths.county_samples]
 
 
 def cmd_filter(cfg, paths):
-    _require(paths.field_samples, "simulate")
-    _require(paths.county_samples, "ingest")
-    _ensure_dirs(paths.filter)
     field = ingest.read_samples_csv(paths.field_samples)
     county = ingest.read_samples_csv(paths.county_samples)
     sm_model = filtering.fit_sm_regressor(county)
@@ -211,64 +203,38 @@ def cmd_filter(cfg, paths):
     filtering.write_filter_report(paths.filter_report, report)
     ingest.write_samples_csv(kept, paths.field_filtered)
     print(f"filter: kept {len(kept)}, discarded {len(discarded)} (threshold {threshold})")
-    return [paths.filter_report, paths.field_filtered]
-
-
-def _pretrain_source(cfg, paths):
-    if bool(cfg["filter"]["enabled"]):
-        _require(paths.field_filtered, "filter")
-        return paths.field_filtered
-    _require(paths.field_samples, "simulate")
-    return paths.field_samples
 
 
 def cmd_pretrain(cfg, paths):
-    variant = training.get_variant(cfg["variant"])
+    variant = _variant(cfg)
     if not variant.use_pretrain:
         print(f"pretrain: variant {variant.name} skips pretraining")
-        return []
-    source = _pretrain_source(cfg, paths)
-    field = ingest.read_samples_csv(source)
+        return
+    field = ingest.read_samples_csv(_field_source(cfg, paths))
     pre_cfg, _ = stage_configs(cfg)
-    artifacts = []
     for seed in cfg["seeds"]:
         bundle, rows = training.pretrain(field, pre_cfg, loss_config(cfg), variant,
-                                         cfg["model"], int(seed))
-        stem = paths.checkpoint_stem("pretrain", seed)
-        _ensure_dirs(os.path.dirname(stem))
-        artifacts += list(model.save_checkpoint(stem, bundle))
+                                         cfg["model"], seed)
+        model.save_checkpoint(paths.checkpoint_stem("pretrain", seed), bundle)
         training.write_epochs_csv(paths.epochs_csv("pretrain", seed), rows)
-        artifacts.append(paths.epochs_csv("pretrain", seed))
         print(f"pretrain seed {seed}: {bundle.meta['epochs_run']} epochs, "
               f"train RMSE {bundle.meta['final_train_rmse']:.3f} ({bundle.meta['stop_reason']})")
-    return artifacts
 
 
 def cmd_finetune(cfg, paths):
-    _require(paths.county_samples, "ingest")
-    variant = training.get_variant(cfg["variant"])
+    variant = _variant(cfg)
     county = ingest.read_samples_csv(paths.county_samples)
     _, fine_cfg = stage_configs(cfg)
     spec = split_spec(cfg)
-    artifacts = []
     for seed in cfg["seeds"]:
-        checkpoint = None
-        if variant.use_pretrain:
-            stem = paths.checkpoint_stem("pretrain", seed)
-            _require(stem + ".json", "pretrain")
-            _require(stem + ".bin", "pretrain")
-            checkpoint = model.load_checkpoint(stem)
+        checkpoint = (model.load_checkpoint(paths.checkpoint_stem("pretrain", seed))
+                      if variant.use_pretrain else None)
         bundle, rows, _split = training.finetune(checkpoint, county, spec, fine_cfg,
-                                                 loss_config(cfg), variant, cfg["model"],
-                                                 int(seed))
-        stem = paths.checkpoint_stem("finetune", seed)
-        _ensure_dirs(os.path.dirname(stem))
-        artifacts += list(model.save_checkpoint(stem, bundle))
+                                                 loss_config(cfg), variant, cfg["model"], seed)
+        model.save_checkpoint(paths.checkpoint_stem("finetune", seed), bundle)
         training.write_epochs_csv(paths.epochs_csv("finetune", seed), rows)
-        artifacts.append(paths.epochs_csv("finetune", seed))
         print(f"finetune seed {seed}: best epoch {bundle.meta['best_epoch']}, "
               f"val loss {bundle.meta['best_val_loss']:.4f} ({bundle.meta['stop_reason']})")
-    return artifacts
 
 
 def _require_test_samples(county, year):
@@ -278,31 +244,28 @@ def _require_test_samples(county, year):
                           "scoring needs at least 2")
 
 
-def _require_split(bundle, spec, stem):
-    wanted = spec.to_meta()
+def _load_finetuned(paths, seed, wanted):
+    """The seed's finetune checkpoint, refused unless its meta records `wanted`."""
+    stem = paths.checkpoint_stem("finetune", seed)
+    bundle = model.load_checkpoint(stem)
     recorded = {key: bundle.meta.get(key) for key in wanted}
     if recorded != wanted:
-        raise CheckpointMismatch(f"{stem}.json was finetuned on split {recorded}, but this run "
+        raise CheckpointMismatch(f"{stem}.json was finetuned as {recorded}, but this run "
                                  f"asks for {wanted}; rerun the `finetune` subcommand")
+    return bundle
 
 
 def cmd_evaluate(cfg, paths):
-    _require(paths.county_samples, "ingest")
     county = ingest.read_samples_csv(paths.county_samples)
     spec = split_spec(cfg)
     _require_test_samples(county, spec.target_year)
     split = training.temporal_split(county, spec)
     y_test = np.array([s.yield_label for s in split.test.samples])
-    _ensure_dirs(paths.evaluate)
 
     per_seed = defaultdict(list)
     all_rows = []
     for seed in cfg["seeds"]:
-        stem = paths.checkpoint_stem("finetune", seed)
-        _require(stem + ".json", "finetune")
-        _require(stem + ".bin", "finetune")
-        bundle = model.load_checkpoint(stem)
-        _require_split(bundle, spec, stem)
+        bundle = _load_finetuned(paths, seed, {"variant": cfg["variant"], **spec.to_meta()})
         rows, numbers = metrics.score_seed(split.test, bundle.predict(split.test), seed)
         all_rows.extend(rows)
         for key, value in numbers.items():
@@ -315,7 +278,7 @@ def cmd_evaluate(cfg, paths):
     mlp_rmse, mlp_r2 = [], []
     for seed in cfg["seeds"]:
         pred = metrics.baseline_fit_predict("mlp", split.train, split.test, val=split.val,
-                                            seed=int(seed))
+                                            seed=seed)
         mlp_rmse.append(metrics.rmse(y_test, pred))
         mlp_r2.append(metrics.r2(y_test, pred))
     baselines["mlp"] = {"rmse": float(np.mean(mlp_rmse)), "r2": float(np.mean(mlp_r2)),
@@ -326,7 +289,7 @@ def cmd_evaluate(cfg, paths):
         "lambda": float(cfg["loss"]["lambda"]),
         "target_year": int(cfg["target_year"]),
         "n_test": len(split.test),
-        "seeds": [int(s) for s in cfg["seeds"]],
+        "seeds": cfg["seeds"],
         "per_seed": per_seed,
         "rmse_mean": float(np.mean(per_seed["rmse"])),
         "r2_mean": float(np.mean(per_seed["r2"])),
@@ -336,7 +299,6 @@ def cmd_evaluate(cfg, paths):
     metrics.write_errors_csv(paths.errors, all_rows)
     print(f"evaluate: RMSE {payload['rmse_mean']:.3f}, R2 {payload['r2_mean']:.3f} "
           f"over {len(cfg['seeds'])} seeds")
-    return [paths.metrics, paths.errors]
 
 
 def _require_drought_classes(county):
@@ -350,22 +312,15 @@ def _require_drought_classes(county):
 
 
 def cmd_attn_report(cfg, paths):
-    _require(paths.county_samples, "ingest")
-    seed = int(cfg["seeds"][0])
-    stem = paths.checkpoint_stem("finetune", seed)
-    _require(stem + ".json", "finetune")
-    _require(stem + ".bin", "finetune")
-    bundle = model.load_checkpoint(stem)
+    seed = cfg["seeds"][0]
+    bundle = _load_finetuned(paths, seed, {"variant": cfg["variant"]})
     county = ingest.read_samples_csv(paths.county_samples)
     if bundle.config.use_sm_tokens:
         _require_drought_classes(county)
-    _ensure_dirs(paths.attn)
     extraction = attnreport.extract(bundle, county)
     attnreport.write_raw_csv(paths.attn_raw, extraction)
     rows = attnreport.category_report(extraction)
     attnreport.write_category_csv(paths.attn_category, rows)
-    artifacts = [paths.attn_raw, paths.attn_category]
-
     if bundle.config.use_sm_tokens:
         sm_att = attnreport.sm_attention_scalar(extraction)
         stats_by_year = {}
@@ -374,101 +329,100 @@ def cmd_attn_report(cfg, paths):
             stats_by_year[year] = attnreport.drought_distribution_stats(
                 sm_att[mask], extraction["drought"][mask])
         attnreport.write_box_csv(paths.attn_box, stats_by_year)
-        artifacts.append(paths.attn_box)
     attnreport.render_category_svg(paths.attn_svg, rows)
-    artifacts.append(paths.attn_svg)
     print(f"attn-report: {extraction['alpha'].shape[0]} samples x "
           f"{extraction['alpha'].shape[1]} tokens (seed {seed})")
-    return artifacts
 
 
-def cmd_ablate(cfg, paths, variant=None, unfiltered=False):
-    _require(paths.county_samples, "ingest")
-    variant_name = variant or cfg["variant"]
-    if unfiltered:
-        source = paths.field_samples
-        _require(source, "simulate")
-    else:
-        source = _pretrain_source(cfg, paths)
-    vspec = training.get_variant(variant_name)
-    field = ingest.read_samples_csv(source) if vspec.use_pretrain else None
+def cmd_ablate(cfg, paths):
+    pretrains = _variant(cfg).use_pretrain
+    field = ingest.read_samples_csv(_field_source(cfg, paths)) if pretrains else None
     county = ingest.read_samples_csv(paths.county_samples)
-    _require_test_samples(county, int(cfg["target_year"]))
+    _require_test_samples(county, cfg["target_year"])
     pre_cfg, fine_cfg = stage_configs(cfg)
-    result = training.run_experiment(field, county, variant_name, [int(s) for s in cfg["seeds"]],
+    result = training.run_experiment(field, county, cfg["variant"], cfg["seeds"],
                                      split_spec(cfg), pre_cfg, fine_cfg, loss_config(cfg),
                                      sizes=cfg["model"])
-    tag = variant_name + ("_unfiltered" if unfiltered else "")
-    out_dir = os.path.join(paths.ablate, tag)
-    _ensure_dirs(out_dir)
-    report_path = os.path.join(out_dir, "report.json")
+    report_path = _ablate_report(cfg, paths)
     write_json(report_path, {
-        "variant": result.variant, "lambda": result.lam, "unfiltered": bool(unfiltered),
+        "variant": result.variant, "lambda": result.lam,
+        "unfiltered": not cfg["filter"]["enabled"],
         "seeds": result.seeds, "per_seed": result.per_seed, "summary": result.summary,
     })
-    print(f"ablate {tag}: median test RMSE {result.summary['rmse_median']:.3f}, "
-          f"tokens {result.summary['token_count']}")
-    return [report_path]
+    print(f"ablate {os.path.basename(os.path.dirname(report_path))}: median test RMSE "
+          f"{result.summary['rmse_median']:.3f}, tokens {result.summary['token_count']}")
 
 
-def cmd_all(cfg, paths):
-    artifacts = []
-    artifacts += cmd_simulate(cfg, paths)
-    artifacts += cmd_ingest(cfg, paths)
-    if bool(cfg["filter"]["enabled"]):
-        artifacts += cmd_filter(cfg, paths)
-    artifacts += cmd_pretrain(cfg, paths)
-    artifacts += cmd_finetune(cfg, paths)
-    artifacts += cmd_evaluate(cfg, paths)
-    artifacts += cmd_attn_report(cfg, paths)
-    return artifacts
+# ---------------------------------------------------------------------------
+# the stage table: what each subcommand runs, reads and writes for a config
 
 
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "ingest": cmd_ingest,
-    "filter": cmd_filter,
-    "pretrain": cmd_pretrain,
-    "finetune": cmd_finetune,
-    "evaluate": cmd_evaluate,
-    "attn-report": cmd_attn_report,
-    "all": cmd_all,
+# run(cfg, paths) runs a subcommand, reads(cfg, paths) lists the files it needs,
+# writes(cfg, paths) those it writes, and flags its own (flag, argparse keywords)
+Stage = namedtuple("Stage", "run reads writes flags", defaults=((),))
+
+
+def _samples(csv_path):
+    return [csv_path, ingest.manifest_path(csv_path)]
+
+
+def _checkpoints(paths, stage, seeds):
+    return [paths.checkpoint_stem(stage, seed) + ext for seed in seeds for ext in (".json", ".bin")]
+
+
+def _trained(paths, stage, seeds):
+    return _checkpoints(paths, stage, seeds) + [paths.epochs_csv(stage, seed) for seed in seeds]
+
+
+def _if_pretrains(cfg, files):
+    return files if _variant(cfg).use_pretrain else []
+
+
+STAGES = {
+    "simulate": Stage(
+        cmd_simulate,
+        reads=lambda cfg, p: [],
+        writes=lambda cfg, p: _samples(p.field_samples) + [p.pixels, p.daily, p.truth]),
+    "ingest": Stage(
+        cmd_ingest,
+        reads=lambda cfg, p: [p.pixels, p.daily, p.truth],
+        writes=lambda cfg, p: _samples(p.county_samples)),
+    "filter": Stage(
+        cmd_filter,
+        reads=lambda cfg, p: _samples(p.field_samples) + _samples(p.county_samples),
+        writes=lambda cfg, p: [p.filter_report] + _samples(p.field_filtered)),
+    "pretrain": Stage(
+        cmd_pretrain,
+        reads=lambda cfg, p: _if_pretrains(cfg, _samples(_field_source(cfg, p))),
+        writes=lambda cfg, p: _if_pretrains(cfg, _trained(p, "pretrain", cfg["seeds"]))),
+    "finetune": Stage(
+        cmd_finetune,
+        reads=lambda cfg, p: (_samples(p.county_samples)
+                              + _if_pretrains(cfg, _checkpoints(p, "pretrain", cfg["seeds"]))),
+        writes=lambda cfg, p: _trained(p, "finetune", cfg["seeds"])),
+    "evaluate": Stage(
+        cmd_evaluate,
+        reads=lambda cfg, p: _samples(p.county_samples) + _checkpoints(p, "finetune", cfg["seeds"]),
+        writes=lambda cfg, p: [p.metrics, p.errors]),
+    "attn-report": Stage(
+        cmd_attn_report,
+        reads=lambda cfg, p: (_samples(p.county_samples)
+                              + _checkpoints(p, "finetune", cfg["seeds"][:1])),
+        writes=lambda cfg, p: ([p.attn_raw, p.attn_category, p.attn_svg]
+                               + ([p.attn_box] if _variant(cfg).use_sm_tokens else []))),
+    "ablate": Stage(
+        cmd_ablate,
+        reads=lambda cfg, p: (_samples(p.county_samples)
+                              + _if_pretrains(cfg, _samples(_field_source(cfg, p)))),
+        writes=lambda cfg, p: [_ablate_report(cfg, p)],
+        flags=[("--unfiltered", {"action": "store_true",
+                                 "help": "pretrain on the unfiltered field dataset"})]),
 }
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(prog="kgmlsm",
-                                     description="weather -> soil moisture -> yield pipeline")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(COMMANDS) + ["ablate"]:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True,
-                       help="path to a JSON config, or 'demo' for the bundled demo")
-        p.add_argument("--seed", type=int, default=None, help="run a single seed")
-        p.add_argument("--variant", default=None, help="ablation variant name")
-        p.add_argument("--target-year", type=int, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="overestimation penalty coefficient")
-        p.add_argument("--run-dir", default=None, help="override paths.run_dir")
-        if name == "ablate":
-            p.add_argument("--unfiltered", action="store_true",
-                           help="pretrain on the unfiltered field dataset")
-    return parser
-
-
-def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg["seeds"] = [int(args.seed)]
-    if args.variant is not None:
-        training.get_variant(args.variant)  # validate early
-        cfg["variant"] = args.variant
-    if args.target_year is not None:
-        cfg["target_year"] = int(args.target_year)
-    if args.lam is not None:
-        cfg["loss"]["lambda"] = float(args.lam)
-    if args.run_dir is not None:
-        cfg["paths"]["run_dir"] = args.run_dir
-    return cfg
+def chain(cfg):
+    """The stages `all` runs, in order."""
+    return [n for n in STAGES if n != "ablate" and (n != "filter" or cfg["filter"]["enabled"])]
 
 
 def _validate_artifacts(artifacts):
@@ -485,18 +439,61 @@ def _validate_artifacts(artifacts):
                 raise KgmlsmError(f"artifact {path} lacks a CSV header row")
 
 
+def run_stage(name, cfg, paths):
+    """Check inputs, run, check outputs, then snapshot the config that wrote them."""
+    stage = STAGES[name]
+    for path in stage.reads(cfg, paths):
+        if not os.path.exists(path):
+            producer = next(n for n, s in STAGES.items() if path in s.writes(cfg, paths))
+            raise KgmlsmError(f"missing {path}; run the `{producer}` subcommand first")
+    stage.run(cfg, paths)
+    _validate_artifacts(stage.writes(cfg, paths))
+    write_json(os.path.join(paths.run_dir, "config_snapshot.json"), cfg)
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(prog="kgmlsm",
+                                     description="weather -> soil moisture -> yield pipeline")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in list(STAGES) + ["all"]:
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True,
+                       help="path to a JSON config, or 'demo' for the bundled demo")
+        p.add_argument("--seed", type=int, default=None, help="run a single seed")
+        p.add_argument("--variant", default=None, help="ablation variant name")
+        p.add_argument("--target-year", type=int, default=None)
+        p.add_argument("--lambda", dest="lam", type=float, default=None,
+                       help="overestimation penalty coefficient")
+        p.add_argument("--run-dir", default=None, help="override paths.run_dir")
+        for flag, keywords in STAGES[name].flags if name in STAGES else ():
+            p.add_argument(flag, **keywords)
+    return parser
+
+
+def _apply_overrides(cfg, args):
+    if args.seed is not None:
+        cfg["seeds"] = [int(args.seed)]
+    if args.variant is not None:
+        training.get_variant(args.variant)  # validate early
+        cfg["variant"] = args.variant
+    if args.target_year is not None:
+        cfg["target_year"] = int(args.target_year)
+    if args.lam is not None:
+        cfg["loss"]["lambda"] = float(args.lam)
+    if args.run_dir is not None:
+        cfg["paths"]["run_dir"] = args.run_dir
+    if getattr(args, "unfiltered", False):
+        cfg["filter"]["enabled"] = False
+    return cfg
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         paths = RunPaths(cfg["paths"]["run_dir"])
-        _snapshot(cfg, paths)
-        if args.command == "ablate":
-            artifacts = cmd_ablate(cfg, paths, variant=args.variant,
-                                   unfiltered=bool(getattr(args, "unfiltered", False)))
-        else:
-            artifacts = COMMANDS[args.command](cfg, paths)
-        _validate_artifacts(artifacts)
+        for name in chain(cfg) if args.command == "all" else [args.command]:
+            run_stage(name, cfg, paths)
     except KgmlsmError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

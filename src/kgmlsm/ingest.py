@@ -295,7 +295,7 @@ DAILY_HEADER = ["id", "date", "radn", "tmax", "tmin", "ppt", "sm_surface", "sm_r
 TRUTH_HEADER = ["id", "year", "lat", "lon", "yield", "hist_avg_yield"]
 
 
-def _manifest_path(csv_path):
+def manifest_path(csv_path):
     return csv_path.rsplit(".", 1)[0] + "_manifest.json"
 
 
@@ -308,16 +308,16 @@ def write_samples_csv(dataset, csv_path):
     artifacts.write_csv(csv_path, SAMPLE_HEADER,
                         [[s.sid for s in ss], [s.year for s in ss], *numbers[:, :5].T,
                          [s.drought_flag for s in ss], *numbers[:, 5:].T])
-    artifacts.write_json(_manifest_path(csv_path), channel_manifest(dataset.level))
+    artifacts.write_json(manifest_path(csv_path), channel_manifest(dataset.level))
     return csv_path
 
 
 def read_samples_csv(csv_path):
     csv_path = str(csv_path)
-    manifest_path = _manifest_path(csv_path)
-    manifest = artifacts.read_json(manifest_path)
+    manifest_file = manifest_path(csv_path)
+    manifest = artifacts.read_json(manifest_file)
     if not isinstance(manifest, dict) or manifest != channel_manifest(manifest.get("level")):
-        raise SchemaError(f"manifest {manifest_path} does not match the schema of its level")
+        raise SchemaError(f"manifest {manifest_file} does not match the schema of its level")
 
     cols = artifacts.read_csv(csv_path, SAMPLE_HEADER)
     numbers = np.stack([cols.floats(name) for name in SAMPLE_HEADER[2:7] + SAMPLE_HEADER[8:]],

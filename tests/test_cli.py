@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -69,6 +71,10 @@ class TestConfig:
         assert cfg["train"]["pretrain"]["lr"] == 0.001
         assert cfg["train"]["finetune"]["early_stop_patience"] == 10
 
+    def test_an_int_is_accepted_as_a_float(self):
+        cfg = cli._merge(cli.DEFAULTS, {"loss": {"lambda": 2}})
+        assert cfg["loss"]["lambda"] == 2.0 and isinstance(cfg["loss"]["lambda"], float)
+
     def test_flag_overrides(self, tmp_path):
         path = micro_config(tmp_path)
         parser = cli.build_parser()
@@ -93,6 +99,19 @@ class TestPrerequisites:
         rc = cli.main(["finetune", "--config", path])
         assert rc == 1
         assert "ingest" in capsys.readouterr().err
+
+    def test_ablate_needs_field_data_only_when_the_variant_pretrains(self, micro_run, tmp_path,
+                                                                     capsys):
+        _, paths, cfg_path, _ = micro_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(paths.data, run_dir / "data")
+        os.remove(run_dir / "data" / "field_samples.csv")
+        argv = ["ablate", "--config", cfg_path, "--run-dir", str(run_dir), "--variant"]
+        assert cli.main(argv + ["att"]) == 0
+        assert (run_dir / "ablate" / "att" / "report.json").exists()
+        assert cli.main(argv + ["att_sim"]) == 1
+        err = capsys.readouterr().err
+        assert "field_filtered.csv" in err and "`filter`" in err
 
 
 @pytest.fixture(scope="module")
@@ -183,12 +202,14 @@ class TestRefusals:
 
     def test_evaluate_refuses_a_split_the_checkpoint_was_not_trained_on(self, micro_run, capsys):
         _, paths, cfg_path, _ = micro_run
-        before = open(paths.metrics).read()
+        snapshot = os.path.join(paths.run_dir, "config_snapshot.json")
+        before = [open(p, "rb").read() for p in (paths.metrics, snapshot)]
         rc = cli.main(["evaluate", "--config", cfg_path, "--target-year", "2021"])
         assert rc == 1
         err = capsys.readouterr().err
         assert "'target_year': 2022" in err and "'target_year': 2021" in err
-        assert open(paths.metrics).read() == before
+        # a refused command leaves the snapshot describing the config that wrote the run
+        assert [open(p, "rb").read() for p in (paths.metrics, snapshot)] == before
 
     def test_evaluate_refuses_a_checkpoint_without_its_split(self, micro_run, tmp_path, capsys):
         _, paths, cfg_path, _ = micro_run
@@ -206,8 +227,8 @@ class TestRefusals:
 
 
 def _copy_run(paths, run_dir):
-    """Copy a finished run's data and checkpoints, so a failing command's
-    config snapshot lands outside the shared run."""
+    """Copy a finished run's data and checkpoints, so a test can corrupt
+    them or fail a command on them without touching the shared run."""
     for stage in ("data", "pretrain", "finetune"):
         shutil.copytree(getattr(paths, stage), run_dir / stage)
     return str(run_dir)
@@ -222,6 +243,20 @@ BAD_INPUTS = {
     "batch_size": (["finetune"], {"train": {"finetune": {"batch_size": 0}}},
                    "batch_size must be >= 1"),
     "lambda": (["finetune", "--lambda", "-1"], {}, "lambda must be >= 0"),
+    "evaluate_other_variant": (["evaluate", "--variant", "att_wo_sm"], {},
+                               "'variant': 'kgml_sm'"),
+    "attn_report_other_variant": (["attn-report", "--variant", "att_wo_sm"], {},
+                                  "'variant': 'kgml_sm'"),
+    "threshold_string": (["filter"], {"filter": {"threshold": "abc"}},
+                         "config key filter.threshold must be int or float, not 'abc'"),
+    "enabled_int": (["filter"], {"filter": {"enabled": 1}},
+                    "config key filter.enabled must be bool, not 1"),
+    "batch_size_float": (["finetune"], {"train": {"finetune": {"batch_size": 8.0}}},
+                         "config key train.finetune.batch_size must be int, not 8.0"),
+    "seeds_empty": (["evaluate"], {"seeds": []}, "config key seeds must be a non-empty list"),
+    "seeds_string": (["finetune"], {"seeds": "ab"}, "config key seeds must be a non-empty list"),
+    "seeds_repeated": (["finetune"], {"seeds": [0, 0]},
+                       "config key seeds must be a non-empty list of distinct ints"),
 }
 
 
@@ -348,3 +383,57 @@ def test_malformed_artifact_exits_1_naming_the_file(case, micro_run, tmp_path, c
     assert cli.main([command, "--config", cfg_path, "--run-dir", run_dir]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def _declared(cfg, paths, names):
+    return {f for name in names for f in cli.STAGES[name].writes(cfg, paths)}
+
+
+def test_run_dir_holds_exactly_the_declared_writes(micro_run):
+    _, paths, cfg_path, _ = micro_run
+    assert cli.main(["ablate", "--config", cfg_path, "--variant", "att_wo_sm"]) == 0
+    cfg = cli.load_config(cfg_path)
+    ablate_cfg = dict(cfg, variant="att_wo_sm")
+    declared = (_declared(cfg, paths, cli.chain(cfg)) | _declared(ablate_cfg, paths, ["ablate"])
+                | {os.path.join(paths.run_dir, "config_snapshot.json")})
+    found = {os.path.join(base, name) for base, _, names in os.walk(paths.run_dir)
+             for name in names}
+    assert found == declared
+
+
+@pytest.mark.parametrize("variant,enabled", itertools.product(sorted(training.VARIANTS),
+                                                              [True, False]))
+def test_every_read_is_written_by_an_earlier_stage_of_all(variant, enabled):
+    cfg = cli.load_config("demo")
+    cfg["variant"], cfg["filter"]["enabled"] = variant, enabled
+    paths = cli.RunPaths("run")
+    written = set()
+    for name in cli.chain(cfg) + ["ablate"]:
+        missing = set(cli.STAGES[name].reads(cfg, paths)) - written
+        assert not missing, (name, missing)
+        written |= set(cli.STAGES[name].writes(cfg, paths))
+
+
+def _files_cell(files, cfg, run_dir):
+    """Files relative to the run directory, as the README stage table
+    lists them: `seed*` stands for a path that every seed has."""
+    rel = [os.path.relpath(f, run_dir) for f in files]
+    tpl = [re.sub(r"seed\d+", "seed*", r) for r in rel]
+    return list(dict.fromkeys(t if tpl.count(t) == len(cfg["seeds"]) else r
+                              for r, t in zip(rel, tpl)))
+
+
+def test_readme_stage_table_matches_stages():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    section = open(readme, encoding="utf-8").read().split("\n## Stages\n")[1].split("\n## ")[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            name, reads, writes = line.strip("|").split("|")
+            table[name.strip(" `")] = [re.findall(r"`([^`]+)`", c) for c in (reads, writes)]
+    cfg = cli.load_config("demo")
+    paths = cli.RunPaths("run")
+    expected = {name: [_files_cell(stage.reads(cfg, paths), cfg, "run"),
+                       _files_cell(stage.writes(cfg, paths), cfg, "run")]
+                for name, stage in cli.STAGES.items()}
+    assert table == expected

@@ -6,6 +6,10 @@ its parents and a closure distributing the output gradient to them.
 exactly once. Only the primitives the downstream model needs exist here;
 there is no general broadcasting machinery beyond what those ops use.
 
+A result records its parents only when some operand requires grad, so a
+forward pass on ``ParamStore.constants()`` builds no graph: each
+intermediate array is freed as soon as the next op has used it.
+
 Every op validates operand shapes up front and rejects non-finite results,
 so a NaN surfaces at the op that produced it rather than three modules
 later.
@@ -29,8 +33,8 @@ class Tensor:
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self.name = name
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -80,10 +84,6 @@ def _as_tensor(x):
 
 def tensor(data, requires_grad=False, name=None):
     return Tensor(data, requires_grad=requires_grad, name=name)
-
-
-def zeros(shape):
-    return Tensor(np.zeros(shape, dtype=np.float64))
 
 
 def _accumulate(t, g):
@@ -258,6 +258,53 @@ def reshape(a, shape):
     return Tensor(a.data.reshape(shape), _parents=(a,), _backward=backward, name="reshape")
 
 
+def pad_edge(a, n):
+    """Append n copies of the last step along axis 1."""
+    if a.data.ndim < 2 or a.data.shape[1] == 0 or n < 1:
+        raise ShapeError(f"pad_edge: need a non-empty axis 1 and n >= 1, got {a.data.shape}, n={n}")
+    length = a.data.shape[1]
+    out = np.concatenate([a.data] + [a.data[:, length - 1: length]] * n, axis=1)
+
+    def backward(go):
+        if a.requires_grad:
+            tail = go[:, length].copy()
+            for k in range(length + 1, length + n):
+                tail += go[:, k]
+            g = go[:, :length].copy()
+            g[:, length - 1] += tail
+            _accumulate(a, g)
+
+    return Tensor(out, _parents=(a,), _backward=backward, name="pad_edge")
+
+
+def conv1d_k3(x, w, b):
+    """Width-3 temporal convolution along axis 1, zero-padded to keep length:
+    (B, L, C) -> [x[t-1], x[t], x[t+1]] (B, L, 3C) @ w (3C, F) + b (F,)."""
+    if x.data.ndim != 3 or w.data.ndim != 2 or w.data.shape[0] != 3 * x.data.shape[2]:
+        raise ShapeError(f"conv1d_k3: need (B, L, C) @ (3C, F), got {x.data.shape} @ {w.data.shape}")
+    if b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"conv1d_k3: bias {b.data.shape} does not match weight {w.data.shape}")
+    batch, length, chans = x.data.shape
+    xp = np.zeros((batch, length + 2, chans))
+    xp[:, 1:length + 1] = x.data
+    win = np.concatenate([xp[:, 0:length], xp[:, 1:length + 1], xp[:, 2:length + 2]], axis=2)
+
+    def backward(go):
+        if x.requires_grad:
+            gwin = np.matmul(go, np.swapaxes(w.data, -1, -2))
+            gp = np.zeros_like(xp)
+            for k in range(3):  # t-1, t, t+1: the order the sum must keep
+                gp[:, k:k + length] += gwin[:, :, k * chans:(k + 1) * chans]
+            _accumulate(x, gp[:, 1:length + 1])
+        if w.requires_grad:
+            _accumulate(w, np.matmul(np.swapaxes(win, -1, -2), go).sum(axis=0))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(go, b.data.shape))
+
+    return Tensor(np.matmul(win, w.data) + b.data, _parents=(x, w, b), _backward=backward,
+                  name="conv1d_k3")
+
+
 def pool_mean2(a):
     """Downsample axis 1 by 2 with pairwise means; length must be even."""
     if a.data.ndim < 2 or a.data.shape[1] % 2 != 0:
@@ -343,6 +390,10 @@ class ParamStore:
 
     def n_values(self):
         return sum(t.data.size for t in self._params.values())
+
+    def constants(self):
+        """The parameters as tensors outside any graph, for inference."""
+        return {name: Tensor(t.data, name=name) for name, t in self._params.items()}
 
     def to_arrays(self):
         return {name: t.data.copy() for name, t in self._params.items()}

@@ -221,14 +221,26 @@ def cmd_pretrain(cfg, paths):
               f"train RMSE {bundle.meta['final_train_rmse']:.3f} ({bundle.meta['stop_reason']})")
 
 
+def _load_checkpoint(paths, stage, seed, wanted):
+    """The seed's checkpoint of a stage, refused unless its meta records `wanted`."""
+    stem = paths.checkpoint_stem(stage, seed)
+    bundle = model.load_checkpoint(stem)
+    recorded = {key: bundle.meta.get(key) for key in wanted}
+    if recorded != wanted:
+        raise CheckpointMismatch(f"{stem}.json was written by `{stage}` as {recorded}, but this "
+                                 f"run asks for {wanted}; rerun the `{stage}` subcommand")
+    return bundle
+
+
 def cmd_finetune(cfg, paths):
     variant = _variant(cfg)
     county = ingest.read_samples_csv(paths.county_samples)
     _, fine_cfg = stage_configs(cfg)
     spec = split_spec(cfg)
-    for seed in cfg["seeds"]:
-        checkpoint = (model.load_checkpoint(paths.checkpoint_stem("pretrain", seed))
-                      if variant.use_pretrain else None)
+    # every pretrain checkpoint is checked before any finetune checkpoint is written
+    checkpoints = {seed: (_load_checkpoint(paths, "pretrain", seed, {"variant": variant.name})
+                          if variant.use_pretrain else None) for seed in cfg["seeds"]}
+    for seed, checkpoint in checkpoints.items():
         bundle, rows, _split = training.finetune(checkpoint, county, spec, fine_cfg,
                                                  loss_config(cfg), variant, cfg["model"], seed)
         model.save_checkpoint(paths.checkpoint_stem("finetune", seed), bundle)
@@ -244,17 +256,6 @@ def _require_test_samples(county, year):
                           "scoring needs at least 2")
 
 
-def _load_finetuned(paths, seed, wanted):
-    """The seed's finetune checkpoint, refused unless its meta records `wanted`."""
-    stem = paths.checkpoint_stem("finetune", seed)
-    bundle = model.load_checkpoint(stem)
-    recorded = {key: bundle.meta.get(key) for key in wanted}
-    if recorded != wanted:
-        raise CheckpointMismatch(f"{stem}.json was finetuned as {recorded}, but this run "
-                                 f"asks for {wanted}; rerun the `finetune` subcommand")
-    return bundle
-
-
 def cmd_evaluate(cfg, paths):
     county = ingest.read_samples_csv(paths.county_samples)
     spec = split_spec(cfg)
@@ -265,7 +266,8 @@ def cmd_evaluate(cfg, paths):
     per_seed = defaultdict(list)
     all_rows = []
     for seed in cfg["seeds"]:
-        bundle = _load_finetuned(paths, seed, {"variant": cfg["variant"], **spec.to_meta()})
+        bundle = _load_checkpoint(paths, "finetune", seed,
+                                  {"variant": cfg["variant"], **spec.to_meta()})
         rows, numbers = metrics.score_seed(split.test, bundle.predict(split.test), seed)
         all_rows.extend(rows)
         for key, value in numbers.items():
@@ -313,7 +315,7 @@ def _require_drought_classes(county):
 
 def cmd_attn_report(cfg, paths):
     seed = cfg["seeds"][0]
-    bundle = _load_finetuned(paths, seed, {"variant": cfg["variant"]})
+    bundle = _load_checkpoint(paths, "finetune", seed, {"variant": cfg["variant"]})
     county = ingest.read_samples_csv(paths.county_samples)
     if bundle.config.use_sm_tokens:
         _require_drought_classes(county)

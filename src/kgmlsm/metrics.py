@@ -96,17 +96,18 @@ def baseline_fit_predict(kind, train, test, val=None, seed=0, ridge_alpha=1.0):
         p.add("o.w", rng.uniform(-1 / np.sqrt(hidden), 1 / np.sqrt(hidden), size=(hidden, 1)))
         p.add("o.b", np.zeros(1))
 
-        def forward(x):
-            h = relu(matmul(Tensor(x), p["h.w"]) + p["h.b"])
-            return matmul(h, p["o.w"])[:, 0] + p["o.b"]
+        def forward(x, q):
+            h = relu(matmul(Tensor(x), q["h.w"]) + q["h.b"])
+            return matmul(h, q["o.w"])[:, 0] + q["o.b"]
 
-        def loss_on(x, y):
-            return mean(square(forward(x) - Tensor(y)))
+        def loss_on(x, y, q):
+            return mean(square(forward(x, q) - Tensor(y)))
 
-        fit(p, train_x.shape[0], lambda idx: loss_on(train_x[idx], train_t[idx]),
-            lambda: (float(loss_on(val_x, val_y).data), None),
+        # only the training batches build a graph; validation and test run on constants
+        fit(p, train_x.shape[0], lambda idx: loss_on(train_x[idx], train_t[idx], p),
+            lambda: (float(loss_on(val_x, val_y, p.constants()).data), None),
             default_finetune_config(), seed, 787)
-        return forward(test_x).data * y_sd + y_mu
+        return forward(test_x, p.constants()).data * y_sd + y_mu
 
     train_x, test_x = _standardize_features(train_x, test_x)
     design = np.hstack([train_x, np.ones((train_x.shape[0], 1))])

@@ -11,9 +11,13 @@ attention_forward folds the embedding and the key, value and output
 projections into four per-token vectors: it costs O(B n), and its
 parameters and checkpoints are those of the unfolded (B, n, d_model) head.
 
+The W2S encoder-decoder is built from autodiff primitives: each of its
+four width-3 temporal convolutions is one conv1d_k3 node.
+
 The network operates in z-scored space: inputs and targets are
 standardized with statistics carried in the checkpoint, and predictions
-are mapped back to physical units at the boundary (predict()).
+are mapped back to physical units at the boundary (predict()). Inference
+runs on ParamStore.constants(), so it builds no gradient graph.
 """
 
 import os
@@ -22,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts, ingest
-from .autodiff import (ParamStore, Tensor, concat, matmul, mul, pool_mean2, relu, reshape,
-                       softmax_last, upsample_repeat2, zeros)
+from .autodiff import (ParamStore, Tensor, concat, conv1d_k3, matmul, mul, pad_edge, pool_mean2,
+                       relu, reshape, softmax_last, upsample_repeat2)
 from .errors import CheckpointMismatch, SchemaError, ShapeError
 
 T = ingest.N_WINDOWS  # 13
@@ -201,35 +205,24 @@ def init_params(config, seed):
 # forward pieces
 
 
-def _conv3(x, w, b):
-    """Width-3 temporal mixing along axis 1, zero-padded to keep length."""
-    batch, length, chans = x.shape
-    zpad = zeros((batch, 1, chans))
-    xp = concat([zpad, x, zpad], axis=1)
-    win = concat([xp[:, 0:length, :], xp[:, 1:length + 1, :], xp[:, 2:length + 2, :]], axis=2)
-    return matmul(win, w) + b
-
-
-def _pad_time(x):
-    """Edge-replicate axis 1 from 13 to 16 steps."""
-    last = x[:, T - 1: T, :]
-    return concat([x, last, last, last], axis=1)
-
-
 def w2s_forward(weather, params):
-    """(B, 13, 4) standardized weather -> (B, 13, 2) standardized SM."""
+    """(B, 13, 4) standardized weather -> (B, 13, 2) standardized SM.
+
+    Edge-padded to 16 steps so both pooling levels divide evenly; each
+    width-3 convolution is one conv1d_k3 node.
+    """
     if weather.shape[1:] != (T, 4):
         raise ShapeError(f"w2s_forward: expected (B, {T}, 4), got {weather.shape}")
-    x = _pad_time(weather)
-    e1 = relu(_conv3(x, params["w2s.enc1.w"], params["w2s.enc1.b"]))
+    x = pad_edge(weather, 3)
+    e1 = relu(conv1d_k3(x, params["w2s.enc1.w"], params["w2s.enc1.b"]))
     p1 = pool_mean2(e1)
-    e2 = relu(_conv3(p1, params["w2s.enc2.w"], params["w2s.enc2.b"]))
+    e2 = relu(conv1d_k3(p1, params["w2s.enc2.w"], params["w2s.enc2.b"]))
     p2 = pool_mean2(e2)
     mid = relu(matmul(p2, params["w2s.mid.w"]) + params["w2s.mid.b"])
     u2 = upsample_repeat2(mid)
-    d2 = relu(_conv3(concat([u2, e2], axis=2), params["w2s.dec2.w"], params["w2s.dec2.b"]))
+    d2 = relu(conv1d_k3(concat([u2, e2], axis=2), params["w2s.dec2.w"], params["w2s.dec2.b"]))
     u1 = upsample_repeat2(d2)
-    d1 = relu(_conv3(concat([u1, e1], axis=2), params["w2s.dec1.w"], params["w2s.dec1.b"]))
+    d1 = relu(conv1d_k3(concat([u1, e1], axis=2), params["w2s.dec1.w"], params["w2s.dec1.b"]))
     sm = matmul(d1, params["w2s.head.w"]) + params["w2s.head.b"]
     return sm[:, :T, :]
 
@@ -335,7 +328,7 @@ class ModelBundle:
         and "alpha" ((N, n_tokens)).
         """
         batch = standardize(stack_dataset(dataset), self.stats)
-        y, sm_hat, alpha = forward_graph(batch, self.params, self.config)
+        y, sm_hat, alpha = forward_graph(batch, self.params.constants(), self.config)
         out = {
             "y_hat": y.data * self.stats.y_sd + self.stats.y_mu,
             "alpha": alpha.data.copy(),

@@ -101,7 +101,8 @@ def _take(arrays, idx):
 
 
 def _compute_loss(batch, params, mconfig, variant, loss_cfg):
-    """Build the loss graph for one standardized batch.
+    """Build the loss of one standardized batch; a graph only when params
+    require grad.
 
     Returns (total tensor, standardized yield estimate tensor). The SM
     term exists only when the W2S branch runs; without the SMW component
@@ -128,11 +129,6 @@ def _compute_loss(batch, params, mconfig, variant, loss_cfg):
     if not np.isfinite(total.data):
         raise TrainingDiverged(f"non-finite loss: {parts}")
     return total, y_hat
-
-
-def _eval_loss(arrays, params, mconfig, variant, loss_cfg):
-    total, _ = _compute_loss(arrays, params, mconfig, variant, loss_cfg)
-    return float(total.data)
 
 
 def _yield_rmse(arrays, y_hat, stats):
@@ -162,7 +158,7 @@ def pretrain(field_dataset, stage_cfg, loss_cfg, variant, sizes, seed):
         return _compute_loss(_take(arrays, idx), params, mconfig, variant, loss_cfg)[0]
 
     def end_epoch():
-        y_hat, _, _ = model.forward_graph(arrays, params, mconfig)
+        y_hat, _, _ = model.forward_graph(arrays, params.constants(), mconfig)
         return None, _yield_rmse(arrays, y_hat, stats)
 
     rows, stop_reason, _, _ = fit(params, len(field_dataset), batch_loss, end_epoch,
@@ -212,7 +208,7 @@ def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, varian
         return _compute_loss(_take(train_arrays, idx), params, mconfig, variant, loss_cfg)[0]
 
     def end_epoch():
-        total, y_hat = _compute_loss(val_arrays, params, mconfig, variant, loss_cfg)
+        total, y_hat = _compute_loss(val_arrays, params.constants(), mconfig, variant, loss_cfg)
         return float(total.data), _yield_rmse(val_arrays, y_hat, stats)
 
     rows, stop_reason, best_epoch, best_val = fit(params, len(split.train), batch_loss,

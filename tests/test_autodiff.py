@@ -79,6 +79,114 @@ class TestSliceBackward:
             ad.getitem(ad.Tensor(np.zeros((3, 3))), idx)
 
 
+def _conv3_chain(x, w, b):
+    """The conv as the zeros/concat/slice/matmul/add chain conv1d_k3 replaced."""
+    batch, length, chans = x.shape
+    zpad = ad.Tensor(np.zeros((batch, 1, chans)))
+    xp = ad.concat([zpad, x, zpad], axis=1)
+    win = ad.concat([xp[:, 0:length, :], xp[:, 1:length + 1, :], xp[:, 2:length + 2, :]], axis=2)
+    return ad.matmul(win, w) + b
+
+
+class TestConv1dK3:
+    # the four W2S convolutions at the default widths: enc1, enc2, dec2, dec1
+    @pytest.mark.parametrize("length,chans,width", [(16, 4, 16), (8, 16, 32), (8, 64, 16),
+                                                    (16, 32, 16)])
+    def test_matches_the_chain_bitwise(self, length, chans, width):
+        rng = np.random.default_rng(length * chans + width)
+        arrays = (rng.normal(size=(5, length, chans)), rng.normal(size=(3 * chans, width)),
+                  rng.normal(size=width))
+        go = rng.normal(size=(5, length, width))
+        go[0, 0, :] = -0.0  # signed zeros must sum as the chain sums them
+        go.flat[-1] = -0.0
+        results = []
+        for conv in (ad.conv1d_k3, _conv3_chain):
+            x, w, b = (ad.Tensor(a.copy(), requires_grad=True) for a in arrays)
+            out = conv(x, w, b)
+            ad.backward(ad.mean(ad.mul(out, ad.Tensor(go))))
+            results.append([t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)])
+        assert results[0] == results[1]
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(12)
+        store = ad.ParamStore()
+        x = store.add("x", rng.normal(size=(2, 6, 3)))
+        w = store.add("w", rng.normal(size=(9, 4)))
+        b = store.add("b", rng.normal(size=4))
+        weight = ad.Tensor(rng.normal(size=(2, 6, 4)))
+
+        def loss():
+            return ad.mean(ad.mul(ad.square(ad.conv1d_k3(x, w, b)), weight))
+
+        worst = check_param_gradients(lambda: loss().data, store, ad.gradients(loss(), store))
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((6, 3), (9, 4), (4,)),        # x not (B, L, C)
+        ((2, 6, 3), (6, 4), (4,)),     # w rows != 3C
+        ((2, 6, 3), (9,), (4,)),       # w not 2-D
+        ((2, 6, 3), (9, 4), (3,)),     # bias width != F
+        ((2, 6, 3), (9, 4), (1, 4)),   # bias not 1-D
+    ])
+    def test_bad_shapes_rejected(self, x_shape, w_shape, b_shape):
+        with pytest.raises(ShapeError):
+            ad.conv1d_k3(*(ad.Tensor(np.zeros(s)) for s in (x_shape, w_shape, b_shape)))
+
+
+class TestPadEdge:
+    def test_repeats_the_last_step(self):
+        a = np.arange(2 * 4 * 3, dtype=float).reshape(2, 4, 3)
+        out = ad.pad_edge(ad.Tensor(a), 3).data
+        assert out.shape == (2, 7, 3)
+        np.testing.assert_array_equal(out[:, :4], a)
+        for k in range(4, 7):
+            np.testing.assert_array_equal(out[:, k], a[:, 3])
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(13)
+        store = ad.ParamStore()
+        a = store.add("a", rng.normal(size=(2, 5, 3)))
+        weight = ad.Tensor(rng.normal(size=(2, 8, 3)))
+
+        def loss():
+            return ad.mean(ad.mul(ad.square(ad.pad_edge(a, 3)), weight))
+
+        worst = check_param_gradients(lambda: loss().data, store, ad.gradients(loss(), store))
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("shape,n", [((5,), 3), ((2, 0, 3), 3), ((2, 5, 3), 0)])
+    def test_bad_shapes_rejected(self, shape, n):
+        with pytest.raises(ShapeError):
+            ad.pad_edge(ad.Tensor(np.zeros(shape)), n)
+
+
+class TestGraphFree:
+    def test_ops_on_constants_record_no_graph(self):
+        store = ad.ParamStore()
+        store.add("w", np.ones((3, 2)))
+        w = store.constants()["w"]
+        out = ad.relu(ad.matmul(ad.Tensor(np.ones((4, 3))), w))
+        assert not w.requires_grad and not out.requires_grad
+        assert out._parents == () and out._backward is None
+
+    def test_constants_share_values_not_grads(self):
+        store = ad.ParamStore()
+        p = store.add("w", np.arange(6.0).reshape(2, 3))
+        c = store.constants()["w"]
+        assert c.data is p.data and c.name == "w"
+        ad.backward(ad.mean(ad.matmul(ad.Tensor(np.ones((1, 2))), c)))
+        assert p.grad is None
+
+    def test_a_graph_still_records_through_constants(self):
+        store = ad.ParamStore()
+        p = store.add("p", np.ones(3))
+        c = ad.ParamStore()
+        c.add("c", np.full(3, 2.0))
+        out = ad.mul(p, c.constants()["c"])
+        assert out._parents[0] is p
+        assert ad.gradients(ad.mean(out), store)["p"].tolist() == [2.0 / 3] * 3
+
+
 class TestErrors:
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeError):

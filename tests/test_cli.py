@@ -226,6 +226,26 @@ class TestRefusals:
         assert "'target_year': None" in capsys.readouterr().err
 
 
+    def test_finetune_refuses_before_writing_any_seed(self, micro_run, tmp_path, capsys):
+        """A later seed's pretrain checkpoint of another variant stops the
+        stage before the first seed's finetune checkpoint is replaced."""
+        _, paths, _, _ = micro_run
+        run_dir = _copy_run(paths, tmp_path / "run")
+        shutil.copytree(os.path.join(run_dir, "pretrain", "seed0"),
+                        os.path.join(run_dir, "pretrain", "seed1"))
+        _edit_json(lambda m: m["meta"].update(variant="att_sim_w2s_smw"))(
+            tmp_path / "run" / "pretrain" / "seed1" / "model.json")
+        finetuned = [os.path.join(run_dir, "finetune", "seed0", name)
+                     for name in ("model.json", "model.bin", "epochs.csv")]
+        before = [open(p, "rb").read() for p in finetuned]
+        cfg_path = micro_config(tmp_path, run_name="two_seeds", seeds=[0, 1])
+        assert cli.main(["finetune", "--config", cfg_path, "--run-dir", run_dir]) == 1
+        err = capsys.readouterr().err
+        assert "seed1" in err and "'variant': 'att_sim_w2s_smw'" in err and "`pretrain`" in err
+        assert [open(p, "rb").read() for p in finetuned] == before
+        assert not os.path.exists(os.path.join(run_dir, "finetune", "seed1"))
+
+
 def _copy_run(paths, run_dir):
     """Copy a finished run's data and checkpoints, so a test can corrupt
     them or fail a command on them without touching the shared run."""
@@ -243,6 +263,8 @@ BAD_INPUTS = {
     "batch_size": (["finetune"], {"train": {"finetune": {"batch_size": 0}}},
                    "batch_size must be >= 1"),
     "lambda": (["finetune", "--lambda", "-1"], {}, "lambda must be >= 0"),
+    "finetune_other_variant": (["finetune", "--variant", "att_sim_w2s_smw"], {},
+                               "'variant': 'kgml_sm'"),
     "evaluate_other_variant": (["evaluate", "--variant", "att_wo_sm"], {},
                                "'variant': 'kgml_sm'"),
     "attn_report_other_variant": (["attn-report", "--variant", "att_wo_sm"], {},

@@ -201,6 +201,49 @@ class TestPredict:
         assert y.shape == (len(tiny_field),)
 
 
+class TestGraphFreePredict:
+    @pytest.mark.parametrize("use_w2s", [True, False])
+    def test_equals_the_graph_forward_bitwise(self, tiny_field, use_w2s):
+        cfg = model.ModelConfig(**SMALL, use_w2s=use_w2s)
+        params = model.init_params(cfg, 4)
+        batch, stats = _std_batch(tiny_field)
+        bundle = model.ModelBundle(config=cfg, params=params, stats=stats)
+        pred = bundle.predict(tiny_field)
+        y, sm_hat, alpha = model.forward_graph(batch, params, cfg)
+        assert y.requires_grad  # the reference is the training graph
+        assert pred["y_hat"].tobytes() == (y.data * stats.y_sd + stats.y_mu).tobytes()
+        assert pred["alpha"].tobytes() == alpha.data.tobytes()
+        if use_w2s:
+            assert pred["sm_hat"].tobytes() == (sm_hat.data * stats.sm_sd + stats.sm_mu).tobytes()
+        else:
+            assert pred["sm_hat"] is None and sm_hat is None
+
+    def test_builds_no_graph_and_leaves_grads_alone(self, tiny_field, monkeypatch):
+        cfg = model.ModelConfig(**SMALL)
+        params = model.init_params(cfg, 5)
+        sentinel = {name: np.full(t.data.shape, 7.0) for name, t in params.items()}
+        for name, t in params.items():
+            t.grad = sentinel[name]
+        outputs = []
+        graph = model.forward_graph
+
+        def recording(*args):
+            result = graph(*args)
+            outputs.extend(result)
+            return result
+
+        monkeypatch.setattr(model, "forward_graph", recording)
+        bundle = model.ModelBundle(config=cfg, params=params,
+                                   stats=model.Normalization.from_dataset(tiny_field))
+        bundle.predict(tiny_field)
+        assert len(outputs) == 3
+        for t in outputs:
+            assert not t.requires_grad and t._parents == () and t._backward is None
+        for name, t in params.items():
+            assert t.requires_grad and t.grad is sentinel[name]
+            assert np.all(t.grad == 7.0)
+
+
 class TestGradients:
     def _loss_builder(self, batch, params, cfg):
         def build():

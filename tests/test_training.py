@@ -24,6 +24,13 @@ def fast_fine(max_epochs=5, patience=10):
                        scheduler_patience=5, early_stop_patience=patience)
 
 
+def _eval_loss(arrays, params, mconfig, variant, loss_cfg):
+    """The loss through the training graph: the oracle for the graph-free
+    validation loss that finetune records."""
+    total, _ = training._compute_loss(arrays, params, mconfig, variant, loss_cfg)
+    return float(total.data)
+
+
 class TestTemporalSplit:
     def test_test_set_holds_only_target_year(self):
         rng = np.random.default_rng(0)
@@ -147,8 +154,7 @@ class TestFinetune:
         # restored parameters reproduce the recorded best val loss exactly
         cfg = training.model_config_for(get_variant("att"), SMALL)
         arrays = model.standardize(model.stack_dataset(split.val), bundle.stats)
-        recomputed = training._eval_loss(arrays, bundle.params, cfg,
-                                         get_variant("att"), LCFG)
+        recomputed = _eval_loss(arrays, bundle.params, cfg, get_variant("att"), LCFG)
         assert recomputed == pytest.approx(best_val, abs=1e-12)
 
     def test_no_early_stop_when_patience_exceeds_epochs(self, tiny_county):

@@ -6,7 +6,8 @@ ints `str`, and `None` an empty cell. JSON: `indent=2`, sorted keys and a
 trailing newline. Each file is written beside its path and moved into place
 with `os.replace`, so a failed write leaves the previous file as it was;
 missing parent directories are created first.
-Readers raise SchemaError, naming the file, on anything off-schema.
+Readers raise SchemaError, naming the file, on anything off-schema, a
+non-finite float or a flag other than 0/1 included.
 """
 
 import contextlib
@@ -94,10 +95,20 @@ class Columns(dict):
         self.path = path
 
     def floats(self, name):
-        return self._parse(name, np.float64)
+        values = self._parse(name, np.float64)
+        if not np.isfinite(values).all():
+            raise SchemaError(f"{self.path}: column {name!r} has a cell that is not "
+                              "a finite number")
+        return values
 
     def ints(self, name):
         return self._parse(name, np.int64)
+
+    def bools(self, name):
+        values = self._parse(name, np.int64)
+        if not ((values == 0) | (values == 1)).all():
+            raise SchemaError(f"{self.path}: column {name!r} has a cell that is not 0 or 1")
+        return values.astype(bool)
 
     def _parse(self, name, dtype):
         try:

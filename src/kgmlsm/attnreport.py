@@ -21,18 +21,13 @@ def extract(bundle, dataset):
     """Per-sample attention weights keyed by (id, year, channel, timestep).
 
     Read-only with respect to the model. Returns a dict with the raw
-    (N, n_tokens) matrix, token labels, sample keys, years and drought
-    flags.
+    (N, n_tokens) matrix, token labels, and the samples' ids, years and
+    drought flags.
     """
     pred = bundle.predict(dataset)
-    labels = model.token_labels(bundle.config)
-    return {
-        "alpha": pred["alpha"],
-        "labels": labels,
-        "keys": [(s.sid, s.year) for s in dataset.samples],
-        "years": np.array([s.year for s in dataset.samples]),
-        "drought": np.array([s.drought_flag for s in dataset.samples], dtype=bool),
-    }
+    a = ingest.stack_dataset(dataset)
+    return {"alpha": pred["alpha"], "labels": model.token_labels(bundle.config),
+            "ids": a["ids"], "years": a["years"], "drought": a["drought"]}
 
 
 def normalize_by_year(years, values):
@@ -80,7 +75,7 @@ def category_report(extraction):
     """Mean category attention per (year, category, timestep) over samples."""
     acc = {}
     n_by_year = {}
-    for row, (sid, year) in zip(extraction["alpha"], extraction["keys"]):
+    for row, year in zip(extraction["alpha"], extraction["years"].tolist()):
         n_by_year[year] = n_by_year.get(year, 0) + 1
         for (cat, t), v in category_average(row, extraction["labels"]).items():
             key = (year, cat, t)
@@ -127,9 +122,9 @@ RAW_HEADER = ["id", "year", "channel", "timestep", "alpha"]
 
 def write_raw_csv(path, extraction):
     """One row per (sample, token), samples in dataset order."""
-    keys, labels = extraction["keys"], extraction["labels"]
-    per_sample = [np.array([key[i] for key in keys]).repeat(len(labels)) for i in (0, 1)]
-    per_token = [np.tile(np.array([label[i] for label in labels]), len(keys)) for i in (0, 1)]
+    labels, n = extraction["labels"], len(extraction["years"])
+    per_sample = [extraction[k].repeat(len(labels)) for k in ("ids", "years")]
+    per_token = [np.tile(np.array([label[i] for label in labels]), n) for i in (0, 1)]
     artifacts.write_csv(path, RAW_HEADER, [*per_sample, *per_token, extraction["alpha"].ravel()])
 
 

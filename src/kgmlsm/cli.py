@@ -200,6 +200,9 @@ def cmd_filter(cfg, paths):
     sm_model = filtering.fit_sm_regressor(county)
     threshold = float(cfg["filter"]["threshold"])
     kept, discarded, report = filtering.screen_field_samples(field, sm_model, threshold)
+    if not len(kept):
+        raise KgmlsmError(f"filter.threshold {threshold} keeps none of the {len(field)} field "
+                          "samples; pretraining needs at least one")
     filtering.write_filter_report(paths.filter_report, report)
     ingest.write_samples_csv(kept, paths.field_filtered)
     print(f"filter: kept {len(kept)}, discarded {len(discarded)} (threshold {threshold})")
@@ -250,7 +253,7 @@ def cmd_finetune(cfg, paths):
 
 
 def _require_test_samples(county, year):
-    n = sum(s.year == year for s in county.samples)
+    n = int((ingest.stack_dataset(county)["years"] == year).sum())
     if n < 2:
         raise KgmlsmError(f"target year {year} has {n} county sample(s); "
                           "scoring needs at least 2")
@@ -261,7 +264,7 @@ def cmd_evaluate(cfg, paths):
     spec = split_spec(cfg)
     _require_test_samples(county, spec.target_year)
     split = training.temporal_split(county, spec)
-    y_test = np.array([s.yield_label for s in split.test.samples])
+    y_test = ingest.stack_dataset(split.test)["y"]
 
     per_seed = defaultdict(list)
     all_rows = []
@@ -269,7 +272,7 @@ def cmd_evaluate(cfg, paths):
         bundle = _load_checkpoint(paths, "finetune", seed,
                                   {"variant": cfg["variant"], **spec.to_meta()})
         rows, numbers = metrics.score_seed(split.test, bundle.predict(split.test), seed)
-        all_rows.extend(rows)
+        all_rows.append(rows)
         for key, value in numbers.items():
             per_seed[key].append(value)
 
@@ -304,10 +307,10 @@ def cmd_evaluate(cfg, paths):
 
 
 def _require_drought_classes(county):
-    counts = {}
-    for s in county.samples:
-        counts.setdefault(s.year, [0, 0])[int(s.drought_flag)] += 1
-    for year, (n_other, n_drought) in sorted(counts.items()):
+    a = ingest.stack_dataset(county)
+    for year in np.unique(a["years"]).tolist():
+        flags = a["drought"][a["years"] == year]
+        n_drought, n_other = int(flags.sum()), int((~flags).sum())
         if not n_other or not n_drought:
             raise KgmlsmError(f"year {year} has {n_drought} drought-flagged and {n_other} other "
                               "county samples; the attention box statistics need both classes")
@@ -493,6 +496,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
+        # refuse bad train settings before any stage runs
+        stage_configs(cfg)
+        split_spec(cfg)
         paths = RunPaths(cfg["paths"]["run_dir"])
         for name in chain(cfg) if args.command == "all" else [args.command]:
             run_stage(name, cfg, paths)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, ingest
 from .errors import ShapeError
 
 COND_LIMIT = 1e10
@@ -24,18 +24,12 @@ class LinearSMModel:
     diagnostics: dict
 
     def predict(self, weather):
-        """(T, 4) weather -> (T, 2) soil moisture."""
+        """(..., T, 4) weather -> (..., T, 2) soil moisture."""
         weather = np.asarray(weather, dtype=np.float64)
-        if weather.ndim != 2 or weather.shape[1] != 4:
-            raise ShapeError(f"predict: expected (T, 4) weather, got {weather.shape}")
-        design = np.hstack([weather, np.ones((weather.shape[0], 1))])
+        if weather.ndim < 2 or weather.shape[-1] != 4:
+            raise ShapeError(f"predict: expected (..., T, 4) weather, got {weather.shape}")
+        design = np.concatenate([weather, np.ones(weather.shape[:-1] + (1,))], axis=-1)
         return design @ self.weights
-
-
-def _pooled_rows(dataset):
-    x = np.concatenate([s.weather for s in dataset.samples], axis=0)
-    y = np.concatenate([s.sm for s in dataset.samples], axis=0)
-    return x, y
 
 
 def fit_sm_regressor(dataset):
@@ -46,7 +40,8 @@ def fit_sm_regressor(dataset):
     """
     if len(dataset) == 0:
         raise ValueError("fit_sm_regressor: empty dataset")
-    x, y = _pooled_rows(dataset)
+    a = ingest.stack_dataset(dataset)
+    x, y = a["w"].reshape(-1, 4), a["s"].reshape(-1, 2)
     design = np.hstack([x, np.ones((x.shape[0], 1))])
     gram = design.T @ design
     cond = float(np.linalg.cond(gram))
@@ -64,29 +59,27 @@ def fit_sm_regressor(dataset):
     return LinearSMModel(weights=weights, diagnostics=diagnostics)
 
 
-def score_sample(model, sample):
+def score_samples(model, weather, sm):
     """MSE over timesteps and both SM layers between the regressor's
-    prediction from the sample's weather and the sample's SM matrix."""
-    pred = model.predict(sample.weather)
-    return float(((pred - sample.sm) ** 2).mean())
+    prediction from (..., T, 4) weather and the (..., T, 2) SM: one score
+    per sample."""
+    err = model.predict(weather) - sm
+    return (err ** 2).reshape(err.shape[:-2] + (-1,)).mean(axis=-1)
 
 
 def screen_field_samples(dataset, model, threshold=0.5):
     """Partition into (kept, discarded, report); kept iff mse <= threshold.
 
-    The report lists (sid, year, mse, kept) for every input sample.
+    The report holds the columns "id", "year", "mse" and "kept", one entry
+    per input sample.
     """
-    kept, discarded, report = [], [], []
-    for s in dataset.samples:
-        mse = score_sample(model, s)
-        keep = mse <= threshold
-        (kept if keep else discarded).append(s)
-        report.append({"id": s.sid, "year": s.year, "mse": mse, "kept": keep})
-    kept_ds = type(dataset)(level=dataset.level, samples=kept)
-    discarded_ds = type(dataset)(level=dataset.level, samples=discarded)
-    return kept_ds, discarded_ds, report
+    a = ingest.stack_dataset(dataset)
+    mse = score_samples(model, a["w"], a["s"])
+    keep = mse <= threshold
+    report = {"id": a["ids"], "year": a["years"], "mse": mse, "kept": keep}
+    return dataset.subset(np.flatnonzero(keep)), dataset.subset(np.flatnonzero(~keep)), report
 
 
 def write_filter_report(path, report):
     header = ["id", "year", "mse", "kept"]
-    artifacts.write_csv(path, header, [[r[k] for r in report] for k in header])
+    artifacts.write_csv(path, header, [report[k] for k in header])

@@ -222,32 +222,52 @@ class Sample:
         # sbar is always derived from the sm matrix; never trusted from callers
         self.sbar = seasonal_sm_mean(self.sm)
 
-    @property
-    def aux(self):
-        return np.array([self.year, self.lat, self.lon, self.hist_avg_yield], dtype=np.float64)
-
 
 @dataclass
 class Dataset:
     level: str  # "field" | "county"
     samples: list = field(default_factory=list)
 
-    @property
-    def timesteps(self):
-        return N_WINDOWS
-
-    @property
-    def manifest(self):
-        return channel_manifest(self.level)
-
     def __len__(self):
         return len(self.samples)
 
-    def years(self):
-        return sorted({s.year for s in self.samples})
-
     def key_set(self):
         return {(s.sid, s.year) for s in self.samples}
+
+    def subset(self, idx):
+        """The samples at positions idx, in that order, at the same level."""
+        return Dataset(level=self.level, samples=[self.samples[i] for i in idx])
+
+
+def stack_dataset(dataset):
+    """The one array view of a dataset, one row per sample in order.
+
+    Keys: "ids" and "years"; "w", "v" and "s", the (N, T, 4), (N, T, 4) and
+    (N, T, 2) weather, VI and SM series; "aux", the (N, 4) auxiliaries in
+    AUX_FIELDS order; "y", "sbar" and "drought", the yield labels, seasonal
+    SM means and drought flags.
+    """
+    ss, n = dataset.samples, len(dataset)
+    return {
+        "ids": np.array([s.sid for s in ss], dtype=str),
+        "years": np.array([s.year for s in ss], dtype=np.int64),
+        "w": np.array([s.weather for s in ss], dtype=np.float64).reshape(n, N_WINDOWS, 4),
+        "v": np.array([s.vis for s in ss], dtype=np.float64).reshape(n, N_WINDOWS, 4),
+        "s": np.array([s.sm for s in ss], dtype=np.float64).reshape(n, N_WINDOWS, 2),
+        "aux": np.array([[s.year, s.lat, s.lon, s.hist_avg_yield] for s in ss],
+                        dtype=np.float64).reshape(n, len(AUX_FIELDS)),
+        "y": np.array([s.yield_label for s in ss], dtype=np.float64),
+        "sbar": np.array([s.sbar for s in ss], dtype=np.float64),
+        "drought": np.array([s.drought_flag for s in ss], dtype=bool),
+    }
+
+
+def channel_major(arrays):
+    """(N, 10 T) series values of stack_dataset arrays, channel-major: every
+    window of radn, then of tmax, ... then sm_rootzone (the samples CSV
+    column order and the model's token order)."""
+    series = np.concatenate([arrays["w"], arrays["v"], arrays["s"]], axis=2)  # (N, T, 10)
+    return series.transpose(0, 2, 1).reshape(len(series), len(SERIES_CHANNELS) * N_WINDOWS)
 
 
 def label_drought(dataset, quantile=0.2):
@@ -260,23 +280,6 @@ def label_drought(dataset, quantile=0.2):
         for s in group:
             s.drought_flag = bool(s.sbar < threshold)
     return dataset
-
-
-def samples_equal(a, b):
-    return (a.sid == b.sid and a.year == b.year
-            and a.lat == b.lat and a.lon == b.lon
-            and a.hist_avg_yield == b.hist_avg_yield
-            and a.yield_label == b.yield_label
-            and a.sbar == b.sbar and a.drought_flag == b.drought_flag
-            and np.array_equal(a.weather, b.weather)
-            and np.array_equal(a.vis, b.vis)
-            and np.array_equal(a.sm, b.sm))
-
-
-def datasets_equal(a, b):
-    if a.level != b.level or len(a) != len(b):
-        return False
-    return all(samples_equal(x, y) for x, y in zip(a.samples, b.samples))
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +304,10 @@ def manifest_path(csv_path):
 
 def write_samples_csv(dataset, csv_path):
     csv_path = str(csv_path)
-    ss = dataset.samples
-    numbers = np.array([np.concatenate([[s.lat, s.lon, s.hist_avg_yield, s.yield_label, s.sbar],
-                                        s.weather.T.ravel(), s.vis.T.ravel(), s.sm.T.ravel()])
-                        for s in ss]).reshape(len(ss), 5 + 10 * N_WINDOWS)
+    a = stack_dataset(dataset)
     artifacts.write_csv(csv_path, SAMPLE_HEADER,
-                        [[s.sid for s in ss], [s.year for s in ss], *numbers[:, :5].T,
-                         [s.drought_flag for s in ss], *numbers[:, 5:].T])
+                        [a["ids"], a["years"], *a["aux"][:, 1:].T, a["y"], a["sbar"], a["drought"],
+                         *channel_major(a).T])
     artifacts.write_json(manifest_path(csv_path), channel_manifest(dataset.level))
     return csv_path
 
@@ -323,7 +323,7 @@ def read_samples_csv(csv_path):
     numbers = np.stack([cols.floats(name) for name in SAMPLE_HEADER[2:7] + SAMPLE_HEADER[8:]],
                        axis=1)
     ids, years = np.array(cols["id"]).tolist(), cols.ints("year").tolist()
-    flags = cols.ints("drought_flag").astype(bool).tolist()
+    flags = cols.bools("drought_flag").tolist()
     del cols  # a cell string kept past here would pin the memory of its neighbours
     nw = 4 * N_WINDOWS
     ds = Dataset(level=manifest["level"])
@@ -340,7 +340,7 @@ def read_samples_csv(csv_path):
         if abs(s.sbar - sbar) > 1e-9:
             raise SchemaError(f"stale sbar for {s.sid}/{s.year} in {csv_path}")
         ds.samples.append(s)
-    if len({(s.sid, s.year) for s in ds.samples}) != len(ds.samples):
+    if len(ds.key_set()) != len(ds):
         raise SchemaError(f"duplicate (id, year) keys in {csv_path}")
     return ds
 
@@ -353,7 +353,7 @@ def read_pixels_csv(path):
     cols = artifacts.read_csv(path, PIXELS_HEADER)
     return PixelTable(county_id=np.array(cols["county_id"]), date=np.array(cols["date"]),
                       **{name: cols.floats(name) for name in PIXELS_HEADER[2:7]},
-                      corn_mask=cols.ints("corn_mask").astype(bool))
+                      corn_mask=cols.bools("corn_mask"))
 
 
 def write_daily_csv(path, ids, dates, values):

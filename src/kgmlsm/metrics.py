@@ -3,7 +3,7 @@ signed-error reports used for over/underestimation diagnostics."""
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, ingest
 from .autodiff import ParamStore, Tensor, matmul, mean, relu, square
 from .errors import ShapeError
 from .optim import default_finetune_config, fit
@@ -37,14 +37,11 @@ def r2(y, y_hat):
 # baseline models on flattened sample features
 
 
-def sample_features(dataset):
-    """Flatten each sample to one vector: all series channel values in
-    channel-major order, then the auxiliaries (matches token order)."""
-    rows = []
-    for s in dataset.samples:
-        rows.append(np.concatenate([
-            s.weather.T.reshape(-1), s.vis.T.reshape(-1), s.sm.T.reshape(-1), s.aux]))
-    return np.stack(rows)
+def sample_features(arrays):
+    """Flatten each sample of stack_dataset arrays to one vector: all series
+    channel values in channel-major order, then the auxiliaries (matches
+    token order)."""
+    return np.hstack([ingest.channel_major(arrays), arrays["aux"]])
 
 
 def _standardize_features(train_x, *others):
@@ -74,19 +71,18 @@ def baseline_fit_predict(kind, train, test, val=None, seed=0, ridge_alpha=1.0):
     the val split for early stopping). Targets are standardized with
     train statistics and predictions mapped back to t/ha.
     """
-    train_x = sample_features(train)
-    test_x = sample_features(test)
-    train_y = np.array([s.yield_label for s in train.samples])
-    y_mu, y_sd = train_y.mean(), train_y.std()
+    train, test = ingest.stack_dataset(train), ingest.stack_dataset(test)
+    train_x, test_x = sample_features(train), sample_features(test)
+    y_mu, y_sd = train["y"].mean(), train["y"].std()
     y_sd = y_sd if y_sd > 1e-12 else 1.0
-    train_t = (train_y - y_mu) / y_sd
+    train_t = (train["y"] - y_mu) / y_sd
 
     kind = kind.lower()
     if kind == "mlp":
         if val is None:
             raise ValueError("mlp baseline needs a validation split")
-        val_x = sample_features(val)
-        val_y = (np.array([s.yield_label for s in val.samples]) - y_mu) / y_sd
+        val = ingest.stack_dataset(val)
+        val_x, val_y = sample_features(val), (val["y"] - y_mu) / y_sd
         train_x, test_x, val_x = _standardize_features(train_x, test_x, val_x)
         d, hidden = train_x.shape[1], 64
         rng = np.random.default_rng([seed, 773])
@@ -128,29 +124,24 @@ def baseline_fit_predict(kind, train, test, val=None, seed=0, ridge_alpha=1.0):
 def error_report(dataset, y_hat, sm_hat=None):
     """Per-sample signed errors plus drought/non-drought group means.
 
-    When sm_hat is given, each row also carries the sample's mean absolute
-    SM error so yield misses can be read against SM misses.
+    The rows are columns: "id", "year", "drought_flag", "y", "y_hat",
+    "signed_error" and "abs_error", one entry per sample. When sm_hat is
+    given, "sm_abs_error" holds each sample's mean absolute SM error so
+    yield misses can be read against SM misses.
     """
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if y_hat.shape != (len(dataset),):
         raise ShapeError(f"error_report: {y_hat.shape} predictions for {len(dataset)} samples")
-    rows = []
-    for i, s in enumerate(dataset.samples):
-        signed = float(y_hat[i] - s.yield_label)
-        row = {"id": s.sid, "year": s.year, "drought_flag": s.drought_flag,
-               "y": s.yield_label, "y_hat": float(y_hat[i]),
-               "signed_error": signed, "abs_error": abs(signed)}
-        if sm_hat is not None:
-            row["sm_abs_error"] = float(np.abs(sm_hat[i] - s.sm).mean())
-        rows.append(row)
+    a = ingest.stack_dataset(dataset)
+    signed = y_hat - a["y"]
+    rows = {"id": a["ids"], "year": a["years"], "drought_flag": a["drought"], "y": a["y"],
+            "y_hat": y_hat, "signed_error": signed, "abs_error": np.abs(signed)}
+    if sm_hat is not None:
+        rows["sm_abs_error"] = np.abs(sm_hat - a["s"]).reshape(len(signed), -1).mean(axis=1)
 
-    signed = np.array([r["signed_error"] for r in rows])
-    flags = np.array([r["drought_flag"] for r in rows], dtype=bool)
-    groups = {
-        "all": {"mean_signed_error": float(signed.mean()),
-                "mean_abs_error": float(np.abs(signed).mean()), "n": len(rows)},
-    }
-    for name, mask in (("drought", flags), ("non_drought", ~flags)):
+    groups = {}
+    for name, mask in (("all", np.ones_like(a["drought"])), ("drought", a["drought"]),
+                       ("non_drought", ~a["drought"])):
         if mask.any():
             groups[name] = {"mean_signed_error": float(signed[mask].mean()),
                             "mean_abs_error": float(np.abs(signed[mask]).mean()),
@@ -163,26 +154,26 @@ def error_report(dataset, y_hat, sm_hat=None):
 def score_seed(dataset, pred, seed):
     """Score one seed's model on dataset from its ModelBundle.predict output.
 
-    Returns the error rows, each tagged with the seed, and the per-seed
-    numbers: RMSE, R2 and the mean signed error over all samples and per
-    drought group. An empty drought group scores None, as in error_report.
+    Returns the error rows (columns, as in error_report), tagged with the
+    seed, and the per-seed numbers: RMSE, R2 and the mean signed error over
+    all samples and per drought group. An empty drought group scores None,
+    as in error_report.
     """
     rows, groups = error_report(dataset, pred["y_hat"], pred["sm_hat"])
-    for r in rows:
-        r["seed"] = seed
-    y = np.array([s.yield_label for s in dataset.samples])
+    rows = {"seed": np.full(len(dataset), seed), **rows}
     return rows, {
-        "rmse": rmse(y, pred["y_hat"]),
-        "r2": r2(y, pred["y_hat"]),
+        "rmse": rmse(rows["y"], pred["y_hat"]),
+        "r2": r2(rows["y"], pred["y_hat"]),
         "mean_signed_error": groups["all"]["mean_signed_error"],
         "mean_signed_error_drought": groups["drought"]["mean_signed_error"],
         "mean_signed_error_non_drought": groups["non_drought"]["mean_signed_error"],
     }
 
 
-def write_errors_csv(path, rows):
-    """One line per error row; seed and sm_abs_error columns when the rows carry them."""
+def write_errors_csv(path, tables):
+    """One line per error row of each table in turn (error_report or
+    score_seed rows); seed and sm_abs_error columns when the tables carry them."""
     header = ["seed", "id", "year", "drought_flag", "y", "y_hat", "signed_error", "abs_error",
               "sm_abs_error"]
-    header = [k for k in header if k in rows[0]] if rows else header[1:-1]
-    artifacts.write_csv(path, header, [[r[k] for r in rows] for k in header])
+    header = [k for k in header if k in tables[0]]
+    artifacts.write_csv(path, header, [np.concatenate([t[k] for t in tables]) for k in header])

@@ -29,6 +29,7 @@ from . import artifacts, ingest
 from .autodiff import (ParamStore, Tensor, concat, conv1d_k3, matmul, mul, pad_edge, pool_mean2,
                        relu, reshape, softmax_last, upsample_repeat2)
 from .errors import CheckpointMismatch, SchemaError, ShapeError
+from .ingest import stack_dataset
 
 T = ingest.N_WINDOWS  # 13
 
@@ -93,49 +94,38 @@ class Normalization:
     sm_const: np.ndarray = None
     aux_const: np.ndarray = None
 
-    def __post_init__(self):
-        for group, size in (("weather", 4), ("vi", 4), ("sm", 2), ("aux", 4)):
-            name = f"{group}_const"
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros(size, dtype=bool))
+    # (statistics group, stack_dataset key, axes reduced per channel)
+    GROUPS = (("weather", "w", (0, 1)), ("vi", "v", (0, 1)), ("sm", "s", (0, 1)),
+              ("aux", "aux", 0))
 
-    @staticmethod
-    def _guard(sd):
-        sd = np.asarray(sd, dtype=np.float64)
-        return np.where(sd < 1e-12, 1.0, sd)
+    def __post_init__(self):
+        for group, _, _ in self.GROUPS:
+            if getattr(self, f"{group}_const") is None:
+                setattr(self, f"{group}_const", np.zeros(len(getattr(self, f"{group}_mu")), bool))
 
     @classmethod
-    def from_dataset(cls, dataset):
-        weather = np.stack([s.weather for s in dataset.samples])  # (N, T, 4)
-        vis = np.stack([s.vis for s in dataset.samples])
-        sm = np.stack([s.sm for s in dataset.samples])
-        aux = np.stack([s.aux for s in dataset.samples])
-        y = np.array([s.yield_label for s in dataset.samples])
-        y_sd = float(y.std())
-        return cls(
-            weather_mu=weather.mean(axis=(0, 1)), weather_sd=cls._guard(weather.std(axis=(0, 1))),
-            vi_mu=vis.mean(axis=(0, 1)), vi_sd=cls._guard(vis.std(axis=(0, 1))),
-            sm_mu=sm.mean(axis=(0, 1)), sm_sd=cls._guard(sm.std(axis=(0, 1))),
-            aux_mu=aux.mean(axis=0), aux_sd=cls._guard(aux.std(axis=0)),
-            y_mu=float(y.mean()), y_sd=(y_sd if y_sd >= 1e-12 else 1.0),
-            weather_const=weather.std(axis=(0, 1)) < 1e-12,
-            vi_const=vis.std(axis=(0, 1)) < 1e-12,
-            sm_const=sm.std(axis=(0, 1)) < 1e-12,
-            aux_const=aux.std(axis=0) < 1e-12,
-        )
+    def from_arrays(cls, arrays):
+        """Statistics of stack_dataset arrays."""
+        kw = {}
+        for group, key, axes in cls.GROUPS:
+            sd = arrays[key].std(axis=axes)
+            kw[f"{group}_mu"] = arrays[key].mean(axis=axes)
+            kw[f"{group}_sd"] = np.where(sd < 1e-12, 1.0, sd)
+            kw[f"{group}_const"] = sd < 1e-12
+        y_sd = float(arrays["y"].std())
+        return cls(**kw, y_mu=float(arrays["y"].mean()), y_sd=(y_sd if y_sd >= 1e-12 else 1.0))
 
-    def refreshed_from(self, dataset):
+    def refreshed_from(self, arrays):
         """Copy with statistics of constant-at-fit channels replaced by
-        this dataset's; live channels keep their original scaling so the
-        pretrained weights still see the feature space they learned."""
-        fresh = Normalization.from_dataset(dataset)
+        those of these stack_dataset arrays; live channels keep their
+        original scaling so the pretrained weights still see the feature
+        space they learned."""
+        fresh = Normalization.from_arrays(arrays)
         out = Normalization.from_dict(self.to_dict())
-        for group in ("weather", "vi", "sm", "aux"):
+        for group, _, _ in self.GROUPS:
             mask = getattr(self, f"{group}_const")
-            if mask.any():
-                getattr(out, f"{group}_mu")[mask] = getattr(fresh, f"{group}_mu")[mask]
-                getattr(out, f"{group}_sd")[mask] = getattr(fresh, f"{group}_sd")[mask]
-                getattr(out, f"{group}_const")[mask] = getattr(fresh, f"{group}_const")[mask]
+            for part in ("mu", "sd", "const"):
+                getattr(out, f"{group}_{part}")[mask] = getattr(fresh, f"{group}_{part}")[mask]
         return out
 
     def to_dict(self):
@@ -286,28 +276,13 @@ def forward_graph(batch, params, config):
 
 
 # ---------------------------------------------------------------------------
-# dataset <-> arrays
-
-
-def stack_dataset(dataset):
-    return {
-        "w": np.stack([s.weather for s in dataset.samples]),
-        "v": np.stack([s.vis for s in dataset.samples]),
-        "s": np.stack([s.sm for s in dataset.samples]),
-        "aux": np.stack([s.aux for s in dataset.samples]),
-        "y": np.array([s.yield_label for s in dataset.samples]),
-        "sbar": np.array([s.sbar for s in dataset.samples]),
-        "drought": np.array([s.drought_flag for s in dataset.samples], dtype=bool),
-        "keys": [(s.sid, s.year) for s in dataset.samples],
-    }
+# stack_dataset arrays <-> z-scored space
 
 
 def standardize(arrays, stats):
     out = dict(arrays)
-    out["w"] = (arrays["w"] - stats.weather_mu) / stats.weather_sd
-    out["v"] = (arrays["v"] - stats.vi_mu) / stats.vi_sd
-    out["s"] = (arrays["s"] - stats.sm_mu) / stats.sm_sd
-    out["aux"] = (arrays["aux"] - stats.aux_mu) / stats.aux_sd
+    for group, key, _ in Normalization.GROUPS:
+        out[key] = (arrays[key] - getattr(stats, f"{group}_mu")) / getattr(stats, f"{group}_sd")
     out["y_std"] = (arrays["y"] - stats.y_mu) / stats.y_sd
     return out
 

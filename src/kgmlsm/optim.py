@@ -96,6 +96,8 @@ class StageConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be >= 1")
 
 
 def default_finetune_config():

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import artifacts, losses, metrics, model
+from . import artifacts, ingest, losses, metrics, model
 from .errors import CheckpointMismatch, ConfigError, TrainingDiverged
 from .optim import StageConfig, fit  # noqa: F401 (StageConfig is re-exported for callers)
 
@@ -20,6 +20,10 @@ class SplitSpec:
     train_fraction: float = 0.8
     shuffle_seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError(f"train.train_fraction must be in (0, 1), not {self.train_fraction}")
+
     def to_meta(self):
         """What a finetune checkpoint records of the split it was trained on."""
         return {"target_year": self.target_year, "split_seed": self.shuffle_seed,
@@ -28,28 +32,29 @@ class SplitSpec:
 
 @dataclass
 class Split:
-    train: "model.ingest.Dataset"
-    val: "model.ingest.Dataset"
-    test: "model.ingest.Dataset"
+    train: ingest.Dataset
+    val: ingest.Dataset
+    test: ingest.Dataset
 
 
 def temporal_split(dataset, spec):
     """Test = all target-year samples; earlier years shuffled then cut
     train_fraction/rest. Years after the target never enter any part."""
-    years = {s.year for s in dataset.samples}
+    years = ingest.stack_dataset(dataset)["years"]
     if spec.target_year not in years:
-        raise ConfigError(f"target year {spec.target_year} absent from dataset years {sorted(years)}")
-    test = [s for s in dataset.samples if s.year == spec.target_year]
-    pre = [s for s in dataset.samples if s.year < spec.target_year]
-    if not pre:
+        raise ConfigError(f"target year {spec.target_year} absent from dataset years "
+                          f"{np.unique(years).tolist()}")
+    pre = np.flatnonzero(years < spec.target_year)
+    if not len(pre):
         raise ConfigError(f"no samples precede the target year {spec.target_year}")
-    rng = np.random.default_rng([spec.shuffle_seed, 211])
-    order = rng.permutation(len(pre))
+    order = pre[np.random.default_rng([spec.shuffle_seed, 211]).permutation(len(pre))]
     n_train = int(np.floor(spec.train_fraction * len(pre)))
-    train = [pre[i] for i in order[:n_train]]
-    val = [pre[i] for i in order[n_train:]]
-    mk = lambda samples: type(dataset)(level=dataset.level, samples=samples)
-    return Split(train=mk(train), val=mk(val), test=mk(test))
+    if not 0 < n_train < len(pre):
+        raise ConfigError(f"train.train_fraction {spec.train_fraction} of the {len(pre)} samples "
+                          f"before {spec.target_year} leaves {n_train} to train on and "
+                          f"{len(pre) - n_train} to validate on; both need at least one")
+    return Split(train=dataset.subset(order[:n_train]), val=dataset.subset(order[n_train:]),
+                 test=dataset.subset(np.flatnonzero(years == spec.target_year)))
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +97,7 @@ def model_config_for(variant, sizes=None):
 
 
 def _take(arrays, idx):
-    out = {}
-    for k, v in arrays.items():
-        if k == "keys":
-            continue
-        out[k] = v[idx]
-    return out
+    return {k: v[idx] for k, v in arrays.items()}
 
 
 def _compute_loss(batch, params, mconfig, variant, loss_cfg):
@@ -150,9 +150,10 @@ def pretrain(field_dataset, stage_cfg, loss_cfg, variant, sizes, seed):
     if not variant.use_pretrain:
         raise ValueError(f"variant {variant.name} does not pretrain")
     mconfig = model_config_for(variant, sizes)
-    stats = model.Normalization.from_dataset(field_dataset)
+    arrays = ingest.stack_dataset(field_dataset)
+    stats = model.Normalization.from_arrays(arrays)
     params = model.init_params(mconfig, seed)
-    arrays = model.standardize(model.stack_dataset(field_dataset), stats)
+    arrays = model.standardize(arrays, stats)
 
     def batch_loss(idx):
         return _compute_loss(_take(arrays, idx), params, mconfig, variant, loss_cfg)[0]
@@ -185,6 +186,7 @@ def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, varian
     parameters. Returns (ModelBundle, per-epoch rows, Split)."""
     mconfig = model_config_for(variant, sizes)
     split = temporal_split(county_dataset, split_spec)
+    train_arrays = ingest.stack_dataset(split.train)
 
     if checkpoint is not None:
         if checkpoint.config.to_dict() != mconfig.to_dict():
@@ -194,15 +196,15 @@ def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, varian
         params.load_arrays(checkpoint.params.to_arrays())
         # channels that were constant at pretraining (zeroed VIs) carried
         # no scaling information; take their statistics from this split
-        stats = checkpoint.stats.refreshed_from(split.train)
+        stats = checkpoint.stats.refreshed_from(train_arrays)
     else:
         # from-scratch run (variants without pretraining, or paired
         # pretrained-vs-scratch comparisons of the same architecture)
         params = model.init_params(mconfig, seed)
-        stats = model.Normalization.from_dataset(split.train)
+        stats = model.Normalization.from_arrays(train_arrays)
 
-    train_arrays = model.standardize(model.stack_dataset(split.train), stats)
-    val_arrays = model.standardize(model.stack_dataset(split.val), stats)
+    train_arrays = model.standardize(train_arrays, stats)
+    val_arrays = model.standardize(ingest.stack_dataset(split.val), stats)
 
     def batch_loss(idx):
         return _compute_loss(_take(train_arrays, idx), params, mconfig, variant, loss_cfg)[0]

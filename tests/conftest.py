@@ -34,6 +34,12 @@ def make_dataset(rng, n=10, level="county", years=(2019, 2020, 2021), vis_zero=F
     return ds
 
 
+def datasets_equal(a, b):
+    """Same level and the same stack_dataset arrays, field by field."""
+    xa, xb = ingest.stack_dataset(a), ingest.stack_dataset(b)
+    return a.level == b.level and all(np.array_equal(xa[k], xb[k]) for k in xa)
+
+
 @pytest.fixture(scope="session")
 def tiny_field():
     """24 simulated station-years, enough for fast model tests."""

@@ -55,7 +55,7 @@ def test_criterion_1_gradient_oracle():
                                         {"normal": 0.6, "drought": 0.4}, seed=5)
     sub = ingest.Dataset(level="field", samples=field.samples[:3])
     cfg = model.ModelConfig()  # full default architecture
-    stats = model.Normalization.from_dataset(sub)
+    stats = model.Normalization.from_arrays(ingest.stack_dataset(sub))
     batch = model.standardize(model.stack_dataset(sub), stats)
     lcfg = losses.LossConfig(lam=2.0)
 
@@ -122,14 +122,14 @@ def test_criterion_3_filtering_contract():
     kept, discarded, report = filtering.screen_field_samples(ds, zero_model, 0.5)
     boundary_ok = ([s.sid for s in discarded.samples] == ["f2"]
                    and [s.sid for s in kept.samples] == ["f0", "f1"]
-                   and report[1]["mse"] == 0.5)
+                   and report["mse"][1] == 0.5)
     kept2, discarded2, _ = filtering.screen_field_samples(kept, zero_model, 0.5)
     idempotent = len(discarded2) == 0 and kept2.key_set() == kept.key_set()
     sizes = [len(filtering.screen_field_samples(ds, zero_model, t)[0])
              for t in (0.7, 0.5, 0.45, 0.3)]
     monotone = sizes == sorted(sizes, reverse=True)
     check("criterion 3: filtering contract", boundary_ok and idempotent and monotone,
-          f"mses {[round(r['mse'], 12) for r in report]}, kept sizes by threshold {sizes}")
+          f"mses {np.round(report['mse'], 12).tolist()}, kept sizes by threshold {sizes}")
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,23 @@ def test_unparsable_number_names_file_and_column(tmp_path):
         cols.ints("b")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_float_names_file_and_column(cell, tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text(f"a\n1.5\n{cell}\n")
+    with pytest.raises(SchemaError, match=r"f\.csv: column 'a' has a cell that is not a finite"):
+        artifacts.read_csv(path, ["a"]).floats("a")
+
+
+def test_flags_are_0_or_1(tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text("ok,bad\n1,0\n0,2\n")
+    cols = artifacts.read_csv(path, ["ok", "bad"])
+    assert cols.bools("ok").tolist() == [True, False]
+    with pytest.raises(SchemaError, match=r"b\.csv: column 'bad' has a cell that is not 0 or 1"):
+        cols.bools("bad")
+
+
 def test_columns_of_unequal_length_rejected(tmp_path):
     with pytest.raises(ShapeError):
         artifacts.write_csv(tmp_path / "u.csv", ["a", "b"], [[1, 2], [3]])

@@ -12,7 +12,7 @@ from kgmlsm.attnreport import (category_average, category_report, drought_distri
 def extraction(tiny_county):
     cfg = model.ModelConfig()
     params = model.init_params(cfg, 21)
-    stats = model.Normalization.from_dataset(tiny_county)
+    stats = model.Normalization.from_arrays(ingest.stack_dataset(tiny_county))
     bundle = model.ModelBundle(config=cfg, params=params, stats=stats)
     return attnreport.extract(bundle, tiny_county), bundle, tiny_county
 
@@ -31,8 +31,8 @@ class TestExtract:
 
     def test_sm_tokens_only_in_sm_variants(self, tiny_county):
         cfg = model.ModelConfig(use_sm_tokens=False, use_w2s=False)
-        bundle = model.ModelBundle(config=cfg, params=model.init_params(cfg, 0),
-                                   stats=model.Normalization.from_dataset(tiny_county))
+        stats = model.Normalization.from_arrays(ingest.stack_dataset(tiny_county))
+        bundle = model.ModelBundle(config=cfg, params=model.init_params(cfg, 0), stats=stats)
         ext = attnreport.extract(bundle, tiny_county)
         channels = {ch for ch, _ in ext["labels"]}
         assert not channels & set(ingest.SM_CHANNELS)

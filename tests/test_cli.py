@@ -279,6 +279,17 @@ BAD_INPUTS = {
     "seeds_string": (["finetune"], {"seeds": "ab"}, "config key seeds must be a non-empty list"),
     "seeds_repeated": (["finetune"], {"seeds": [0, 0]},
                        "config key seeds must be a non-empty list of distinct ints"),
+    **{f"train_fraction_{f}": (["finetune", "--variant", "att"], {"train": {"train_fraction": f}},
+                               "train.train_fraction must be in (0, 1)")
+       for f in (0.0, 1.0, 1.5, -0.2)},
+    # 0.05 of the 18 samples before 2022 is no whole sample
+    "train_fraction_empty_train": (["finetune", "--variant", "att"],
+                                   {"train": {"train_fraction": 0.05}},
+                                   "leaves 0 to train on and 18 to validate on"),
+    "pretrain_max_epochs": (["pretrain"], {"train": {"pretrain": {"max_epochs": 0}}},
+                            "max_epochs must be >= 1"),
+    "finetune_max_epochs": (["finetune"], {"train": {"finetune": {"max_epochs": 0}}},
+                            "max_epochs must be >= 1"),
 }
 
 
@@ -291,6 +302,31 @@ def test_bad_input_exits_1_with_error_line(case, micro_run, tmp_path, capsys):
     assert cli.main(argv + ["--config", cfg_path, "--run-dir", run_dir]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_zero_epochs_leave_the_trained_checkpoints_alone(micro_run, tmp_path, capsys):
+    _, paths, _, _ = micro_run
+    run_dir = _copy_run(paths, tmp_path / "run")
+    trained = [os.path.join(run_dir, stage, "seed0", name) for stage in ("pretrain", "finetune")
+               for name in ("model.json", "model.bin")]
+    before = [open(p, "rb").read() for p in trained]
+    for stage in ("pretrain", "finetune"):
+        train = json.loads(json.dumps(MICRO["train"]))
+        train[stage]["max_epochs"] = 0
+        cfg_path = micro_config(tmp_path, run_name=f"zero_{stage}", train=train)
+        assert cli.main([stage, "--config", cfg_path, "--run-dir", run_dir]) == 1
+        assert capsys.readouterr().err.startswith("error: max_epochs must be >= 1")
+    assert [open(p, "rb").read() for p in trained] == before
+
+
+def test_filter_that_keeps_nothing_writes_nothing(micro_run, tmp_path, capsys):
+    _, paths, _, _ = micro_run
+    run_dir = _copy_run(paths, tmp_path / "run")
+    cfg_path = micro_config(tmp_path, run_name="keep_none", filter={"threshold": -1})
+    assert cli.main(["filter", "--config", cfg_path, "--run-dir", run_dir]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: filter.threshold -1.0 keeps none of the ")
+    assert not os.path.exists(os.path.join(run_dir, "filter"))
 
 
 @pytest.mark.parametrize("command,stage", [("finetune", "pretrain"), ("evaluate", "finetune"),
@@ -393,6 +429,18 @@ BAD_FILES = {
     "samples_bad_cell": ("evaluate", os.path.join("data", "county_samples.csv"),
                          lambda p: _set_cell(p, 4, "w_5", "abc"),
                          "county_samples.csv: column 'w_5'"),
+    "samples_nan_yield": ("evaluate", os.path.join("data", "county_samples.csv"),
+                          lambda p: _set_cell(p, 4, "yield", "nan"),
+                          "county_samples.csv: column 'yield' has a cell that is not a finite"),
+    "samples_inf_weather": ("evaluate", os.path.join("data", "county_samples.csv"),
+                            lambda p: _set_cell(p, 4, "w_5", "inf"),
+                            "county_samples.csv: column 'w_5' has a cell that is not a finite"),
+    "samples_flag_2": ("evaluate", os.path.join("data", "county_samples.csv"),
+                       lambda p: _set_cell(p, 4, "drought_flag", "2"),
+                       "county_samples.csv: column 'drought_flag' has a cell that is not 0 or 1"),
+    "pixels_mask_2": ("ingest", os.path.join("data", "pixels.csv"),
+                      lambda p: _set_cell(p, 4, "corn_mask", "2"),
+                      "pixels.csv: column 'corn_mask' has a cell that is not 0 or 1"),
 }
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import datasets_equal
 from kgmlsm import cropsim, ingest
-from kgmlsm.ingest import datasets_equal
 
 
 class TestManagement:

@@ -89,13 +89,14 @@ class TestScore:
         s = make_sample(rng)
         s.weather = w
         s.sm = model.predict(w)
-        assert filtering.score_sample(model, s) == pytest.approx(0.0, abs=1e-20)
+        assert filtering.score_samples(model, s.weather, s.sm) == pytest.approx(0.0, abs=1e-20)
 
     def test_uniform_half_error_scores_quarter(self):
         rng = np.random.default_rng(5)
         s = make_sample(rng)
         s.sm = np.full((13, 2), 0.5)  # zero model predicts 0 everywhere
-        assert filtering.score_sample(_zero_model(), s) == pytest.approx(0.25, abs=1e-15)
+        assert filtering.score_samples(_zero_model(), s.weather, s.sm) == pytest.approx(0.25,
+                                                                                   abs=1e-15)
 
     def test_score_invariant_under_consistent_permutation(self):
         rng = np.random.default_rng(6)
@@ -105,8 +106,19 @@ class TestScore:
         s2.weather = s.weather[perm]
         s2.sm = s.sm[perm]
         model = _zero_model()
-        assert filtering.score_sample(model, s) == pytest.approx(
-            filtering.score_sample(model, s2), abs=1e-15)
+        assert filtering.score_samples(model, s.weather, s.sm) == pytest.approx(
+            filtering.score_samples(model, s2.weather, s2.sm), abs=1e-15)
+
+
+def test_batched_scores_equal_the_per_sample_scores():
+    rng = np.random.default_rng(14)
+    ds = _dataset_from([rng.uniform(0, 30, (13, 4)) for _ in range(12)],
+                       [rng.uniform(0.05, 0.55, (13, 2)) for _ in range(12)])
+    model = filtering.fit_sm_regressor(ds)
+    a = ingest.stack_dataset(ds)
+    batched = filtering.score_samples(model, a["w"], a["s"])
+    one_by_one = [filtering.score_samples(model, s.weather, s.sm) for s in ds.samples]
+    assert batched.tolist() == one_by_one
 
 
 def _mse_dataset(mses):
@@ -136,8 +148,8 @@ class TestScreen:
         kept, discarded, report = filtering.screen_field_samples(ds, _zero_model(), 0.5)
         assert [s.sid for s in kept.samples] == ["m0", "m1"]  # 0.5 itself is kept
         assert [s.sid for s in discarded.samples] == ["m2"]
-        assert report[1]["mse"] == 0.5
-        np.testing.assert_allclose([r["mse"] for r in report], [0.4, 0.5, 0.6], atol=1e-12)
+        assert report["mse"][1] == 0.5
+        np.testing.assert_allclose(report["mse"], [0.4, 0.5, 0.6], atol=1e-12)
 
     def test_partition_exhaustive_and_disjoint(self):
         rng = np.random.default_rng(8)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, make_sample
+from conftest import datasets_equal, make_dataset, make_sample
 from kgmlsm import ingest
 from kgmlsm.errors import MissingCoverage, SchemaError, ShapeError
 
@@ -199,6 +199,35 @@ class TestDroughtLabels:
             assert any(s.drought_flag for s in group)
 
 
+class TestStackDataset:
+    def test_rows_are_the_samples_fields(self):
+        rng = np.random.default_rng(12)
+        ds = make_dataset(rng, n=7)
+        ingest.label_drought(ds)
+        a = ingest.stack_dataset(ds)
+        series = ingest.channel_major(a)
+        for i, s in enumerate(ds.samples):
+            assert (a["ids"][i], a["years"][i]) == (s.sid, s.year)
+            assert a["aux"][i].tolist() == [s.year, s.lat, s.lon, s.hist_avg_yield]
+            assert (a["y"][i], a["sbar"][i], a["drought"][i]) == (s.yield_label, s.sbar,
+                                                                  s.drought_flag)
+            for key, field in (("w", s.weather), ("v", s.vis), ("s", s.sm)):
+                np.testing.assert_array_equal(a[key][i], field)
+            np.testing.assert_array_equal(
+                series[i], np.concatenate([s.weather.T.ravel(), s.vis.T.ravel(), s.sm.T.ravel()]))
+
+    def test_empty_dataset_stacks_to_empty_arrays(self):
+        a = ingest.stack_dataset(ingest.Dataset(level="field"))
+        assert a["w"].shape == (0, ingest.N_WINDOWS, 4) and a["aux"].shape == (0, 4)
+        assert ingest.channel_major(a).shape == (0, 10 * ingest.N_WINDOWS)
+
+    def test_subset_keeps_order_and_level(self):
+        rng = np.random.default_rng(13)
+        ds = make_dataset(rng, n=5, level="field")
+        sub = ds.subset([3, 0])
+        assert sub.level == "field" and [s.sid for s in sub.samples] == ["u003", "u000"]
+
+
 class TestCsvRoundTrip:
     def test_samples_round_trip_exactly(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -207,7 +236,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "samples.csv"
         ingest.write_samples_csv(ds, path)
         back = ingest.read_samples_csv(path)
-        assert ingest.datasets_equal(ds, back)
+        assert datasets_equal(ds, back)
 
     def test_stale_sbar_detected(self, tmp_path):
         rng = np.random.default_rng(9)

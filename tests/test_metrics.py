@@ -68,7 +68,7 @@ class TestBaselines:
     def _linear_dataset(self, rng, n=220, years=(2019, 2020, 2021)):
         # n must exceed the 134 flattened features for a determined system
         ds = make_dataset(rng, n=n, years=years)
-        x = sample_features(ds)
+        x = sample_features(ingest.stack_dataset(ds))
         w = rng.normal(scale=0.02, size=x.shape[1])
         for i, s in enumerate(ds.samples):
             s.yield_label = float(x[i] @ w + 3.0)
@@ -128,7 +128,7 @@ class TestErrorReport:
         ds = make_dataset(rng, n=6)
         y = np.array([s.yield_label for s in ds.samples])
         rows, groups = error_report(ds, y)
-        assert all(r["signed_error"] == 0.0 for r in rows)
+        assert np.all(rows["signed_error"] == 0.0)
         assert groups["all"]["mean_signed_error"] == 0.0
 
     def test_plus_minus_one(self):
@@ -156,8 +156,10 @@ class TestErrorReport:
         y = np.array([s.yield_label for s in ds.samples])
         sm_hat = np.stack([s.sm for s in ds.samples]) + 0.1
         rows, _ = error_report(ds, y, sm_hat=sm_hat)
-        for r in rows:
-            assert r["sm_abs_error"] == pytest.approx(0.1, abs=1e-12)
+        np.testing.assert_allclose(rows["sm_abs_error"], 0.1, atol=1e-12)
+        # the batched mean is the per-sample mean, bit for bit
+        assert rows["sm_abs_error"].tolist() == [float(np.abs(sm_hat[i] - s.sm).mean())
+                                                 for i, s in enumerate(ds.samples)]
 
     def test_misalignment_rejected(self):
         rng = np.random.default_rng(13)
@@ -171,7 +173,7 @@ class TestErrorReport:
         y = np.array([s.yield_label for s in ds.samples])
         rows, _ = error_report(ds, y)
         path = tmp_path / "errors.csv"
-        metrics.write_errors_csv(path, rows)
+        metrics.write_errors_csv(path, [rows])
         lines = path.read_text().splitlines()
         assert lines[0].startswith("id,year,drought_flag")
         assert len(lines) == 4

@@ -9,8 +9,12 @@ from kgmlsm.gradcheck import check_param_gradients
 SMALL = dict(d_model=8, d_k=8, enc_width1=4, enc_width2=8, dec_width=4)
 
 
+def _stats(dataset):
+    return model.Normalization.from_arrays(ingest.stack_dataset(dataset))
+
+
 def _std_batch(dataset, stats=None, config=None):
-    stats = stats or model.Normalization.from_dataset(dataset)
+    stats = stats or _stats(dataset)
     return model.standardize(model.stack_dataset(dataset), stats), stats
 
 
@@ -166,7 +170,7 @@ class TestPredict:
     def test_composition_consistency(self, tiny_field):
         cfg = model.ModelConfig()
         params = model.init_params(cfg, 6)
-        stats = model.Normalization.from_dataset(tiny_field)
+        stats = _stats(tiny_field)
         bundle = model.ModelBundle(config=cfg, params=params, stats=stats)
         pred = bundle.predict(tiny_field)
 
@@ -182,7 +186,7 @@ class TestPredict:
 
     def test_field_vi_tokens_are_zero(self, tiny_field):
         cfg = model.ModelConfig()
-        stats = model.Normalization.from_dataset(tiny_field)
+        stats = _stats(tiny_field)
         batch = model.standardize(model.stack_dataset(tiny_field), stats)
         assert np.all(batch["v"] == 0.0)
         params = model.init_params(cfg, 0)
@@ -234,7 +238,7 @@ class TestGraphFreePredict:
 
         monkeypatch.setattr(model, "forward_graph", recording)
         bundle = model.ModelBundle(config=cfg, params=params,
-                                   stats=model.Normalization.from_dataset(tiny_field))
+                                   stats=_stats(tiny_field))
         bundle.predict(tiny_field)
         assert len(outputs) == 3
         for t in outputs:
@@ -283,16 +287,15 @@ class TestGradients:
 
 class TestNormalization:
     def test_round_trip_through_dict(self, tiny_field):
-        stats = model.Normalization.from_dataset(tiny_field)
+        stats = _stats(tiny_field)
         back = model.Normalization.from_dict(stats.to_dict())
         np.testing.assert_array_equal(stats.vi_mu, back.vi_mu)
         np.testing.assert_array_equal(stats.vi_const, back.vi_const)
         assert back.vi_const.all()  # field VIs are constant zero
 
     def test_refresh_replaces_only_constant_channels(self, tiny_field, tiny_county):
-        field_stats = model.Normalization.from_dataset(tiny_field)
-        refreshed = field_stats.refreshed_from(
-            type(tiny_county)(level="county", samples=tiny_county.samples[:20]))
+        field_stats = _stats(tiny_field)
+        refreshed = field_stats.refreshed_from(ingest.stack_dataset(tiny_county.subset(range(20))))
         np.testing.assert_array_equal(refreshed.weather_mu, field_stats.weather_mu)
         assert not np.array_equal(refreshed.vi_mu, field_stats.vi_mu)
         assert not refreshed.vi_const.any()
@@ -302,7 +305,7 @@ class TestCheckpoints:
     def test_round_trip(self, tiny_field, tmp_path):
         cfg = model.ModelConfig(**SMALL)
         params = model.init_params(cfg, 9)
-        stats = model.Normalization.from_dataset(tiny_field)
+        stats = _stats(tiny_field)
         bundle = model.ModelBundle(config=cfg, params=params, stats=stats,
                                    meta={"stage": "pretrain", "seed": 9})
         stem = tmp_path / "model"
@@ -319,7 +322,7 @@ class TestCheckpoints:
     def test_architecture_mismatch_rejected(self, tiny_field, tmp_path):
         cfg = model.ModelConfig(**SMALL)
         bundle = model.ModelBundle(config=cfg, params=model.init_params(cfg, 0),
-                                   stats=model.Normalization.from_dataset(tiny_field))
+                                   stats=_stats(tiny_field))
         stem = tmp_path / "model"
         model.save_checkpoint(stem, bundle)
         with pytest.raises(CheckpointMismatch):
@@ -328,7 +331,7 @@ class TestCheckpoints:
     def test_truncated_blob_rejected(self, tiny_field, tmp_path):
         cfg = model.ModelConfig(**SMALL)
         bundle = model.ModelBundle(config=cfg, params=model.init_params(cfg, 0),
-                                   stats=model.Normalization.from_dataset(tiny_field))
+                                   stats=_stats(tiny_field))
         stem = tmp_path / "model"
         _, bin_path = model.save_checkpoint(stem, bundle)
         blob = open(bin_path, "rb").read()

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_dataset
 from kgmlsm import ingest, losses, model, training
-from kgmlsm.errors import CheckpointMismatch
+from kgmlsm.errors import CheckpointMismatch, ConfigError
 from kgmlsm.training import (SplitSpec, StageConfig, VARIANTS, get_variant, pretrain,
                              finetune, run_experiment, temporal_split)
 
@@ -77,6 +77,22 @@ class TestTemporalSplit:
             assert all(s.year < 2022 for s in part.samples)
         assert not any(s.year == 2023 for s in split.test.samples)
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2])
+    def test_fraction_outside_the_open_unit_interval_rejected(self, fraction):
+        with pytest.raises(ConfigError, match=r"train_fraction must be in \(0, 1\)"):
+            SplitSpec(target_year=2021, train_fraction=fraction)
+
+    def test_empty_train_part_rejected(self):
+        rng = np.random.default_rng(6)
+        ds = make_dataset(rng, n=10, years=(2020, 2021))
+        with pytest.raises(ConfigError, match="leaves 0 to train on and 5 to validate on"):
+            temporal_split(ds, SplitSpec(target_year=2021, train_fraction=0.1))
+
+
+def test_stage_config_needs_an_epoch():
+    with pytest.raises(ConfigError, match="max_epochs must be >= 1"):
+        StageConfig(batch_size=8, max_epochs=0)
+
 
 class TestVariants:
     def test_all_six_rows_exist(self):
@@ -96,7 +112,7 @@ class TestVariants:
     def test_smw_variant_equals_kgml_at_lambda_zero(self, tiny_field):
         cfg = training.model_config_for(get_variant("kgml_sm"), SMALL)
         params = model.init_params(cfg, 0)
-        stats = model.Normalization.from_dataset(tiny_field)
+        stats = model.Normalization.from_arrays(ingest.stack_dataset(tiny_field))
         batch = model.standardize(model.stack_dataset(tiny_field), stats)
         smw_loss, _ = training._compute_loss(batch, params, cfg, get_variant("att_sim_w2s_smw"),
                                              losses.LossConfig(lam=2.0))

@@ -2,10 +2,12 @@
 
 CSV: a header row, then one `\\r\\n`-terminated row per record. Floats are
 the shortest `repr` that reads back to the same float64, bools `0`/`1`,
-ints `str`, and `None` an empty cell. JSON: `indent=2`, sorted keys and a
-trailing newline. Each file is written beside its path and moved into place
-with `os.replace`, so a failed write leaves the previous file as it was;
-missing parent directories are created first.
+ints `str`, and `None` an empty cell; text is quoted as the csv module's
+QUOTE_MINIMAL does, so the bytes are those `csv.writer` would write.
+JSON: `indent=2`, sorted keys and a trailing newline. Each file is written
+beside its path and moved into place with `os.replace`, so a failed write
+leaves the previous file as it was; missing parent directories are created
+first.
 Readers raise SchemaError, naming the file, on anything off-schema, a
 non-finite float or a flag other than 0/1 included.
 """
@@ -19,7 +21,9 @@ import numpy as np
 
 from .errors import SchemaError, ShapeError
 
-_CHUNK_ROWS = 1 << 16  # rows formatted at a time, to bound the memory text takes
+_CHUNK_ROWS = 1 << 14  # rows formatted at a time, to bound the memory text takes
+_SPECIAL = (",", '"', "\r", "\n")  # characters that make csv quote a cell
+_FLAGS = ("0", "1")
 
 
 @contextlib.contextmanager
@@ -63,16 +67,36 @@ def _cell(value):
     return "" if value is None else str(value)
 
 
+def _quoted(cells):
+    """Text cells as csv's QUOTE_MINIMAL writes them: a cell holding `,`, `"`,
+    `\\r` or `\\n` goes in quotes, with its own quotes doubled."""
+    text = "".join(cells)
+    if not any(c in text for c in _SPECIAL):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if any(s in c for s in _SPECIAL) else c
+            for c in cells]
+
+
 def _cells(column):
+    """A column's cells as CSV text; only text can need quoting, so only text is scanned."""
     if isinstance(column, np.ndarray):
         kind, column = column.dtype.kind, column.tolist()
         if kind == "f":
             return list(map(repr, column))
         if kind == "b":
-            return [("0", "1")[v] for v in column]
-        if kind in "iuU":
+            return list(map(_FLAGS.__getitem__, column))
+        if kind in "iu":
             return list(map(str, column))
-    return list(map(_cell, column))
+    if set(map(type, column)) <= {str}:
+        return _quoted(list(map(str, column)))
+    return _quoted(list(map(_cell, column)))
+
+
+def _lines(columns):
+    """Rows given as per-column cell texts, joined into CSV lines."""
+    if len(columns) == 1:  # csv writes a row of one empty cell as ""
+        return "\r\n".join([c or '""' for c in columns[0]]) + "\r\n"
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
 
 def write_csv(path, header, columns):
@@ -81,10 +105,9 @@ def write_csv(path, header, columns):
     if len(columns) != len(header) or len(n_rows) > 1:
         raise ShapeError(f"{path}: columns of lengths {[len(c) for c in columns]} for {header}")
     with _replacing(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
+        f.write(_lines([_quoted([name]) for name in header]))
         for lo in range(0, n_rows.pop() if n_rows else 0, _CHUNK_ROWS):
-            writer.writerows(zip(*[_cells(c[lo: lo + _CHUNK_ROWS]) for c in columns]))
+            f.write(_lines([_cells(c[lo: lo + _CHUNK_ROWS]) for c in columns]))
 
 
 class Columns(dict):

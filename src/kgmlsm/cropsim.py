@@ -342,8 +342,10 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
     season = ingest.season_slice
     start = ingest.SEASON_START_DOY
 
-    pixel_cols = {name: [] for name in ingest.PIXELS_HEADER}
-    daily_ids, daily_dates, daily_values = [], [], []
+    nd, n_px = ingest.SEASON_DAYS, PIXELS_PER_COUNTY
+    season_dates = {year: np.array([date_str(year, start + d) for d in range(nd)])
+                    for year in years}
+    kept, daily_values, bands = [], [], []  # one entry per county-year written
     truth_rows = []
 
     keys = [(c, year) for c in range(n_counties) for year in all_years]
@@ -359,12 +361,11 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
             continue
         hist = float(np.mean([history[c, y] for y in range(year - 5, year)]))
         truth_rows.append((sid, year, lat, lon, county_yield, hist))
+        kept.append((sid, year))
 
-        dates = [date_str(year, start + d) for d in range(ingest.SEASON_DAYS)]
         # gridded-product observation noise: the county record is a
         # noisy view of the true weather/SM that drove the simulation
         obs = _rng(seed, "county_obs", c, year)
-        nd = ingest.SEASON_DAYS
         sradn = np.clip(season(weather.radn) + obs.normal(0, 1.5, nd), 0.1, None)
         stmax = season(weather.tmax) + obs.normal(0, 0.8, nd)
         stmin = np.minimum(season(weather.tmin) + obs.normal(0, 0.8, nd), stmax)
@@ -372,33 +373,24 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
                        + obs.normal(0, 0.3, nd), 0.0, None)
         ssm_s = np.clip(season(sim.sm_surface) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
         ssm_r = np.clip(season(sim.sm_rootzone) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
-        daily_ids += [sid] * nd
-        daily_dates += dates
         daily_values.append(np.stack([sradn, stmax, stmin, sppt, ssm_s, ssm_r], axis=1))
 
         px_rng = _rng(seed, "county_pixels", c, year)
         scanopy = season(canopy)
         true_sm_s = season(sim.sm_surface)  # reflectance follows the true state
-        for p in range(PIXELS_PER_COUNTY):
-            corn = p < PIXELS_PER_COUNTY - 1
-            red, nir, blue, green, swir = _pixel_reflectances(px_rng, scanopy, true_sm_s, corn)
-            pixel_cols["county_id"].extend([sid] * ingest.SEASON_DAYS)
-            pixel_cols["date"].extend(dates)
-            pixel_cols["red"].extend(red.tolist())
-            pixel_cols["nir"].extend(nir.tolist())
-            pixel_cols["blue"].extend(blue.tolist())
-            pixel_cols["green"].extend(green.tolist())
-            pixel_cols["swir"].extend(swir.tolist())
-            pixel_cols["corn_mask"].extend([corn] * ingest.SEASON_DAYS)
+        bands.append(np.array([_pixel_reflectances(px_rng, scanopy, true_sm_s, p < n_px - 1)
+                               for p in range(n_px)]))
 
+    # rows: county-year, then pixel, then day; bands is (county-years, pixels, 5, days)
+    sids = np.array([sid for sid, _ in kept], dtype=str)
+    dates = np.array([season_dates[year] for _, year in kept], dtype=str).reshape(-1, 1, nd)
+    bands = np.array(bands).reshape(len(kept), n_px, 5, nd)
     table = ingest.PixelTable(
-        county_id=np.array(pixel_cols["county_id"]),
-        date=np.array(pixel_cols["date"]),
-        red=np.array(pixel_cols["red"]), nir=np.array(pixel_cols["nir"]),
-        blue=np.array(pixel_cols["blue"]), green=np.array(pixel_cols["green"]),
-        swir=np.array(pixel_cols["swir"]),
-        corn_mask=np.array(pixel_cols["corn_mask"], dtype=bool))
+        county_id=np.repeat(sids, n_px * nd),
+        date=np.tile(dates, (1, n_px, 1)).ravel(),
+        **{name: bands[:, :, i].ravel() for i, name in enumerate(ingest.PIXELS_HEADER[2:7])},
+        corn_mask=np.tile(np.repeat(np.arange(n_px) < n_px - 1, nd), len(kept)))
     ingest.write_pixels_csv(pixels_path, table)
-    ingest.write_daily_csv(daily_path, daily_ids, daily_dates, daily_values)
+    ingest.write_daily_csv(daily_path, np.repeat(sids, nd), dates.ravel(), daily_values)
     ingest.write_truth_csv(truth_path, truth_rows)
     return table

@@ -108,50 +108,31 @@ class PixelTable:
         return len(self.county_id)
 
 
-def spatial_average(pixels, county_id, date):
-    """County-date mean of each VI over corn-masked, valid pixels.
-
-    Raises MissingCoverage when no masked pixel exists (or a channel has
-    no valid masked pixel) for the county-date.
-    """
-    sel = (pixels.county_id == county_id) & (pixels.date == date) & pixels.corn_mask
-    if not sel.any():
-        raise MissingCoverage(county_id, date)
-    values, valid = compute_vi(pixels.red[sel], pixels.nir[sel], pixels.blue[sel],
-                               pixels.green[sel], pixels.swir[sel])
-    counts = valid.sum(axis=0)
-    if (counts == 0).any():
-        raise MissingCoverage(county_id, date)
-    return (values * valid).sum(axis=0) / counts
-
-
 def spatial_average_all(pixels):
-    """Vectorized spatial_average over every (county, date) in the table.
+    """County-date mean of each VI over the corn-masked pixels whose index
+    is valid (compute_vi), for every (county, date) in the table.
 
-    Returns dict (county_id, date) -> (4,) VI means. Semantics match
-    spatial_average call-by-call.
+    Returns dict (county_id, date) -> (4,) VI means, in county then date
+    order. One np.bincount per channel sums the masked rows of every
+    county-date at once, adding them in row order. Raises MissingCoverage
+    for a county-date with no masked pixel, or with a channel that has no
+    valid masked pixel.
     """
+    counties, county_code = np.unique(pixels.county_id, return_inverse=True)
+    dates, date_code = np.unique(pixels.date, return_inverse=True)
+    keys, group = np.unique(county_code * len(dates) + date_code, return_inverse=True)
     values, valid = compute_vi(pixels.red, pixels.nir, pixels.blue, pixels.green, pixels.swir)
     masked = pixels.corn_mask
-    keys = np.char.add(np.char.add(pixels.county_id.astype(str), "|"), pixels.date.astype(str))
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    uniq, starts = np.unique(keys_sorted, return_index=True)
-    bounds = np.append(starts, len(keys_sorted))
-    out = {}
-    for k, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-        rows = order[lo:hi]
-        rows = rows[masked[rows]]
-        county, date = k.split("|", 1)
-        if rows.size == 0:
-            raise MissingCoverage(county, date)
-        v = values[rows]
-        ok = valid[rows]
-        counts = ok.sum(axis=0)
-        if (counts == 0).any():
-            raise MissingCoverage(county, date)
-        out[(county, date)] = (v * ok).sum(axis=0) / counts
-    return out
+    group, values, valid = group[masked], values[masked], valid[masked]
+    sums = np.stack([np.bincount(group, weights=values[:, i], minlength=len(keys))
+                     for i in range(len(VI_CHANNELS))], axis=1)
+    counts = np.stack([np.bincount(group, weights=valid[:, i], minlength=len(keys))
+                       for i in range(len(VI_CHANNELS))], axis=1)
+    names = zip(counties[keys // len(dates)].tolist(), dates[keys % len(dates)].tolist())
+    uncovered = (counts == 0).any(axis=1)
+    if uncovered.any():
+        raise MissingCoverage(*list(names)[np.argmax(uncovered)])
+    return dict(zip(names, sums / counts))
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +343,27 @@ def write_daily_csv(path, ids, dates, values):
 
 
 def read_daily_csv(path):
-    """Group daily.csv rows into dict (id, year) -> (dates, values (n, 6))."""
+    """Group daily.csv rows into dict (id, year) -> (dates, values (n, 6)),
+    in id then year order, each group's rows in date order."""
     cols = artifacts.read_csv(path, DAILY_HEADER)
     values = np.stack([cols.floats(name) for name in DAILY_HEADER[2:]], axis=1)
     ids, dates = np.array(cols["id"]), np.array(cols["date"])
     del cols  # a cell string kept past here would pin the memory of its neighbours
-    groups = {}
-    for i, (sid, date) in enumerate(zip(ids.tolist(), dates.tolist())):
-        if not date[:4].isdecimal():
-            raise SchemaError(f"{path}: column 'date' has a cell that is not a date: {date!r}")
-        groups.setdefault((sid, int(date[:4])), []).append(i)
-    out = {}
-    for key, rows in groups.items():
-        rows = np.array(rows)[np.argsort(dates[rows], kind="stable")]
-        out[key] = (dates[rows].tolist(), values[rows])
-    return out
+    # a date's first four characters as digit values; any other character
+    # (or a short date's padding) wraps to a large unsigned value
+    digits = dates.astype("U4").view(np.uint32).reshape(len(dates), 4) - ord("0")
+    bad = (digits > 9).any(axis=1)
+    if bad.any():
+        raise SchemaError(f"{path}: column 'date' has a cell that is not a date: "
+                          f"{dates[np.argmax(bad)].item()!r}")
+    years = digits.astype(np.int64) @ np.array([1000, 100, 10, 1])
+    order = np.lexsort((dates, years, ids))
+    ids, years, dates, values = ids[order], years[order], dates[order].tolist(), values[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (years[1:] != years[:-1])
+    bounds = np.append(np.flatnonzero(first), len(ids)).tolist()
+    return {(ids[lo].item(), years[lo].item()): (dates[lo:hi], values[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])}
 
 
 def write_truth_csv(path, rows):

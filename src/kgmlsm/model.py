@@ -97,6 +97,8 @@ class Normalization:
     # (statistics group, stack_dataset key, axes reduced per channel)
     GROUPS = (("weather", "w", (0, 1)), ("vi", "v", (0, 1)), ("sm", "s", (0, 1)),
               ("aux", "aux", 0))
+    WIDTHS = {"weather": len(ingest.WEATHER_CHANNELS), "vi": len(ingest.VI_CHANNELS),
+              "sm": len(ingest.SM_CHANNELS), "aux": len(ingest.AUX_FIELDS)}  # channels per group
 
     def __post_init__(self):
         for group, _, _ in self.GROUPS:
@@ -139,13 +141,28 @@ class Normalization:
 
     @classmethod
     def from_dict(cls, d):
+        """Exactly what to_dict writes: each group's mu, sd and const at the
+        group's channel count, and scalar y_mu and y_sd. A missing const
+        would read as all False, and a short mu would broadcast over every
+        channel."""
+        expected = sorted([f"{group}_{part}" for group in cls.WIDTHS
+                           for part in ("mu", "sd", "const")] + ["y_mu", "y_sd"])
+        if sorted(d) != expected:
+            raise ValueError(f"normalization keys {sorted(d)} != {expected}")
         kw = {}
-        for k, v in d.items():
-            if isinstance(v, list):
-                arr = np.asarray(v)
-                kw[k] = arr.astype(bool) if k.endswith("_const") else arr.astype(np.float64)
-            else:
-                kw[k] = float(v)
+        for group, width in cls.WIDTHS.items():
+            for part in ("mu", "sd", "const"):
+                key = f"{group}_{part}"
+                arr = np.asarray(d[key])
+                kinds = "b" if part == "const" else "iuf"
+                if arr.shape != (width,) or arr.dtype.kind not in kinds:
+                    raise ValueError(f"normalization {key} must be {width} "
+                                     f"{'flags' if part == 'const' else 'numbers'}, not {d[key]!r}")
+                kw[key] = arr if part == "const" else arr.astype(np.float64)
+        for key in ("y_mu", "y_sd"):
+            if isinstance(d[key], bool) or not isinstance(d[key], (int, float)):
+                raise ValueError(f"normalization {key} must be a number, not {d[key]!r}")
+            kw[key] = float(d[key])
         return cls(**kw)
 
 

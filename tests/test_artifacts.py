@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -32,6 +33,61 @@ def test_int_bool_and_none_cells(tmp_path):
     assert path.read_bytes() == b"i,b,nb,n,s\r\n7,1,0,,a\r\n-2,0,1,2.5,b\r\n"
     cols = artifacts.read_csv(path, ["i", "b", "nb", "n", "s"])
     assert cols["n"] == ["", "2.5"] and cols.ints("i").tolist() == [7, -2]
+
+
+def _reference_csv(path, header, columns):
+    """The writer's reference: csv.writer (QUOTE_MINIMAL) over each cell's
+    text, which is a float's repr, 0/1 for a bool, empty for None and str
+    for anything else. Returns the cell texts, column by column."""
+    def text(value):
+        if isinstance(value, float):
+            return repr(float(value))
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        return "" if value is None else str(value)
+
+    cells = [[text(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+    return cells
+
+
+def _chunk_edge(n):
+    rng = np.random.default_rng(n)
+    return (["s", "x", "b"],
+            [[("a", "b,c", "", 'd"e')[i % 4] for i in range(n)], rng.normal(size=n),
+             rng.random(n) < 0.5])
+
+
+WRITER_CASES = {
+    "quoted_text": (["s,1", 'q"', "n"],
+                    [["a,b", 'say "hi"', "cr\rx", "lf\nx", "crlf\r\n", '"', "plain"],
+                     ['"x"', ",", "", "\n", "y", "z", "w"], list(range(7))]),
+    "empty_and_none": (["s", "n", "f"], [["", "x", ""], [None, 2, None], [1.5, None, -2.0]]),
+    "one_column_with_empty_cells": (["s"], [["", "a", "", '"']]),
+    "one_column_of_none": (["n"], [[None, 1.0, None]]),
+    "zero_rows": (["a", "b"], [[], np.zeros(0)]),
+    "edge_floats_array": (["x"], [np.array([-0.0, 5e-324, 1e308, 0.1])]),
+    "edge_floats_list": (["x"], [[-0.0, 5e-324, 1e308, np.float64(0.1)]]),
+    "numpy_ints_and_bools": (["i32", "u8", "b", "li", "lb"],
+                             [np.array([1, -2], dtype=np.int32), np.array([0, 255], dtype=np.uint8),
+                              np.array([True, False]), [np.int64(3), np.int64(-4)],
+                              [np.bool_(False), np.bool_(True)]]),
+    "text_array": (["s"], [np.array(["a,b", "c", ""])]),
+    **{f"chunk_rows{d:+d}": _chunk_edge(artifacts._CHUNK_ROWS + d) for d in (-1, 0, 1)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_writer_matches_the_csv_module(case, tmp_path):
+    header, columns = WRITER_CASES[case]
+    cells = _reference_csv(tmp_path / "reference.csv", header, columns)
+    artifacts.write_csv(tmp_path / "written.csv", header, columns)
+    assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    back = artifacts.read_csv(tmp_path / "written.csv", header)
+    assert [back[name] for name in header] == cells
 
 
 def test_header_mismatch_names_the_file(tmp_path):

@@ -178,6 +178,24 @@ class TestEndToEnd:
                     == digest(paths_b.checkpoint_stem(stage, 0) + ext)
 
 
+# sha256 of the micro run's data files. Any change to the CSV writer's bytes,
+# to a reduction's summation order or to the simulator's draws shows here.
+MICRO_DATA_SHA256 = {
+    "county_samples.csv": "7f4824506a9c93687a529e82d14752ef7072913f3385dbbfe0cdf33a6d3c0451",
+    "county_truth.csv": "4abb44697f4819bdb63846a2739f36db8a23eafafeda855896847f40d1023975",
+    "daily.csv": "eea487919d62be9f8c3ead1ed66e1408ee42b76ee298950bc6d7063b27e8d1dd",
+    "field_samples.csv": "bf35b78ff12cd64b2e806331e60464ed3d848a05a5471f034c43f916697c409b",
+    "pixels.csv": "e3f1c145e7a864ae84c902397fc2d3feca45ccb0d65af945c94a80fd70cf02f0",
+}
+
+
+def test_micro_data_files_are_pinned(micro_run):
+    _, paths, _, _ = micro_run
+    found = {name: hashlib.sha256(open(os.path.join(paths.data, name), "rb").read()).hexdigest()
+             for name in MICRO_DATA_SHA256}
+    assert found == MICRO_DATA_SHA256
+
+
 def _tiny_train():
     return {
         "pretrain": {"batch_size": 16, "lr": 0.001, "max_epochs": 1,
@@ -415,6 +433,13 @@ BAD_FILES = {
     "checkpoint_config_without_d_k": ("evaluate", CHECKPOINT + ".json",
                                       _edit_json(lambda m: m["config"].pop("d_k")),
                                       "model.json is not a checkpoint manifest"),
+    "checkpoint_without_vi_const": ("evaluate", CHECKPOINT + ".json",
+                                    _edit_json(lambda m: m["normalization"].pop("vi_const")),
+                                    "model.json is not a checkpoint manifest"),
+    "checkpoint_vi_mu_of_one_channel": ("evaluate", CHECKPOINT + ".json",
+                                        _edit_json(lambda m: m["normalization"].update(
+                                            vi_mu=[0.0])),
+                                        "normalization vi_mu must be 4 numbers"),
     "checkpoint_blob_cut_3_bytes": ("evaluate", CHECKPOINT + ".bin", _cut_bytes(3),
                                     "model.bin holds"),
     "daily_bad_date": ("ingest", os.path.join("data", "daily.csv"),

@@ -60,37 +60,81 @@ def _pixels(county_ids, dates, ndvi_pairs, masks):
                              corn_mask=np.array(masks, dtype=bool))
 
 
+def spatial_average(pixels, county_id, date):
+    """The reference for ingest.spatial_average_all, one county-date per call:
+    the mean of each VI over the corn-masked pixels whose index is valid.
+
+    Raises MissingCoverage when no masked pixel exists (or a channel has
+    no valid masked pixel) for the county-date.
+    """
+    sel = (pixels.county_id == county_id) & (pixels.date == date) & pixels.corn_mask
+    if not sel.any():
+        raise MissingCoverage(county_id, date)
+    values, valid = ingest.compute_vi(pixels.red[sel], pixels.nir[sel], pixels.blue[sel],
+                                      pixels.green[sel], pixels.swir[sel])
+    counts = valid.sum(axis=0)
+    if (counts == 0).any():
+        raise MissingCoverage(county_id, date)
+    return (values * valid).sum(axis=0) / counts
+
+
+def _random_pixels(rng):
+    """Shuffled county-dates of 1 to 12 rows each, some unmasked and some with
+    a zero GCVI or NDWI denominator; every county-date's first row is masked
+    and valid, so each has coverage."""
+    rows = []
+    for county in ("a", "b", "c10", "c1"):
+        for date in ("2020-06-01", "2020-06-02", "2021-06-01"):
+            for i in range(int(rng.integers(1, 13))):
+                bands = [rng.uniform(0.05, 0.4), rng.uniform(0.1, 0.8), rng.uniform(0.02, 0.2),
+                         rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.5)]
+                kind = 0 if i == 0 else int(rng.integers(0, 4))
+                if kind == 2:
+                    bands[3] = 0.0  # green: GCVI has no denominator
+                elif kind == 3:
+                    bands[1] = bands[4] = 0.0  # nir + swir: NDWI has none
+                rows.append((county, date, *bands, kind != 1))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    cols = list(zip(*rows))
+    return ingest.PixelTable(county_id=np.array(cols[0]), date=np.array(cols[1]),
+                             **{name: np.array(c) for name, c in
+                                zip(("red", "nir", "blue", "green", "swir"), cols[2:7])},
+                             corn_mask=np.array(cols[7], dtype=bool))
+
+
 class TestSpatialAverage:
     def test_constant_pixels_average_to_that_value(self):
         table = _pixels(["c1"] * 3, ["2020-06-01"] * 3, [0.4, 0.4, 0.4], [1, 1, 1])
-        means = ingest.spatial_average(table, "c1", "2020-06-01")
+        means = ingest.spatial_average_all(table)[("c1", "2020-06-01")]
         assert means[3] == pytest.approx(0.4, abs=1e-12)
 
     def test_mask_respected(self):
         table = _pixels(["c1"] * 3, ["2020-06-01"] * 3, [0.2, 0.4, 0.9], [1, 1, 0])
-        means = ingest.spatial_average(table, "c1", "2020-06-01")
+        means = ingest.spatial_average_all(table)[("c1", "2020-06-01")]
         assert means[3] == pytest.approx(0.3, abs=1e-12)
 
     def test_empty_mask_raises(self):
-        table = _pixels(["c1"], ["2020-06-01"], [0.4], [0])
+        table = _pixels(["c1", "c2"], ["2020-06-01"] * 2, [0.4, 0.4], [1, 0])
+        with pytest.raises(MissingCoverage, match="county c2 on 2020-06-01"):
+            ingest.spatial_average_all(table)
         with pytest.raises(MissingCoverage):
-            ingest.spatial_average(table, "c1", "2020-06-01")
+            spatial_average(table, "c2", "2020-06-01")
+
+    def test_channel_without_valid_pixel_raises(self):
+        table = _pixels(["c1"] * 3, ["2020-06-01"] * 3, [0.2, 0.4, 0.9], [1, 1, 0])
+        table.green[:2] = 0.0  # GCVI is valid only on the unmasked pixel
+        with pytest.raises(MissingCoverage, match="county c1 on 2020-06-01"):
+            ingest.spatial_average_all(table)
 
     def test_bulk_path_matches_per_call(self):
-        rng = np.random.default_rng(0)
-        n = 40
-        counties = rng.choice(["a", "b"], n)
-        dates = rng.choice(["2020-06-01", "2020-06-02"], n)
-        table = ingest.PixelTable(
-            county_id=counties, date=dates,
-            red=rng.uniform(0.05, 0.4, n), nir=rng.uniform(0.1, 0.8, n),
-            blue=rng.uniform(0.02, 0.2, n), green=rng.uniform(0.05, 0.3, n),
-            swir=rng.uniform(0.05, 0.5, n),
-            corn_mask=np.ones(n, dtype=bool))
-        bulk = ingest.spatial_average_all(table)
-        for (county, date), means in bulk.items():
-            np.testing.assert_allclose(means, ingest.spatial_average(table, county, date),
-                                       atol=1e-12)
+        for seed in range(5):
+            table = _random_pixels(np.random.default_rng(seed))
+            bulk = ingest.spatial_average_all(table)
+            keys = set(zip(table.county_id.tolist(), table.date.tolist()))
+            assert set(bulk) == keys
+            for (county, date), means in bulk.items():
+                expected = spatial_average(table, county, date)
+                assert means.tobytes() == expected.tobytes(), (seed, county, date)
 
 
 class TestCompositing:
@@ -268,6 +312,42 @@ class TestCsvRoundTrip:
         ingest.write_samples_csv(ds, path)
         with pytest.raises(SchemaError):
             ingest.read_samples_csv(path)
+
+
+def _daily_rows(rng):
+    """daily.csv rows of three ids and two years, grouped and in date order."""
+    ids, dates = [], []
+    for sid in ("c000", "c002", "c010"):
+        for year in (2019, 2020):
+            ids += [sid] * 5
+            dates += [f"{year}-04-{day:02d}" for day in range(1, 6)]
+    return ids, dates, rng.normal(size=(len(ids), 6))
+
+
+class TestDailyCsv:
+    def test_shuffled_rows_give_the_same_groups(self, tmp_path):
+        rng = np.random.default_rng(14)
+        ids, dates, values = _daily_rows(rng)
+        perm = rng.permutation(len(ids))
+        ingest.write_daily_csv(tmp_path / "sorted.csv", ids, dates, values)
+        ingest.write_daily_csv(tmp_path / "shuffled.csv", [ids[i] for i in perm],
+                               [dates[i] for i in perm], values[perm])
+        grouped = ingest.read_daily_csv(tmp_path / "sorted.csv")
+        shuffled = ingest.read_daily_csv(tmp_path / "shuffled.csv")
+        assert list(grouped) == list(shuffled) == [(sid, year) for sid in ("c000", "c002", "c010")
+                                                   for year in (2019, 2020)]
+        for i, key in enumerate(grouped):
+            rows = slice(5 * i, 5 * (i + 1))
+            assert grouped[key][0] == shuffled[key][0] == dates[rows]
+            assert grouped[key][1].tobytes() == shuffled[key][1].tobytes() == values[rows].tobytes()
+
+    def test_date_without_a_year_names_file_and_column(self, tmp_path):
+        ids, dates, values = _daily_rows(np.random.default_rng(15))
+        dates[7] = "20x0-04-01"
+        ingest.write_daily_csv(tmp_path / "daily.csv", ids, dates, values)
+        with pytest.raises(SchemaError, match=r"daily\.csv: column 'date' has a cell that is "
+                                              r"not a date: '20x0-04-01'"):
+            ingest.read_daily_csv(tmp_path / "daily.csv")
 
 
 class TestCountyAssembly:

@@ -293,6 +293,17 @@ class TestNormalization:
         np.testing.assert_array_equal(stats.vi_const, back.vi_const)
         assert back.vi_const.all()  # field VIs are constant zero
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("vi_const"), lambda d: d.update(vi_mu=[0.0]),
+        lambda d: d.update(sm_const=[0, 1]), lambda d: d.update(y_sd=[1.0]),
+        lambda d: d.update(extra=1)], ids=["no_vi_const", "short_vi_mu", "int_flags",
+                                           "list_y_sd", "unknown_key"])
+    def test_from_dict_takes_only_what_to_dict_writes(self, edit, tiny_field):
+        d = _stats(tiny_field).to_dict()
+        edit(d)
+        with pytest.raises(ValueError, match="normalization"):
+            model.Normalization.from_dict(d)
+
     def test_refresh_replaces_only_constant_channels(self, tiny_field, tiny_county):
         field_stats = _stats(tiny_field)
         refreshed = field_stats.refreshed_from(ingest.stack_dataset(tiny_county.subset(range(20))))

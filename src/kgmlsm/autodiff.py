@@ -82,10 +82,6 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def tensor(data, requires_grad=False, name=None):
-    return Tensor(data, requires_grad=requires_grad, name=name)
-
-
 def _accumulate(t, g):
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)  # copy: g may be a view
@@ -387,9 +383,6 @@ class ParamStore:
 
     def items(self):
         return self._params.items()
-
-    def n_values(self):
-        return sum(t.data.size for t in self._params.values())
 
     def constants(self):
         """The parameters as tensors outside any graph, for inference."""

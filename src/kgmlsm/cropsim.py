@@ -7,7 +7,11 @@ machinery also synthesizes the county-side ingestion inputs (pixel
 reflectances, daily weather/SM series, reported yields).
 
 Everything is a pure function of (seed, inputs); station-years draw from
-independent, replayable rng streams.
+independent, replayable rng streams. A build simulates all its
+station-years at once and keeps them as arrays, one row each; the field
+dataset is composited and made with ingest's one array path
+(composite_16day, Dataset.from_arrays), so this module does not know the
+sample layout or the compositing rules.
 """
 
 import datetime
@@ -68,16 +72,6 @@ class WeatherSeries:
     ppt: np.ndarray  # mm
 
 
-@dataclass
-class SimOutput:
-    sm_surface: np.ndarray  # daily volumetric fraction
-    sm_rootzone: np.ndarray
-    yield_tha: float
-    stress_index: float
-    sow_day: int
-    potential_yield: float
-
-
 def sample_management(rng):
     """Uniform draw from each enumerated management set."""
     return Management(
@@ -119,9 +113,12 @@ def initial_sm(management):
 
 def simulate_station_years(weathers, managements):
     """Daily water balance plus the stress-scaled yield for a batch of
-    station-years, in one kernel call; one SimOutput per station-year.
+    station-years, in one kernel call.
 
-    The seasonal stress index is the whole-window met-demand fraction
+    Returns a dict of arrays, one row per station-year: "sm_surface" and
+    "sm_rootzone", the (N, 365) daily volumetric SM; "yield_tha",
+    "stress_index", "sow_day" and "potential_yield", each (N,). The
+    seasonal stress index is the whole-window met-demand fraction
     multiplied by the reproductive-window fraction, so equal season totals
     with badly timed dry spells still cost yield.
     """
@@ -134,13 +131,9 @@ def simulate_station_years(weathers, managements):
     # reproductive-window stress modulates up to 40% of the yield on top
     # of the season-long supply ratio
     index = stress_mean * (0.6 + 0.4 * critical_mean)
-    outs = []
-    for i, m in enumerate(managements):
-        pot = potential_yield(m.plant_population, m.fertilizer)
-        outs.append(SimOutput(sm_surface=sm_s[i], sm_rootzone=sm_r[i],
-                              yield_tha=float(pot * index[i]), stress_index=float(index[i]),
-                              sow_day=int(sow_day[i]), potential_yield=pot))
-    return outs
+    pot = np.array([potential_yield(m.plant_population, m.fertilizer) for m in managements])
+    return {"sm_surface": sm_s, "sm_rootzone": sm_r, "yield_tha": pot * index,
+            "stress_index": index, "sow_day": sow_day, "potential_yield": pot}
 
 
 # ---------------------------------------------------------------------------
@@ -171,31 +164,11 @@ def station_location(seed, idx, purpose="station_loc"):
     return 38.0 + 10.0 * rng.random(), -102.0 + 18.0 * rng.random()
 
 
-def _composited_sample(sid, year, lat, lon, hist, yield_label, weather, sim, vis=None):
-    season = ingest.season_slice
-    comp = ingest.composite_16day
-    wmat = np.stack([
-        comp(season(weather.radn), "mean"),
-        comp(season(weather.tmax), "mean"),
-        comp(season(weather.tmin), "mean"),
-        comp(season(weather.ppt), "sum"),
-    ], axis=1)
-    smat = np.stack([
-        comp(season(sim.sm_surface), "mean"),
-        comp(season(sim.sm_rootzone), "mean"),
-    ], axis=1)
-    if vis is None:
-        vis = np.zeros((ingest.N_WINDOWS, 4))
-    return ingest.Sample(sid=sid, year=year, lat=lat, lon=lon,
-                         hist_avg_yield=hist, yield_label=yield_label,
-                         weather=wmat, vis=vis, sm=smat)
-
-
 def draw_field_station_year(seed, station, year, scenario_mix):
     """Every random draw for one station-year under the scenario mix.
 
     Returns (lat, lon), the recorded weather, the weather the water
-    balance runs on, the management and the SM level shift (None for a
+    balance runs on, the management and the SM level shift (0.0 for a
     faithful station-year). Anomalous station-years report one weather
     draw while their soil moisture and yield come from an opposite-rainfall
     draw with a level shift on the SM series, standing in for unrealistic
@@ -211,7 +184,7 @@ def draw_field_station_year(seed, station, year, scenario_mix):
     weather = synth_weather(_rng(seed, "weather", station, year), year, (lat, lon),
                             wet_prob, event_scale)
     if scenario != "anomalous":
-        return (lat, lon), weather, weather, mgmt, None
+        return (lat, lon), weather, weather, mgmt, 0.0
     decoy_wet = wet_prob < 0.25
     decoy_prob = float(sc_rng.uniform(0.35, 0.45) if decoy_wet
                        else sc_rng.uniform(0.02, 0.08))
@@ -223,44 +196,55 @@ def draw_field_station_year(seed, station, year, scenario_mix):
 
 
 def shift_sm(sim, shift):
-    """Apply an anomalous station-year's SM level shift, clipped to the
-    physical range; a None shift leaves the simulation as it is."""
-    if shift is not None:
-        sim.sm_surface = np.clip(sim.sm_surface + shift, SM_MIN, SM_SAT)
-        sim.sm_rootzone = np.clip(sim.sm_rootzone + shift, SM_MIN, SM_SAT)
+    """Apply each anomalous station-year's SM level shift, (N,), to the
+    simulate_station_years arrays, clipped to the physical range; a
+    station-year whose shift is 0.0 keeps its series as they are."""
+    rows = shift != 0.0
+    for key in ("sm_surface", "sm_rootzone"):
+        sim[key][rows] = np.clip(sim[key][rows] + shift[rows, None], SM_MIN, SM_SAT)
     return sim
 
 
 def simulate_field_station_years(seed, keys, scenario_mix):
     """Draw each (station, year) in keys, then simulate them all at once.
 
-    Returns [((lat, lon), weather, sim)] in the order of keys. Every draw
-    has its own rng stream, so the batch does not change any value.
+    Returns (locations (N, 2), the recorded weather (N, 4, 365) in
+    WEATHER_CHANNELS order, the simulate_station_years arrays with the SM
+    shifts applied), one row per key in order. Every draw has its own rng
+    stream, so the batch does not change any value.
     """
     draws = [draw_field_station_year(seed, st, year, scenario_mix) for st, year in keys]
-    sims = simulate_station_years([d[2] for d in draws], [d[3] for d in draws])
-    return [(loc, weather, shift_sm(sim, shift))
-            for (loc, weather, _, _, shift), sim in zip(draws, sims)]
+    sim = simulate_station_years([d[2] for d in draws], [d[3] for d in draws])
+    weather = np.array([[getattr(d[1], name) for name in ingest.WEATHER_CHANNELS] for d in draws])
+    return (np.array([d[0] for d in draws]), weather,
+            shift_sm(sim, np.array([d[4] for d in draws])))
 
 
 def build_field_dataset(n_stations, years, scenario_mix, seed):
-    """One Sample per station-year; VI channels all zero at field level.
+    """One sample per station-year; VI channels all zero at field level.
 
     The five years before the first requested year are simulated as
     warm-up so every sample gets a real 5-year historical average.
     """
     years = sorted(years)
-    all_years = list(range(years[0] - 5, years[-1] + 1))
-    keys = [(st, year) for st in range(n_stations) for year in all_years]
-    ds = ingest.Dataset(level="field")
-    history = {}
-    for (st, year), ((lat, lon), weather, sim) in zip(
-            keys, simulate_field_station_years(seed, keys, scenario_mix)):
-        if year in years:
-            hist = float(np.mean([history[st, y] for y in range(year - 5, year)]))
-            ds.samples.append(_composited_sample(
-                f"st{st:03d}", year, lat, lon, hist, sim.yield_tha, weather, sim))
-        history[st, year] = sim.yield_tha
+    all_years = range(years[0] - 5, years[-1] + 1)
+    keys = np.array([(st, year) for st in range(n_stations) for year in all_years])
+    locations, weather, sim = simulate_field_station_years(seed, keys.tolist(), scenario_mix)
+    # the requested station-years, each preceded by its station's five prior years
+    kept = np.flatnonzero(np.isin(keys[:, 1], years))
+    hist = sim["yield_tha"][kept[:, None] + np.arange(-5, 0)].mean(axis=1)
+    daily = np.concatenate([weather, np.stack([sim["sm_surface"], sim["sm_rootzone"]], axis=1)],
+                           axis=1)[kept]
+    channels = ingest.WEATHER_CHANNELS + ingest.SM_CHANNELS
+    series = ingest.composite_16day(ingest.season_slice(daily), [
+        ingest.COMPOSITE_RULES[name] for name in channels]).transpose(0, 2, 1)  # (n, T, 6)
+    stations, sample_years = keys[kept].T
+    ds = ingest.Dataset.from_arrays("field", {
+        "ids": np.array([f"st{st:03d}" for st in range(n_stations)])[stations],
+        "years": sample_years, "w": series[:, :, :4], "s": series[:, :, 4:],
+        "v": np.zeros((len(kept), ingest.N_WINDOWS, 4)),
+        "aux": np.column_stack([sample_years, locations[kept], hist]),
+        "y": sim["yield_tha"][kept], "drought": np.zeros(len(kept), dtype=bool)})
     ingest.label_drought(ds)
     return ds
 
@@ -310,7 +294,7 @@ def draw_county_year(seed, county, year, scenario_mix):
     return (lat, lon), weather, mgmt
 
 
-def county_outcome(seed, county, year, sim):
+def county_outcome(seed, county, year, yield_tha, sow_day, stress_index):
     """Reported county yield and daily canopy for a simulated county-year.
 
     The reported yield adds a management effect (visible through the
@@ -321,8 +305,8 @@ def county_outcome(seed, county, year, sim):
     noise = float(_rng(seed, "county_yield", county, year).lognormal(0.0, 0.16))
     # multiplicative observation model: low yields carry proportionally
     # low noise, so crop failures stay near zero instead of clipping
-    county_yield = sim.yield_tha * np.exp(0.10 * effect) * noise
-    canopy = _canopy_curve(sim.sow_day, sim.stress_index, effect)
+    county_yield = yield_tha * np.exp(0.10 * effect) * noise
+    canopy = _canopy_curve(sow_day, stress_index, effect)
     return county_yield, canopy
 
 
@@ -351,11 +335,12 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
     keys = [(c, year) for c in range(n_counties) for year in all_years]
     draws = [draw_county_year(seed, c, year, overrides.get(year, scenario_mix))
              for c, year in keys]
-    sims = simulate_station_years([d[1] for d in draws], [d[2] for d in draws])
+    sim = simulate_station_years([d[1] for d in draws], [d[2] for d in draws])
+    outcomes = zip(sim["yield_tha"].tolist(), sim["sow_day"].tolist(), sim["stress_index"].tolist())
     history = {}
-    for (c, year), ((lat, lon), weather, _), sim in zip(keys, draws, sims):
+    for i, ((c, year), ((lat, lon), weather, _), outcome) in enumerate(zip(keys, draws, outcomes)):
         sid = f"c{c:03d}"
-        county_yield, canopy = county_outcome(seed, c, year, sim)
+        county_yield, canopy = county_outcome(seed, c, year, *outcome)
         history[c, year] = county_yield
         if year not in years:
             continue
@@ -371,13 +356,13 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
         stmin = np.minimum(season(weather.tmin) + obs.normal(0, 0.8, nd), stmax)
         sppt = np.clip(season(weather.ppt) * obs.lognormal(0.0, 0.20, nd)
                        + obs.normal(0, 0.3, nd), 0.0, None)
-        ssm_s = np.clip(season(sim.sm_surface) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
-        ssm_r = np.clip(season(sim.sm_rootzone) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
+        ssm_s = np.clip(season(sim["sm_surface"][i]) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
+        ssm_r = np.clip(season(sim["sm_rootzone"][i]) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
         daily_values.append(np.stack([sradn, stmax, stmin, sppt, ssm_s, ssm_r], axis=1))
 
         px_rng = _rng(seed, "county_pixels", c, year)
         scanopy = season(canopy)
-        true_sm_s = season(sim.sm_surface)  # reflectance follows the true state
+        true_sm_s = season(sim["sm_surface"][i])  # reflectance follows the true state
         bands.append(np.array([_pixel_reflectances(px_rng, scanopy, true_sm_s, p < n_px - 1)
                                for p in range(n_px)]))
 

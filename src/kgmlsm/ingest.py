@@ -6,8 +6,12 @@ the header and column types of the samples, pixels, daily and truth CSVs
 
 Seasonal layout: April 1 through October 31 is 214 days. The first 208
 days form 13 windows of 16 days; the trailing 6 days are dropped.
-Precipitation composites by window sum, everything else by window mean
-(the manifest records the rule per channel).
+Precipitation composites by window sum, everything else by window mean:
+COMPOSITE_RULES says so, and the manifest records it per channel.
+
+This module alone knows how a Dataset holds its samples: stack_dataset
+is the one array view of a dataset, and Dataset.from_arrays, its
+inverse, the one place a Sample is built.
 """
 
 from dataclasses import dataclass, field
@@ -30,13 +34,8 @@ AUX_FIELDS = ("year", "lat", "lon", "hist_avg_yield")
 
 COMPOSITE_RULES = {name: ("sum" if name == "ppt" else "mean") for name in SERIES_CHANNELS}
 
-CHANNEL_CATEGORY = {}
-for _name in WEATHER_CHANNELS:
-    CHANNEL_CATEGORY[_name] = "Weather"
-for _name in VI_CHANNELS:
-    CHANNEL_CATEGORY[_name] = "VIs"
-for _name in SM_CHANNELS:
-    CHANNEL_CATEGORY[_name] = "SM"
+CHANNEL_CATEGORY = {**dict.fromkeys(WEATHER_CHANNELS, "Weather"),
+                    **dict.fromkeys(VI_CHANNELS, "VIs"), **dict.fromkeys(SM_CHANNELS, "SM")}
 
 
 def channel_manifest(level):
@@ -112,11 +111,11 @@ def spatial_average_all(pixels):
     """County-date mean of each VI over the corn-masked pixels whose index
     is valid (compute_vi), for every (county, date) in the table.
 
-    Returns dict (county_id, date) -> (4,) VI means, in county then date
-    order. One np.bincount per channel sums the masked rows of every
-    county-date at once, adding them in row order. Raises MissingCoverage
-    for a county-date with no masked pixel, or with a channel that has no
-    valid masked pixel.
+    Returns (county_ids, dates, means (n, 4)), one row per county-date in
+    county then date order. One np.bincount per channel sums the masked
+    rows of every county-date at once, adding them in row order. Raises
+    MissingCoverage for a county-date with no masked pixel, or with a
+    channel that has no valid masked pixel.
     """
     counties, county_code = np.unique(pixels.county_id, return_inverse=True)
     dates, date_code = np.unique(pixels.date, return_inverse=True)
@@ -128,11 +127,11 @@ def spatial_average_all(pixels):
                      for i in range(len(VI_CHANNELS))], axis=1)
     counts = np.stack([np.bincount(group, weights=valid[:, i], minlength=len(keys))
                        for i in range(len(VI_CHANNELS))], axis=1)
-    names = zip(counties[keys // len(dates)].tolist(), dates[keys % len(dates)].tolist())
+    county_ids, dates = counties[keys // len(dates)], dates[keys % len(dates)]
     uncovered = (counts == 0).any(axis=1)
     if uncovered.any():
-        raise MissingCoverage(*list(names)[np.argmax(uncovered)])
-    return dict(zip(names, sums / counts))
+        raise MissingCoverage(county_ids[np.argmax(uncovered)], dates[np.argmax(uncovered)])
+    return county_ids, dates, sums / counts
 
 
 # ---------------------------------------------------------------------------
@@ -140,31 +139,32 @@ def spatial_average_all(pixels):
 
 
 def composite_16day(daily, rule="mean"):
-    """Collapse a seasonal daily series into 13 16-day values.
-
-    daily must cover the season (>= 208 days starting April 1); days past
-    day 208 are dropped. rule is "mean" or "sum".
+    """Collapse seasonal daily series, the last axis of a (..., days) array
+    covering >= 208 days from April 1, into 13 16-day values; later days
+    are dropped. rule is "mean" or "sum", or one of them per channel of a
+    (..., channels, days) array. Each window's 16 days are summed along
+    the last, unit-stride axis, so a batch composites bit for bit as each
+    series would alone; a mean is that sum over 16, as np.mean computes it.
     """
     daily = np.asarray(daily, dtype=np.float64)
-    if daily.ndim != 1:
-        raise ShapeError(f"composite_16day: expected 1-D daily series, got shape {daily.shape}")
-    if daily.size < N_WINDOWS * WINDOW_DAYS:
-        raise ShapeError(
-            f"composite_16day: season needs >= {N_WINDOWS * WINDOW_DAYS} days, got {daily.size}")
-    windows = daily[: N_WINDOWS * WINDOW_DAYS].reshape(N_WINDOWS, WINDOW_DAYS)
-    if rule == "mean":
-        return windows.mean(axis=1)
-    if rule == "sum":
-        return windows.sum(axis=1)
-    raise ValueError(f"unknown compositing rule {rule!r}")
+    if daily.ndim == 0 or daily.shape[-1] < N_WINDOWS * WINDOW_DAYS:
+        raise ShapeError(f"composite_16day: season needs >= {N_WINDOWS * WINDOW_DAYS} days, "
+                         f"got shape {daily.shape}")
+    rules = np.asarray(rule)
+    if not np.isin(rules, ("mean", "sum")).all():
+        raise ValueError(f"unknown compositing rule {rule!r}")
+    sums = np.ascontiguousarray(daily[..., : N_WINDOWS * WINDOW_DAYS]).reshape(
+        daily.shape[:-1] + (N_WINDOWS, WINDOW_DAYS)).sum(axis=-1)
+    return np.where((rules == "mean")[..., None], sums / WINDOW_DAYS, sums)
 
 
 def season_slice(yearly):
-    """Extract the April 1 .. October 31 span from a 365-day series."""
+    """The April 1 .. October 31 span of 365-day series, along the last axis."""
     yearly = np.asarray(yearly, dtype=np.float64)
-    if yearly.size < SEASON_START_DOY + SEASON_DAYS:
-        raise ShapeError(f"season_slice: need >= {SEASON_START_DOY + SEASON_DAYS} days, got {yearly.size}")
-    return yearly[SEASON_START_DOY: SEASON_START_DOY + SEASON_DAYS]
+    if yearly.ndim == 0 or yearly.shape[-1] < SEASON_START_DOY + SEASON_DAYS:
+        raise ShapeError(f"season_slice: need >= {SEASON_START_DOY + SEASON_DAYS} days, "
+                         f"got shape {yearly.shape}")
+    return yearly[..., SEASON_START_DOY: SEASON_START_DOY + SEASON_DAYS]
 
 
 def seasonal_sm_mean(sm):
@@ -208,6 +208,20 @@ class Sample:
 class Dataset:
     level: str  # "field" | "county"
     samples: list = field(default_factory=list)
+
+    @classmethod
+    def from_arrays(cls, level, arrays):
+        """The dataset whose stack_dataset arrays these are, one Sample per
+        row: the one place a Sample is built. sbar is always derived from
+        "s"; the "sbar" key and the year column of "aux" are not read."""
+        w, v, s = (np.ascontiguousarray(arrays[key], dtype=np.float64) for key in "wvs")
+        rows = zip(arrays["ids"].tolist(), arrays["years"].tolist(),
+                   *arrays["aux"][:, 1:].T.tolist(), arrays["y"].tolist(), w, v, s,
+                   arrays["drought"].tolist())
+        return cls(level=level, samples=[
+            Sample(sid=sid, year=year, lat=lat, lon=lon, hist_avg_yield=hist, yield_label=y,
+                   weather=weather, vis=vis, sm=sm, drought_flag=flag)
+            for sid, year, lat, lon, hist, y, weather, vis, sm, flag in rows])
 
     def __len__(self):
         return len(self.samples)
@@ -303,24 +317,18 @@ def read_samples_csv(csv_path):
     cols = artifacts.read_csv(csv_path, SAMPLE_HEADER)
     numbers = np.stack([cols.floats(name) for name in SAMPLE_HEADER[2:7] + SAMPLE_HEADER[8:]],
                        axis=1)
-    ids, years = np.array(cols["id"]).tolist(), cols.ints("year").tolist()
-    flags = cols.bools("drought_flag").tolist()
+    ids, years, flags = np.array(cols["id"]), cols.ints("year"), cols.bools("drought_flag")
     del cols  # a cell string kept past here would pin the memory of its neighbours
-    nw = 4 * N_WINDOWS
-    ds = Dataset(level=manifest["level"])
-    for sid, year, flag, row in zip(ids, years, flags, numbers):
-        lat, lon, hist, yld, sbar = row[:5].tolist()
-        series = row[5:]
-        # C-contiguous layout keeps later reductions bit-identical to
-        # the arrays the writer saw
-        s = Sample(sid=sid, year=year, lat=lat, lon=lon, hist_avg_yield=hist, yield_label=yld,
-                   weather=np.ascontiguousarray(series[:nw].reshape(4, N_WINDOWS).T),
-                   vis=np.ascontiguousarray(series[nw: 2 * nw].reshape(4, N_WINDOWS).T),
-                   sm=np.ascontiguousarray(series[2 * nw:].reshape(2, N_WINDOWS).T),
-                   drought_flag=flag)
-        if abs(s.sbar - sbar) > 1e-9:
-            raise SchemaError(f"stale sbar for {s.sid}/{s.year} in {csv_path}")
-        ds.samples.append(s)
+    n, series = len(numbers), numbers[:, 5:]
+    w, v, sm = (series[:, lo * N_WINDOWS: hi * N_WINDOWS].reshape(n, hi - lo, N_WINDOWS)
+                .transpose(0, 2, 1) for lo, hi in ((0, 4), (4, 8), (8, 10)))
+    ds = Dataset.from_arrays(manifest["level"], {
+        "ids": ids, "years": years, "w": w, "v": v, "s": sm,
+        "aux": np.column_stack([years, numbers[:, :3]]), "y": numbers[:, 3], "drought": flags})
+    stale = np.abs(np.array([s.sbar for s in ds.samples]) - numbers[:, 4]) > 1e-9
+    if stale.any():
+        s = ds.samples[np.argmax(stale)]
+        raise SchemaError(f"stale sbar for {s.sid}/{s.year} in {csv_path}")
     if len(ds.key_set()) != len(ds):
         raise SchemaError(f"duplicate (id, year) keys in {csv_path}")
     return ds
@@ -343,8 +351,8 @@ def write_daily_csv(path, ids, dates, values):
 
 
 def read_daily_csv(path):
-    """Group daily.csv rows into dict (id, year) -> (dates, values (n, 6)),
-    in id then year order, each group's rows in date order."""
+    """daily.csv as (ids, years, dates, values (n, 6)), its rows sorted by
+    id, then year, then date."""
     cols = artifacts.read_csv(path, DAILY_HEADER)
     values = np.stack([cols.floats(name) for name in DAILY_HEADER[2:]], axis=1)
     ids, dates = np.array(cols["id"]), np.array(cols["date"])
@@ -358,12 +366,7 @@ def read_daily_csv(path):
                           f"{dates[np.argmax(bad)].item()!r}")
     years = digits.astype(np.int64) @ np.array([1000, 100, 10, 1])
     order = np.lexsort((dates, years, ids))
-    ids, years, dates, values = ids[order], years[order], dates[order].tolist(), values[order]
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = (ids[1:] != ids[:-1]) | (years[1:] != years[:-1])
-    bounds = np.append(np.flatnonzero(first), len(ids)).tolist()
-    return {(ids[lo].item(), years[lo].item()): (dates[lo:hi], values[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])}
+    return ids[order], years[order], dates[order], values[order]
 
 
 def write_truth_csv(path, rows):
@@ -373,49 +376,68 @@ def write_truth_csv(path, rows):
 
 
 def read_truth_csv(path):
+    """The truth CSV as a dict of column arrays, keyed by TRUTH_HEADER."""
     cols = artifacts.read_csv(path, TRUTH_HEADER)
-    numbers = zip(*(cols.floats(name).tolist() for name in TRUTH_HEADER[2:]))
-    return {(sid, year): dict(zip(TRUTH_HEADER[2:], row))
-            for sid, year, row in zip(cols["id"], cols.ints("year").tolist(), numbers)}
+    return {"id": np.array(cols["id"]), "year": cols.ints("year"),
+            **{name: cols.floats(name) for name in TRUTH_HEADER[2:]}}
 
 
 def build_county_dataset(pixels_path, daily_path, truth_path):
-    """Assemble the county-level dataset from the three ingestion CSVs."""
+    """Assemble the county-level dataset from the three ingestion CSVs.
+
+    One sample per (id, year) of the daily CSV, in id then year order. Each
+    must have one daily row on each of SEASON_DAYS distinct dates, pixels
+    on exactly those dates and a truth row; pixels of any other
+    county-year are refused, truth rows of other county-years are not read.
+    """
     pixels = read_pixels_csv(pixels_path)
-    daily = read_daily_csv(daily_path)
+    ids, years, dates, values = read_daily_csv(daily_path)
     truth = read_truth_csv(truth_path)
+    vi_ids, vi_dates, vi = spatial_average_all(pixels)
 
-    vi_by_key = spatial_average_all(pixels)
-    vi_daily = {}
-    for (county, date), means in vi_by_key.items():
-        year = int(date[:4])
-        vi_daily.setdefault((county, year), []).append((date, means))
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (years[1:] != years[:-1])
+    starts = np.flatnonzero(first)  # each county-year's first row
+    # rows are in date order within a county-year, so a repeated date is the previous row's
+    repeated = np.zeros(len(ids), dtype=bool)
+    repeated[1:] = (dates[1:] == dates[:-1]) & ~first[1:]
+    bad = np.diff(np.append(starts, len(ids))) != SEASON_DAYS
+    bad[np.cumsum(first)[repeated] - 1] = True
+    if bad.any():
+        i = starts[np.argmax(bad)]
+        raise SchemaError(f"{daily_path}: county {ids[i]}/{years[i]} does not have one row on "
+                          f"each of {SEASON_DAYS} distinct dates")
 
-    ds = Dataset(level="county")
-    for key in sorted(daily):
-        sid, year = key
-        if key not in truth:
-            raise SchemaError(f"county {sid}/{year} missing from truth csv")
-        dates, vals = daily[key]
-        if len(dates) < SEASON_DAYS:
-            raise SchemaError(f"county {sid}/{year}: daily series shorter than the season")
-        weather = np.stack(
-            [composite_16day(vals[:, i], COMPOSITE_RULES[name])
-             for i, name in enumerate(WEATHER_CHANNELS)], axis=1)
-        sm = np.stack(
-            [composite_16day(vals[:, 4 + i], COMPOSITE_RULES[name])
-             for i, name in enumerate(SM_CHANNELS)], axis=1)
+    # both tables are in county then date order: they line up row for row
+    # when every county-year has its pixels on its daily dates
+    n = min(len(ids), len(vi_ids))
+    differ = np.flatnonzero((ids[:n] != vi_ids[:n]) | (dates[:n] != vi_dates[:n]))
+    if len(differ) or len(ids) != len(vi_ids):
+        i = differ[0] if len(differ) else n
+        sid, date = min((a[i].item(), d[i].item()) for a, d in ((ids, dates), (vi_ids, vi_dates))
+                        if i < len(a))
+        raise SchemaError(f"{pixels_path}: county {sid}/{date[:4]}: pixel dates differ from "
+                          f"the daily dates in {daily_path}")
 
-        if key not in vi_daily:
-            raise SchemaError(f"county {sid}/{year} has no pixel coverage")
-        entries = sorted(vi_daily[key], key=lambda e: e[0])
-        vi_series = np.array([e[1] for e in entries], dtype=np.float64)
-        vis = np.stack(
-            [composite_16day(vi_series[:, i], "mean") for i in range(4)], axis=1)
+    gid, gyear, k = ids[starts], years[starts], len(starts)
+    # each sample's truth row: code the (id, year) keys of both files together
+    _, code = np.unique(np.rec.fromarrays([np.concatenate([gid, truth["id"]]),
+                                           np.concatenate([gyear, truth["year"]])]),
+                        return_inverse=True)
+    row = np.full(len(code), -1)
+    row[code[k:]] = np.arange(len(code) - k)  # a repeated truth key: its last row
+    row = row[code[:k]]
+    if (row < 0).any():
+        i = np.argmax(row < 0)
+        raise SchemaError(f"county {gid[i]}/{gyear[i]} missing from truth csv {truth_path}")
 
-        info = truth[key]
-        ds.samples.append(Sample(
-            sid=sid, year=year, lat=info["lat"], lon=info["lon"],
-            hist_avg_yield=info["hist_avg_yield"], yield_label=info["yield"],
-            weather=weather, vis=vis, sm=sm))
-    return ds
+    lat, lon, hist = (truth[name][row] for name in ("lat", "lon", "hist_avg_yield"))
+    series = composite_16day(values.reshape(k, SEASON_DAYS, 6).transpose(0, 2, 1),
+                             [COMPOSITE_RULES[name] for name in DAILY_HEADER[2:]])
+    vis = composite_16day(vi.reshape(k, SEASON_DAYS, 4).transpose(0, 2, 1),
+                          [COMPOSITE_RULES[name] for name in VI_CHANNELS])
+    return Dataset.from_arrays("county", {
+        "ids": gid, "years": gyear, "w": series[:, :4].transpose(0, 2, 1),
+        "v": vis.transpose(0, 2, 1), "s": series[:, 4:].transpose(0, 2, 1),
+        "aux": np.column_stack([gyear, lat, lon, hist]),
+        "y": truth["yield"][row], "drought": np.zeros(k, dtype=bool)})

@@ -362,7 +362,7 @@ def save_checkpoint(stem, bundle):
     return stem + ".json", stem + ".bin"
 
 
-def load_checkpoint(stem, expect_config=None):
+def load_checkpoint(stem):
     stem = str(stem)
     if not os.path.exists(stem + ".json") or not os.path.exists(stem + ".bin"):
         raise FileNotFoundError(f"checkpoint {stem} missing .json/.bin")
@@ -379,9 +379,6 @@ def load_checkpoint(stem, expect_config=None):
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CheckpointMismatch(
             f"{stem}.json is not a checkpoint manifest: {type(e).__name__}: {e}") from None
-    if expect_config is not None and config.to_dict() != expect_config.to_dict():
-        raise CheckpointMismatch(
-            f"checkpoint architecture {config.to_dict()} != requested {expect_config.to_dict()}")
     with open(stem + ".bin", "rb") as f:
         raw = f.read()
     if len(raw) % 8:

@@ -296,7 +296,7 @@ def _random_three_layer(seed):
         out = ad.mul(ad.matmul(h2, w3) + b3, gain)
         return ad.mean(ad.square(out - ad.Tensor(y)))
 
-    assert store.n_values() == 20
+    assert store.flat().size == 20
     return store, loss_tensor
 
 

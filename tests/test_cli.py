@@ -403,6 +403,22 @@ def _edit_json(edit):
     return corrupt
 
 
+def _duplicate_line(line):
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        lines.insert(line, lines[line - 1])
+        path.write_text("\n".join(lines) + "\n")
+    return corrupt
+
+
+def _drop_rows(county, date):
+    """A corruption that deletes every row of one county on one date."""
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(x for x in lines if not x.startswith(f"{county},{date},")) + "\n")
+    return corrupt
+
+
 def _cut_bytes(n):
     def corrupt(path):
         path.write_bytes(path.read_bytes()[:-n])
@@ -448,6 +464,13 @@ BAD_FILES = {
     "daily_short_row": ("ingest", os.path.join("data", "daily.csv"),
                         lambda p: _set_cell(p, 3, "sm_rootzone", None),
                         "daily.csv line 3: 7 cells under a 8-column header"),
+    "daily_duplicate_row": ("ingest", os.path.join("data", "daily.csv"), _duplicate_line(3),
+                            "daily.csv: county c000/2019 does not have one row on each of 214 "
+                            "distinct dates"),
+    "pixels_missing_date": ("ingest", os.path.join("data", "pixels.csv"),
+                            _drop_rows("c000", "2019-07-01"),
+                            "pixels.csv: county c000/2019: pixel dates differ from the daily "
+                            "dates"),
     "truth_bad_yield": ("ingest", os.path.join("data", "county_truth.csv"),
                         lambda p: _set_cell(p, 2, "yield", "abc"),
                         "county_truth.csv: column 'yield'"),

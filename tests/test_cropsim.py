@@ -53,10 +53,10 @@ class TestSimulation:
         for _ in range(10):
             m = cropsim.sample_management(rng)
             w = cropsim.synth_weather(rng, 2020, (42.0, -93.0))
-            out, = cropsim.simulate_station_years([w], [m])
-            assert 0.0 <= out.yield_tha <= out.potential_yield + 1e-12
-            assert out.sm_surface.min() >= 0.05 - 1e-12
-            assert out.sm_rootzone.max() <= 0.55 + 1e-12
+            out = cropsim.simulate_station_years([w], [m])
+            assert 0.0 <= out["yield_tha"][0] <= out["potential_yield"][0] + 1e-12
+            assert out["sm_surface"][0].min() >= 0.05 - 1e-12
+            assert out["sm_rootzone"][0].max() <= 0.55 + 1e-12
 
     def test_more_fertilizer_never_hurts(self):
         rng = np.random.default_rng(3)
@@ -64,8 +64,8 @@ class TestSimulation:
         base = dict(sow_window_start=110, sow_window_end=136, plant_population=8,
                     initial_soil_water=0.5)
         y_low, y_high = cropsim.simulate_station_years(
-            [w, w], [cropsim.Management(fertilizer=f, **base) for f in (200, 300)])
-        assert y_high.yield_tha >= y_low.yield_tha
+            [w, w], [cropsim.Management(fertilizer=f, **base) for f in (200, 300)])["yield_tha"]
+        assert y_high >= y_low
 
     def test_wetter_season_never_hurts(self):
         rng = np.random.default_rng(4)
@@ -74,8 +74,8 @@ class TestSimulation:
             w = cropsim.synth_weather(rng, 2020, (40.0, -95.0), wet_day_prob=0.15)
             scaled = cropsim.WeatherSeries(radn=w.radn, tmax=w.tmax, tmin=w.tmin,
                                            ppt=w.ppt * 1.4)
-            wet, dry = cropsim.simulate_station_years([scaled, w], [m, m])
-            assert wet.yield_tha >= dry.yield_tha - 1e-12
+            wet, dry = cropsim.simulate_station_years([scaled, w], [m, m])["yield_tha"]
+            assert wet >= dry - 1e-12
 
     def test_potential_yield_map(self):
         assert cropsim.potential_yield(6, 200) == pytest.approx(9.0)
@@ -106,8 +106,8 @@ class TestFieldDataset:
         for s in ds.samples[:4]:
             station = int(s.sid[2:])
             keys = [(station, year) for year in range(s.year - 5, s.year)]
-            prior = [sim.yield_tha for _, _, sim
-                     in cropsim.simulate_field_station_years(9, keys, MIX)]
+            _, _, sim = cropsim.simulate_field_station_years(9, keys, MIX)
+            prior = sim["yield_tha"]
             assert s.hist_avg_yield == pytest.approx(np.mean(prior), abs=1e-12)
 
     def test_sm_yield_correlation_positive_at_scale(self):
@@ -126,12 +126,12 @@ class TestCountyInputs:
                                     pixels_path=paths[0], daily_path=paths[1],
                                     truth_path=paths[2])
         pixels = ingest.read_pixels_csv(paths[0])
-        daily = ingest.read_daily_csv(paths[1])
+        ids, years, dates, _ = ingest.read_daily_csv(paths[1])
         truth = ingest.read_truth_csv(paths[2])
-        assert len(truth) == 4
-        assert len(daily) == 4
-        for key, (dates, vals) in daily.items():
-            assert len(dates) == ingest.SEASON_DAYS
+        assert len(truth["id"]) == 4
+        county_years, rows = np.unique(np.char.add(ids, years.astype(str)), return_counts=True)
+        assert len(county_years) == 4
+        assert (rows == ingest.SEASON_DAYS).all()
         # reflectances are physical
         for band in (pixels.red, pixels.nir, pixels.blue, pixels.green, pixels.swir):
             assert band.min() >= 0.0 and band.max() <= 1.0

@@ -102,15 +102,21 @@ def _random_pixels(rng):
                              corn_mask=np.array(cols[7], dtype=bool))
 
 
+def _averages(pixels):
+    """ingest.spatial_average_all as dict (county, date) -> means, in its row order."""
+    county_ids, dates, means = ingest.spatial_average_all(pixels)
+    return dict(zip(zip(county_ids.tolist(), dates.tolist()), means))
+
+
 class TestSpatialAverage:
     def test_constant_pixels_average_to_that_value(self):
         table = _pixels(["c1"] * 3, ["2020-06-01"] * 3, [0.4, 0.4, 0.4], [1, 1, 1])
-        means = ingest.spatial_average_all(table)[("c1", "2020-06-01")]
+        means = _averages(table)[("c1", "2020-06-01")]
         assert means[3] == pytest.approx(0.4, abs=1e-12)
 
     def test_mask_respected(self):
         table = _pixels(["c1"] * 3, ["2020-06-01"] * 3, [0.2, 0.4, 0.9], [1, 1, 0])
-        means = ingest.spatial_average_all(table)[("c1", "2020-06-01")]
+        means = _averages(table)[("c1", "2020-06-01")]
         assert means[3] == pytest.approx(0.3, abs=1e-12)
 
     def test_empty_mask_raises(self):
@@ -129,9 +135,9 @@ class TestSpatialAverage:
     def test_bulk_path_matches_per_call(self):
         for seed in range(5):
             table = _random_pixels(np.random.default_rng(seed))
-            bulk = ingest.spatial_average_all(table)
+            bulk = _averages(table)
             keys = set(zip(table.county_id.tolist(), table.date.tolist()))
-            assert set(bulk) == keys
+            assert list(bulk) == sorted(keys)  # county then date order
             for (county, date), means in bulk.items():
                 expected = spatial_average(table, county, date)
                 assert means.tobytes() == expected.tobytes(), (seed, county, date)
@@ -176,11 +182,28 @@ class TestCompositing:
         with pytest.raises(ShapeError):
             ingest.composite_16day(np.zeros(207))
 
+    def test_batch_composites_bit_for_bit_as_each_series(self):
+        rng = np.random.default_rng(16)
+        # magnitudes from 1e-3 to 1e4, so any change in summation order shows
+        daily = rng.normal(size=(40, 6, 214)) * 10.0 ** rng.integers(-3, 5, size=(40, 6, 1))
+        rules = [ingest.COMPOSITE_RULES[name] for name in ingest.DAILY_HEADER[2:]]
+        assert "sum" in rules and "mean" in rules
+        # a contiguous batch, and the (N, days, C) rows view ingest composites
+        batches = (daily, np.ascontiguousarray(daily.transpose(0, 2, 1)).transpose(0, 2, 1))
+        for batch in (ingest.composite_16day(b, rules) for b in batches):
+            assert batch.shape == (40, 6, 13)
+            for n in range(40):
+                for c, rule in enumerate(rules):
+                    one = ingest.composite_16day(daily[n, c], rule)
+                    assert batch[n, c].tobytes() == one.tobytes(), (n, c)
+
     def test_season_slice_starts_april_first(self):
         yearly = np.arange(365, dtype=float)
         sliced = ingest.season_slice(yearly)
         assert sliced[0] == 90.0  # Jan 31 + Feb 28 + Mar 31 days precede April 1
         assert len(sliced) == 214
+        batch = ingest.season_slice(np.stack([yearly, -yearly]))
+        np.testing.assert_array_equal(batch, np.stack([sliced, -sliced]))
 
 
 class TestSeasonalSmMean:
@@ -265,6 +288,18 @@ class TestStackDataset:
         assert a["w"].shape == (0, ingest.N_WINDOWS, 4) and a["aux"].shape == (0, 4)
         assert ingest.channel_major(a).shape == (0, 10 * ingest.N_WINDOWS)
 
+    def test_from_arrays_inverts_stack_dataset(self):
+        rng = np.random.default_rng(17)
+        ds = make_dataset(rng, n=7, level="field")
+        ingest.label_drought(ds)
+        arrays = ingest.stack_dataset(ds)
+        assert datasets_equal(ingest.Dataset.from_arrays(ds.level, arrays), ds)
+        # sbar is derived from the SM series, never read
+        arrays["sbar"] = np.zeros(len(ds))
+        assert datasets_equal(ingest.Dataset.from_arrays(ds.level, arrays), ds)
+        assert len(ingest.Dataset.from_arrays("county", ingest.stack_dataset(
+            ingest.Dataset(level="county")))) == 0
+
     def test_subset_keeps_order_and_level(self):
         rng = np.random.default_rng(13)
         ds = make_dataset(rng, n=5, level="field")
@@ -334,12 +369,12 @@ class TestDailyCsv:
                                [dates[i] for i in perm], values[perm])
         grouped = ingest.read_daily_csv(tmp_path / "sorted.csv")
         shuffled = ingest.read_daily_csv(tmp_path / "shuffled.csv")
-        assert list(grouped) == list(shuffled) == [(sid, year) for sid in ("c000", "c002", "c010")
-                                                   for year in (2019, 2020)]
-        for i, key in enumerate(grouped):
-            rows = slice(5 * i, 5 * (i + 1))
-            assert grouped[key][0] == shuffled[key][0] == dates[rows]
-            assert grouped[key][1].tobytes() == shuffled[key][1].tobytes() == values[rows].tobytes()
+        keys = [(sid, year) for sid in ("c000", "c002", "c010") for year in (2019, 2020)]
+        for got_ids, got_years, got_dates, got_values in (grouped, shuffled):
+            assert list(zip(got_ids.tolist(), got_years.tolist())) == [k for k in keys
+                                                                       for _ in range(5)]
+            assert got_dates.tolist() == dates
+            assert got_values.tobytes() == values.tobytes()
 
     def test_date_without_a_year_names_file_and_column(self, tmp_path):
         ids, dates, values = _daily_rows(np.random.default_rng(15))
@@ -366,10 +401,14 @@ class TestCountyAssembly:
                                     pixels_path=paths[0], daily_path=paths[1],
                                     truth_path=paths[2])
         ds = ingest.build_county_dataset(*paths)
-        daily = ingest.read_daily_csv(paths[1])
-        (sid, year), (dates, vals) = next(iter(daily.items()))
-        sample = next(s for s in ds.samples if s.sid == sid and s.year == year)
-        np.testing.assert_allclose(sample.weather[:, 0],
-                                   ingest.composite_16day(vals[:, 0], "mean"), atol=1e-12)
-        np.testing.assert_allclose(sample.weather[:, 3],
-                                   ingest.composite_16day(vals[:, 3], "sum"), atol=1e-12)
+        ids, years, _, vals = ingest.read_daily_csv(paths[1])
+        _, _, vi = ingest.spatial_average_all(ingest.read_pixels_csv(paths[0]))
+        sample = next(s for s in ds.samples if s.sid == ids[0] and s.year == years[0])
+        # one county-year: every daily and pixel row is this sample's
+        expect = np.testing.assert_array_equal
+        expect(sample.weather[:, 0], ingest.composite_16day(vals[:, 0], "mean"))
+        expect(sample.weather[:, 3], ingest.composite_16day(vals[:, 3], "sum"))
+        for i in range(4):
+            expect(sample.vis[:, i], ingest.composite_16day(vi[:, i], "mean"))
+        for i in range(2):
+            expect(sample.sm[:, i], ingest.composite_16day(vals[:, 4 + i], "mean"))

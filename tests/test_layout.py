@@ -1,23 +1,46 @@
-"""`ingest.stack_dataset` is the one array view of a dataset: only the
-module that defines the sample layout and the simulator that builds
-samples may reach into `Dataset.samples`."""
+"""`ingest` alone knows how a dataset holds its samples: `stack_dataset`
+is the one array view of a dataset, `Dataset.from_arrays` the one way in,
+and only `ingest` reaches into `Dataset.samples`."""
 
 import ast
 import glob
 import os
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "kgmlsm")
-SAMPLE_LAYOUT_MODULES = {"ingest.py", "cropsim.py"}
 
 
-def test_only_ingest_and_cropsim_touch_dataset_samples():
-    touched = []
+def _modules():
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        if os.path.basename(path) in SAMPLE_LAYOUT_MODULES:
-            continue
         with open(path, encoding="utf-8") as f:
-            tree = ast.parse(f.read())
-        touched += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
+            yield os.path.basename(path), ast.parse(f.read())
+
+
+def test_only_ingest_touches_dataset_samples():
+    touched = []
+    for name, tree in _modules():
+        if name == "ingest.py":
+            continue
+        touched += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                     if (isinstance(node, ast.Attribute) and node.attr == "samples")
                     or (isinstance(node, ast.keyword) and node.arg == "samples")]
     assert touched == []
+
+
+def _from_arrays(tree):
+    return [fn for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Dataset"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "from_arrays"]
+
+
+def test_only_dataset_from_arrays_builds_a_sample():
+    builders, calls = set(), []
+    for name, tree in _modules():
+        allowed = {id(node) for fn in _from_arrays(tree) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) != "Sample":
+                continue
+            if id(node) in allowed:
+                builders.add(name)
+            else:
+                calls.append(f"{name}:{node.lineno}")
+    assert calls == [] and builders == {"ingest.py"}

@@ -330,15 +330,6 @@ class TestCheckpoints:
         pred_b = back.predict(tiny_field)["y_hat"]
         np.testing.assert_array_equal(pred_a, pred_b)
 
-    def test_architecture_mismatch_rejected(self, tiny_field, tmp_path):
-        cfg = model.ModelConfig(**SMALL)
-        bundle = model.ModelBundle(config=cfg, params=model.init_params(cfg, 0),
-                                   stats=_stats(tiny_field))
-        stem = tmp_path / "model"
-        model.save_checkpoint(stem, bundle)
-        with pytest.raises(CheckpointMismatch):
-            model.load_checkpoint(stem, expect_config=model.ModelConfig())
-
     def test_truncated_blob_rejected(self, tiny_field, tmp_path):
         cfg = model.ModelConfig(**SMALL)
         bundle = model.ModelBundle(config=cfg, params=model.init_params(cfg, 0),

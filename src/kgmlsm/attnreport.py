@@ -12,10 +12,6 @@ from . import artifacts, ingest, model
 
 CATEGORIES = ("Weather", "VIs", "SM")
 
-# 16-day windows (1-indexed) roughly covering each mid-season month,
-# counting from the April 1 season start.
-MONTH_WINDOWS = {"june": (4, 5), "july": (6, 7), "august": (8, 9)}
-
 
 def extract(bundle, dataset):
     """Per-sample attention weights keyed by (id, year, channel, timestep).
@@ -50,40 +46,49 @@ def normalize_by_year(years, values):
     return out
 
 
-def category_average(alpha_row, labels, categories=None):
-    """Per-category, per-timestep mean of one sample's attention weights.
+def category_average(alpha, labels):
+    """Per-category, per-timestep mean of attention weights: of one
+    sample's (n_tokens,) row, or of each row of an (N, n_tokens) matrix.
 
+    Returns {(category, timestep): mean}, a scalar for a row and an (N,)
+    array for a matrix; each group's tokens are added in label order.
     Every series channel must belong to exactly one category; auxiliary
     tokens (timestep -1) have no category and are excluded.
     """
-    categories = categories or ingest.CHANNEL_CATEGORY
-    sums = {}
-    counts = {}
-    for a, (channel, t) in zip(alpha_row, labels):
+    groups = {}
+    for i, (channel, t) in enumerate(labels):
         if t < 0:
             continue
-        if channel not in categories:
+        if channel not in ingest.CHANNEL_CATEGORY:
             raise ValueError(f"channel {channel!r} has no category assignment")
-        cat = categories[channel]
-        key = (cat, t)
-        sums[key] = sums.get(key, 0.0) + float(a)
-        counts[key] = counts.get(key, 0) + 1
-    return {key: sums[key] / counts[key] for key in sums}
+        groups.setdefault((ingest.CHANNEL_CATEGORY[channel], t), []).append(i)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    out = {}
+    for key, idx in groups.items():
+        total = np.zeros(alpha.shape[:-1])
+        for i in idx:
+            total += alpha[..., i]
+        out[key] = total / len(idx)
+    return out
 
 
 def category_report(extraction):
-    """Mean category attention per (year, category, timestep) over samples."""
-    acc = {}
-    n_by_year = {}
-    for row, year in zip(extraction["alpha"], extraction["years"].tolist()):
-        n_by_year[year] = n_by_year.get(year, 0) + 1
-        for (cat, t), v in category_average(row, extraction["labels"]).items():
-            key = (year, cat, t)
-            acc[key] = acc.get(key, 0.0) + v
+    """Mean category attention per (year, category, timestep) over samples.
+
+    Each year's category_average rows are added in dataset order (a sum
+    over axis 0 of the year's block), so every mean is the one a
+    per-sample running sum gives, bit for bit.
+    """
+    cats = category_average(extraction["alpha"], extraction["labels"])
+    keys = sorted(cats)
+    values = np.column_stack([cats[key] for key in keys])
+    years = extraction["years"]
     rows = []
-    for (year, cat, t) in sorted(acc):
-        rows.append({"year": year, "category": cat, "timestep": t,
-                     "alpha_mean": acc[(year, cat, t)] / n_by_year[year]})
+    for year in np.unique(years).tolist():
+        block = values[years == year]
+        means = (block.sum(axis=0) / len(block)).tolist()
+        rows += [{"year": year, "category": cat, "timestep": t, "alpha_mean": m}
+                 for (cat, t), m in zip(keys, means)]
     return rows
 
 
@@ -111,6 +116,14 @@ def drought_distribution_stats(values, flags):
         out[name] = {"median": float(med), "q1": float(q1), "q3": float(q3),
                      "n": int(mask.sum()), "outliers": int(((v < lo) | (v > hi)).sum())}
     return out
+
+
+def box_report(extraction):
+    """drought_distribution_stats of the per-sample SM attention, per year."""
+    sm_att = sm_attention_scalar(extraction)
+    years, flags = extraction["years"], extraction["drought"]
+    return {year: drought_distribution_stats(sm_att[years == year], flags[years == year])
+            for year in np.unique(years).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -51,28 +51,13 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return add(self, scale(_as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), scale(self, -1.0))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)

@@ -327,13 +327,7 @@ def cmd_attn_report(cfg, paths):
     rows = attnreport.category_report(extraction)
     attnreport.write_category_csv(paths.attn_category, rows)
     if bundle.config.use_sm_tokens:
-        sm_att = attnreport.sm_attention_scalar(extraction)
-        stats_by_year = {}
-        for year in sorted(set(extraction["years"].tolist())):
-            mask = extraction["years"] == year
-            stats_by_year[year] = attnreport.drought_distribution_stats(
-                sm_att[mask], extraction["drought"][mask])
-        attnreport.write_box_csv(paths.attn_box, stats_by_year)
+        attnreport.write_box_csv(paths.attn_box, attnreport.box_report(extraction))
     attnreport.render_category_svg(paths.attn_svg, rows)
     print(f"attn-report: {extraction['alpha'].shape[0]} samples x "
           f"{extraction['alpha'].shape[1]} tokens (seed {seed})")

@@ -14,7 +14,6 @@ dataset is composited and made with ingest's one array path
 sample layout or the compositing rules.
 """
 
-import datetime
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +45,6 @@ PPT_EVENT_SCALE_RANGE = (3.0, 9.5)  # gamma scale, mm per wet-day event
 def scenario_wet_prob(rng, scenario):
     lo, hi = SCENARIO_WET_PROB_RANGE[scenario]
     return float(rng.uniform(lo, hi))
-
-_MMDD = [(datetime.date(2001, 1, 1) + datetime.timedelta(days=d)).strftime("%m-%d")
-         for d in range(DAYS_PER_YEAR)]
-
-
-def date_str(year, doy):
-    return f"{year}-{_MMDD[doy]}"
 
 
 @dataclass
@@ -324,11 +316,9 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
     overrides = {int(k): v for k, v in (scenario_overrides or {}).items()}
     all_years = list(range(years[0] - 5, years[-1] + 1))
     season = ingest.season_slice
-    start = ingest.SEASON_START_DOY
 
     nd, n_px = ingest.SEASON_DAYS, PIXELS_PER_COUNTY
-    season_dates = {year: np.array([date_str(year, start + d) for d in range(nd)])
-                    for year in years}
+    season_dates = {year: ingest.season_dates(year) for year in years}
     kept, daily_values, bands = [], [], []  # one entry per county-year written
     truth_rows = []
 

@@ -138,6 +138,11 @@ def spatial_average_all(pixels):
 # temporal compositing
 
 
+def season_dates(year):
+    """The SEASON_DAYS ISO dates of a year's season, April 1 .. October 31."""
+    return (np.datetime64(f"{year}-04-01") + np.arange(SEASON_DAYS)).astype("U10")
+
+
 def composite_16day(daily, rule="mean"):
     """Collapse seasonal daily series, the last axis of a (..., days) array
     covering >= 208 days from April 1, into 13 16-day values; later days
@@ -386,9 +391,10 @@ def build_county_dataset(pixels_path, daily_path, truth_path):
     """Assemble the county-level dataset from the three ingestion CSVs.
 
     One sample per (id, year) of the daily CSV, in id then year order. Each
-    must have one daily row on each of SEASON_DAYS distinct dates, pixels
-    on exactly those dates and a truth row; pixels of any other
-    county-year are refused, truth rows of other county-years are not read.
+    must have one daily row on each of its season_dates, pixels on exactly
+    those dates and a truth row; pixels of any other county-year are
+    refused, as is a truth file that repeats an (id, year). Truth rows of
+    other county-years are not read.
     """
     pixels = read_pixels_csv(pixels_path)
     ids, years, dates, values = read_daily_csv(daily_path)
@@ -407,6 +413,14 @@ def build_county_dataset(pixels_path, daily_path, truth_path):
         i = starts[np.argmax(bad)]
         raise SchemaError(f"{daily_path}: county {ids[i]}/{years[i]} does not have one row on "
                           f"each of {SEASON_DAYS} distinct dates")
+    gid, gyear, k = ids[starts], years[starts], len(starts)
+    season_years, at = np.unique(gyear, return_inverse=True)
+    expected = np.stack([season_dates(year) for year in season_years.tolist()])[at].ravel()
+    off_season = dates != expected
+    if off_season.any():
+        i = np.argmax(off_season)
+        raise SchemaError(f"{daily_path}: county {ids[i]}/{years[i]} has dates outside the "
+                          "season, April 1 to October 31")
 
     # both tables are in county then date order: they line up row for row
     # when every county-year has its pixels on its daily dates
@@ -419,13 +433,17 @@ def build_county_dataset(pixels_path, daily_path, truth_path):
         raise SchemaError(f"{pixels_path}: county {sid}/{date[:4]}: pixel dates differ from "
                           f"the daily dates in {daily_path}")
 
-    gid, gyear, k = ids[starts], years[starts], len(starts)
     # each sample's truth row: code the (id, year) keys of both files together
     _, code = np.unique(np.rec.fromarrays([np.concatenate([gid, truth["id"]]),
                                            np.concatenate([gyear, truth["year"]])]),
                         return_inverse=True)
+    repeated = np.bincount(code[k:])[code[k:]] > 1
+    if repeated.any():
+        i = np.argmax(repeated)
+        raise SchemaError(f"{truth_path}: county {truth['id'][i]}/{truth['year'][i]} has more "
+                          "than one row")
     row = np.full(len(code), -1)
-    row[code[k:]] = np.arange(len(code) - k)  # a repeated truth key: its last row
+    row[code[k:]] = np.arange(len(code) - k)
     row = row[code[:k]]
     if (row < 0).any():
         i = np.argmax(row < 0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, mean, mul, relu, scale, square
+from .autodiff import Tensor, _as_tensor, mean, mul, relu, scale, square
 from .errors import ConfigError, ShapeError
 
 
@@ -31,14 +31,10 @@ class LossConfig:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
 
 
-def _as_t(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def sm_loss(s, s_hat):
     """Mean squared error over batch, timesteps and both SM layers."""
-    s = _as_t(s)
-    s_hat = _as_t(s_hat)
+    s = _as_tensor(s)
+    s_hat = _as_tensor(s_hat)
     if s.shape != s_hat.shape:
         raise ShapeError(f"sm_loss: shapes differ, {s.shape} vs {s_hat.shape}")
     return mean(square(s - s_hat))
@@ -62,7 +58,7 @@ def yield_loss(y, y_hat, sbar, config):
     """
     y = np.asarray(y, dtype=np.float64)
     sbar = np.asarray(sbar, dtype=np.float64)
-    y_hat = _as_t(y_hat)
+    y_hat = _as_tensor(y_hat)
     if y.shape != y_hat.shape or y.shape != sbar.shape:
         raise ShapeError(
             f"yield_loss: length mismatch, y {y.shape}, y_hat {y_hat.shape}, sbar {sbar.shape}")
@@ -76,4 +72,4 @@ def yield_loss(y, y_hat, sbar, config):
 
 def total_loss(sm_term, yield_term):
     """Unweighted sum of the two objectives."""
-    return _as_t(sm_term) + _as_t(yield_term)
+    return _as_tensor(sm_term) + _as_tensor(yield_term)

@@ -89,21 +89,16 @@ class Normalization:
     aux_sd: np.ndarray
     y_mu: float
     y_sd: float
-    vi_const: np.ndarray = None
-    weather_const: np.ndarray = None
-    sm_const: np.ndarray = None
-    aux_const: np.ndarray = None
+    vi_const: np.ndarray
+    weather_const: np.ndarray
+    sm_const: np.ndarray
+    aux_const: np.ndarray
 
     # (statistics group, stack_dataset key, axes reduced per channel)
     GROUPS = (("weather", "w", (0, 1)), ("vi", "v", (0, 1)), ("sm", "s", (0, 1)),
               ("aux", "aux", 0))
     WIDTHS = {"weather": len(ingest.WEATHER_CHANNELS), "vi": len(ingest.VI_CHANNELS),
               "sm": len(ingest.SM_CHANNELS), "aux": len(ingest.AUX_FIELDS)}  # channels per group
-
-    def __post_init__(self):
-        for group, _, _ in self.GROUPS:
-            if getattr(self, f"{group}_const") is None:
-                setattr(self, f"{group}_const", np.zeros(len(getattr(self, f"{group}_mu")), bool))
 
     @classmethod
     def from_arrays(cls, arrays):

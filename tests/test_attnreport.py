@@ -177,8 +177,28 @@ class TestReportRoundTrip:
         assert content.startswith("<svg") and "polyline" in content
 
 
-def test_month_window_mapping_is_in_range():
-    # June/July/August map onto consecutive 16-day windows of the season
-    flat = [w for pair in attnreport.MONTH_WINDOWS.values() for w in pair]
-    assert all(1 <= w <= 13 for w in flat)
-    assert flat == sorted(flat)
+def _category_report_by_sample(alpha, labels, years):
+    """Reference for category_report: each sample's category means by a
+    running sum over its tokens, then a running sum of those per year."""
+    acc, n_by_year = {}, {}
+    for row, year in zip(alpha, years.tolist()):
+        n_by_year[year] = n_by_year.get(year, 0) + 1
+        sums, counts = {}, {}
+        for a, (channel, t) in zip(row, labels):
+            if t >= 0:
+                key = (ingest.CHANNEL_CATEGORY[channel], t)
+                sums[key] = sums.get(key, 0.0) + float(a)
+                counts[key] = counts.get(key, 0) + 1
+        for (cat, t), total in sums.items():
+            acc[(year, cat, t)] = acc.get((year, cat, t), 0.0) + total / counts[(cat, t)]
+    return [{"year": year, "category": cat, "timestep": t,
+             "alpha_mean": acc[year, cat, t] / n_by_year[year]} for year, cat, t in sorted(acc)]
+
+
+def test_category_report_matches_per_sample_sums_bit_for_bit():
+    labels = model.token_labels(model.ModelConfig())
+    rng = np.random.default_rng(7)
+    years = rng.permutation(np.repeat([2019, 2020, 2021], 100))  # years interleaved
+    alpha = rng.dirichlet(np.ones(len(labels)), size=len(years))
+    extraction = {"alpha": alpha, "labels": labels, "years": years}
+    assert category_report(extraction) == _category_report_by_sample(alpha, labels, years)

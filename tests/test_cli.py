@@ -419,6 +419,26 @@ def _drop_rows(county, date):
     return corrupt
 
 
+def _append_copy(line, column, value):
+    """A corruption that appends a copy of one CSV row with one cell changed."""
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        lines.append(lines[line - 1])
+        path.write_text("\n".join(lines) + "\n")
+        _set_cell(path, len(lines), column, value)
+    return corrupt
+
+
+def _move_date(county, date, to):
+    """A corruption that moves one county's daily and pixel rows to another
+    date, so the two files still agree with each other."""
+    def corrupt(path):
+        for name in ("daily.csv", "pixels.csv"):
+            other = path.parent / name
+            other.write_text(other.read_text().replace(f"\n{county},{date},", f"\n{county},{to},"))
+    return corrupt
+
+
 def _cut_bytes(n):
     def corrupt(path):
         path.write_bytes(path.read_bytes()[:-n])
@@ -467,6 +487,9 @@ BAD_FILES = {
     "daily_duplicate_row": ("ingest", os.path.join("data", "daily.csv"), _duplicate_line(3),
                             "daily.csv: county c000/2019 does not have one row on each of 214 "
                             "distinct dates"),
+    "daily_date_outside_season": ("ingest", os.path.join("data", "daily.csv"),
+                                  _move_date("c000", "2019-04-01", "2019-11-01"),
+                                  "daily.csv: county c000/2019 has dates outside the season"),
     "pixels_missing_date": ("ingest", os.path.join("data", "pixels.csv"),
                             _drop_rows("c000", "2019-07-01"),
                             "pixels.csv: county c000/2019: pixel dates differ from the daily "
@@ -474,6 +497,9 @@ BAD_FILES = {
     "truth_bad_yield": ("ingest", os.path.join("data", "county_truth.csv"),
                         lambda p: _set_cell(p, 2, "yield", "abc"),
                         "county_truth.csv: column 'yield'"),
+    "truth_repeated_key": ("ingest", os.path.join("data", "county_truth.csv"),
+                           _append_copy(2, "yield", "99.0"),
+                           "county_truth.csv: county c000/2019 has more than one row"),
     "samples_bad_cell": ("evaluate", os.path.join("data", "county_samples.csv"),
                          lambda p: _set_cell(p, 4, "w_5", "abc"),
                          "county_samples.csv: column 'w_5'"),

@@ -5,6 +5,8 @@ its parents and a closure distributing the output gradient to them.
 ``backward`` topologically sorts the recorded graph and visits each node
 exactly once. Only the primitives the downstream model needs exist here;
 there is no general broadcasting machinery beyond what those ops use.
+A layer the model fuses, such as the W2S encoder-decoder or the token
+matrix, is one ``node`` whose closed-form backward the model supplies.
 
 A result records its parents only when some operand requires grad, so a
 forward pass on ``ParamStore.constants()`` builds no graph: each
@@ -27,7 +29,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, name=None, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError(f"non-finite value in tensor {name or '<anon>'}")
         self.data = arr
         self.grad = None
@@ -187,29 +189,6 @@ def softmax_last(a):
     return Tensor(y, _parents=(a,), _backward=backward, name="softmax")
 
 
-def concat(tensors, axis):
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat: no operands")
-    ref = tensors[0].data.shape
-    for t in tensors[1:]:
-        s = t.data.shape
-        if len(s) != len(ref) or any(s[i] != ref[i] for i in range(len(ref)) if i != axis % len(ref)):
-            raise ShapeError(f"concat: incompatible shapes {ref} vs {s} on axis {axis}")
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(go):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * go.ndim
-                sl[axis] = slice(lo, hi)
-                _accumulate(t, go[tuple(sl)])
-
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                  _parents=tuple(tensors), _backward=backward, name="concat")
-
-
 def _is_basic(part):
     return isinstance(part, slice) or (isinstance(part, (int, np.integer))
                                        and not isinstance(part, bool))
@@ -239,76 +218,23 @@ def reshape(a, shape):
     return Tensor(a.data.reshape(shape), _parents=(a,), _backward=backward, name="reshape")
 
 
-def pad_edge(a, n):
-    """Append n copies of the last step along axis 1."""
-    if a.data.ndim < 2 or a.data.shape[1] == 0 or n < 1:
-        raise ShapeError(f"pad_edge: need a non-empty axis 1 and n >= 1, got {a.data.shape}, n={n}")
-    length = a.data.shape[1]
-    out = np.concatenate([a.data] + [a.data[:, length - 1: length]] * n, axis=1)
+def node(data, parents, grads, name):
+    """A node whose forward the caller has already computed as data.
+
+    grads(go) returns one gradient per parent, each of the parent's shape,
+    or None for a parent that needs none. Its arithmetic is the caller's, so
+    a fused layer can repeat an op-by-op chain bit for bit. Only the parents
+    that require grad are recorded: the others take no part in backward.
+    """
+    parents = tuple(parents)
 
     def backward(go):
-        if a.requires_grad:
-            tail = go[:, length].copy()
-            for k in range(length + 1, length + n):
-                tail += go[:, k]
-            g = go[:, :length].copy()
-            g[:, length - 1] += tail
-            _accumulate(a, g)
+        for p, g in zip(parents, grads(go)):
+            if g is not None:
+                _accumulate(p, g)
 
-    return Tensor(out, _parents=(a,), _backward=backward, name="pad_edge")
-
-
-def conv1d_k3(x, w, b):
-    """Width-3 temporal convolution along axis 1, zero-padded to keep length:
-    (B, L, C) -> [x[t-1], x[t], x[t+1]] (B, L, 3C) @ w (3C, F) + b (F,)."""
-    if x.data.ndim != 3 or w.data.ndim != 2 or w.data.shape[0] != 3 * x.data.shape[2]:
-        raise ShapeError(f"conv1d_k3: need (B, L, C) @ (3C, F), got {x.data.shape} @ {w.data.shape}")
-    if b.data.shape != w.data.shape[1:]:
-        raise ShapeError(f"conv1d_k3: bias {b.data.shape} does not match weight {w.data.shape}")
-    batch, length, chans = x.data.shape
-    xp = np.zeros((batch, length + 2, chans))
-    xp[:, 1:length + 1] = x.data
-    win = np.concatenate([xp[:, 0:length], xp[:, 1:length + 1], xp[:, 2:length + 2]], axis=2)
-
-    def backward(go):
-        if x.requires_grad:
-            gwin = np.matmul(go, np.swapaxes(w.data, -1, -2))
-            gp = np.zeros_like(xp)
-            for k in range(3):  # t-1, t, t+1: the order the sum must keep
-                gp[:, k:k + length] += gwin[:, :, k * chans:(k + 1) * chans]
-            _accumulate(x, gp[:, 1:length + 1])
-        if w.requires_grad:
-            _accumulate(w, np.matmul(np.swapaxes(win, -1, -2), go).sum(axis=0))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(go, b.data.shape))
-
-    return Tensor(np.matmul(win, w.data) + b.data, _parents=(x, w, b), _backward=backward,
-                  name="conv1d_k3")
-
-
-def pool_mean2(a):
-    """Downsample axis 1 by 2 with pairwise means; length must be even."""
-    if a.data.ndim < 2 or a.data.shape[1] % 2 != 0:
-        raise ShapeError(f"pool_mean2: axis 1 must have even length, got {a.data.shape}")
-
-    def backward(go):
-        if a.requires_grad:
-            _accumulate(a, np.repeat(go * 0.5, 2, axis=1))
-
-    out = 0.5 * (a.data[:, 0::2] + a.data[:, 1::2])
-    return Tensor(out, _parents=(a,), _backward=backward, name="pool_mean2")
-
-
-def upsample_repeat2(a):
-    """Upsample axis 1 by 2 with nearest repeats."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"upsample_repeat2: need at least 2 dims, got {a.data.shape}")
-
-    def backward(go):
-        if a.requires_grad:
-            _accumulate(a, go[:, 0::2] + go[:, 1::2])
-
-    return Tensor(np.repeat(a.data, 2, axis=1), _parents=(a,), _backward=backward, name="upsample2")
+    return Tensor(data, _parents=tuple(p for p in parents if p.requires_grad),
+                  _backward=backward, name=name)
 
 
 def backward(loss):

@@ -142,6 +142,7 @@ class RunPaths:
         self.county_samples = os.path.join(self.data, "county_samples.csv")
         self.filter_report = os.path.join(self.filter, "filter_report.csv")
         self.field_filtered = os.path.join(self.filter, "field_filtered.csv")
+        self.filter_diagnostics = os.path.join(self.filter, "diagnostics.json")
         self.metrics = os.path.join(self.evaluate, "metrics.json")
         self.errors = os.path.join(self.evaluate, "errors.csv")
         self.attn_raw = os.path.join(self.attn, "attention_raw.csv")
@@ -204,6 +205,7 @@ def cmd_filter(cfg, paths):
         raise KgmlsmError(f"filter.threshold {threshold} keeps none of the {len(field)} field "
                           "samples; pretraining needs at least one")
     filtering.write_filter_report(paths.filter_report, report)
+    write_json(paths.filter_diagnostics, sm_model.diagnostics)
     ingest.write_samples_csv(kept, paths.field_filtered)
     print(f"filter: kept {len(kept)}, discarded {len(discarded)} (threshold {threshold})")
 
@@ -389,7 +391,7 @@ STAGES = {
     "filter": Stage(
         cmd_filter,
         reads=lambda cfg, p: _samples(p.field_samples) + _samples(p.county_samples),
-        writes=lambda cfg, p: [p.filter_report] + _samples(p.field_filtered)),
+        writes=lambda cfg, p: [p.filter_report, p.filter_diagnostics] + _samples(p.field_filtered)),
     "pretrain": Stage(
         cmd_pretrain,
         reads=lambda cfg, p: _if_pretrains(cfg, _samples(_field_source(cfg, p))),

@@ -325,6 +325,11 @@ def read_samples_csv(csv_path):
     ids, years, flags = np.array(cols["id"]), cols.ints("year"), cols.bools("drought_flag")
     del cols  # a cell string kept past here would pin the memory of its neighbours
     n, series = len(numbers), numbers[:, 5:]
+    sm_cells = series[:, 8 * N_WINDOWS:]
+    if (sm_cells < 0).any():  # soil moisture is a water content
+        row, col = np.unravel_index(np.argmax(sm_cells < 0), sm_cells.shape)
+        raise SchemaError(f"{csv_path}: column 's_{col + 1}' has a negative soil moisture "
+                          f"{float(sm_cells[row, col])!r} for {ids[row]}/{years[row]}")
     w, v, sm = (series[:, lo * N_WINDOWS: hi * N_WINDOWS].reshape(n, hi - lo, N_WINDOWS)
                 .transpose(0, 2, 1) for lo, hi in ((0, 4), (4, 8), (8, 10)))
     ds = Dataset.from_arrays(manifest["level"], {

@@ -52,15 +52,31 @@ def _standardize_features(train_x, *others):
 
 
 def _lstsq_normal_equations(design, y, ridge_alpha=0.0):
-    gram = design.T @ design
+    """Least-squares weights from the normal equations, in an order of
+    arithmetic that the BLAS thread count cannot change: BLAS splits the
+    wide Gram's sums, and LAPACK's blocked solve its updates, by thread
+    count, which moved the last bits of the baselines between machines.
+    einsum without optimize adds each sum over the samples in one fixed
+    order, and the solve is Gaussian elimination with partial pivoting
+    in element-wise steps."""
+    gram = np.einsum("ij,ik->jk", design, design, optimize=False)
     if ridge_alpha > 0.0:
         penalty = ridge_alpha * np.eye(gram.shape[0])
         penalty[-1, -1] = 0.0  # intercept is not shrunk
         gram = gram + penalty
-    try:
-        return np.linalg.solve(gram, design.T @ y)
-    except np.linalg.LinAlgError:
-        raise ValueError("singular normal equations; use the ridge baseline")
+    x = np.einsum("ij,i->j", design, y, optimize=False)
+    n = len(x)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(gram[k:, k])))
+        if gram[p, k] == 0.0:
+            raise ValueError("singular normal equations; use the ridge baseline")
+        gram[[k, p]], x[[k, p]] = gram[[p, k]], x[[p, k]]
+        f = gram[k + 1:, k] / gram[k, k]
+        gram[k + 1:, k:] -= np.multiply.outer(f, gram[k, k:])
+        x[k + 1:] -= f * x[k]
+    for k in range(n - 1, -1, -1):
+        x[k] = (x[k] - np.sum(gram[k, k + 1:] * x[k + 1:])) / gram[k, k]
+    return x
 
 
 def baseline_fit_predict(kind, train, test, val=None, seed=0, ridge_alpha=1.0):

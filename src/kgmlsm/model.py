@@ -11,8 +11,10 @@ attention_forward folds the embedding and the key, value and output
 projections into four per-token vectors: it costs O(B n), and its
 parameters and checkpoints are those of the unfolded (B, n, d_model) head.
 
-The W2S encoder-decoder is built from autodiff primitives: each of its
-four width-3 temporal convolutions is one conv1d_k3 node.
+The W2S encoder-decoder is one autodiff node computed in numpy, with a
+closed-form backward that repeats, operation for operation, the arithmetic
+of the op-by-op chain it replaced, so its outputs and gradients are bit for
+bit those of the chain. The token matrix is one more node.
 
 The network operates in z-scored space: inputs and targets are
 standardized with statistics carried in the checkpoint, and predictions
@@ -26,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts, ingest
-from .autodiff import (ParamStore, Tensor, concat, conv1d_k3, matmul, mul, pad_edge, pool_mean2,
-                       relu, reshape, softmax_last, upsample_repeat2)
-from .errors import CheckpointMismatch, SchemaError, ShapeError
+from .autodiff import ParamStore, Tensor, matmul, mul, node, reshape, softmax_last
+from .errors import CheckpointMismatch, NonFiniteError, SchemaError, ShapeError
 from .ingest import stack_dataset
 
 T = ingest.N_WINDOWS  # 13
@@ -207,45 +208,189 @@ def init_params(config, seed):
 # forward pieces
 
 
+W2S_LAYERS = ("enc1", "enc2", "mid", "dec2", "dec1", "head")
+W2S_PARAMS = tuple(f"w2s.{layer}.{part}" for layer in W2S_LAYERS for part in ("w", "b"))
+_PAD = 3  # edge steps appended so 13 windows pool twice: 16 -> 8 -> 4
+
+
+def _windows(parts):
+    """(B, L, C_i) parts joined along channels, as (B, L, 3C) rows
+    [x[t-1], x[t], x[t+1]] of the joined x, zero past either end."""
+    batch, length = parts[0].shape[:2]
+    chans = sum(part.shape[2] for part in parts)
+    win = np.empty((batch, length, 3 * chans))
+    win[:, 0, :chans] = 0.0
+    win[:, -1, 2 * chans:] = 0.0
+    lo = 0
+    for part in parts:
+        hi = lo + part.shape[2]
+        win[:, 1:, lo:hi] = part[:, :-1]
+        win[:, :, chans + lo:chans + hi] = part
+        win[:, :-1, 2 * chans + lo:2 * chans + hi] = part[:, 1:]
+        lo = hi
+    return win
+
+
+def _windows_grad(gwin):
+    """Adjoint of _windows: the three column blocks added back in the order
+    t-1, t, t+1, which the sum must keep to stay bit for bit."""
+    batch, length, width = gwin.shape
+    chans = width // 3
+    gp = np.zeros((batch, length + 2, chans))
+    for k in range(3):
+        gp[:, k:k + length] += gwin[:, :, k * chans:(k + 1) * chans]
+    return gp[:, 1:length + 1]
+
+
+def _relu(z, saved, layer):
+    """relu of a layer's pre-activation, which must be finite: a relu
+    would turn a -inf into 0 and hide it."""
+    if not np.isfinite(z).all():
+        raise NonFiniteError(f"non-finite value in w2s.{layer}")
+    mask = z > 0
+    if saved is not None:
+        saved[layer] = mask
+    out = z * mask
+    out += 0.0  # a negative times 0 is -0.0; relu gives +0.0 there
+    return out
+
+
+def _conv_relu(parts, weights, saved, layer):
+    win = _windows(parts)
+    if saved is not None:
+        saved[layer + ".in"] = win
+    w, b = weights[layer]
+    z = np.matmul(win, w)
+    z += b
+    return _relu(z, saved, layer)
+
+
+def _w2s_arrays(weather, weights, saved):
+    """The encoder-decoder on arrays: (B, 13, 4) -> (B, 16, 2) head output.
+
+    saved, when not None, receives each layer's input rows and relu mask
+    for _w2s_grads; otherwise each intermediate is freed once used.
+    """
+    length = weather.shape[1]
+    x = np.concatenate([weather] + [weather[:, length - 1:length]] * _PAD, axis=1)
+    e1 = _conv_relu([x], weights, saved, "enc1")
+    e2 = _conv_relu([0.5 * (e1[:, 0::2] + e1[:, 1::2])], weights, saved, "enc2")
+    p2 = 0.5 * (e2[:, 0::2] + e2[:, 1::2])
+    mid = _relu(np.matmul(p2, weights["mid"][0]) + weights["mid"][1], saved, "mid")
+    if saved is not None:
+        saved["mid.in"] = p2
+    del p2
+    d2 = _conv_relu([np.repeat(mid, 2, axis=1), e2], weights, saved, "dec2")
+    del mid, e2
+    d1 = _conv_relu([np.repeat(d2, 2, axis=1), e1], weights, saved, "dec1")
+    del d2, e1
+    if saved is not None:
+        saved["head.in"] = d1
+    out = np.matmul(d1, weights["head"][0]) + weights["head"][1]
+    if not np.isfinite(out).all():
+        raise NonFiniteError("non-finite value in w2s.head")
+    return out
+
+
+def _w2s_grads(go, weights, saved, wanted):
+    """Closed-form backward of _w2s_arrays from the gradient of its
+    [:, :13] crop. Each step repeats the arithmetic of the op-by-op chain
+    it replaced: relu as go * mask, pool as repeat(go * 0.5), upsample as
+    the sum of its even and odd steps, weights as per-sample products
+    summed over the batch, biases as repeated sums over axis 0.
+
+    Returns {name: gradient} for the layer parameters in wanted, plus
+    "weather" when wanted holds it.
+    """
+    grads = {}
+
+    def dense(g, layer, to_input=True):  # a layer's weight and bias gradients, then its input's
+        if f"w2s.{layer}.w" in wanted:
+            a = saved[layer + ".in"]
+            grads[f"w2s.{layer}.w"] = np.matmul(np.swapaxes(a, -1, -2), g).sum(axis=0)
+        if f"w2s.{layer}.b" in wanted:
+            grads[f"w2s.{layer}.b"] = g.sum(axis=0).sum(axis=0)
+        return np.matmul(g, np.swapaxes(weights[layer][0], -1, -2)) if to_input else None
+
+    def split_up(g, width):  # a decoder input's gradient: (upsampled, skip)
+        up = g[:, :, :width]
+        return up[:, 0::2] + up[:, 1::2], g[:, :, width:]
+
+    g = np.zeros(saved["head.in"].shape[:2] + (go.shape[2],))
+    g[:, :T] += go
+    g = dense(g, "head") * saved["dec1"]
+    g, skip1 = split_up(_windows_grad(dense(g, "dec1")), weights["dec2"][0].shape[1])
+    g = g * saved["dec2"]
+    g, skip2 = split_up(_windows_grad(dense(g, "dec2")), weights["mid"][0].shape[1])
+    g = g * saved["mid"]
+    g = (np.repeat(dense(g, "mid") * 0.5, 2, axis=1) + skip2) * saved["enc2"]
+    g = (np.repeat(_windows_grad(dense(g, "enc2")) * 0.5, 2, axis=1) + skip1) * saved["enc1"]
+    g = dense(g, "enc1", to_input="weather" in wanted)
+    if g is not None:  # the conv's input rows, then the edge padding
+        g = _windows_grad(g)
+        length = g.shape[1] - _PAD
+        tail = g[:, length].copy()
+        for k in range(length + 1, length + _PAD):
+            tail += g[:, k]
+        gw = g[:, :length].copy()
+        gw[:, length - 1] += tail
+        grads["weather"] = gw
+    return grads
+
+
 def w2s_forward(weather, params):
     """(B, 13, 4) standardized weather -> (B, 13, 2) standardized SM.
 
-    Edge-padded to 16 steps so both pooling levels divide evenly; each
-    width-3 convolution is one conv1d_k3 node.
+    Edge-padded to 16 steps so both pooling levels divide evenly, then
+    two width-3 convolutions with pair-mean pooling, a dense bottleneck,
+    two width-3 convolutions over repeat-upsampled inputs joined with the
+    encoder outputs, and a dense head. The whole encoder-decoder is one
+    autodiff node with a closed-form backward; on constants it keeps no
+    intermediate.
     """
     if weather.shape[1:] != (T, 4):
         raise ShapeError(f"w2s_forward: expected (B, {T}, 4), got {weather.shape}")
-    x = pad_edge(weather, 3)
-    e1 = relu(conv1d_k3(x, params["w2s.enc1.w"], params["w2s.enc1.b"]))
-    p1 = pool_mean2(e1)
-    e2 = relu(conv1d_k3(p1, params["w2s.enc2.w"], params["w2s.enc2.b"]))
-    p2 = pool_mean2(e2)
-    mid = relu(matmul(p2, params["w2s.mid.w"]) + params["w2s.mid.b"])
-    u2 = upsample_repeat2(mid)
-    d2 = relu(conv1d_k3(concat([u2, e2], axis=2), params["w2s.dec2.w"], params["w2s.dec2.b"]))
-    u1 = upsample_repeat2(d2)
-    d1 = relu(conv1d_k3(concat([u1, e1], axis=2), params["w2s.dec1.w"], params["w2s.dec1.b"]))
-    sm = matmul(d1, params["w2s.head.w"]) + params["w2s.head.b"]
-    return sm[:, :T, :]
+    parents = (weather,) + tuple(params[name] for name in W2S_PARAMS)
+    weights = {layer: (params[f"w2s.{layer}.w"].data, params[f"w2s.{layer}.b"].data)
+               for layer in W2S_LAYERS}
+    saved = {} if any(t.requires_grad for t in parents) else None
+    out = _w2s_arrays(weather.data, weights, saved)
+
+    def grads(go):
+        wanted = {name for name, t in zip(("weather",) + W2S_PARAMS, parents) if t.requires_grad}
+        g = _w2s_grads(go, weights, saved, wanted)
+        return [g.get(name) for name in ("weather",) + W2S_PARAMS]
+
+    return node(out[:, :T], parents, grads, "w2s")
 
 
 def assemble_input(w, o, v, sm, config):
-    """Token value sequence (B, n_tokens), channel-major then auxiliaries.
+    """Token value sequence (B, n_tokens), channel-major then auxiliaries,
+    as one autodiff node.
 
     sm is None when the variant carries no soil-moisture tokens.
     """
-    cols = [w[:, :, i] for i in range(4)]
-    cols += [v[:, :, i] for i in range(4)]
+    series = [w, v]
     if config.use_sm_tokens:
         if sm is None:
             raise ShapeError("assemble_input: SM tokens requested but no SM given")
         if sm.shape[1:] != (T, 2):
             raise ShapeError(f"assemble_input: expected (B, {T}, 2) SM, got {sm.shape}")
-        cols += [sm[:, :, i] for i in range(2)]
-    x = concat(cols + [o], axis=1)
-    if x.shape[1] != config.n_tokens:
-        raise ShapeError(f"assemble_input: built {x.shape[1]} tokens, expected {config.n_tokens}")
-    return x
+        series.append(sm)
+    blocks = [t.data.transpose(0, 2, 1).reshape(t.shape[0], -1) for t in series] + [o.data]
+    widths = [b.shape[1] for b in blocks]
+    if len({b.shape[0] for b in blocks}) != 1 or sum(widths) != config.n_tokens:
+        raise ShapeError(f"assemble_input: built {widths} tokens for batches "
+                         f"{[b.shape[0] for b in blocks]}, expected {config.n_tokens}")
+    bounds = np.cumsum(widths)[:-1]
+
+    def grads(go):
+        parts = np.split(go, bounds, axis=1)
+        out = [part.reshape(t.shape[0], t.shape[2], t.shape[1]).transpose(0, 2, 1)
+               if t.requires_grad else None for part, t in zip(parts, series)]
+        return out + [parts[-1] if o.requires_grad else None]
+
+    return node(np.concatenate(blocks, axis=1), series + [o], grads, "tokens")
 
 
 def attention_forward(x, params, config):

@@ -1,7 +1,7 @@
 """Adam updates, a reduce-on-plateau learning-rate schedule and the one
 minibatch training loop that every trained model runs through."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,46 +11,54 @@ from .errors import ConfigError, ShapeError
 
 @dataclass
 class AdamState:
-    """Per-parameter moment estimates plus the shared step counter."""
+    """Moment estimates over the parameters flattened in store order, plus
+    the shared step counter."""
 
     lr: float
+    m: np.ndarray
+    v: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
 
 def adam_init(store, lr):
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
-    state = AdamState(lr=lr)
-    for name, t in store.items():
-        state.m[name] = np.zeros_like(t.data)
-        state.v[name] = np.zeros_like(t.data)
-    return state
+    size = store.flat().size
+    return AdamState(lr=lr, m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(store, grads, state):
-    """One Adam update with bias correction, applied in place."""
+    """One Adam update with bias correction over all parameters at once.
+
+    The update is element-wise, so one pass over the flattened parameters
+    gives each value exactly what a pass per parameter would; each
+    parameter then becomes a view of the new flat vector.
+    """
+    params = list(store.items())
+    for name, p in params:
+        if grads[name].shape != p.data.shape:
+            raise ShapeError(f"adam_step: grad shape {grads[name].shape} != param shape "
+                             f"{p.data.shape} for {name}")
+    g = np.concatenate([grads[name].ravel() for name, _ in params])
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
-    for name, p in store.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ShapeError(f"adam_step: grad shape {g.shape} != param shape {p.data.shape} for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    m_hat = m / bias1
+    v_hat = v / bias2
+    flat = store.flat() - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    offset = 0
+    for _, p in params:
+        p.data = flat[offset: offset + p.data.size].reshape(p.data.shape)
+        offset += p.data.size
     return state
 
 

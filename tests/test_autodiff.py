@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import chain_oracle as chain
 from kgmlsm import autodiff as ad
 from kgmlsm.errors import GraphError, NonFiniteError, ShapeError
 from kgmlsm.gradcheck import check_param_gradients, relative_error
@@ -39,23 +40,24 @@ class TestPrimitives:
     def test_pool_and_upsample_are_inverse_in_shape(self):
         rng = np.random.default_rng(3)
         x = ad.Tensor(rng.normal(size=(2, 8, 3)))
-        down = ad.pool_mean2(x)
+        down = chain.pool_mean2(x)
         assert down.shape == (2, 4, 3)
-        up = ad.upsample_repeat2(down)
+        up = chain.upsample_repeat2(down)
         assert up.shape == (2, 8, 3)
         np.testing.assert_allclose(up.data[:, 0::2], down.data)
 
     def test_concat_and_slice_round_trip(self):
         rng = np.random.default_rng(4)
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 5))
-        cat = ad.concat([ad.Tensor(a), ad.Tensor(b)], axis=1)
+        cat = chain.concat([ad.Tensor(a), ad.Tensor(b)], axis=1)
         np.testing.assert_array_equal(cat.data[:, :3], a)
         np.testing.assert_array_equal(cat.data[:, 3:], b)
 
 
 class TestSliceBackward:
-    # the package's slice shapes: W2S conv windows and time padding, the
-    # per-channel token columns, and the crop back to 13 steps
+    # the slice shapes of the op-by-op W2S and token chain (chain_oracle):
+    # conv windows and time padding, per-channel token columns, and the
+    # crop back to 13 steps
     @pytest.mark.parametrize("shape,idx", [
         ((4, 18, 6), (slice(None), slice(0, 16), slice(None))),
         ((4, 13, 4), (slice(None), slice(None), 2)),
@@ -83,8 +85,8 @@ def _conv3_chain(x, w, b):
     """The conv as the zeros/concat/slice/matmul/add chain conv1d_k3 replaced."""
     batch, length, chans = x.shape
     zpad = ad.Tensor(np.zeros((batch, 1, chans)))
-    xp = ad.concat([zpad, x, zpad], axis=1)
-    win = ad.concat([xp[:, 0:length, :], xp[:, 1:length + 1, :], xp[:, 2:length + 2, :]], axis=2)
+    xp = chain.concat([zpad, x, zpad], axis=1)
+    win = chain.concat([xp[:, 0:length, :], xp[:, 1:length + 1, :], xp[:, 2:length + 2, :]], axis=2)
     return ad.matmul(win, w) + b
 
 
@@ -100,7 +102,7 @@ class TestConv1dK3:
         go[0, 0, :] = -0.0  # signed zeros must sum as the chain sums them
         go.flat[-1] = -0.0
         results = []
-        for conv in (ad.conv1d_k3, _conv3_chain):
+        for conv in (chain.conv1d_k3, _conv3_chain):
             x, w, b = (ad.Tensor(a.copy(), requires_grad=True) for a in arrays)
             out = conv(x, w, b)
             ad.backward(ad.mean(ad.mul(out, ad.Tensor(go))))
@@ -116,7 +118,7 @@ class TestConv1dK3:
         weight = ad.Tensor(rng.normal(size=(2, 6, 4)))
 
         def loss():
-            return ad.mean(ad.mul(ad.square(ad.conv1d_k3(x, w, b)), weight))
+            return ad.mean(ad.mul(ad.square(chain.conv1d_k3(x, w, b)), weight))
 
         worst = check_param_gradients(lambda: loss().data, store, ad.gradients(loss(), store))
         assert worst < 1e-6
@@ -130,13 +132,13 @@ class TestConv1dK3:
     ])
     def test_bad_shapes_rejected(self, x_shape, w_shape, b_shape):
         with pytest.raises(ShapeError):
-            ad.conv1d_k3(*(ad.Tensor(np.zeros(s)) for s in (x_shape, w_shape, b_shape)))
+            chain.conv1d_k3(*(ad.Tensor(np.zeros(s)) for s in (x_shape, w_shape, b_shape)))
 
 
 class TestPadEdge:
     def test_repeats_the_last_step(self):
         a = np.arange(2 * 4 * 3, dtype=float).reshape(2, 4, 3)
-        out = ad.pad_edge(ad.Tensor(a), 3).data
+        out = chain.pad_edge(ad.Tensor(a), 3).data
         assert out.shape == (2, 7, 3)
         np.testing.assert_array_equal(out[:, :4], a)
         for k in range(4, 7):
@@ -149,7 +151,7 @@ class TestPadEdge:
         weight = ad.Tensor(rng.normal(size=(2, 8, 3)))
 
         def loss():
-            return ad.mean(ad.mul(ad.square(ad.pad_edge(a, 3)), weight))
+            return ad.mean(ad.mul(ad.square(chain.pad_edge(a, 3)), weight))
 
         worst = check_param_gradients(lambda: loss().data, store, ad.gradients(loss(), store))
         assert worst < 1e-6
@@ -157,7 +159,7 @@ class TestPadEdge:
     @pytest.mark.parametrize("shape,n", [((5,), 3), ((2, 0, 3), 3), ((2, 5, 3), 0)])
     def test_bad_shapes_rejected(self, shape, n):
         with pytest.raises(ShapeError):
-            ad.pad_edge(ad.Tensor(np.zeros(shape)), n)
+            chain.pad_edge(ad.Tensor(np.zeros(shape)), n)
 
 
 class TestGraphFree:
@@ -194,7 +196,7 @@ class TestErrors:
 
     def test_concat_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.concat([ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 3)))], axis=1)
+            chain.concat([ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 3)))], axis=1)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_rejected(self):

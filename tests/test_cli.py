@@ -394,6 +394,14 @@ def _set_cell(path, line, column, value):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _set_cells(line, columns, value):
+    """A corruption that sets several cells of one CSV row to one value."""
+    def corrupt(path):
+        for column in columns:
+            _set_cell(path, line, column, value)
+    return corrupt
+
+
 def _edit_json(edit):
     """A corruption that loads a JSON file, applies edit to it, and saves it."""
     def corrupt(path):
@@ -509,6 +517,9 @@ BAD_FILES = {
     "samples_inf_weather": ("evaluate", os.path.join("data", "county_samples.csv"),
                             lambda p: _set_cell(p, 4, "w_5", "inf"),
                             "county_samples.csv: column 'w_5' has a cell that is not a finite"),
+    "samples_negative_sm": ("filter", os.path.join("data", "field_samples.csv"),
+                            _set_cells(2, ["sbar"] + [f"s_{i + 1}" for i in range(26)], "-0.5"),
+                            "field_samples.csv: column 's_1' has a negative soil moisture"),
     "samples_flag_2": ("evaluate", os.path.join("data", "county_samples.csv"),
                        lambda p: _set_cell(p, 4, "drought_flag", "2"),
                        "county_samples.csv: column 'drought_flag' has a cell that is not 0 or 1"),

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -121,6 +125,37 @@ class TestBaselines:
         with pytest.raises(ValueError):
             baseline_fit_predict("forest", ds, ds)
 
+
+# At 400 samples x 135 columns, BLAS splits the Gram's sums and LAPACK's
+# blocked solve its updates by thread count; the micro pretrain runs the
+# model's own GEMMs.
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from conftest import make_dataset
+from kgmlsm import cropsim, losses, metrics, training
+rng = np.random.default_rng(0)
+train, test = make_dataset(rng, n=400), make_dataset(rng, n=20)
+for kind in ("lr", "ridge"):
+    print(kind, hashlib.sha256(metrics.baseline_fit_predict(kind, train, test)).hexdigest())
+field = cropsim.build_field_dataset(4, [2018, 2019, 2020, 2021], {"normal": 0.7, "drought": 0.3},
+                                    seed=11)
+bundle, _ = training.pretrain(field, training.StageConfig(batch_size=8, max_epochs=2),
+                              losses.LossConfig(), training.get_variant("kgml_sm"), None, 0)
+print("pretrain", hashlib.sha256(bundle.params.flat()).hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one CPU: BLAS has no second thread to split the work with")
+def test_fits_do_not_depend_on_the_blas_thread_count():
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(here, os.pardir, "src"), here])
+    outputs = [subprocess.run([sys.executable, "-c", THREAD_PROBE], check=True, capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path,
+                                                  OPENBLAS_NUM_THREADS=threads)).stdout
+               for threads in ("1", "2")]
+    assert outputs[0].count("\n") == 3 and outputs[0] == outputs[1]
 
 class TestErrorReport:
     def test_zero_errors(self):

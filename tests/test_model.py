@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import chain_oracle as chain
 from kgmlsm import autodiff as ad
-from kgmlsm import ingest, losses, model
-from kgmlsm.errors import CheckpointMismatch, ShapeError
+from kgmlsm import ingest, losses, model, training
+from kgmlsm.errors import CheckpointMismatch, NonFiniteError, ShapeError
 from kgmlsm.gradcheck import check_param_gradients
 
 SMALL = dict(d_model=8, d_k=8, enc_width1=4, enc_width2=8, dec_width=4)
@@ -246,6 +247,77 @@ class TestGraphFreePredict:
         for name, t in params.items():
             assert t.requires_grad and t.grad is sentinel[name]
             assert np.all(t.grad == 7.0)
+
+
+def _step_loss(batch, params, cfg):
+    """The loss a kgml_sm training step differentiates."""
+    y_hat, sm_hat, _ = model.forward_graph(batch, params, cfg)
+    y_term = losses.yield_loss(batch["y_std"], y_hat, batch["sbar"], losses.LossConfig(lam=2.0))
+    return losses.total_loss(losses.sm_loss(batch["s"], sm_hat), y_term), sm_hat
+
+
+def _graph(t):
+    """Every node reachable from t through _parents, t included."""
+    seen, stack = {}, [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+class TestFusedNodes:
+    """w2s_forward and assemble_input are one node each, and equal the
+    op-by-op chain they replaced (tests/chain_oracle.py) bit for bit."""
+
+    @pytest.mark.parametrize("widths", [{}, SMALL], ids=["demo", "small"])
+    @pytest.mark.parametrize("batch", [1, 16, 64])
+    def test_w2s_matches_the_chain_bitwise(self, widths, batch):
+        cfg = model.ModelConfig(**widths)
+        rng = np.random.default_rng(batch)
+        weather = rng.normal(size=(batch, 13, 4))
+        go = rng.normal(size=(batch, 13, 2))
+        go[0, 0, 0] = go[-1, -1, -1] = -0.0  # signed zeros must sum as the chain sums them
+        results = []
+        for w2s in (model.w2s_forward, chain.w2s_chain):
+            params = model.init_params(cfg, batch)
+            w = ad.Tensor(weather.copy(), requires_grad=True)
+            out = w2s(w, params)
+            ad.backward(ad.mean(ad.mul(out, ad.Tensor(go))))
+            results.append([out.data.tobytes(), w.grad.tobytes()]
+                           + [params[name].grad.tobytes() for name in model.W2S_PARAMS])
+        assert results[0] == results[1]
+
+    def test_training_step_matches_the_chain_bitwise(self, tiny_field, monkeypatch):
+        cfg = model.ModelConfig()
+        batch, _ = _std_batch(tiny_field)
+        results = []
+        for fused in (True, False):
+            if not fused:
+                monkeypatch.setattr(model, "w2s_forward", chain.w2s_chain)
+                monkeypatch.setattr(model, "assemble_input", chain.assemble_chain)
+            params = model.init_params(cfg, 8)
+            loss, _ = _step_loss(batch, params, cfg)
+            grads = ad.gradients(loss, params)
+            results.append([loss.data.tobytes()] + [grads[n].tobytes() for n in params.names()])
+        assert len(results[0]) == 20 and results[0] == results[1]
+
+    def test_training_step_graph_is_small(self, tiny_field):
+        # 89 nodes when each W2S op and each token column was a node of its own
+        cfg = training.model_config_for(training.get_variant("kgml_sm"))
+        batch, _ = _std_batch(tiny_field)
+        loss, sm_hat = _step_loss(batch, model.init_params(cfg, 0), cfg)
+        assert len(_graph(loss)) <= 60
+        assert [t.name for t in _graph(sm_hat) if t._parents] == ["w2s"]
+
+    def test_w2s_refuses_a_non_finite_convolution_output(self):
+        # every pre-activation of the first convolution is -inf, which its
+        # relu alone would turn into 0
+        params = model.init_params(model.ModelConfig(), 0)
+        params["w2s.enc1.w"].data[:] = -1e300
+        with pytest.raises(NonFiniteError, match="w2s.enc1"), np.errstate(over="ignore"):
+            model.w2s_forward(ad.Tensor(np.full((2, 13, 4), 1e10)), params)
 
 
 class TestGradients:

@@ -44,6 +44,36 @@ class TestAdam:
         with pytest.raises(ShapeError):
             adam_step(store, {"w": np.zeros(3)}, state)
 
+    def test_flat_update_matches_per_parameter_adam_bitwise(self):
+        def per_parameter_step(store, grads, state):  # the update applied one parameter at a time
+            state["t"] += 1
+            bias1, bias2 = 1.0 - 0.9 ** state["t"], 1.0 - 0.999 ** state["t"]
+            for name, p in store.items():
+                g, m, v = grads[name], state["m"][name], state["v"][name]
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * (g * g)
+                p.data = p.data - 0.01 * (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
+
+        shapes = {"w": (3, 4), "b": (4,), "s": (), "e": (2, 1, 3)}
+        stores = [ParamStore(), ParamStore()]
+        for store in stores:
+            for i, (name, shape) in enumerate(shapes.items()):
+                store.add(name, np.random.default_rng(i).normal(size=shape))
+        flat = adam_init(stores[0], lr=0.01)
+        ref = {"t": 0, "m": {n: np.zeros(s) for n, s in shapes.items()},
+               "v": {n: np.zeros(s) for n, s in shapes.items()}}
+        rng = np.random.default_rng(9)
+        for step in range(60):
+            grads = {n: rng.normal(size=s) * (step % 5 != 0) for n, s in shapes.items()}
+            grads["b"][0] = -0.0
+            adam_step(stores[0], {n: g.copy() for n, g in grads.items()}, flat)
+            per_parameter_step(stores[1], grads, ref)
+        for name in shapes:
+            assert stores[0][name].data.tobytes() == stores[1][name].data.tobytes()
+            assert stores[0][name].data.shape == shapes[name]
+
     def test_bad_lr_rejected(self):
         store = ParamStore()
         store.add("w", np.zeros(1))

@@ -7,9 +7,10 @@ Flags override config keys; nothing is read from the environment.
 
 import argparse
 import json
+import math
 import os
 import sys
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from importlib import resources
 
 import numpy as np
@@ -90,6 +91,38 @@ def _merge(defaults, override, path=""):
     return out
 
 
+def _require_mix(key, mix):
+    """A scenario mix maps names of cropsim's scenarios to weights that
+    numpy can draw from: finite, non-negative, with a positive sum."""
+    names = sorted(cropsim.SCENARIO_WET_PROB_RANGE)
+    if not isinstance(mix, dict) or not set(mix) <= set(names):
+        raise ConfigError(f"config key {key} must map scenarios of {names} to weights, "
+                          f"not {mix!r}")
+    weights = list(mix.values())
+    if not (all(type(w) in (int, float) and math.isfinite(w) and w >= 0 for w in weights)
+            and sum(weights) > 0):
+        raise ConfigError(f"config key {key} must hold non-negative weights with a positive "
+                          f"sum, not {mix!r}")
+
+
+def _require_domain(cfg):
+    """Refuse simulator and model settings that the code cannot run on."""
+    cs = cfg["cropsim"]
+    counts = {f"cropsim.{k}": cs[k] for k in ("n_stations", "n_counties")}
+    counts.update({f"model.{k}": width for k, width in cfg["model"].items()})
+    for key, n in counts.items():
+        if n < 1:
+            raise ConfigError(f"config key {key} must be >= 1, not {n}")
+    mixes = {f"cropsim.{k}": cs[k] for k in ("scenario_mix", "county_scenario_mix")}
+    for year, mix in cs["county_scenario_overrides"].items():
+        if not year.isdecimal():
+            raise ConfigError(f"config key cropsim.county_scenario_overrides has the key "
+                              f"{year!r}, which is not a year")
+        mixes[f"cropsim.county_scenario_overrides.{year}"] = mix
+    for key, mix in mixes.items():
+        _require_mix(key, mix)
+
+
 def load_config(path):
     """Read a config file; the name "demo" resolves to the bundled demo."""
     if path == "demo":
@@ -100,7 +133,9 @@ def load_config(path):
             raw = read_json(path)
         except SchemaError as e:
             raise ConfigError(f"config file: {e}") from None
-    return _merge(DEFAULTS, raw)
+    cfg = _merge(DEFAULTS, raw)
+    _require_domain(cfg)
+    return cfg
 
 
 def config_years(cfg, key="years"):
@@ -117,6 +152,17 @@ def loss_config(cfg):
 def stage_configs(cfg):
     return (training.StageConfig(**cfg["train"]["pretrain"]),
             training.StageConfig(**cfg["train"]["finetune"]))
+
+
+def _require_seeds(cfg):
+    """Refuse a negative seed: numpy seeds its generators with ints >= 0."""
+    seeds = [("seeds", seed) for seed in cfg["seeds"]] + [
+        ("cropsim.data_seed", cfg["cropsim"]["data_seed"]),
+        ("train.split_seed", cfg["train"]["split_seed"])]
+    for key, seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"config key {key} has the negative seed {seed}; "
+                              "numpy seeds must be >= 0")
 
 
 def split_spec(cfg):
@@ -254,56 +300,42 @@ def cmd_finetune(cfg, paths):
               f"val loss {bundle.meta['best_val_loss']:.4f} ({bundle.meta['stop_reason']})")
 
 
-def _require_test_samples(county, year):
-    n = int((ingest.stack_dataset(county)["years"] == year).sum())
-    if n < 2:
-        raise KgmlsmError(f"target year {year} has {n} county sample(s); "
-                          "scoring needs at least 2")
-
-
 def cmd_evaluate(cfg, paths):
     county = ingest.read_samples_csv(paths.county_samples)
     spec = split_spec(cfg)
-    _require_test_samples(county, spec.target_year)
     split = training.temporal_split(county, spec)
+    metrics.require_scorable(split.test)
+    # every finetune checkpoint is checked before any seed is scored
+    wanted = {"variant": cfg["variant"], **spec.to_meta()}
+    bundles = {seed: _load_checkpoint(paths, "finetune", seed, wanted) for seed in cfg["seeds"]}
+    tables, per_seed, summary = metrics.score_seeds(
+        split.test, {seed: bundle.predict(split.test) for seed, bundle in bundles.items()})
+
     y_test = ingest.stack_dataset(split.test)["y"]
-
-    per_seed = defaultdict(list)
-    all_rows = []
-    for seed in cfg["seeds"]:
-        bundle = _load_checkpoint(paths, "finetune", seed,
-                                  {"variant": cfg["variant"], **spec.to_meta()})
-        rows, numbers = metrics.score_seed(split.test, bundle.predict(split.test), seed)
-        all_rows.append(rows)
-        for key, value in numbers.items():
-            per_seed[key].append(value)
-
     baselines = {}
     for kind in ("lr", "ridge"):
         pred = metrics.baseline_fit_predict(kind, split.train, split.test)
         baselines[kind] = {"rmse": metrics.rmse(y_test, pred), "r2": metrics.r2(y_test, pred)}
-    mlp_rmse, mlp_r2 = [], []
-    for seed in cfg["seeds"]:
-        pred = metrics.baseline_fit_predict("mlp", split.train, split.test, val=split.val,
-                                            seed=seed)
-        mlp_rmse.append(metrics.rmse(y_test, pred))
-        mlp_r2.append(metrics.r2(y_test, pred))
-    baselines["mlp"] = {"rmse": float(np.mean(mlp_rmse)), "r2": float(np.mean(mlp_r2)),
-                        "per_seed_rmse": mlp_rmse, "per_seed_r2": mlp_r2}
+    _, mlp_seeds, mlp = metrics.score_seeds(split.test, {
+        seed: {"y_hat": metrics.baseline_fit_predict("mlp", split.train, split.test,
+                                                     val=split.val, seed=seed), "sm_hat": None}
+        for seed in cfg["seeds"]})
+    baselines["mlp"] = {"rmse": mlp["rmse_mean"], "r2": mlp["r2_mean"],
+                        "per_seed_rmse": mlp_seeds["rmse"], "per_seed_r2": mlp_seeds["r2"]}
 
     payload = {
         "variant": cfg["variant"],
         "lambda": float(cfg["loss"]["lambda"]),
         "target_year": int(cfg["target_year"]),
-        "n_test": len(split.test),
+        "n_test": summary["n_test"],
         "seeds": cfg["seeds"],
         "per_seed": per_seed,
-        "rmse_mean": float(np.mean(per_seed["rmse"])),
-        "r2_mean": float(np.mean(per_seed["r2"])),
+        "rmse_mean": summary["rmse_mean"],
+        "r2_mean": summary["r2_mean"],
         "baselines": baselines,
     }
     write_json(paths.metrics, payload)
-    metrics.write_errors_csv(paths.errors, all_rows)
+    metrics.write_errors_csv(paths.errors, tables)
     print(f"evaluate: RMSE {payload['rmse_mean']:.3f}, R2 {payload['r2_mean']:.3f} "
           f"over {len(cfg['seeds'])} seeds")
 
@@ -339,16 +371,15 @@ def cmd_ablate(cfg, paths):
     pretrains = _variant(cfg).use_pretrain
     field = ingest.read_samples_csv(_field_source(cfg, paths)) if pretrains else None
     county = ingest.read_samples_csv(paths.county_samples)
-    _require_test_samples(county, cfg["target_year"])
     pre_cfg, fine_cfg = stage_configs(cfg)
     result = training.run_experiment(field, county, cfg["variant"], cfg["seeds"],
                                      split_spec(cfg), pre_cfg, fine_cfg, loss_config(cfg),
                                      sizes=cfg["model"])
     report_path = _ablate_report(cfg, paths)
     write_json(report_path, {
-        "variant": result.variant, "lambda": result.lam,
+        "variant": cfg["variant"], "lambda": float(cfg["loss"]["lambda"]),
         "unfiltered": not cfg["filter"]["enabled"],
-        "seeds": result.seeds, "per_seed": result.per_seed, "summary": result.summary,
+        "seeds": cfg["seeds"], "per_seed": result.per_seed, "summary": result.summary,
     })
     print(f"ablate {os.path.basename(os.path.dirname(report_path))}: median test RMSE "
           f"{result.summary['rmse_median']:.3f}, tokens {result.summary['token_count']}")
@@ -492,9 +523,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        # refuse bad train settings before any stage runs
+        # refuse bad train settings and seeds, --seed included, before any stage runs
         stage_configs(cfg)
         split_spec(cfg)
+        _require_seeds(cfg)
         paths = RunPaths(cfg["paths"]["run_dir"])
         for name in chain(cfg) if args.command == "all" else [args.command]:
             run_stage(name, cfg, paths)

@@ -5,7 +5,7 @@ import numpy as np
 
 from . import artifacts, ingest
 from .autodiff import ParamStore, Tensor, matmul, mean, relu, square
-from .errors import ShapeError
+from .errors import KgmlsmError, ShapeError
 from .optim import default_finetune_config, fit
 
 
@@ -167,28 +167,53 @@ def error_report(dataset, y_hat, sm_hat=None):
     return rows, groups
 
 
-def score_seed(dataset, pred, seed):
-    """Score one seed's model on dataset from its ModelBundle.predict output.
+def require_scorable(test):
+    """Refuse a target year's test set (as temporal_split makes it, never
+    empty) that RMSE and R2 cannot score: one of fewer than 2 samples, or
+    one whose yields are all equal, which leaves R2 no variance to explain."""
+    a = ingest.stack_dataset(test)
+    year, y = int(a["years"][0]), a["y"]
+    if len(y) < 2:
+        raise KgmlsmError(f"target year {year} has {len(y)} county sample(s); "
+                          "scoring needs at least 2")
+    if (y == y[0]).all():
+        raise KgmlsmError(f"target year {year} has {len(y)} county samples whose yields all "
+                          f"equal {y[0]}; R2 needs yields that vary")
 
-    Returns the error rows (columns, as in error_report), tagged with the
-    seed, and the per-seed numbers: RMSE, R2 and the mean signed error over
-    all samples and per drought group. An empty drought group scores None,
-    as in error_report.
-    """
-    rows, groups = error_report(dataset, pred["y_hat"], pred["sm_hat"])
-    rows = {"seed": np.full(len(dataset), seed), **rows}
-    return rows, {
-        "rmse": rmse(rows["y"], pred["y_hat"]),
-        "r2": r2(rows["y"], pred["y_hat"]),
-        "mean_signed_error": groups["all"]["mean_signed_error"],
-        "mean_signed_error_drought": groups["drought"]["mean_signed_error"],
-        "mean_signed_error_non_drought": groups["non_drought"]["mean_signed_error"],
+
+def score_seeds(dataset, predictions):
+    """Score each seed's predictions on dataset. predictions maps a seed to
+    its ModelBundle.predict output ({"y_hat", "sm_hat"}; sm_hat may be None).
+    Returns (tables, per_seed, summary): each seed's error_report rows tagged
+    with the seed; per-seed lists of RMSE, R2 and the mean signed errors (all,
+    drought, non-drought; None for an empty group); and the RMSE and R2 means,
+    the RMSE median, the drought error's median (None if a seed's is) and n_test."""
+    tables, per_seed = [], {}
+    for seed, pred in predictions.items():
+        rows, groups = error_report(dataset, pred["y_hat"], pred["sm_hat"])
+        tables.append({"seed": np.full(len(dataset), seed), **rows})
+        numbers = {
+            "rmse": rmse(rows["y"], pred["y_hat"]),
+            "r2": r2(rows["y"], pred["y_hat"]),
+            "mean_signed_error": groups["all"]["mean_signed_error"],
+            "mean_signed_error_drought": groups["drought"]["mean_signed_error"],
+            "mean_signed_error_non_drought": groups["non_drought"]["mean_signed_error"],
+        }
+        for key, value in numbers.items():
+            per_seed.setdefault(key, []).append(value)
+    drought = per_seed["mean_signed_error_drought"]
+    return tables, per_seed, {
+        "rmse_mean": float(np.mean(per_seed["rmse"])),
+        "r2_mean": float(np.mean(per_seed["r2"])),
+        "rmse_median": float(np.median(per_seed["rmse"])),
+        "mean_signed_error_drought_median": None if None in drought else float(np.median(drought)),
+        "n_test": len(dataset),
     }
 
 
 def write_errors_csv(path, tables):
     """One line per error row of each table in turn (error_report or
-    score_seed rows); seed and sm_abs_error columns when the tables carry them."""
+    score_seeds rows); seed and sm_abs_error columns when the tables carry them."""
     header = ["seed", "id", "year", "drought_flag", "y", "y_hat", "signed_error", "abs_error",
               "sm_abs_error"]
     header = [k for k in header if k in tables[0]]

@@ -171,36 +171,41 @@ def _uniform(rng, fan_in, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def param_table(config):
+    """The parameters a config makes, in their declared order, as (name,
+    shape, fan_in); fan_in is None for a bias that starts at zero."""
+    c = config
+    table = []
+    if c.use_w2s:
+        for name, fan_in, width in (
+                ("enc1", 3 * 4, c.enc_width1),
+                ("enc2", 3 * c.enc_width1, c.enc_width2),
+                ("mid", c.enc_width2, c.enc_width2),
+                ("dec2", 3 * (c.enc_width2 + c.enc_width2), c.dec_width),
+                ("dec1", 3 * (c.dec_width + c.enc_width1), c.dec_width),
+                ("head", c.dec_width, 2)):
+            table += [(f"w2s.{name}.w", (fan_in, width), fan_in),
+                      (f"w2s.{name}.b", (width,), None)]
+    n = c.n_tokens
+    return table + [
+        ("att.embed.value", (n, c.d_model), 2),
+        ("att.embed.bias", (n, c.d_model), 2),
+        ("att.wk", (c.d_model, c.d_k), c.d_model),
+        ("att.wv", (c.d_model, c.d_k), c.d_model),
+        ("att.q", (c.d_k, 1), c.d_k),
+        ("att.out.w", (c.d_k, 1), c.d_k),
+        ("att.out.b", (1,), None),
+    ]
+
+
 def init_params(config, seed):
     """Fresh parameter store; weights uniform(+-1/sqrt(fan_in)), biases zero
     except the token-embedding bias, which must be nonzero so equal-valued
     tokens still embed distinctly."""
     rng = np.random.default_rng([seed, 977])
     p = ParamStore()
-    c = config
-    if c.use_w2s:
-        p.add("w2s.enc1.w", _uniform(rng, 3 * 4, (3 * 4, c.enc_width1)))
-        p.add("w2s.enc1.b", np.zeros(c.enc_width1))
-        p.add("w2s.enc2.w", _uniform(rng, 3 * c.enc_width1, (3 * c.enc_width1, c.enc_width2)))
-        p.add("w2s.enc2.b", np.zeros(c.enc_width2))
-        p.add("w2s.mid.w", _uniform(rng, c.enc_width2, (c.enc_width2, c.enc_width2)))
-        p.add("w2s.mid.b", np.zeros(c.enc_width2))
-        d2_in = 3 * (c.enc_width2 + c.enc_width2)
-        p.add("w2s.dec2.w", _uniform(rng, d2_in, (d2_in, c.dec_width)))
-        p.add("w2s.dec2.b", np.zeros(c.dec_width))
-        d1_in = 3 * (c.dec_width + c.enc_width1)
-        p.add("w2s.dec1.w", _uniform(rng, d1_in, (d1_in, c.dec_width)))
-        p.add("w2s.dec1.b", np.zeros(c.dec_width))
-        p.add("w2s.head.w", _uniform(rng, c.dec_width, (c.dec_width, 2)))
-        p.add("w2s.head.b", np.zeros(2))
-    n = c.n_tokens
-    p.add("att.embed.value", _uniform(rng, 2, (n, c.d_model)))
-    p.add("att.embed.bias", _uniform(rng, 2, (n, c.d_model)))
-    p.add("att.wk", _uniform(rng, c.d_model, (c.d_model, c.d_k)))
-    p.add("att.wv", _uniform(rng, c.d_model, (c.d_model, c.d_k)))
-    p.add("att.q", _uniform(rng, c.d_k, (c.d_k, 1)))
-    p.add("att.out.w", _uniform(rng, c.d_k, (c.d_k, 1)))
-    p.add("att.out.b", np.zeros(1))
+    for name, shape, fan_in in param_table(config):
+        p.add(name, np.zeros(shape) if fan_in is None else _uniform(rng, fan_in, shape))
     return p
 
 
@@ -519,6 +524,15 @@ def load_checkpoint(stem):
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CheckpointMismatch(
             f"{stem}.json is not a checkpoint manifest: {type(e).__name__}: {e}") from None
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CheckpointMismatch(f"{stem}.json: meta must be an object, not {meta!r}")
+    made = [(name, shape) for name, shape, _ in param_table(config)]
+    if entries != made:
+        have, want = entries + [None], made + [None]
+        at = next(i for i, (a, b) in enumerate(zip(have, want)) if a != b)
+        raise CheckpointMismatch(f"{stem}.json: parameter {at} is {have[at]}, "
+                                 f"where its config makes {want[at]}")
     with open(stem + ".bin", "rb") as f:
         raw = f.read()
     if len(raw) % 8:
@@ -526,7 +540,7 @@ def load_checkpoint(stem):
     blob = np.frombuffer(raw, dtype="<f8")
     params = ParamStore()
     offset = 0
-    for name, shape in entries:
+    for name, shape in made:
         size = int(np.prod(shape)) if shape else 1
         chunk = blob[offset: offset + size]
         if chunk.size != size:
@@ -535,4 +549,4 @@ def load_checkpoint(stem):
         offset += size
     if offset != blob.size:
         raise CheckpointMismatch(f"checkpoint blob has {blob.size - offset} trailing values")
-    return ModelBundle(config=config, params=params, stats=stats, meta=manifest.get("meta", {}))
+    return ModelBundle(config=config, params=params, stats=stats, meta=meta)

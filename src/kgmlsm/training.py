@@ -4,7 +4,6 @@ optim.fit), with temporal splits, the multi-seed experiment runner, and
 the component-ablation variants.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,51 +232,36 @@ def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, varian
 
 @dataclass
 class ExperimentResult:
-    variant: str
-    lam: float
-    seeds: list
     per_seed: dict
     summary: dict
 
 
 def run_experiment(field_dataset, county_dataset, variant_name, seeds, split_spec,
                    pre_cfg, fine_cfg, loss_cfg, sizes=None):
-    """Pretrain (when the variant asks for it) and finetune once per seed;
-    aggregate test metrics across seeds and report the variant's tokens
-    and components."""
+    """Pretrain (when the variant asks for it) and finetune once per seed,
+    score every seed on the target year through metrics.score_seeds, and
+    report the variant's tokens and components."""
     variant = get_variant(variant_name)
     if variant.use_pretrain and field_dataset is None:
         raise ValueError(f"variant {variant.name} pretrains and needs a field dataset")
-    per_seed = defaultdict(list)
-    n_test = 0
+    test = temporal_split(county_dataset, split_spec).test
+    metrics.require_scorable(test)
+    predictions = {}
     for seed in seeds:
         checkpoint = None
         if variant.use_pretrain:
             checkpoint, _ = pretrain(field_dataset, pre_cfg, loss_cfg, variant, sizes, seed)
-        bundle, _, split = finetune(checkpoint, county_dataset, split_spec,
-                                    fine_cfg, loss_cfg, variant, sizes, seed)
-        _, numbers = metrics.score_seed(split.test, bundle.predict(split.test), seed)
-        for key, value in numbers.items():
-            per_seed[key].append(value)
-        n_test = len(split.test)
-
-    drought = per_seed["mean_signed_error_drought"]
-    summary = {
-        "rmse_mean": float(np.mean(per_seed["rmse"])),
-        "r2_mean": float(np.mean(per_seed["r2"])),
-        "rmse_median": float(np.median(per_seed["rmse"])),
-        # None, like the per-seed values, when the test set has no drought sample
-        "mean_signed_error_drought_median": None if None in drought else float(np.median(drought)),
-        "n_test": n_test,
-        "token_count": model_config_for(variant, sizes).n_tokens,
-        "components": {
-            "attention": True,
-            "soil_moisture_tokens": variant.use_sm_tokens,
-            "field_pretraining": variant.use_pretrain,
-            "w2s_encoder": variant.use_w2s,
-            "smw_loss": variant.use_smw,
-            "oe_loss": variant.use_oe,
-        },
+        bundle, _, _ = finetune(checkpoint, county_dataset, split_spec,
+                                fine_cfg, loss_cfg, variant, sizes, seed)
+        predictions[seed] = bundle.predict(test)
+    _, per_seed, summary = metrics.score_seeds(test, predictions)
+    summary["token_count"] = model_config_for(variant, sizes).n_tokens
+    summary["components"] = {
+        "attention": True,
+        "soil_moisture_tokens": variant.use_sm_tokens,
+        "field_pretraining": variant.use_pretrain,
+        "w2s_encoder": variant.use_w2s,
+        "smw_loss": variant.use_smw,
+        "oe_loss": variant.use_oe,
     }
-    return ExperimentResult(variant=variant_name, lam=loss_cfg.lam, seeds=list(seeds),
-                            per_seed=per_seed, summary=summary)
+    return ExperimentResult(per_seed=per_seed, summary=summary)

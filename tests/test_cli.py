@@ -308,6 +308,35 @@ BAD_INPUTS = {
                             "max_epochs must be >= 1"),
     "finetune_max_epochs": (["finetune"], {"train": {"finetune": {"max_epochs": 0}}},
                             "max_epochs must be >= 1"),
+    # numpy's seed sequences take no negative int
+    "seed_flag_negative": (["ablate", "--variant", "att", "--seed", "-1"], {},
+                           "config key seeds has the negative seed -1"),
+    "seeds_negative_entry": (["finetune", "--variant", "att"], {"seeds": [0, -1]},
+                             "config key seeds has the negative seed -1"),
+    "data_seed_negative": (["simulate"], {"cropsim": dict(MICRO["cropsim"], data_seed=-3)},
+                           "config key cropsim.data_seed has the negative seed -3"),
+    "split_seed_negative": (["finetune", "--variant", "att"], {"train": {"split_seed": -2}},
+                            "config key train.split_seed has the negative seed -2"),
+    # simulator and model settings outside their domain
+    **{f"{key}_0": (["simulate"], {"cropsim": dict(MICRO["cropsim"], **{key: 0})},
+                    f"config key cropsim.{key} must be >= 1, not 0")
+       for key in ("n_counties", "n_stations")},
+    "scenario_unknown": (["simulate"], {"cropsim": dict(MICRO["cropsim"],
+                                                        scenario_mix={"wet": 1.0})},
+                         "config key cropsim.scenario_mix must map scenarios of "
+                         "['anomalous', 'drought', 'normal'] to weights"),
+    "scenario_override_not_a_year": (["simulate"], {"cropsim": dict(
+        MICRO["cropsim"], county_scenario_overrides={"later": {"normal": 1.0}})},
+        "config key cropsim.county_scenario_overrides has the key 'later', which is not a year"),
+    "scenario_weights_sum_0": (["simulate"], {"cropsim": dict(
+        MICRO["cropsim"], county_scenario_mix={"normal": 0.0, "drought": 0.0})},
+        "config key cropsim.county_scenario_mix must hold non-negative weights with a positive "
+        "sum"),
+    "scenario_weight_negative": (["simulate"], {"cropsim": dict(
+        MICRO["cropsim"], scenario_mix={"normal": 1.5, "drought": -0.5})},
+        "config key cropsim.scenario_mix must hold non-negative weights"),
+    "d_model_0": (["finetune", "--variant", "att"], {"model": dict(MICRO["model"], d_model=0)},
+                  "config key model.d_model must be >= 1, not 0"),
 }
 
 
@@ -384,6 +413,23 @@ def test_empty_drought_group_scores_none(micro_run, tmp_path):
     assert res.summary["mean_signed_error_drought_median"] is None
 
 
+def test_ablate_scores_as_evaluate_does(micro_run, tmp_path):
+    """`ablate` of the run's own variant and seeds reproduces `evaluate`'s
+    per-seed scores and means: both go through one scorer."""
+    _, paths, cfg_path, _ = micro_run
+    run_dir = _copy_run(paths, tmp_path / "run")
+    shutil.copytree(paths.filter, os.path.join(run_dir, "filter"))
+    argv = ["ablate", "--config", cfg_path, "--run-dir", run_dir, "--variant", "kgml_sm"]
+    assert cli.main(argv) == 0
+    with open(os.path.join(run_dir, "ablate", "kgml_sm", "report.json")) as f:
+        report = json.load(f)
+    with open(paths.metrics) as f:
+        evaluated = json.load(f)
+    assert report["per_seed"] == evaluated["per_seed"]
+    assert report["summary"]["rmse_mean"] == evaluated["rmse_mean"]
+    assert report["summary"]["r2_mean"] == evaluated["r2_mean"]
+
+
 def _set_cell(path, line, column, value):
     """Overwrite one cell of a CSV, or drop it when value is None."""
     lines = path.read_text().splitlines()
@@ -447,6 +493,17 @@ def _move_date(county, date, to):
     return corrupt
 
 
+def _set_year(year, column, value):
+    """A corruption that sets one column of every row of one year."""
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        at = lines[0].split(",").index("year")
+        for line, row in enumerate(lines[1:], start=2):
+            if row.split(",")[at] == str(year):
+                _set_cell(path, line, column, value)
+    return corrupt
+
+
 def _cut_bytes(n):
     def corrupt(path):
         path.write_bytes(path.read_bytes()[:-n])
@@ -484,6 +541,13 @@ BAD_FILES = {
                                         _edit_json(lambda m: m["normalization"].update(
                                             vi_mu=[0.0])),
                                         "normalization vi_mu must be 4 numbers"),
+    "checkpoint_params_reversed": ("evaluate", CHECKPOINT + ".json",
+                                   _edit_json(lambda m: m["params"].reverse()),
+                                   "model.json: parameter 0 is ('att.out.b', (1,)), where its "
+                                   "config makes ('w2s.enc1.w', (12, 4))"),
+    "checkpoint_meta_list": ("evaluate", CHECKPOINT + ".json",
+                             _edit_json(lambda m: m.update(meta=[])),
+                             "model.json: meta must be an object, not []"),
     "checkpoint_blob_cut_3_bytes": ("evaluate", CHECKPOINT + ".bin", _cut_bytes(3),
                                     "model.bin holds"),
     "daily_bad_date": ("ingest", os.path.join("data", "daily.csv"),
@@ -520,6 +584,10 @@ BAD_FILES = {
     "samples_negative_sm": ("filter", os.path.join("data", "field_samples.csv"),
                             _set_cells(2, ["sbar"] + [f"s_{i + 1}" for i in range(26)], "-0.5"),
                             "field_samples.csv: column 's_1' has a negative soil moisture"),
+    "samples_constant_target_yield": ("evaluate", os.path.join("data", "county_samples.csv"),
+                                      _set_year(2022, "yield", "9.0"),
+                                      "target year 2022 has 6 county samples whose yields all "
+                                      "equal 9.0"),
     "samples_flag_2": ("evaluate", os.path.join("data", "county_samples.csv"),
                        lambda p: _set_cell(p, 4, "drought_flag", "2"),
                        "county_samples.csv: column 'drought_flag' has a cell that is not 0 or 1"),

@@ -1,6 +1,7 @@
 """`ingest` alone knows how a dataset holds its samples: `stack_dataset`
 is the one array view of a dataset, `Dataset.from_arrays` the one way in,
-and only `ingest` reaches into `Dataset.samples`."""
+and only `ingest` reaches into `Dataset.samples`. `metrics` alone turns
+per-seed scores into their summary."""
 
 import ast
 import glob
@@ -44,3 +45,20 @@ def test_only_dataset_from_arrays_builds_a_sample():
             else:
                 calls.append(f"{name}:{node.lineno}")
     assert calls == [] and builders == {"ingest.py"}
+
+
+def test_cli_and_training_leave_per_seed_aggregation_to_metrics():
+    """`evaluate` and `ablate` score through `metrics.score_seeds`: the
+    modules that call them compute no mean or median and collect no
+    per-seed lists of their own."""
+    found = []
+    for name, tree in _modules():
+        if name not in ("cli.py", "training.py"):
+            continue
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            called = getattr(func, "id", getattr(func, "attr", None))
+            numpy = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "np"
+            if called == "defaultdict" or (numpy and called in ("mean", "median")):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

@@ -9,11 +9,14 @@ beside its path and moved into place with `os.replace`, so a failed write
 leaves the previous file as it was; missing parent directories are created
 first.
 Readers raise SchemaError, naming the file, on anything off-schema, a
-non-finite float or a flag other than 0/1 included.
+non-finite float or a flag other than 0/1 included. A reader parses each
+column it declares block by block as it reads, so a cell's text lives no
+longer than its block of rows.
 """
 
 import contextlib
 import csv
+import itertools
 import json
 import os
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import SchemaError, ShapeError
 
-_CHUNK_ROWS = 1 << 14  # rows formatted at a time, to bound the memory text takes
+_CHUNK_ROWS = 1 << 14  # rows formatted or parsed at a time, to bound the memory text takes
 _SPECIAL = (",", '"', "\r", "\n")  # characters that make csv quote a cell
 _FLAGS = ("0", "1")
 
@@ -110,50 +113,90 @@ def write_csv(path, header, columns):
             f.write(_lines([_cells(c[lo: lo + _CHUNK_ROWS]) for c in columns]))
 
 
+def _parse(path, name, cells, kind):
+    """A column's text cells as an array of kind (np.float64, np.int64, bool
+    or str), refused unless every cell parses, a float is finite and a
+    flag is 0 or 1."""
+    dtype = np.int64 if kind is bool else kind
+    try:
+        values = np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        raise SchemaError(f"{path}: column {name!r} has a cell that is not "
+                          f"a valid {np.dtype(dtype).name}") from None
+    if kind is np.float64 and not np.isfinite(values).all():
+        raise SchemaError(f"{path}: column {name!r} has a cell that is not "
+                          "a finite number")
+    if kind is bool:
+        if not ((values == 0) | (values == 1)).all():
+            raise SchemaError(f"{path}: column {name!r} has a cell that is not 0 or 1")
+        return values.astype(bool)
+    return values
+
+
 class Columns(dict):
-    """read_csv's result: header name -> the column's cells as strings."""
+    """read_csv's result: header name -> the column as an array of its
+    declared kind, or as its cells' text when it declared none."""
 
     def __init__(self, path, columns):
         super().__init__(columns)
         self.path = path
 
     def floats(self, name):
-        values = self._parse(name, np.float64)
-        if not np.isfinite(values).all():
-            raise SchemaError(f"{self.path}: column {name!r} has a cell that is not "
-                              "a finite number")
-        return values
+        return self._parse(name, np.float64)
 
     def ints(self, name):
         return self._parse(name, np.int64)
 
     def bools(self, name):
-        values = self._parse(name, np.int64)
-        if not ((values == 0) | (values == 1)).all():
-            raise SchemaError(f"{self.path}: column {name!r} has a cell that is not 0 or 1")
-        return values.astype(bool)
+        return self._parse(name, bool)
 
-    def _parse(self, name, dtype):
-        try:
-            return np.array(self[name], dtype=dtype)
-        except (ValueError, OverflowError):
-            raise SchemaError(f"{self.path}: column {name!r} has a cell that is not "
-                              f"a valid {np.dtype(dtype).name}") from None
+    def _parse(self, name, kind):
+        cells = self[name]
+        return cells if isinstance(cells, np.ndarray) else _parse(self.path, name, cells, kind)
 
 
-def read_csv(path, header):
-    """Check the header and every row's width; return the Columns."""
-    header = list(header)
-    columns = [[] for _ in header]
-    appends = [c.append for c in columns]
+def _line_num(path, row):
+    """The line on which data row `row` (from 0) of a CSV ends."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        for _ in itertools.islice(reader, row + 2):
+            pass
+        return reader.line_num
+
+
+def read_csv(path, header, kinds=None):
+    """Check the header and every row's width; return the Columns.
+
+    kinds maps a column name to np.float64, np.int64, bool or str. Such a
+    column is parsed as each block of _CHUNK_ROWS rows is read, so no text
+    of it outlives its block; every other column keeps its cells as text."""
+    header, kinds = list(header), kinds or {}
+    blocks = {name: [] for name in header}
+    n_rows = 0
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         if next(reader, None) != header:
             raise SchemaError(f"unexpected header in {path}")
-        for row in reader:
-            if len(row) != len(header):
-                raise SchemaError(f"{path} line {reader.line_num}: {len(row)} cells "
-                                  f"under a {len(header)}-column header")
-            for append, cell in zip(appends, row):
-                append(cell)
-    return Columns(path, zip(header, columns))
+        # rows as tuples: csv's row lists, once freed, linger on CPython's list
+        # free list and keep the memory of their block's text from being returned
+        while rows := list(map(tuple, itertools.islice(reader, _CHUNK_ROWS))):
+            widths = list(map(len, rows))
+            if widths.count(len(header)) != len(rows):
+                i = next(i for i, w in enumerate(widths) if w != len(header))
+                raise SchemaError(f"{path} line {_line_num(path, n_rows + i)}: {widths[i]} "
+                                  f"cells under a {len(header)}-column header")
+            n_rows += len(rows)
+            for name, cells in zip(header, zip(*rows)):
+                blocks[name].append(_parse(path, name, cells, kinds[name]) if name in kinds
+                                    else cells)
+            del rows, cells
+    columns = {}
+    for name, parts in blocks.items():  # each column's blocks are freed as it is joined
+        if name not in kinds:
+            columns[name] = list(itertools.chain.from_iterable(parts))
+        elif not parts:
+            columns[name] = _parse(path, name, (), kinds[name])
+        else:  # one block is taken as it is, not copied
+            columns[name] = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        parts.clear()
+    return Columns(path, columns)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import attnreport, cropsim, filtering, ingest, losses, metrics, model, training
 from .artifacts import read_json, write_json
-from .errors import CheckpointMismatch, ConfigError, KgmlsmError, SchemaError
+from .errors import CheckpointMismatch, ConfigError, KgmlsmError, SchemaError, SingularFit
 
 DEFAULTS = {
     "paths": {"run_dir": "runs/out"},
@@ -69,6 +69,8 @@ def _leaf(here, value, default):
     else:
         types = LEAF_TYPES[type(default)]
         wanted, ok = " or ".join(t.__name__ for t in types), type(value) in types
+        if ok and type(default) is float and not math.isfinite(value):
+            wanted, ok = "a finite number", False
     if not ok:
         raise ConfigError(f"config key {here} must be {wanted}, not {value!r}")
     return float(value) if type(default) is float else json.loads(json.dumps(value))
@@ -314,7 +316,11 @@ def cmd_evaluate(cfg, paths):
     y_test = ingest.stack_dataset(split.test)["y"]
     baselines = {}
     for kind in ("lr", "ridge"):
-        pred = metrics.baseline_fit_predict(kind, split.train, split.test)
+        try:
+            pred = metrics.baseline_fit_predict(kind, split.train, split.test)
+        except SingularFit as e:
+            baselines[kind] = {"skipped": str(e)}
+            continue
         baselines[kind] = {"rmse": metrics.rmse(y_test, pred), "r2": metrics.r2(y_test, pred)}
     _, mlp_seeds, mlp = metrics.score_seeds(split.test, {
         seed: {"y_hat": metrics.baseline_fit_predict("mlp", split.train, split.test,
@@ -511,7 +517,7 @@ def _apply_overrides(cfg, args):
     if args.target_year is not None:
         cfg["target_year"] = int(args.target_year)
     if args.lam is not None:
-        cfg["loss"]["lambda"] = float(args.lam)
+        cfg["loss"]["lambda"] = _leaf("loss.lambda", args.lam, DEFAULTS["loss"]["lambda"])
     if args.run_dir is not None:
         cfg["paths"]["run_dir"] = args.run_dir
     if getattr(args, "unfiltered", False):

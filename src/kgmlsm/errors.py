@@ -38,5 +38,9 @@ class CheckpointMismatch(KgmlsmError):
     """Checkpoint manifest does not match the requested architecture."""
 
 
+class SingularFit(KgmlsmError):
+    """A least-squares fit's normal equations have no unique solution."""
+
+
 class TrainingDiverged(KgmlsmError):
     """Loss became non-finite during optimization."""

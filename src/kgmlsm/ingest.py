@@ -296,6 +296,13 @@ SAMPLE_HEADER = (["id", "year", "lat", "lon", "hist_avg_yield", "yield", "sbar",
 PIXELS_HEADER = ["county_id", "date", "red", "nir", "blue", "green", "swir", "corn_mask"]
 DAILY_HEADER = ["id", "date", "radn", "tmax", "tmin", "ppt", "sm_surface", "sm_rootzone"]
 TRUTH_HEADER = ["id", "year", "lat", "lon", "yield", "hist_avg_yield"]
+# the kind of each column, as artifacts.read_csv parses it
+SAMPLE_KINDS = {**dict.fromkeys(SAMPLE_HEADER, np.float64), "id": str, "year": np.int64,
+                "drought_flag": bool}
+PIXELS_KINDS = {**dict.fromkeys(PIXELS_HEADER, np.float64), "county_id": str, "date": str,
+                "corn_mask": bool}
+DAILY_KINDS = {**dict.fromkeys(DAILY_HEADER, np.float64), "id": str, "date": str}
+TRUTH_KINDS = {**dict.fromkeys(TRUTH_HEADER, np.float64), "id": str, "year": np.int64}
 
 
 def manifest_path(csv_path):
@@ -319,11 +326,10 @@ def read_samples_csv(csv_path):
     if not isinstance(manifest, dict) or manifest != channel_manifest(manifest.get("level")):
         raise SchemaError(f"manifest {manifest_file} does not match the schema of its level")
 
-    cols = artifacts.read_csv(csv_path, SAMPLE_HEADER)
-    numbers = np.stack([cols.floats(name) for name in SAMPLE_HEADER[2:7] + SAMPLE_HEADER[8:]],
+    cols = artifacts.read_csv(csv_path, SAMPLE_HEADER, SAMPLE_KINDS)
+    numbers = np.stack([cols.pop(name) for name in SAMPLE_HEADER[2:7] + SAMPLE_HEADER[8:]],
                        axis=1)
-    ids, years, flags = np.array(cols["id"]), cols.ints("year"), cols.bools("drought_flag")
-    del cols  # a cell string kept past here would pin the memory of its neighbours
+    ids, years, flags = cols["id"], cols["year"], cols["drought_flag"]
     n, series = len(numbers), numbers[:, 5:]
     sm_cells = series[:, 8 * N_WINDOWS:]
     if (sm_cells < 0).any():  # soil moisture is a water content
@@ -349,10 +355,7 @@ def write_pixels_csv(path, table):
 
 
 def read_pixels_csv(path):
-    cols = artifacts.read_csv(path, PIXELS_HEADER)
-    return PixelTable(county_id=np.array(cols["county_id"]), date=np.array(cols["date"]),
-                      **{name: cols.floats(name) for name in PIXELS_HEADER[2:7]},
-                      corn_mask=cols.bools("corn_mask"))
+    return PixelTable(**artifacts.read_csv(path, PIXELS_HEADER, PIXELS_KINDS))
 
 
 def write_daily_csv(path, ids, dates, values):
@@ -363,10 +366,9 @@ def write_daily_csv(path, ids, dates, values):
 def read_daily_csv(path):
     """daily.csv as (ids, years, dates, values (n, 6)), its rows sorted by
     id, then year, then date."""
-    cols = artifacts.read_csv(path, DAILY_HEADER)
-    values = np.stack([cols.floats(name) for name in DAILY_HEADER[2:]], axis=1)
-    ids, dates = np.array(cols["id"]), np.array(cols["date"])
-    del cols  # a cell string kept past here would pin the memory of its neighbours
+    cols = artifacts.read_csv(path, DAILY_HEADER, DAILY_KINDS)
+    values = np.stack([cols.pop(name) for name in DAILY_HEADER[2:]], axis=1)  # each freed here
+    ids, dates = cols["id"], cols["date"]
     # a date's first four characters as digit values; any other character
     # (or a short date's padding) wraps to a large unsigned value
     digits = dates.astype("U4").view(np.uint32).reshape(len(dates), 4) - ord("0")
@@ -387,9 +389,7 @@ def write_truth_csv(path, rows):
 
 def read_truth_csv(path):
     """The truth CSV as a dict of column arrays, keyed by TRUTH_HEADER."""
-    cols = artifacts.read_csv(path, TRUTH_HEADER)
-    return {"id": np.array(cols["id"]), "year": cols.ints("year"),
-            **{name: cols.floats(name) for name in TRUTH_HEADER[2:]}}
+    return dict(artifacts.read_csv(path, TRUTH_HEADER, TRUTH_KINDS))
 
 
 def build_county_dataset(pixels_path, daily_path, truth_path):

@@ -5,7 +5,7 @@ import numpy as np
 
 from . import artifacts, ingest
 from .autodiff import ParamStore, Tensor, matmul, mean, relu, square
-from .errors import KgmlsmError, ShapeError
+from .errors import KgmlsmError, ShapeError, SingularFit
 from .optim import default_finetune_config, fit
 
 
@@ -69,7 +69,8 @@ def _lstsq_normal_equations(design, y, ridge_alpha=0.0):
     for k in range(n):
         p = k + int(np.argmax(np.abs(gram[k:, k])))
         if gram[p, k] == 0.0:
-            raise ValueError("singular normal equations; use the ridge baseline")
+            raise SingularFit(f"singular normal equations: {design.shape[0]} samples, "
+                              f"{n} design columns; use the ridge baseline")
         gram[[k, p]], x[[k, p]] = gram[[p, k]], x[[p, k]]
         f = gram[k + 1:, k] / gram[k, k]
         gram[k + 1:, k:] -= np.multiply.outer(f, gram[k, k:])
@@ -85,7 +86,8 @@ def baseline_fit_predict(kind, train, test, val=None, seed=0, ridge_alpha=1.0):
     kind: "lr" (ordinary least squares), "ridge" (L2, intercept unshrunk)
     or "mlp" (64-unit hidden layer trained with the finetune recipe; needs
     the val split for early stopping). Targets are standardized with
-    train statistics and predictions mapped back to t/ha.
+    train statistics and predictions mapped back to t/ha. Raises
+    SingularFit when a linear fit's normal equations are singular.
     """
     train, test = ingest.stack_dataset(train), ingest.stack_dataset(test)
     train_x, test_x = sample_features(train), sample_features(test)

@@ -133,6 +133,72 @@ def test_flags_are_0_or_1(tmp_path):
         cols.bools("bad")
 
 
+KINDS = {"s": str, "x": np.float64, "i": np.int64, "b": bool}  # "t" is left as text
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_declared_columns_equal_the_text_path_bit_for_bit(delta, tmp_path):
+    n = artifacts._CHUNK_ROWS + delta
+    rng = np.random.default_rng(n)
+    path = tmp_path / "k.csv"
+    artifacts.write_csv(path, ["s", "x", "i", "b", "t"], [
+        [("a", "b,c", "", 'd"e', "x\r\ny")[i % 5] for i in range(n)],
+        rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n),
+        rng.integers(-2 ** 62, 2 ** 62, size=n), rng.random(n) < 0.5,
+        [str(i) for i in range(n)]])
+    text = artifacts.read_csv(path, ["s", "x", "i", "b", "t"])
+    parsed = artifacts.read_csv(path, ["s", "x", "i", "b", "t"], KINDS)
+    expected = {"s": np.array(text["s"]), "x": text.floats("x"), "i": text.ints("i"),
+                "b": text.bools("b")}
+    for name, values in expected.items():
+        assert parsed[name].dtype == values.dtype
+        assert parsed[name].tobytes() == values.tobytes()
+    assert parsed["t"] == text["t"]
+    # a parsed column is returned as it is
+    assert parsed.floats("x") is parsed["x"] and parsed.bools("b") is parsed["b"]
+
+
+def _write_rows(path, rows):
+    """A CSV of columns s,i holding rows, each a line's text without its line end."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write("s,i\r\n" + "".join(row + "\r\n" for row in rows))
+
+
+@pytest.mark.parametrize("kinds", [None, {"s": str, "i": np.int64}], ids=["text", "declared"])
+@pytest.mark.parametrize("quoted_crlf", [False, True])
+def test_short_row_in_a_later_block_names_its_line(kinds, quoted_crlf, tmp_path):
+    bad = artifacts._CHUNK_ROWS + 2
+    rows = [f"a,{i}" for i in range(bad + 5)]
+    rows[bad] = "a"
+    if quoted_crlf:
+        rows[3] = '"x\r\ny",3'
+    _write_rows(tmp_path / "r.csv", rows)
+    line = bad + 2 + quoted_crlf  # the header is line 1, the quoted cell spans two
+    with pytest.raises(SchemaError, match=rf"r\.csv line {line}: 1 cells under a 2-column header"):
+        artifacts.read_csv(tmp_path / "r.csv", ["s", "i"], kinds)
+
+
+@pytest.mark.parametrize("cell,kind,message", [
+    ("abc", np.float64, "not a valid float64"), ("abc", np.int64, "not a valid int64"),
+    ("nan", np.float64, "not a finite number"), ("2", bool, "not 0 or 1")])
+def test_bad_cell_in_a_later_block_names_file_and_column(cell, kind, message, tmp_path):
+    rows = ["a,1"] * (artifacts._CHUNK_ROWS + 5)
+    rows[artifacts._CHUNK_ROWS + 2] = f"a,{cell}"
+    _write_rows(tmp_path / "v.csv", rows)
+    with pytest.raises(SchemaError, match=rf"v\.csv: column 'i' has a cell that is {message}"):
+        artifacts.read_csv(tmp_path / "v.csv", ["s", "i"], {"s": str, "i": kind})
+
+
+def test_header_only_file_gives_empty_arrays_of_the_declared_dtypes(tmp_path):
+    path = tmp_path / "e.csv"
+    artifacts.write_csv(path, ["s", "x", "i", "b", "t"], [[]] * 5)
+    cols = artifacts.read_csv(path, ["s", "x", "i", "b", "t"], KINDS)
+    assert {name: (cols[name].dtype.kind, cols[name].shape) for name in KINDS} == {
+        "s": ("U", (0,)), "x": ("f", (0,)), "i": ("i", (0,)), "b": ("b", (0,))}
+    assert cols["x"].dtype == np.float64 and cols["i"].dtype == np.int64
+    assert cols["t"] == []
+
+
 def test_columns_of_unequal_length_rejected(tmp_path):
     with pytest.raises(ShapeError):
         artifacts.write_csv(tmp_path / "u.csv", ["a", "b"], [[1, 2], [3]])

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from kgmlsm import cli, ingest, training
@@ -337,6 +338,11 @@ BAD_INPUTS = {
         "config key cropsim.scenario_mix must hold non-negative weights"),
     "d_model_0": (["finetune", "--variant", "att"], {"model": dict(MICRO["model"], d_model=0)},
                   "config key model.d_model must be >= 1, not 0"),
+    # a float key takes no NaN or infinity, from the config or from its flag
+    "lambda_nan": (["ablate", "--variant", "att"], {"loss": {"lambda": float("nan")}},
+                   "config key loss.lambda must be a finite number, not nan"),
+    "lambda_flag_inf": (["ablate", "--variant", "att", "--lambda", "inf"], {},
+                        "config key loss.lambda must be a finite number, not inf"),
 }
 
 
@@ -411,6 +417,30 @@ def test_empty_drought_group_scores_none(micro_run, tmp_path):
                                   fine_cfg, cli.loss_config(cfg), sizes=cfg["model"])
     assert res.per_seed["mean_signed_error_drought"] == [None]
     assert res.summary["mean_signed_error_drought_median"] is None
+
+
+def test_singular_lr_baseline_is_skipped(micro_run, tmp_path):
+    """With 2021 the only year before the target, fewer samples train than
+    the 135 design columns and their year feature is constant: the `lr`
+    fit is singular. `evaluate` records it as skipped and scores the model
+    and the other baselines."""
+    _, paths, cfg_path, _ = micro_run
+    run_dir = tmp_path / "one_train_year"
+    shutil.copytree(paths.finetune, run_dir / "finetune")
+    county = ingest.read_samples_csv(paths.county_samples)
+    years = ingest.stack_dataset(county)["years"]
+    os.makedirs(run_dir / "data")
+    ingest.write_samples_csv(county.subset(np.flatnonzero(years >= 2021)),
+                             run_dir / "data" / "county_samples.csv")
+
+    assert cli.main(["evaluate", "--config", cfg_path, "--run-dir", str(run_dir)]) == 0
+    payload = json.loads((run_dir / "evaluate" / "metrics.json").read_text())
+    assert payload["baselines"]["lr"] == {
+        "skipped": "singular normal equations: 4 samples, 135 design columns; "
+                   "use the ridge baseline"}
+    assert set(payload["baselines"]["ridge"]) == {"rmse", "r2"}
+    assert len(payload["baselines"]["mlp"]["per_seed_rmse"]) == 1
+    assert payload["n_test"] == 6 and len(payload["per_seed"]["rmse"]) == 1
 
 
 def test_ablate_scores_as_evaluate_does(micro_run, tmp_path):

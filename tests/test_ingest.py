@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -383,6 +385,31 @@ class TestDailyCsv:
         with pytest.raises(SchemaError, match=r"daily\.csv: column 'date' has a cell that is "
                                               r"not a date: '20x0-04-01'"):
             ingest.read_daily_csv(tmp_path / "daily.csv")
+
+
+class TestPixelsCsv:
+    def test_read_peaks_under_4x_the_arrays_it_returns(self, tmp_path):
+        """The reader parses each block of rows as it reads, so the text of
+        the file is never held at once: a cell per Python string peaked at
+        6.4x the returned arrays."""
+        n, rng = 100_000, np.random.default_rng(16)
+        days = np.datetime_as_string(np.datetime64("2019-04-01") + np.arange(214)).astype("U10")
+        table = ingest.PixelTable(
+            county_id=np.char.add("c", np.char.zfill((np.arange(n) % 100).astype(str), 3)),
+            date=days[np.arange(n) % 214],
+            **{name: rng.random(n) for name in ingest.PIXELS_HEADER[2:7]},
+            corn_mask=rng.random(n) < 0.5)
+        ingest.write_pixels_csv(tmp_path / "pixels.csv", table)
+        tracemalloc.start()
+        try:
+            back = ingest.read_pixels_csv(tmp_path / "pixels.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [getattr(back, name) for name in ingest.PIXELS_HEADER]
+        for got, want in zip(arrays, (getattr(table, name) for name in ingest.PIXELS_HEADER)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert peak < 4 * sum(a.nbytes for a in arrays)
 
 
 class TestCountyAssembly:

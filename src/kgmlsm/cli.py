@@ -2,7 +2,8 @@
 finetune -> evaluate -> attn-report, plus `ablate` for component studies
 and `all` to chain everything, driven by one JSON config file.
 
-Flags override config keys; nothing is read from the environment.
+Flags set config keys and are checked with them, in `load_config`, before
+the first stage runs; nothing is read from the environment.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import attnreport, cropsim, filtering, ingest, losses, metrics, model, training
+from . import attnreport, cropsim, filtering, ingest, losses, metrics, model, optim, training
 from .artifacts import read_json, write_json
 from .errors import CheckpointMismatch, ConfigError, KgmlsmError, SchemaError, SingularFit
 
@@ -37,8 +38,7 @@ DEFAULTS = {
     "train": {
         "pretrain": {"batch_size": 64, "lr": 0.001, "max_epochs": 50,
                      "scheduler_patience": 5, "rmse_stop": 1.0},
-        "finetune": {"batch_size": 16, "lr": 0.001, "max_epochs": 30,
-                     "scheduler_patience": 5, "early_stop_patience": 10},
+        "finetune": dict(optim.PAPER_FINETUNE),
         "split_seed": 0,
         "train_fraction": 0.8,
     },
@@ -108,7 +108,8 @@ def _require_mix(key, mix):
 
 
 def _require_domain(cfg):
-    """Refuse simulator and model settings that the code cannot run on."""
+    """Refuse settings, file keys and flags alike, that no stage can run
+    on. Each rule stays with the code that owns it and runs once here."""
     cs = cfg["cropsim"]
     counts = {f"cropsim.{k}": cs[k] for k in ("n_stations", "n_counties")}
     counts.update({f"model.{k}": width for k, width in cfg["model"].items()})
@@ -123,10 +124,25 @@ def _require_domain(cfg):
         mixes[f"cropsim.county_scenario_overrides.{year}"] = mix
     for key, mix in mixes.items():
         _require_mix(key, mix)
+    config_years(cfg)
+    config_years(cfg, "field_years")
+    # numpy seeds its generators with ints >= 0
+    seeds = [("seeds", seed) for seed in cfg["seeds"]] + [
+        ("cropsim.data_seed", cs["data_seed"]), ("train.split_seed", cfg["train"]["split_seed"])]
+    for key, seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"config key {key} has the negative seed {seed}; "
+                              "numpy seeds must be >= 0")
+    training.get_variant(cfg["variant"])
+    loss_config(cfg)
+    stage_configs(cfg)
+    split_spec(cfg)
 
 
-def load_config(path):
-    """Read a config file; the name "demo" resolves to the bundled demo."""
+def load_config(path, flags=None):
+    """Read a config file ("demo" is the bundled demo) and set flags, a map
+    from dotted keys such as "loss.lambda" to values, over it. A flag is
+    typed like the key it sets; then the whole config is checked."""
     if path == "demo":
         text = resources.files("kgmlsm.configs").joinpath("demo.json").read_text(encoding="utf-8")
         raw = json.loads(text)
@@ -135,7 +151,14 @@ def load_config(path):
             raw = read_json(path)
         except SchemaError as e:
             raise ConfigError(f"config file: {e}") from None
-    cfg = _merge(DEFAULTS, raw)
+    override = {}
+    for key, value in (flags or {}).items():
+        *parents, leaf = key.split(".")
+        node = override
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[leaf] = value
+    cfg = _merge(_merge(DEFAULTS, raw), override)
     _require_domain(cfg)
     return cfg
 
@@ -144,7 +167,7 @@ def config_years(cfg, key="years"):
     y = cfg["cropsim"][key]
     if y["first"] > y["last"]:
         raise ConfigError(f"cropsim.{key}.first must be <= cropsim.{key}.last")
-    return list(range(int(y["first"]), int(y["last"]) + 1))
+    return list(range(y["first"], y["last"] + 1))
 
 
 def loss_config(cfg):
@@ -154,17 +177,6 @@ def loss_config(cfg):
 def stage_configs(cfg):
     return (training.StageConfig(**cfg["train"]["pretrain"]),
             training.StageConfig(**cfg["train"]["finetune"]))
-
-
-def _require_seeds(cfg):
-    """Refuse a negative seed: numpy seeds its generators with ints >= 0."""
-    seeds = [("seeds", seed) for seed in cfg["seeds"]] + [
-        ("cropsim.data_seed", cfg["cropsim"]["data_seed"]),
-        ("train.split_seed", cfg["train"]["split_seed"])]
-    for key, seed in seeds:
-        if seed < 0:
-            raise ConfigError(f"config key {key} has the negative seed {seed}; "
-                              "numpy seeds must be >= 0")
 
 
 def split_spec(cfg):
@@ -224,14 +236,12 @@ def _ablate_report(cfg, paths):
 
 
 def cmd_simulate(cfg, paths):
-    county_years = config_years(cfg)
-    field_years = config_years(cfg, "field_years")
     cs = cfg["cropsim"]
-    field = cropsim.build_field_dataset(int(cs["n_stations"]), field_years,
-                                        cs["scenario_mix"], int(cs["data_seed"]))
+    field = cropsim.build_field_dataset(cs["n_stations"], config_years(cfg, "field_years"),
+                                        cs["scenario_mix"], cs["data_seed"])
     ingest.write_samples_csv(field, paths.field_samples)
-    cropsim.build_county_inputs(int(cs["n_counties"]), county_years, cs["county_scenario_mix"],
-                                int(cs["data_seed"]), paths.pixels, paths.daily, paths.truth,
+    cropsim.build_county_inputs(cs["n_counties"], config_years(cfg), cs["county_scenario_mix"],
+                                cs["data_seed"], paths.pixels, paths.daily, paths.truth,
                                 scenario_overrides=cs["county_scenario_overrides"])
     print(f"simulate: {len(field)} field samples, county inputs for {cs['n_counties']} counties")
 
@@ -247,7 +257,7 @@ def cmd_filter(cfg, paths):
     field = ingest.read_samples_csv(paths.field_samples)
     county = ingest.read_samples_csv(paths.county_samples)
     sm_model = filtering.fit_sm_regressor(county)
-    threshold = float(cfg["filter"]["threshold"])
+    threshold = cfg["filter"]["threshold"]
     kept, discarded, report = filtering.screen_field_samples(field, sm_model, threshold)
     if not len(kept):
         raise KgmlsmError(f"filter.threshold {threshold} keeps none of the {len(field)} field "
@@ -331,8 +341,8 @@ def cmd_evaluate(cfg, paths):
 
     payload = {
         "variant": cfg["variant"],
-        "lambda": float(cfg["loss"]["lambda"]),
-        "target_year": int(cfg["target_year"]),
+        "lambda": cfg["loss"]["lambda"],
+        "target_year": cfg["target_year"],
         "n_test": summary["n_test"],
         "seeds": cfg["seeds"],
         "per_seed": per_seed,
@@ -383,7 +393,7 @@ def cmd_ablate(cfg, paths):
                                      sizes=cfg["model"])
     report_path = _ablate_report(cfg, paths)
     write_json(report_path, {
-        "variant": cfg["variant"], "lambda": float(cfg["loss"]["lambda"]),
+        "variant": cfg["variant"], "lambda": cfg["loss"]["lambda"],
         "unfiltered": not cfg["filter"]["enabled"],
         "seeds": cfg["seeds"], "per_seed": result.per_seed, "summary": result.summary,
     })
@@ -453,7 +463,8 @@ STAGES = {
         reads=lambda cfg, p: (_samples(p.county_samples)
                               + _if_pretrains(cfg, _samples(_field_source(cfg, p)))),
         writes=lambda cfg, p: [_ablate_report(cfg, p)],
-        flags=[("--unfiltered", {"action": "store_true",
+        flags=[("--unfiltered", {"dest": "filter.enabled", "action": "store_const",
+                                 "const": False,
                                  "help": "pretrain on the unfiltered field dataset"})]),
 }
 
@@ -490,51 +501,34 @@ def run_stage(name, cfg, paths):
 
 
 def build_parser():
+    """Each flag but --config, if given, sets the config key its dest names."""
     parser = argparse.ArgumentParser(prog="kgmlsm",
                                      description="weather -> soil moisture -> yield pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in list(STAGES) + ["all"]:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", required=True,
                        help="path to a JSON config, or 'demo' for the bundled demo")
-        p.add_argument("--seed", type=int, default=None, help="run a single seed")
-        p.add_argument("--variant", default=None, help="ablation variant name")
-        p.add_argument("--target-year", type=int, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
+        p.add_argument("--seed", dest="seeds", metavar="SEED", type=int, help="run a single seed")
+        p.add_argument("--variant", help="ablation variant name")
+        p.add_argument("--target-year", type=int)
+        p.add_argument("--lambda", dest="loss.lambda", type=float,
                        help="overestimation penalty coefficient")
-        p.add_argument("--run-dir", default=None, help="override paths.run_dir")
+        p.add_argument("--run-dir", dest="paths.run_dir", help="override paths.run_dir")
         for flag, keywords in STAGES[name].flags if name in STAGES else ():
             p.add_argument(flag, **keywords)
     return parser
 
 
-def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg["seeds"] = [int(args.seed)]
-    if args.variant is not None:
-        training.get_variant(args.variant)  # validate early
-        cfg["variant"] = args.variant
-    if args.target_year is not None:
-        cfg["target_year"] = int(args.target_year)
-    if args.lam is not None:
-        cfg["loss"]["lambda"] = _leaf("loss.lambda", args.lam, DEFAULTS["loss"]["lambda"])
-    if args.run_dir is not None:
-        cfg["paths"]["run_dir"] = args.run_dir
-    if getattr(args, "unfiltered", False):
-        cfg["filter"]["enabled"] = False
-    return cfg
-
-
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    command, path = flags.pop("command"), flags.pop("config")
+    if "seeds" in flags:  # --seed k runs the one seed k
+        flags["seeds"] = [flags["seeds"]]
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        # refuse bad train settings and seeds, --seed included, before any stage runs
-        stage_configs(cfg)
-        split_spec(cfg)
-        _require_seeds(cfg)
+        cfg = load_config(path, flags)
         paths = RunPaths(cfg["paths"]["run_dir"])
-        for name in chain(cfg) if args.command == "all" else [args.command]:
+        for name in chain(cfg) if command == "all" else [command]:
             run_stage(name, cfg, paths)
     except KgmlsmError as e:
         print(f"error: {e}", file=sys.stderr)

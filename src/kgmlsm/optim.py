@@ -106,12 +106,16 @@ class StageConfig:
             raise ConfigError("lr must be > 0")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
+        if self.scheduler_patience < 1:
+            raise ConfigError("scheduler_patience must be >= 1")
+        if self.early_stop_patience is not None and self.early_stop_patience < 1:
+            raise ConfigError("early_stop_patience must be >= 1")
 
 
-def default_finetune_config():
-    """The paper's finetune recipe, which the MLP baseline also trains with."""
-    return StageConfig(batch_size=16, lr=0.001, max_epochs=30, scheduler_patience=5,
-                       early_stop_patience=10)
+# the paper's finetune recipe: the default of a run's finetune stage, and
+# the one the MLP baseline always trains with
+PAPER_FINETUNE = {"batch_size": 16, "lr": 0.001, "max_epochs": 30, "scheduler_patience": 5,
+                  "early_stop_patience": 10}
 
 
 def fit(params, n, batch_loss, end_epoch, cfg, seed, tag):

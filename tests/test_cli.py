@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -78,13 +79,28 @@ class TestConfig:
 
     def test_flag_overrides(self, tmp_path):
         path = micro_config(tmp_path)
-        parser = cli.build_parser()
-        args = parser.parse_args(["evaluate", "--config", path, "--seed", "7",
-                                  "--lambda", "5.0", "--target-year", "2021"])
-        cfg = cli._apply_overrides(cli.load_config(path), args)
+        cfg = cli.load_config(path, {"seeds": [7], "loss.lambda": 5, "target_year": 2021,
+                                     "filter.enabled": False})
         assert cfg["seeds"] == [7]
-        assert cfg["loss"]["lambda"] == 5.0
+        assert cfg["loss"]["lambda"] == 5.0 and isinstance(cfg["loss"]["lambda"], float)
         assert cfg["target_year"] == 2021
+        assert cfg["filter"]["enabled"] is False
+        with pytest.raises(ConfigError, match="config key loss.lambda must be int or float"):
+            cli.load_config(path, {"loss.lambda": "abc"})
+
+    def test_every_flag_sets_a_config_key(self):
+        """A flag other than --config names the DEFAULTS key it sets as its
+        dest, so `load_config` types and checks it with the file's keys."""
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for name, parser in sub.choices.items():
+            for action in parser._actions:
+                if action.dest in ("help", "config"):
+                    continue
+                node = cli.DEFAULTS
+                for part in action.dest.split("."):
+                    assert isinstance(node, dict) and part in node, (name, action.option_strings)
+                    node = node[part]
 
 
 class TestPrerequisites:
@@ -343,6 +359,19 @@ BAD_INPUTS = {
                    "config key loss.lambda must be a finite number, not nan"),
     "lambda_flag_inf": (["ablate", "--variant", "att", "--lambda", "inf"], {},
                         "config key loss.lambda must be a finite number, not inf"),
+    # settings that only a later stage uses are refused before the first runs
+    "variant_in_file_simulate": (["simulate"], {"variant": "bogus"}, "unknown variant 'bogus'"),
+    "epsilon_0_simulate": (["simulate"], {"loss": {"epsilon": 0.0}}, "epsilon must be > 0"),
+    "lambda_flag_simulate": (["simulate", "--lambda", "-1"], {}, "lambda must be >= 0"),
+    "years_reversed_finetune": (["finetune"], {"cropsim": dict(
+        MICRO["cropsim"], years={"first": 2022, "last": 2019})},
+        "cropsim.years.first must be <= cropsim.years.last"),
+    # a patience below 1 would act as 1
+    "scheduler_patience_0": (["finetune"], {"train": {"finetune": {"scheduler_patience": 0}}},
+                             "scheduler_patience must be >= 1"),
+    "early_stop_patience_negative": (["finetune"],
+                                     {"train": {"finetune": {"early_stop_patience": -3}}},
+                                     "early_stop_patience must be >= 1"),
 }
 
 
@@ -355,6 +384,19 @@ def test_bad_input_exits_1_with_error_line(case, micro_run, tmp_path, capsys):
     assert cli.main(argv + ["--config", cfg_path, "--run-dir", run_dir]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv,extra,message", [
+    ([], {"variant": "bogus"}, "unknown variant 'bogus'"),
+    ([], {"loss": {"epsilon": 0}}, "epsilon must be > 0"),
+    (["--lambda", "-1"], {}, "lambda must be >= 0"),
+], ids=["variant_in_file", "epsilon_0", "lambda_flag"])
+def test_refused_all_creates_no_run_dir(argv, extra, message, tmp_path, capsys):
+    run_dir = tmp_path / "fresh"
+    cfg_path = micro_config(tmp_path, run_name="bad", **extra)
+    assert cli.main(["all", "--config", cfg_path, "--run-dir", str(run_dir)] + argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not run_dir.exists()
 
 
 def test_zero_epochs_leave_the_trained_checkpoints_alone(micro_run, tmp_path, capsys):

@@ -122,8 +122,9 @@ class TestBaselines:
     def test_unknown_kind_rejected(self):
         rng = np.random.default_rng(8)
         ds = self._linear_dataset(rng, n=10)
-        with pytest.raises(ValueError):
-            baseline_fit_predict("forest", ds, ds)
+        for kind in ("forest", "LR"):
+            with pytest.raises(ValueError, match="unknown baseline kind"):
+                baseline_fit_predict(kind, ds, ds)
 
 
 # At 400 samples x 135 columns, BLAS splits the Gram's sums and LAPACK's

@@ -154,18 +154,19 @@ def write_box_csv(path, stats_by_year):
 
 
 _SVG_COLORS = {"Weather": "#1f77b4", "VIs": "#2ca02c", "SM": "#d62728"}
+SVG_WIDTH, SVG_PANEL_HEIGHT = 640, 120
 
 
-def render_category_svg(path, rows, width=640, panel_height=120):
+def render_category_svg(path, rows):
     """Static line chart: one panel per year, one line per category."""
     years = sorted({r["year"] for r in rows})
     t_max = max(r["timestep"] for r in rows) + 1
     v_max = max(r["alpha_mean"] for r in rows) or 1.0
     margin = 36
-    height = panel_height * len(years) + margin
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
+    height = SVG_PANEL_HEIGHT * len(years) + margin
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{height}">']
     for pi, year in enumerate(years):
-        y0 = pi * panel_height + 18
+        y0 = pi * SVG_PANEL_HEIGHT + 18
         parts.append(f'<text x="4" y="{y0}" font-size="11">{year}</text>')
         for cat in CATEGORIES:
             pts = [(r["timestep"], r["alpha_mean"]) for r in rows
@@ -174,8 +175,8 @@ def render_category_svg(path, rows, width=640, panel_height=120):
                 continue
             pts.sort()
             coords = " ".join(
-                f"{margin + (width - margin - 8) * t / max(t_max - 1, 1):.1f},"
-                f"{y0 + (panel_height - 30) * (1 - v / v_max):.1f}"
+                f"{margin + (SVG_WIDTH - margin - 8) * t / max(t_max - 1, 1):.1f},"
+                f"{y0 + (SVG_PANEL_HEIGHT - 30) * (1 - v / v_max):.1f}"
                 for t, v in pts)
             color = _SVG_COLORS.get(cat, "#333")
             parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>')

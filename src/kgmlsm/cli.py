@@ -33,14 +33,10 @@ DEFAULTS = {
         "data_seed": 7,
     },
     "filter": {"threshold": 0.5, "enabled": True},
-    "loss": {"lambda": 2.0, "epsilon": 1.0},
-    "model": {"d_model": 32, "d_k": 32, "enc_width1": 16, "enc_width2": 32, "dec_width": 16},
+    "loss": {"lambda": 2.0},
     "train": {
-        "pretrain": {"batch_size": 64, "lr": 0.001, "max_epochs": 50,
-                     "scheduler_patience": 5, "rmse_stop": 1.0},
+        "pretrain": {"batch_size": 64, "max_epochs": 50, "rmse_stop": 1.0},
         "finetune": dict(optim.PAPER_FINETUNE),
-        "split_seed": 0,
-        "train_fraction": 0.8,
     },
     "target_year": 2023,
     "seeds": [0, 1, 2, 3, 4],
@@ -111,24 +107,30 @@ def _require_domain(cfg):
     """Refuse settings, file keys and flags alike, that no stage can run
     on. Each rule stays with the code that owns it and runs once here."""
     cs = cfg["cropsim"]
-    counts = {f"cropsim.{k}": cs[k] for k in ("n_stations", "n_counties")}
-    counts.update({f"model.{k}": width for k, width in cfg["model"].items()})
-    for key, n in counts.items():
-        if n < 1:
-            raise ConfigError(f"config key {key} must be >= 1, not {n}")
+    for key in ("n_stations", "n_counties"):
+        if cs[key] < 1:
+            raise ConfigError(f"config key cropsim.{key} must be >= 1, not {cs[key]}")
+    years = config_years(cfg)
+    config_years(cfg, "field_years")
+    simulated = range(years[0] - cropsim.HISTORY_YEARS, years[-1] + 1)
     mixes = {f"cropsim.{k}": cs[k] for k in ("scenario_mix", "county_scenario_mix")}
     for year, mix in cs["county_scenario_overrides"].items():
         if not year.isdecimal():
             raise ConfigError(f"config key cropsim.county_scenario_overrides has the key "
                               f"{year!r}, which is not a year")
+        if int(year) not in simulated:
+            raise ConfigError(f"config key cropsim.county_scenario_overrides has the year "
+                              f"{year}, outside the simulated years {simulated[0]}-{simulated[-1]}")
         mixes[f"cropsim.county_scenario_overrides.{year}"] = mix
     for key, mix in mixes.items():
         _require_mix(key, mix)
-    config_years(cfg)
-    config_years(cfg, "field_years")
+    # the messages of training.temporal_split, which checks the samples themselves
+    if cfg["target_year"] not in years:
+        raise ConfigError(f"target year {cfg['target_year']} absent from dataset years {years}")
+    if cfg["target_year"] == years[0]:
+        raise ConfigError(f"no samples precede the target year {cfg['target_year']}")
     # numpy seeds its generators with ints >= 0
-    seeds = [("seeds", seed) for seed in cfg["seeds"]] + [
-        ("cropsim.data_seed", cs["data_seed"]), ("train.split_seed", cfg["train"]["split_seed"])]
+    seeds = [("seeds", seed) for seed in cfg["seeds"]] + [("cropsim.data_seed", cs["data_seed"])]
     for key, seed in seeds:
         if seed < 0:
             raise ConfigError(f"config key {key} has the negative seed {seed}; "
@@ -136,7 +138,6 @@ def _require_domain(cfg):
     training.get_variant(cfg["variant"])
     loss_config(cfg)
     stage_configs(cfg)
-    split_spec(cfg)
 
 
 def load_config(path, flags=None):
@@ -171,7 +172,7 @@ def config_years(cfg, key="years"):
 
 
 def loss_config(cfg):
-    return losses.LossConfig(lam=cfg["loss"]["lambda"], epsilon=cfg["loss"]["epsilon"])
+    return losses.LossConfig(lam=cfg["loss"]["lambda"])
 
 
 def stage_configs(cfg):
@@ -180,9 +181,7 @@ def stage_configs(cfg):
 
 
 def split_spec(cfg):
-    return training.SplitSpec(target_year=cfg["target_year"],
-                              train_fraction=cfg["train"]["train_fraction"],
-                              shuffle_seed=cfg["train"]["split_seed"])
+    return training.SplitSpec(target_year=cfg["target_year"])
 
 
 class RunPaths:
@@ -276,8 +275,7 @@ def cmd_pretrain(cfg, paths):
     field = ingest.read_samples_csv(_field_source(cfg, paths))
     pre_cfg, _ = stage_configs(cfg)
     for seed in cfg["seeds"]:
-        bundle, rows = training.pretrain(field, pre_cfg, loss_config(cfg), variant,
-                                         cfg["model"], seed)
+        bundle, rows = training.pretrain(field, pre_cfg, loss_config(cfg), variant, None, seed)
         model.save_checkpoint(paths.checkpoint_stem("pretrain", seed), bundle)
         training.write_epochs_csv(paths.epochs_csv("pretrain", seed), rows)
         print(f"pretrain seed {seed}: {bundle.meta['epochs_run']} epochs, "
@@ -305,7 +303,7 @@ def cmd_finetune(cfg, paths):
                           if variant.use_pretrain else None) for seed in cfg["seeds"]}
     for seed, checkpoint in checkpoints.items():
         bundle, rows, _split = training.finetune(checkpoint, county, spec, fine_cfg,
-                                                 loss_config(cfg), variant, cfg["model"], seed)
+                                                 loss_config(cfg), variant, None, seed)
         model.save_checkpoint(paths.checkpoint_stem("finetune", seed), bundle)
         training.write_epochs_csv(paths.epochs_csv("finetune", seed), rows)
         print(f"finetune seed {seed}: best epoch {bundle.meta['best_epoch']}, "
@@ -389,8 +387,7 @@ def cmd_ablate(cfg, paths):
     county = ingest.read_samples_csv(paths.county_samples)
     pre_cfg, fine_cfg = stage_configs(cfg)
     result = training.run_experiment(field, county, cfg["variant"], cfg["seeds"],
-                                     split_spec(cfg), pre_cfg, fine_cfg, loss_config(cfg),
-                                     sizes=cfg["model"])
+                                     split_spec(cfg), pre_cfg, fine_cfg, loss_config(cfg))
     report_path = _ablate_report(cfg, paths)
     write_json(report_path, {
         "variant": cfg["variant"], "lambda": cfg["loss"]["lambda"],

@@ -32,6 +32,8 @@ INITIAL_SOIL_WATER_CHOICES = (0.40, 0.50, 0.60)  # fraction of the SM span
 
 POTENTIAL_YIELD_CAP = 12.5  # t/ha
 
+HISTORY_YEARS = 5  # prior years of a sample's historical average yield, simulated as warm-up
+
 # per-draw ranges around the nominal scenario knobs; the spread across
 # station-years is what gives yields enough variance to learn from
 SCENARIO_WET_PROB_RANGE = {
@@ -75,7 +77,7 @@ def sample_management(rng):
     )
 
 
-def synth_weather(rng, year, location, wet_day_prob=0.30, ppt_event_scale=6.0):
+def synth_weather(rng, location, wet_day_prob=0.30, ppt_event_scale=6.0):
     """One synthetic weather year: seasonal sinusoids plus noise for
     temperature and radiation, a gamma wet-day process for rain."""
     lat, lon = location
@@ -173,15 +175,13 @@ def draw_field_station_year(seed, station, year, scenario_mix):
     wet_prob = scenario_wet_prob(sc_rng, scenario)
     event_scale = float(sc_rng.uniform(*PPT_EVENT_SCALE_RANGE))
     mgmt = sample_management(_rng(seed, "management", station, year))
-    weather = synth_weather(_rng(seed, "weather", station, year), year, (lat, lon),
-                            wet_prob, event_scale)
+    weather = synth_weather(_rng(seed, "weather", station, year), (lat, lon), wet_prob, event_scale)
     if scenario != "anomalous":
         return (lat, lon), weather, weather, mgmt, 0.0
     decoy_wet = wet_prob < 0.25
     decoy_prob = float(sc_rng.uniform(0.35, 0.45) if decoy_wet
                        else sc_rng.uniform(0.02, 0.08))
-    decoy = synth_weather(_rng(seed, "decoy", station, year), year, (lat, lon),
-                          decoy_prob, event_scale)
+    decoy = synth_weather(_rng(seed, "decoy", station, year), (lat, lon), decoy_prob, event_scale)
     # level shift pushes the series further in the decoy's direction
     shift = float(sc_rng.uniform(0.10, 0.16)) * (1.0 if decoy_wet else -1.0)
     return (lat, lon), weather, decoy, mgmt, shift
@@ -215,16 +215,16 @@ def simulate_field_station_years(seed, keys, scenario_mix):
 def build_field_dataset(n_stations, years, scenario_mix, seed):
     """One sample per station-year; VI channels all zero at field level.
 
-    The five years before the first requested year are simulated as
-    warm-up so every sample gets a real 5-year historical average.
+    The HISTORY_YEARS before the first requested year are simulated as
+    warm-up so every sample gets a real historical average.
     """
     years = sorted(years)
-    all_years = range(years[0] - 5, years[-1] + 1)
+    all_years = range(years[0] - HISTORY_YEARS, years[-1] + 1)
     keys = np.array([(st, year) for st in range(n_stations) for year in all_years])
     locations, weather, sim = simulate_field_station_years(seed, keys.tolist(), scenario_mix)
-    # the requested station-years, each preceded by its station's five prior years
+    # the requested station-years, each preceded by its station's prior years
     kept = np.flatnonzero(np.isin(keys[:, 1], years))
-    hist = sim["yield_tha"][kept[:, None] + np.arange(-5, 0)].mean(axis=1)
+    hist = sim["yield_tha"][kept[:, None] + np.arange(-HISTORY_YEARS, 0)].mean(axis=1)
     daily = np.concatenate([weather, np.stack([sim["sm_surface"], sim["sm_rootzone"]], axis=1)],
                            axis=1)[kept]
     channels = ingest.WEATHER_CHANNELS + ingest.SM_CHANNELS
@@ -281,8 +281,8 @@ def draw_county_year(seed, county, year, scenario_mix):
     wet_prob = scenario_wet_prob(sc_rng, scenario)
     event_scale = float(sc_rng.uniform(*PPT_EVENT_SCALE_RANGE))
     mgmt = sample_management(_rng(seed, "county_mgmt", county, year))
-    weather = synth_weather(_rng(seed, "county_weather", county, year), year, (lat, lon),
-                            wet_prob, event_scale)
+    weather = synth_weather(_rng(seed, "county_weather", county, year), (lat, lon), wet_prob,
+                            event_scale)
     return (lat, lon), weather, mgmt
 
 
@@ -314,7 +314,7 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
     """
     years = sorted(years)
     overrides = {int(k): v for k, v in (scenario_overrides or {}).items()}
-    all_years = list(range(years[0] - 5, years[-1] + 1))
+    all_years = list(range(years[0] - HISTORY_YEARS, years[-1] + 1))
     season = ingest.season_slice
 
     nd, n_px = ingest.SEASON_DAYS, PIXELS_PER_COUNTY
@@ -334,7 +334,7 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
         history[c, year] = county_yield
         if year not in years:
             continue
-        hist = float(np.mean([history[c, y] for y in range(year - 5, year)]))
+        hist = float(np.mean([history[c, y] for y in range(year - HISTORY_YEARS, year)]))
         truth_rows.append((sid, year, lat, lon, county_yield, hist))
         kept.append((sid, year))
 

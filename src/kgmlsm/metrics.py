@@ -36,6 +36,8 @@ def r2(y, y_hat):
 # ---------------------------------------------------------------------------
 # baseline models on flattened sample features
 
+RIDGE_ALPHA = 1.0  # the ridge baseline's L2 weight
+
 
 def sample_features(arrays):
     """Flatten each sample of stack_dataset arrays to one vector: all series
@@ -80,7 +82,7 @@ def _lstsq_normal_equations(design, y, ridge_alpha=0.0):
     return x
 
 
-def baseline_fit_predict(kind, train, test, val=None, seed=0, ridge_alpha=1.0):
+def baseline_fit_predict(kind, train, test, val=None, seed=0):
     """Fit a reference model on the train split and predict the test split.
 
     kind: "lr" (ordinary least squares), "ridge" (L2, intercept unshrunk)
@@ -125,12 +127,9 @@ def baseline_fit_predict(kind, train, test, val=None, seed=0, ridge_alpha=1.0):
     train_x, test_x = _standardize_features(train_x, test_x)
     design = np.hstack([train_x, np.ones((train_x.shape[0], 1))])
     test_design = np.hstack([test_x, np.ones((test_x.shape[0], 1))])
-    if kind == "lr":
-        w = _lstsq_normal_equations(design, train_t, ridge_alpha=0.0)
-    elif kind == "ridge":
-        w = _lstsq_normal_equations(design, train_t, ridge_alpha=ridge_alpha)
-    else:
+    if kind not in ("lr", "ridge"):
         raise ValueError(f"unknown baseline kind {kind!r}")
+    w = _lstsq_normal_equations(design, train_t, RIDGE_ALPHA if kind == "ridge" else 0.0)
     return test_design @ w * y_sd + y_mu
 
 

@@ -8,6 +8,9 @@ import numpy as np
 from .autodiff import gradients
 from .errors import ConfigError, ShapeError
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+PLATEAU_FACTOR, MIN_LR = 0.5, 1e-6
+
 
 @dataclass
 class AdamState:
@@ -17,9 +20,6 @@ class AdamState:
     lr: float
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
 
 
@@ -44,7 +44,7 @@ def adam_step(store, grads, state):
                              f"{p.data.shape} for {name}")
     g = np.concatenate([grads[name].ravel() for name, _ in params])
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     m, v = state.m, state.v
@@ -54,7 +54,7 @@ def adam_step(store, grads, state):
     v += (1.0 - b2) * (g * g)
     m_hat = m / bias1
     v_hat = v / bias2
-    flat = store.flat() - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    flat = store.flat() - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     offset = 0
     for _, p in params:
         p.data = flat[offset: offset + p.data.size].reshape(p.data.shape)
@@ -67,13 +67,11 @@ class PlateauScheduler:
     """Halve the learning rate after `patience` epochs without improvement.
 
     Improvement means a strictly lower monitored value, by any margin. The
-    lr never drops below min_lr; a reduction resets the stall counter.
+    lr never drops below MIN_LR; a reduction resets the stall counter.
     """
 
     lr: float
     patience: int = 5
-    factor: float = 0.5
-    min_lr: float = 1e-6
     best: float = None
     bad_epochs: int = 0
 
@@ -85,7 +83,7 @@ class PlateauScheduler:
         else:
             self.bad_epochs += 1
             if self.bad_epochs >= self.patience:
-                self.lr = max(self.lr * self.factor, self.min_lr)
+                self.lr = max(self.lr * PLATEAU_FACTOR, MIN_LR)
                 self.bad_epochs = 0
         return self.lr
 
@@ -112,10 +110,10 @@ class StageConfig:
             raise ConfigError("early_stop_patience must be >= 1")
 
 
-# the paper's finetune recipe: the default of a run's finetune stage, and
-# the one the MLP baseline always trains with
-PAPER_FINETUNE = {"batch_size": 16, "lr": 0.001, "max_epochs": 30, "scheduler_patience": 5,
-                  "early_stop_patience": 10}
+# the paper's finetune recipe, over StageConfig's lr and scheduler_patience:
+# the default of a run's finetune stage, and the one the MLP baseline always
+# trains with
+PAPER_FINETUNE = {"batch_size": 16, "max_epochs": 30, "early_stop_patience": 10}
 
 
 def fit(params, n, batch_loss, end_epoch, cfg, seed, tag):

@@ -23,12 +23,9 @@ MICRO = {
         "data_seed": 3,
     },
     "filter": {"threshold": 0.015},
-    "model": {"d_model": 8, "d_k": 8, "enc_width1": 4, "enc_width2": 8, "dec_width": 4},
     "train": {
-        "pretrain": {"batch_size": 16, "lr": 0.001, "max_epochs": 6,
-                     "scheduler_patience": 5, "rmse_stop": 1.0},
-        "finetune": {"batch_size": 8, "lr": 0.001, "max_epochs": 5,
-                     "scheduler_patience": 5, "early_stop_patience": 10},
+        "pretrain": {"batch_size": 16, "max_epochs": 6, "rmse_stop": 1.0},
+        "finetune": {"batch_size": 8, "max_epochs": 5, "early_stop_patience": 10},
     },
     "target_year": 2022,
     "seeds": [0],
@@ -66,12 +63,49 @@ class TestConfig:
     def test_defaults_carry_headline_values(self):
         cfg = cli._merge(cli.DEFAULTS, {})
         assert cfg["loss"]["lambda"] == 2.0
-        assert cfg["loss"]["epsilon"] == 1.0
+        assert cli.loss_config(cfg).epsilon == 1.0
         assert cfg["filter"]["threshold"] == 0.5
         assert cfg["train"]["pretrain"]["batch_size"] == 64
         assert cfg["train"]["finetune"]["batch_size"] == 16
-        assert cfg["train"]["pretrain"]["lr"] == 0.001
+        assert cli.stage_configs(cfg)[0].lr == 0.001
         assert cfg["train"]["finetune"]["early_stop_patience"] == 10
+
+    def test_config_leaves_are_pinned(self):
+        """The config holds what runs vary; adding a key means editing this list."""
+        def leaves(node, path):
+            for key, value in node.items():
+                here = f"{path}.{key}" if path else key
+                if isinstance(value, dict) and here not in cli.FREEFORM_KEYS:
+                    yield from leaves(value, here)
+                else:
+                    yield here
+
+        assert sorted(leaves(cli.DEFAULTS, "")) == sorted([
+            "paths.run_dir",
+            "cropsim.n_stations", "cropsim.n_counties", "cropsim.years.first",
+            "cropsim.years.last", "cropsim.field_years.first", "cropsim.field_years.last",
+            "cropsim.scenario_mix", "cropsim.county_scenario_mix",
+            "cropsim.county_scenario_overrides", "cropsim.data_seed",
+            "filter.threshold", "filter.enabled",
+            "loss.lambda",
+            "train.pretrain.batch_size", "train.pretrain.max_epochs", "train.pretrain.rmse_stop",
+            "train.finetune.batch_size", "train.finetune.max_epochs",
+            "train.finetune.early_stop_patience",
+            "target_year", "seeds", "variant",
+        ])
+
+    def test_override_years_span_the_simulated_years(self, tmp_path):
+        """`simulate` draws the 5 warm-up years before cropsim.years too, so
+        an override may name them; a year before or after them is refused."""
+        path = micro_config(tmp_path)
+        for years, ok in (({"2014", "2022"}, True), ({"2013"}, False), ({"2023"}, False)):
+            mix = {year: {"drought": 1.0} for year in years}
+            flags = {"cropsim.county_scenario_overrides": mix}
+            if ok:
+                cli.load_config(path, flags)
+            else:
+                with pytest.raises(ConfigError, match="outside the simulated years 2014-2022"):
+                    cli.load_config(path, flags)
 
     def test_an_int_is_accepted_as_a_float(self):
         cfg = cli._merge(cli.DEFAULTS, {"loss": {"lambda": 2}})
@@ -215,10 +249,8 @@ def test_micro_data_files_are_pinned(micro_run):
 
 def _tiny_train():
     return {
-        "pretrain": {"batch_size": 16, "lr": 0.001, "max_epochs": 1,
-                     "scheduler_patience": 5, "rmse_stop": 1.0},
-        "finetune": {"batch_size": 8, "lr": 0.001, "max_epochs": 2,
-                     "scheduler_patience": 5, "early_stop_patience": 10},
+        "pretrain": {"batch_size": 16, "max_epochs": 1, "rmse_stop": 1.0},
+        "finetune": {"batch_size": 8, "max_epochs": 2, "early_stop_patience": 10},
     }
 
 
@@ -314,13 +346,6 @@ BAD_INPUTS = {
     "seeds_string": (["finetune"], {"seeds": "ab"}, "config key seeds must be a non-empty list"),
     "seeds_repeated": (["finetune"], {"seeds": [0, 0]},
                        "config key seeds must be a non-empty list of distinct ints"),
-    **{f"train_fraction_{f}": (["finetune", "--variant", "att"], {"train": {"train_fraction": f}},
-                               "train.train_fraction must be in (0, 1)")
-       for f in (0.0, 1.0, 1.5, -0.2)},
-    # 0.05 of the 18 samples before 2022 is no whole sample
-    "train_fraction_empty_train": (["finetune", "--variant", "att"],
-                                   {"train": {"train_fraction": 0.05}},
-                                   "leaves 0 to train on and 18 to validate on"),
     "pretrain_max_epochs": (["pretrain"], {"train": {"pretrain": {"max_epochs": 0}}},
                             "max_epochs must be >= 1"),
     "finetune_max_epochs": (["finetune"], {"train": {"finetune": {"max_epochs": 0}}},
@@ -332,9 +357,7 @@ BAD_INPUTS = {
                              "config key seeds has the negative seed -1"),
     "data_seed_negative": (["simulate"], {"cropsim": dict(MICRO["cropsim"], data_seed=-3)},
                            "config key cropsim.data_seed has the negative seed -3"),
-    "split_seed_negative": (["finetune", "--variant", "att"], {"train": {"split_seed": -2}},
-                            "config key train.split_seed has the negative seed -2"),
-    # simulator and model settings outside their domain
+    # simulator settings outside their domain
     **{f"{key}_0": (["simulate"], {"cropsim": dict(MICRO["cropsim"], **{key: 0})},
                     f"config key cropsim.{key} must be >= 1, not 0")
        for key in ("n_counties", "n_stations")},
@@ -352,8 +375,6 @@ BAD_INPUTS = {
     "scenario_weight_negative": (["simulate"], {"cropsim": dict(
         MICRO["cropsim"], scenario_mix={"normal": 1.5, "drought": -0.5})},
         "config key cropsim.scenario_mix must hold non-negative weights"),
-    "d_model_0": (["finetune", "--variant", "att"], {"model": dict(MICRO["model"], d_model=0)},
-                  "config key model.d_model must be >= 1, not 0"),
     # a float key takes no NaN or infinity, from the config or from its flag
     "lambda_nan": (["ablate", "--variant", "att"], {"loss": {"lambda": float("nan")}},
                    "config key loss.lambda must be a finite number, not nan"),
@@ -361,14 +382,11 @@ BAD_INPUTS = {
                         "config key loss.lambda must be a finite number, not inf"),
     # settings that only a later stage uses are refused before the first runs
     "variant_in_file_simulate": (["simulate"], {"variant": "bogus"}, "unknown variant 'bogus'"),
-    "epsilon_0_simulate": (["simulate"], {"loss": {"epsilon": 0.0}}, "epsilon must be > 0"),
     "lambda_flag_simulate": (["simulate", "--lambda", "-1"], {}, "lambda must be >= 0"),
     "years_reversed_finetune": (["finetune"], {"cropsim": dict(
         MICRO["cropsim"], years={"first": 2022, "last": 2019})},
         "cropsim.years.first must be <= cropsim.years.last"),
     # a patience below 1 would act as 1
-    "scheduler_patience_0": (["finetune"], {"train": {"finetune": {"scheduler_patience": 0}}},
-                             "scheduler_patience must be >= 1"),
     "early_stop_patience_negative": (["finetune"],
                                      {"train": {"finetune": {"early_stop_patience": -3}}},
                                      "early_stop_patience must be >= 1"),
@@ -386,16 +404,53 @@ def test_bad_input_exits_1_with_error_line(case, micro_run, tmp_path, capsys):
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("argv,extra,message", [
-    ([], {"variant": "bogus"}, "unknown variant 'bogus'"),
-    ([], {"loss": {"epsilon": 0}}, "epsilon must be > 0"),
-    (["--lambda", "-1"], {}, "lambda must be >= 0"),
-], ids=["variant_in_file", "epsilon_0", "lambda_flag"])
-def test_refused_all_creates_no_run_dir(argv, extra, message, tmp_path, capsys):
+# the micro config simulates the years 2014-2022 and makes samples of 2019-2022
+OVERRIDE_2030 = {"cropsim": dict(MICRO["cropsim"],
+                                 county_scenario_overrides={"2030": {"drought": 1.0}})}
+
+
+@pytest.mark.parametrize("command,argv,extra,message", [
+    ("all", [], {"variant": "bogus"}, "unknown variant 'bogus'"),
+    ("all", ["--lambda", "-1"], {}, "lambda must be >= 0"),
+    ("all", ["--target-year", "2023"], {},
+     "target year 2023 absent from dataset years [2019, 2020, 2021, 2022]"),
+    ("all", ["--target-year", "2019"], {}, "no samples precede the target year 2019"),
+    ("all", [], OVERRIDE_2030, "config key cropsim.county_scenario_overrides has the year "
+                               "2030, outside the simulated years 2014-2022"),
+    ("simulate", [], OVERRIDE_2030, "config key cropsim.county_scenario_overrides has the "
+                                    "year 2030"),
+], ids=["variant_in_file", "lambda_flag", "target_year_after", "target_year_first",
+        "override_year", "override_year_simulate"])
+def test_refused_all_creates_no_run_dir(command, argv, extra, message, tmp_path, capsys):
     run_dir = tmp_path / "fresh"
     cfg_path = micro_config(tmp_path, run_name="bad", **extra)
-    assert cli.main(["all", "--config", cfg_path, "--run-dir", str(run_dir)] + argv) == 1
+    assert cli.main([command, "--config", cfg_path, "--run-dir", str(run_dir)] + argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("model.d_model", 32), ("model.d_k", 32), ("model.enc_width1", 16),
+    ("model.enc_width2", 32), ("model.dec_width", 16), ("loss.epsilon", 1.0),
+    ("train.pretrain.lr", 0.001), ("train.pretrain.scheduler_patience", 5),
+    ("train.finetune.lr", 0.001), ("train.finetune.scheduler_patience", 5),
+    ("train.split_seed", 0), ("train.train_fraction", 0.8),
+])
+def test_method_setting_is_no_config_key(key, value, tmp_path, capsys):
+    """The model sizes, drought-weight epsilon, learning rates, scheduler
+    patiences and split settings are the dataclasses' defaults, not config
+    keys: a file that sets one, even to its default, is refused."""
+    run_dir = tmp_path / "fresh"
+    extra = json.loads(json.dumps(MICRO))
+    *parents, leaf = key.split(".")
+    node = extra
+    for parent in parents:
+        node = node.setdefault(parent, {})
+    node[leaf] = value
+    cfg_path = micro_config(tmp_path, run_name="bad", **extra)
+    assert cli.main(["all", "--config", cfg_path, "--run-dir", str(run_dir)]) == 1
+    refused = "model" if parents == ["model"] else key  # the whole section is gone
+    assert capsys.readouterr().err == f"error: unknown config key: {refused}\n"
     assert not run_dir.exists()
 
 
@@ -456,7 +511,7 @@ def test_empty_drought_group_scores_none(micro_run, tmp_path):
     pre_cfg, fine_cfg = cli.stage_configs(cfg)
     fine_cfg.max_epochs = 1
     res = training.run_experiment(None, county, "att", [0], cli.split_spec(cfg), pre_cfg,
-                                  fine_cfg, cli.loss_config(cfg), sizes=cfg["model"])
+                                  fine_cfg, cli.loss_config(cfg))
     assert res.per_seed["mean_signed_error_drought"] == [None]
     assert res.summary["mean_signed_error_drought_median"] is None
 
@@ -616,7 +671,7 @@ BAD_FILES = {
     "checkpoint_params_reversed": ("evaluate", CHECKPOINT + ".json",
                                    _edit_json(lambda m: m["params"].reverse()),
                                    "model.json: parameter 0 is ('att.out.b', (1,)), where its "
-                                   "config makes ('w2s.enc1.w', (12, 4))"),
+                                   "config makes ('w2s.enc1.w', (12, 16))"),
     "checkpoint_meta_list": ("evaluate", CHECKPOINT + ".json",
                              _edit_json(lambda m: m.update(meta=[])),
                              "model.json: meta must be an object, not []"),

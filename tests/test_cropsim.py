@@ -27,7 +27,7 @@ class TestWeather:
     def test_constraints_hold(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            w = cropsim.synth_weather(rng, 2020, (42.0, -93.0))
+            w = cropsim.synth_weather(rng, (42.0, -93.0))
             assert np.all(w.tmax >= w.tmin)
             assert np.all(w.ppt >= 0)
             assert np.all(w.radn >= 0)
@@ -36,14 +36,14 @@ class TestWeather:
         totals = {0.05: [], 0.30: []}
         for seed in range(100):
             for p in (0.05, 0.30):
-                w = cropsim.synth_weather(np.random.default_rng([seed, 5]), 2020,
-                                          (42.0, -93.0), wet_day_prob=p)
+                w = cropsim.synth_weather(np.random.default_rng([seed, 5]), (42.0, -93.0),
+                                          wet_day_prob=p)
                 totals[p].append(ingest.season_slice(w.ppt).sum())
         assert np.mean(totals[0.05]) < np.mean(totals[0.30])
 
     def test_latitude_shifts_temperature(self):
-        north = cropsim.synth_weather(np.random.default_rng(7), 2020, (48.0, -99.0))
-        south = cropsim.synth_weather(np.random.default_rng(7), 2020, (38.0, -99.0))
+        north = cropsim.synth_weather(np.random.default_rng(7), (48.0, -99.0))
+        south = cropsim.synth_weather(np.random.default_rng(7), (38.0, -99.0))
         assert south.tmax.mean() > north.tmax.mean()
 
 
@@ -52,7 +52,7 @@ class TestSimulation:
         rng = np.random.default_rng(2)
         for _ in range(10):
             m = cropsim.sample_management(rng)
-            w = cropsim.synth_weather(rng, 2020, (42.0, -93.0))
+            w = cropsim.synth_weather(rng, (42.0, -93.0))
             out = cropsim.simulate_station_years([w], [m])
             assert 0.0 <= out["yield_tha"][0] <= out["potential_yield"][0] + 1e-12
             assert out["sm_surface"][0].min() >= 0.05 - 1e-12
@@ -60,7 +60,7 @@ class TestSimulation:
 
     def test_more_fertilizer_never_hurts(self):
         rng = np.random.default_rng(3)
-        w = cropsim.synth_weather(rng, 2020, (42.0, -93.0))
+        w = cropsim.synth_weather(rng, (42.0, -93.0))
         base = dict(sow_window_start=110, sow_window_end=136, plant_population=8,
                     initial_soil_water=0.5)
         y_low, y_high = cropsim.simulate_station_years(
@@ -71,7 +71,7 @@ class TestSimulation:
         rng = np.random.default_rng(4)
         m = cropsim.Management(110, 136, 8, 250, 0.5)
         for _ in range(5):
-            w = cropsim.synth_weather(rng, 2020, (40.0, -95.0), wet_day_prob=0.15)
+            w = cropsim.synth_weather(rng, (40.0, -95.0), wet_day_prob=0.15)
             scaled = cropsim.WeatherSeries(radn=w.radn, tmax=w.tmax, tmin=w.tmin,
                                            ppt=w.ppt * 1.4)
             wet, dry = cropsim.simulate_station_years([scaled, w], [m, m])["yield_tha"]

@@ -85,12 +85,13 @@ class TestBaselines:
         y = np.array([s.yield_label for s in ds.samples])
         assert rmse(y, pred) < 1e-8
 
-    def test_ridge_converges_to_lr(self):
+    def test_ridge_converges_to_lr(self, monkeypatch):
         rng = np.random.default_rng(4)
         train = self._linear_dataset(rng)
         test = self._linear_dataset(rng, n=12)
         lr_pred = baseline_fit_predict("lr", train, test)
-        ridge_pred = baseline_fit_predict("ridge", train, test, ridge_alpha=1e-10)
+        monkeypatch.setattr(metrics, "RIDGE_ALPHA", 1e-10)
+        ridge_pred = baseline_fit_predict("ridge", train, test)
         np.testing.assert_allclose(ridge_pred, lr_pred, atol=1e-6)
 
     def test_ridge_shrinks_coefficients(self):

@@ -105,7 +105,7 @@ class TestPlateauScheduler:
         assert sched.step(0.9) == pytest.approx(0.0005)
 
     def test_min_lr_floor(self):
-        sched = PlateauScheduler(lr=2e-6, min_lr=1e-6)
+        sched = PlateauScheduler(lr=2e-6)  # the floor, MIN_LR, is 1e-6
         sched.step(1.0)
         for _ in range(5):
             sched.step(1.0)

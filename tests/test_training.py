@@ -94,6 +94,12 @@ def test_stage_config_needs_an_epoch():
         StageConfig(batch_size=8, max_epochs=0)
 
 
+def test_stage_config_refuses_scheduler_patience_0():
+    # a patience below 1 would act as 1
+    with pytest.raises(ConfigError, match="scheduler_patience must be >= 1"):
+        StageConfig(batch_size=8, scheduler_patience=0)
+
+
 class TestVariants:
     def test_all_six_rows_exist(self):
         assert set(VARIANTS) == {"att_wo_sm", "att", "att_sim", "att_sim_w2s",

@@ -89,10 +89,11 @@ def _merge(defaults, override, path=""):
     return out
 
 
-def _require_mix(key, mix):
-    """A scenario mix maps names of cropsim's scenarios to weights that
-    numpy can draw from: finite, non-negative, with a positive sum."""
-    names = sorted(cropsim.SCENARIO_WET_PROB_RANGE)
+def _require_mix(key, mix, level):
+    """A scenario mix maps names of the scenarios its level may draw to
+    weights that numpy can draw from: finite, non-negative, with a
+    positive sum."""
+    names = cropsim.SCENARIOS[level]
     if not isinstance(mix, dict) or not set(mix) <= set(names):
         raise ConfigError(f"config key {key} must map scenarios of {names} to weights, "
                           f"not {mix!r}")
@@ -112,8 +113,9 @@ def _require_domain(cfg):
             raise ConfigError(f"config key cropsim.{key} must be >= 1, not {cs[key]}")
     years = config_years(cfg)
     config_years(cfg, "field_years")
-    simulated = range(years[0] - cropsim.HISTORY_YEARS, years[-1] + 1)
-    mixes = {f"cropsim.{k}": cs[k] for k in ("scenario_mix", "county_scenario_mix")}
+    simulated = cropsim.simulated_years(years)
+    mixes = {"cropsim.scenario_mix": (cs["scenario_mix"], "field"),
+             "cropsim.county_scenario_mix": (cs["county_scenario_mix"], "county")}
     for year, mix in cs["county_scenario_overrides"].items():
         if not year.isdecimal():
             raise ConfigError(f"config key cropsim.county_scenario_overrides has the key "
@@ -121,9 +123,9 @@ def _require_domain(cfg):
         if int(year) not in simulated:
             raise ConfigError(f"config key cropsim.county_scenario_overrides has the year "
                               f"{year}, outside the simulated years {simulated[0]}-{simulated[-1]}")
-        mixes[f"cropsim.county_scenario_overrides.{year}"] = mix
-    for key, mix in mixes.items():
-        _require_mix(key, mix)
+        mixes[f"cropsim.county_scenario_overrides.{year}"] = (mix, "county")
+    for key, (mix, level) in mixes.items():
+        _require_mix(key, mix, level)
     # the messages of training.temporal_split, which checks the samples themselves
     if cfg["target_year"] not in years:
         raise ConfigError(f"target year {cfg['target_year']} absent from dataset years {years}")
@@ -486,7 +488,8 @@ def _validate_artifacts(artifacts):
 
 
 def run_stage(name, cfg, paths):
-    """Check inputs, run, check outputs, then snapshot the config that wrote them."""
+    """Check inputs, run, check outputs, then snapshot the config that
+    wrote them, less `paths`, so a run's files do not depend on where it is."""
     stage = STAGES[name]
     for path in stage.reads(cfg, paths):
         if not os.path.exists(path):
@@ -494,7 +497,8 @@ def run_stage(name, cfg, paths):
             raise KgmlsmError(f"missing {path}; run the `{producer}` subcommand first")
     stage.run(cfg, paths)
     _validate_artifacts(stage.writes(cfg, paths))
-    write_json(os.path.join(paths.run_dir, "config_snapshot.json"), cfg)
+    write_json(os.path.join(paths.run_dir, "config_snapshot.json"),
+               {key: value for key, value in cfg.items() if key != "paths"})
 
 
 def build_parser():

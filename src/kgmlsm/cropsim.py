@@ -1,17 +1,16 @@
 """Deterministic surrogate crop simulator.
 
 Stands in for a process-based simulator at desk scale: synthetic daily
-station weather, a two-bucket water balance for surface and rootzone soil
-moisture (see kernels.py), and a stress-modulated yield. The same
-machinery also synthesizes the county-side ingestion inputs (pixel
-reflectances, daily weather/SM series, reported yields).
-
-Everything is a pure function of (seed, inputs); station-years draw from
-independent, replayable rng streams. A build simulates all its
-station-years at once and keeps them as arrays, one row each; the field
-dataset is composited and made with ingest's one array path
-(composite_16day, Dataset.from_arrays), so this module does not know the
-sample layout or the compositing rules.
+weather, a two-bucket water balance for surface and rootzone soil
+moisture (see kernels.py), and a stress-modulated yield. Field
+station-years and county-years go through one path: draw_unit_year makes
+a unit-year's draws from its level's replayable rng streams, and
+simulate_unit_years simulates a build's unit-years, warm-up years
+included, as arrays in one kernel call. The field builder turns them into
+samples with ingest's one array path (composite_16day,
+Dataset.from_arrays); the county builder adds a reported yield, a canopy
+and observation noise, and writes the ingestion CSVs (pixel reflectances,
+daily weather/SM series, truth).
 """
 
 from dataclasses import dataclass
@@ -43,10 +42,9 @@ SCENARIO_WET_PROB_RANGE = {
 }
 PPT_EVENT_SCALE_RANGE = (3.0, 9.5)  # gamma scale, mm per wet-day event
 
-
-def scenario_wet_prob(rng, scenario):
-    lo, hi = SCENARIO_WET_PROB_RANGE[scenario]
-    return float(rng.uniform(lo, hi))
+# the scenarios each level may draw: a county-year reports the weather
+# that drove it, so only a field station-year may be anomalous
+SCENARIOS = {"field": ["anomalous", "drought", "normal"], "county": ["drought", "normal"]}
 
 
 @dataclass
@@ -101,10 +99,6 @@ def potential_yield(plant_population, fertilizer):
     return min(y, POTENTIAL_YIELD_CAP)
 
 
-def initial_sm(management):
-    return SM_MIN + management.initial_soil_water * (SM_SAT - SM_MIN)
-
-
 def simulate_station_years(weathers, managements):
     """Daily water balance plus the stress-scaled yield for a batch of
     station-years, in one kernel call.
@@ -119,7 +113,7 @@ def simulate_station_years(weathers, managements):
     sow_day, stress_mean, critical_mean, sm_s, sm_r = bucket_water_balance(
         np.stack([w.radn for w in weathers]), np.stack([w.tmax for w in weathers]),
         np.stack([w.tmin for w in weathers]), np.stack([w.ppt for w in weathers]),
-        np.array([initial_sm(m) for m in managements]),
+        np.array([SM_MIN + m.initial_soil_water * (SM_SAT - SM_MIN) for m in managements]),
         np.array([m.sow_window_start for m in managements]),
         np.array([m.sow_window_end for m in managements]))
     # reproductive-window stress modulates up to 40% of the yield on top
@@ -141,6 +135,10 @@ _STREAM = {
     "county_obs": 47,
 }
 
+# each level's location, scenario, management and weather streams
+_LEVEL_STREAMS = {"field": ("station_loc", "scenario", "management", "weather"),
+                  "county": ("county_loc", "county_scenario", "county_mgmt", "county_weather")}
+
 
 def _rng(seed, purpose, *key):
     return np.random.default_rng([seed, _STREAM[purpose], *key])
@@ -153,78 +151,81 @@ def _pick_scenario(rng, scenario_mix):
     return names[int(rng.choice(len(names), p=weights))]
 
 
-def station_location(seed, idx, purpose="station_loc"):
-    rng = _rng(seed, purpose, idx)
-    return 38.0 + 10.0 * rng.random(), -102.0 + 18.0 * rng.random()
-
-
-def draw_field_station_year(seed, station, year, scenario_mix):
-    """Every random draw for one station-year under the scenario mix.
+def draw_unit_year(seed, level, unit, year, scenario_mix):
+    """Every random draw for one station-year ("field") or county-year
+    ("county") under the scenario mix, from the level's own streams.
 
     Returns (lat, lon), the recorded weather, the weather the water
     balance runs on, the management and the SM level shift (0.0 for a
-    faithful station-year). Anomalous station-years report one weather
-    draw while their soil moisture and yield come from an opposite-rainfall
-    draw with a level shift on the SM series, standing in for unrealistic
+    faithful unit-year). Anomalous unit-years report one weather draw while
+    their soil moisture and yield come from an opposite-rainfall draw with
+    a level shift on the SM series, standing in for unrealistic
     uncalibrated simulator output: the recorded weather no longer explains
     the recorded soil moisture or yield.
     """
-    lat, lon = station_location(seed, station)
-    sc_rng = _rng(seed, "scenario", station, year)
+    loc_stream, scenario_stream, mgmt_stream, weather_stream = _LEVEL_STREAMS[level]
+    loc_rng = _rng(seed, loc_stream, unit)
+    lat, lon = 38.0 + 10.0 * loc_rng.random(), -102.0 + 18.0 * loc_rng.random()
+    sc_rng = _rng(seed, scenario_stream, unit, year)
     scenario = _pick_scenario(sc_rng, scenario_mix)
-    wet_prob = scenario_wet_prob(sc_rng, scenario)
+    wet_prob = float(sc_rng.uniform(*SCENARIO_WET_PROB_RANGE[scenario]))
     event_scale = float(sc_rng.uniform(*PPT_EVENT_SCALE_RANGE))
-    mgmt = sample_management(_rng(seed, "management", station, year))
-    weather = synth_weather(_rng(seed, "weather", station, year), (lat, lon), wet_prob, event_scale)
+    mgmt = sample_management(_rng(seed, mgmt_stream, unit, year))
+    weather = synth_weather(_rng(seed, weather_stream, unit, year), (lat, lon), wet_prob,
+                            event_scale)
     if scenario != "anomalous":
         return (lat, lon), weather, weather, mgmt, 0.0
     decoy_wet = wet_prob < 0.25
-    decoy_prob = float(sc_rng.uniform(0.35, 0.45) if decoy_wet
-                       else sc_rng.uniform(0.02, 0.08))
-    decoy = synth_weather(_rng(seed, "decoy", station, year), (lat, lon), decoy_prob, event_scale)
+    decoy_prob = float(sc_rng.uniform(0.35, 0.45) if decoy_wet else sc_rng.uniform(0.02, 0.08))
+    decoy = synth_weather(_rng(seed, "decoy", unit, year), (lat, lon), decoy_prob, event_scale)
     # level shift pushes the series further in the decoy's direction
     shift = float(sc_rng.uniform(0.10, 0.16)) * (1.0 if decoy_wet else -1.0)
     return (lat, lon), weather, decoy, mgmt, shift
 
 
-def shift_sm(sim, shift):
-    """Apply each anomalous station-year's SM level shift, (N,), to the
-    simulate_station_years arrays, clipped to the physical range; a
-    station-year whose shift is 0.0 keeps its series as they are."""
+def simulate_unit_years(seed, level, keys, scenario_mix, overrides=None):
+    """Draw each (unit, year) in keys, under its year's mix in overrides if
+    it has one, else scenario_mix; then simulate them all at once.
+
+    Returns (locations (N, 2), the recorded weather (N, 4, 365) in
+    WEATHER_CHANNELS order, the simulate_station_years arrays with each
+    SM shift applied and clipped to the physical range), one row per key
+    in order. Every draw has its own rng stream, so the batch does not
+    change any value.
+    """
+    overrides = {int(year): mix for year, mix in (overrides or {}).items()}
+    draws = [draw_unit_year(seed, level, unit, year, overrides.get(year, scenario_mix))
+             for unit, year in keys]
+    sim = simulate_station_years([d[2] for d in draws], [d[3] for d in draws])
+    shift = np.array([d[4] for d in draws])
     rows = shift != 0.0
     for key in ("sm_surface", "sm_rootzone"):
         sim[key][rows] = np.clip(sim[key][rows] + shift[rows, None], SM_MIN, SM_SAT)
-    return sim
-
-
-def simulate_field_station_years(seed, keys, scenario_mix):
-    """Draw each (station, year) in keys, then simulate them all at once.
-
-    Returns (locations (N, 2), the recorded weather (N, 4, 365) in
-    WEATHER_CHANNELS order, the simulate_station_years arrays with the SM
-    shifts applied), one row per key in order. Every draw has its own rng
-    stream, so the batch does not change any value.
-    """
-    draws = [draw_field_station_year(seed, st, year, scenario_mix) for st, year in keys]
-    sim = simulate_station_years([d[2] for d in draws], [d[3] for d in draws])
     weather = np.array([[getattr(d[1], name) for name in ingest.WEATHER_CHANNELS] for d in draws])
-    return (np.array([d[0] for d in draws]), weather,
-            shift_sm(sim, np.array([d[4] for d in draws])))
+    return np.array([d[0] for d in draws]), weather, sim
+
+
+def simulated_years(years):
+    """The years a build over years simulates: HISTORY_YEARS of warm-up
+    before the first, so every written year has a real historical average."""
+    return range(min(years) - HISTORY_YEARS, max(years) + 1)
+
+
+def unit_year_keys(n_units, years):
+    """The (unit, year) keys (N, 2) a build simulates, unit by unit over
+    simulated_years; the rows of the requested years; and each such row's
+    HISTORY_YEARS prior rows, (rows, HISTORY_YEARS), oldest first."""
+    keys = np.array([(unit, year) for unit in range(n_units) for year in simulated_years(years)])
+    kept = np.flatnonzero(np.isin(keys[:, 1], years))
+    return keys, kept, kept[:, None] + np.arange(-HISTORY_YEARS, 0)
 
 
 def build_field_dataset(n_stations, years, scenario_mix, seed):
     """One sample per station-year; VI channels all zero at field level.
-
-    The HISTORY_YEARS before the first requested year are simulated as
-    warm-up so every sample gets a real historical average.
-    """
-    years = sorted(years)
-    all_years = range(years[0] - HISTORY_YEARS, years[-1] + 1)
-    keys = np.array([(st, year) for st in range(n_stations) for year in all_years])
-    locations, weather, sim = simulate_field_station_years(seed, keys.tolist(), scenario_mix)
-    # the requested station-years, each preceded by its station's prior years
-    kept = np.flatnonzero(np.isin(keys[:, 1], years))
-    hist = sim["yield_tha"][kept[:, None] + np.arange(-HISTORY_YEARS, 0)].mean(axis=1)
+    Each sample's historical average is its station's mean simulated
+    yield over the HISTORY_YEARS before it."""
+    keys, kept, prior = unit_year_keys(n_stations, years)
+    locations, weather, sim = simulate_unit_years(seed, "field", keys.tolist(), scenario_mix)
     daily = np.concatenate([weather, np.stack([sim["sm_surface"], sim["sm_rootzone"]], axis=1)],
                            axis=1)[kept]
     channels = ingest.WEATHER_CHANNELS + ingest.SM_CHANNELS
@@ -235,7 +236,8 @@ def build_field_dataset(n_stations, years, scenario_mix, seed):
         "ids": np.array([f"st{st:03d}" for st in range(n_stations)])[stations],
         "years": sample_years, "w": series[:, :, :4], "s": series[:, :, 4:],
         "v": np.zeros((len(kept), ingest.N_WINDOWS, 4)),
-        "aux": np.column_stack([sample_years, locations[kept], hist]),
+        "aux": np.column_stack([sample_years, locations[kept],
+                                sim["yield_tha"][prior].mean(axis=1)]),
         "y": sim["yield_tha"][kept], "drought": np.zeros(len(kept), dtype=bool)})
     ingest.label_drought(ds)
     return ds
@@ -268,38 +270,8 @@ def _pixel_reflectances(rng, canopy, sm_surface, corn):
     green = 0.11 + 0.02 * kappa + rng.normal(0.0, 0.004, n)
     blue = 0.05 + rng.normal(0.0, 0.003, n)
     swir = 0.30 - 0.12 * kappa - 0.10 * wet + rng.normal(0.0, 0.010, n)
-    clip = lambda a, lo, hi: np.clip(a, lo, hi)
-    return (clip(red, 0.01, 0.6), clip(nir, 0.02, 0.95), clip(blue, 0.005, 0.3),
-            clip(green, 0.01, 0.5), clip(swir, 0.02, 0.8))
-
-
-def draw_county_year(seed, county, year, scenario_mix):
-    """Location, weather and management of one county-year."""
-    lat, lon = station_location(seed, county, purpose="county_loc")
-    sc_rng = _rng(seed, "county_scenario", county, year)
-    scenario = _pick_scenario(sc_rng, scenario_mix)
-    wet_prob = scenario_wet_prob(sc_rng, scenario)
-    event_scale = float(sc_rng.uniform(*PPT_EVENT_SCALE_RANGE))
-    mgmt = sample_management(_rng(seed, "county_mgmt", county, year))
-    weather = synth_weather(_rng(seed, "county_weather", county, year), (lat, lon), wet_prob,
-                            event_scale)
-    return (lat, lon), weather, mgmt
-
-
-def county_outcome(seed, county, year, yield_tha, sow_day, stress_index):
-    """Reported county yield and daily canopy for a simulated county-year.
-
-    The reported yield adds a management effect (visible through the
-    canopy and hence the VIs) plus observation noise on top of the
-    simulated yield.
-    """
-    effect = float(_rng(seed, "county_effect", county, year).normal(0.0, 1.0))
-    noise = float(_rng(seed, "county_yield", county, year).lognormal(0.0, 0.16))
-    # multiplicative observation model: low yields carry proportionally
-    # low noise, so crop failures stay near zero instead of clipping
-    county_yield = yield_tha * np.exp(0.10 * effect) * noise
-    canopy = _canopy_curve(sow_day, stress_index, effect)
-    return county_yield, canopy
+    return (np.clip(red, 0.01, 0.6), np.clip(nir, 0.02, 0.95), np.clip(blue, 0.005, 0.3),
+            np.clip(green, 0.01, 0.5), np.clip(swir, 0.02, 0.8))
 
 
 PIXELS_PER_COUNTY = 5  # 4 corn-masked + 1 unmasked
@@ -311,54 +283,49 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
 
     scenario_overrides maps specific years to their own scenario mix, so
     drought frequency can vary across years the way real seasons do.
+    The reported yield adds a management effect (visible through the
+    canopy and hence the VIs) plus observation noise to the simulated
+    yield; a county-year's historical average is its county's mean
+    reported yield over the HISTORY_YEARS before it.
     """
-    years = sorted(years)
-    overrides = {int(k): v for k, v in (scenario_overrides or {}).items()}
-    all_years = list(range(years[0] - HISTORY_YEARS, years[-1] + 1))
+    keys, kept, prior = unit_year_keys(n_counties, years)
+    locations, weather, sim = simulate_unit_years(seed, "county", keys.tolist(), scenario_mix,
+                                                  scenario_overrides)
+    effect, noise = np.array([(_rng(seed, "county_effect", c, year).normal(0.0, 1.0),
+                               _rng(seed, "county_yield", c, year).lognormal(0.0, 0.16))
+                              for c, year in keys.tolist()]).T
+    # multiplicative observation model: low yields carry proportionally
+    # low noise, so crop failures stay near zero instead of clipping
+    reported = sim["yield_tha"] * np.exp(0.10 * effect) * noise
     season = ingest.season_slice
+    canopy = season(_canopy_curve(sim["sow_day"][kept, None], sim["stress_index"][kept, None],
+                                  effect[kept, None]))
+    weather = season(weather)[kept]
+    sm_s, sm_r = season(sim["sm_surface"])[kept], season(sim["sm_rootzone"])[kept]
 
     nd, n_px = ingest.SEASON_DAYS, PIXELS_PER_COUNTY
-    season_dates = {year: ingest.season_dates(year) for year in years}
-    kept, daily_values, bands = [], [], []  # one entry per county-year written
-    truth_rows = []
-
-    keys = [(c, year) for c in range(n_counties) for year in all_years]
-    draws = [draw_county_year(seed, c, year, overrides.get(year, scenario_mix))
-             for c, year in keys]
-    sim = simulate_station_years([d[1] for d in draws], [d[2] for d in draws])
-    outcomes = zip(sim["yield_tha"].tolist(), sim["sow_day"].tolist(), sim["stress_index"].tolist())
-    history = {}
-    for i, ((c, year), ((lat, lon), weather, _), outcome) in enumerate(zip(keys, draws, outcomes)):
-        sid = f"c{c:03d}"
-        county_yield, canopy = county_outcome(seed, c, year, *outcome)
-        history[c, year] = county_yield
-        if year not in years:
-            continue
-        hist = float(np.mean([history[c, y] for y in range(year - HISTORY_YEARS, year)]))
-        truth_rows.append((sid, year, lat, lon, county_yield, hist))
-        kept.append((sid, year))
-
+    daily_values, bands = [], []  # one entry per county-year written
+    for i, (c, year) in enumerate(keys[kept].tolist()):
         # gridded-product observation noise: the county record is a
         # noisy view of the true weather/SM that drove the simulation
         obs = _rng(seed, "county_obs", c, year)
-        sradn = np.clip(season(weather.radn) + obs.normal(0, 1.5, nd), 0.1, None)
-        stmax = season(weather.tmax) + obs.normal(0, 0.8, nd)
-        stmin = np.minimum(season(weather.tmin) + obs.normal(0, 0.8, nd), stmax)
-        sppt = np.clip(season(weather.ppt) * obs.lognormal(0.0, 0.20, nd)
-                       + obs.normal(0, 0.3, nd), 0.0, None)
-        ssm_s = np.clip(season(sim["sm_surface"][i]) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
-        ssm_r = np.clip(season(sim["sm_rootzone"][i]) + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
+        radn, tmax, tmin, ppt = weather[i]
+        sradn = np.clip(radn + obs.normal(0, 1.5, nd), 0.1, None)
+        stmax = tmax + obs.normal(0, 0.8, nd)
+        stmin = np.minimum(tmin + obs.normal(0, 0.8, nd), stmax)
+        sppt = np.clip(ppt * obs.lognormal(0.0, 0.20, nd) + obs.normal(0, 0.3, nd), 0.0, None)
+        ssm_s = np.clip(sm_s[i] + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
+        ssm_r = np.clip(sm_r[i] + obs.normal(0, 0.02, nd), SM_MIN, SM_SAT)
         daily_values.append(np.stack([sradn, stmax, stmin, sppt, ssm_s, ssm_r], axis=1))
-
+        # reflectance follows the true state
         px_rng = _rng(seed, "county_pixels", c, year)
-        scanopy = season(canopy)
-        true_sm_s = season(sim["sm_surface"][i])  # reflectance follows the true state
-        bands.append(np.array([_pixel_reflectances(px_rng, scanopy, true_sm_s, p < n_px - 1)
+        bands.append(np.array([_pixel_reflectances(px_rng, canopy[i], sm_s[i], p < n_px - 1)
                                for p in range(n_px)]))
 
     # rows: county-year, then pixel, then day; bands is (county-years, pixels, 5, days)
-    sids = np.array([sid for sid, _ in kept], dtype=str)
-    dates = np.array([season_dates[year] for _, year in kept], dtype=str).reshape(-1, 1, nd)
+    counties, kept_years = keys[kept].T
+    sids = np.array([f"c{c:03d}" for c in range(n_counties)])[counties]
+    dates = np.array([ingest.season_dates(year) for year in kept_years]).reshape(-1, 1, nd)
     bands = np.array(bands).reshape(len(kept), n_px, 5, nd)
     table = ingest.PixelTable(
         county_id=np.repeat(sids, n_px * nd),
@@ -367,5 +334,7 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
         corn_mask=np.tile(np.repeat(np.arange(n_px) < n_px - 1, nd), len(kept)))
     ingest.write_pixels_csv(pixels_path, table)
     ingest.write_daily_csv(daily_path, np.repeat(sids, nd), dates.ravel(), daily_values)
-    ingest.write_truth_csv(truth_path, truth_rows)
+    ingest.write_truth_csv(truth_path, list(zip(
+        sids.tolist(), kept_years.tolist(), *locations[kept].T.tolist(),
+        reported[kept].tolist(), reported[prior].mean(axis=1).tolist())))
     return table

@@ -229,6 +229,22 @@ class TestEndToEnd:
                     == digest(paths_b.checkpoint_stem(stage, 0) + ext)
 
 
+def _digests(run_dir):
+    return {os.path.relpath(os.path.join(base, name), run_dir):
+            hashlib.sha256(open(os.path.join(base, name), "rb").read()).hexdigest()
+            for base, _, names in os.walk(run_dir) for name in names}
+
+
+def test_run_files_do_not_depend_on_the_run_dir(tmp_path):
+    """`all` in two run directories whose paths differ in length writes
+    the same bytes to every file, config_snapshot.json included."""
+    runs = ["run", "a_run_directory_with_a_longer_path"]
+    for run in runs:
+        assert cli.main(["all", "--config", micro_config(tmp_path, run_name=run)]) == 0
+    short, long = (_digests(tmp_path / run) for run in runs)
+    assert "config_snapshot.json" in short and short == long
+
+
 # sha256 of the micro run's data files. Any change to the CSV writer's bytes,
 # to a reduction's summation order or to the simulator's draws shows here.
 MICRO_DATA_SHA256 = {
@@ -245,6 +261,29 @@ def test_micro_data_files_are_pinned(micro_run):
     found = {name: hashlib.sha256(open(os.path.join(paths.data, name), "rb").read()).hexdigest()
              for name in MICRO_DATA_SHA256}
     assert found == MICRO_DATA_SHA256
+
+
+# the micro config with a county mix of its own for one warm-up year (2016)
+# and one written year (2021), and the sha256 of its data files
+MICRO_OVERRIDES = {"2016": {"drought": 1.0}, "2021": {"normal": 0.4, "drought": 0.6}}
+MICRO_OVERRIDE_DATA_SHA256 = {
+    "county_samples.csv": "8bd2cfd663f3b2c4fbfe423ae519e3d093e729fb92245c2a9513a3d1492bbd5d",
+    "county_truth.csv": "c8b67d8cda034e1809164201e68fb9e6759692d4cae79d980d68b30c2e677994",
+    "daily.csv": "2264514b123d210bdfd55f16dad6fe39402ae787aafe0681ed81fa983c8ca780",
+    "field_samples.csv": "bf35b78ff12cd64b2e806331e60464ed3d848a05a5471f034c43f916697c409b",
+    "pixels.csv": "9004ad2f30f967576a12b71cd150d9a9bea2522a52bf7ecb1c3d66871323a214",
+}
+
+
+def test_micro_override_data_files_are_pinned(tmp_path):
+    cs = dict(MICRO["cropsim"], county_scenario_overrides=MICRO_OVERRIDES)
+    cfg_path = micro_config(tmp_path, cropsim=cs)
+    for command in ("simulate", "ingest"):
+        assert cli.main([command, "--config", cfg_path]) == 0
+    data = tmp_path / "run" / "data"
+    found = {name: hashlib.sha256((data / name).read_bytes()).hexdigest()
+             for name in MICRO_OVERRIDE_DATA_SHA256}
+    assert found == MICRO_OVERRIDE_DATA_SHA256
 
 
 def _tiny_train():
@@ -365,6 +404,15 @@ BAD_INPUTS = {
                                                         scenario_mix={"wet": 1.0})},
                          "config key cropsim.scenario_mix must map scenarios of "
                          "['anomalous', 'drought', 'normal'] to weights"),
+    # a county-year reports the weather that drove it: it is never anomalous
+    "scenario_county_anomalous": (["simulate"], {"cropsim": dict(
+        MICRO["cropsim"], county_scenario_mix={"normal": 0.9, "anomalous": 0.1})},
+        "config key cropsim.county_scenario_mix must map scenarios of ['drought', 'normal'] "
+        "to weights"),
+    "scenario_override_anomalous": (["simulate"], {"cropsim": dict(
+        MICRO["cropsim"], county_scenario_overrides={"2021": {"anomalous": 1.0}})},
+        "config key cropsim.county_scenario_overrides.2021 must map scenarios of "
+        "['drought', 'normal'] to weights"),
     "scenario_override_not_a_year": (["simulate"], {"cropsim": dict(
         MICRO["cropsim"], county_scenario_overrides={"later": {"normal": 1.0}})},
         "config key cropsim.county_scenario_overrides has the key 'later', which is not a year"),
@@ -419,8 +467,10 @@ OVERRIDE_2030 = {"cropsim": dict(MICRO["cropsim"],
                                "2030, outside the simulated years 2014-2022"),
     ("simulate", [], OVERRIDE_2030, "config key cropsim.county_scenario_overrides has the "
                                     "year 2030"),
+    *[("all", [], BAD_INPUTS[case][1], BAD_INPUTS[case][2])
+      for case in ("scenario_county_anomalous", "scenario_override_anomalous")],
 ], ids=["variant_in_file", "lambda_flag", "target_year_after", "target_year_first",
-        "override_year", "override_year_simulate"])
+        "override_year", "override_year_simulate", "county_anomalous", "override_anomalous"])
 def test_refused_all_creates_no_run_dir(command, argv, extra, message, tmp_path, capsys):
     run_dir = tmp_path / "fresh"
     cfg_path = micro_config(tmp_path, run_name="bad", **extra)

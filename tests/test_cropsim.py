@@ -106,7 +106,7 @@ class TestFieldDataset:
         for s in ds.samples[:4]:
             station = int(s.sid[2:])
             keys = [(station, year) for year in range(s.year - 5, s.year)]
-            _, _, sim = cropsim.simulate_field_station_years(9, keys, MIX)
+            _, _, sim = cropsim.simulate_unit_years(9, "field", keys, MIX)
             prior = sim["yield_tha"]
             assert s.hist_avg_yield == pytest.approx(np.mean(prior), abs=1e-12)
 
@@ -137,6 +137,21 @@ class TestCountyInputs:
             assert band.min() >= 0.0 and band.max() <= 1.0
         # each county-date has unmasked pixels that must not leak into means
         assert (~pixels.corn_mask).sum() > 0
+
+    def test_historical_average_is_the_mean_of_the_written_prior_yields(self, tmp_path):
+        """Each 2021 county-year's historical average is exactly np.mean of
+        its county's reported yields of 2016-2020, as the truth file has them."""
+        paths = [str(tmp_path / n) for n in ("p.csv", "d.csv", "t.csv")]
+        cropsim.build_county_inputs(3, list(range(2016, 2022)), {"normal": 0.7, "drought": 0.3},
+                                    seed=4, pixels_path=paths[0], daily_path=paths[1],
+                                    truth_path=paths[2])
+        truth = ingest.read_truth_csv(paths[2])
+        latest = np.flatnonzero(truth["year"] == 2021)
+        assert len(latest) == 3
+        for row in latest:
+            prior = (truth["id"] == truth["id"][row]) & (truth["year"] < 2021)
+            assert prior.sum() == cropsim.HISTORY_YEARS
+            assert truth["hist_avg_yield"][row] == np.mean(truth["yield"][prior])
 
     def test_unmasked_pixels_differ_from_corn(self, tmp_path):
         paths = [str(tmp_path / n) for n in ("p.csv", "d.csv", "t.csv")]

@@ -1,7 +1,8 @@
 """`ingest` alone knows how a dataset holds its samples: `stack_dataset`
 is the one array view of a dataset, `Dataset.from_arrays` the one way in,
 and only `ingest` reaches into `Dataset.samples`. `metrics` alone turns
-per-seed scores into their summary."""
+per-seed scores into their summary, and `cropsim.draw_unit_year` alone
+draws a simulated unit-year's weather and management."""
 
 import ast
 import glob
@@ -62,3 +63,21 @@ def test_cli_and_training_leave_per_seed_aggregation_to_metrics():
             if called == "defaultdict" or (numpy and called in ("mean", "median")):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_cropsim_draws_a_unit_year_in_one_function():
+    """Field station-years and county-years share one draw path: in
+    `cropsim`, only `draw_unit_year` calls `synth_weather` and
+    `sample_management`."""
+    tree = dict(_modules())["cropsim.py"]
+    allowed = {id(node) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "draw_unit_year"
+               for node in ast.walk(fn)}
+    inside, outside = 0, []
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if getattr(func, "id", getattr(func, "attr", None)) in ("synth_weather",
+                                                               "sample_management"):
+            inside += id(node) in allowed
+            outside += [] if id(node) in allowed else [f"cropsim.py:{node.lineno}"]
+    assert outside == [] and inside >= 2

@@ -9,6 +9,7 @@ alone; the writers here hold no hidden state.
 import numpy as np
 
 from . import artifacts, ingest, model
+from .errors import KgmlsmError
 
 CATEGORIES = ("Weather", "VIs", "SM")
 
@@ -119,11 +120,19 @@ def drought_distribution_stats(values, flags):
 
 
 def box_report(extraction):
-    """drought_distribution_stats of the per-sample SM attention, per year."""
+    """drought_distribution_stats of the per-sample SM attention, per year;
+    a year without both drought classes is refused."""
     sm_att = sm_attention_scalar(extraction)
     years, flags = extraction["years"], extraction["drought"]
-    return {year: drought_distribution_stats(sm_att[years == year], flags[years == year])
-            for year in np.unique(years).tolist()}
+    out = {}
+    for year in np.unique(years).tolist():
+        of_year = years == year
+        n_drought, n_other = int(flags[of_year].sum()), int((~flags[of_year]).sum())
+        if not n_drought or not n_other:
+            raise KgmlsmError(f"year {year} has {n_drought} drought-flagged and {n_other} other "
+                              "county samples; the attention box statistics need both classes")
+        out[year] = drought_distribution_stats(sm_att[of_year], flags[of_year])
+    return out
 
 
 # ---------------------------------------------------------------------------

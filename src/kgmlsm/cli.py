@@ -14,8 +14,6 @@ import sys
 from collections import namedtuple
 from importlib import resources
 
-import numpy as np
-
 from . import attnreport, cropsim, filtering, ingest, losses, metrics, model, optim, training
 from .artifacts import read_json, write_json
 from .errors import CheckpointMismatch, ConfigError, KgmlsmError, SchemaError, SingularFit
@@ -356,28 +354,16 @@ def cmd_evaluate(cfg, paths):
           f"over {len(cfg['seeds'])} seeds")
 
 
-def _require_drought_classes(county):
-    a = ingest.stack_dataset(county)
-    for year in np.unique(a["years"]).tolist():
-        flags = a["drought"][a["years"] == year]
-        n_drought, n_other = int(flags.sum()), int((~flags).sum())
-        if not n_other or not n_drought:
-            raise KgmlsmError(f"year {year} has {n_drought} drought-flagged and {n_other} other "
-                              "county samples; the attention box statistics need both classes")
-
-
 def cmd_attn_report(cfg, paths):
     seed = cfg["seeds"][0]
     bundle = _load_checkpoint(paths, "finetune", seed, {"variant": cfg["variant"]})
-    county = ingest.read_samples_csv(paths.county_samples)
-    if bundle.config.use_sm_tokens:
-        _require_drought_classes(county)
-    extraction = attnreport.extract(bundle, county)
-    attnreport.write_raw_csv(paths.attn_raw, extraction)
+    extraction = attnreport.extract(bundle, ingest.read_samples_csv(paths.county_samples))
     rows = attnreport.category_report(extraction)
+    boxes = attnreport.box_report(extraction) if bundle.config.use_sm_tokens else None
+    attnreport.write_raw_csv(paths.attn_raw, extraction)
     attnreport.write_category_csv(paths.attn_category, rows)
-    if bundle.config.use_sm_tokens:
-        attnreport.write_box_csv(paths.attn_box, attnreport.box_report(extraction))
+    if boxes is not None:
+        attnreport.write_box_csv(paths.attn_box, boxes)
     attnreport.render_category_svg(paths.attn_svg, rows)
     print(f"attn-report: {extraction['alpha'].shape[0]} samples x "
           f"{extraction['alpha'].shape[1]} tokens (seed {seed})")

@@ -334,7 +334,6 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
         corn_mask=np.tile(np.repeat(np.arange(n_px) < n_px - 1, nd), len(kept)))
     ingest.write_pixels_csv(pixels_path, table)
     ingest.write_daily_csv(daily_path, np.repeat(sids, nd), dates.ravel(), daily_values)
-    ingest.write_truth_csv(truth_path, list(zip(
-        sids.tolist(), kept_years.tolist(), *locations[kept].T.tolist(),
-        reported[kept].tolist(), reported[prior].mean(axis=1).tolist())))
+    ingest.write_truth_csv(truth_path, [sids, kept_years, *locations[kept].T, reported[kept],
+                                        reported[prior].mean(axis=1)])
     return table

@@ -40,7 +40,3 @@ class CheckpointMismatch(KgmlsmError):
 
 class SingularFit(KgmlsmError):
     """A least-squares fit's normal equations have no unique solution."""
-
-
-class TrainingDiverged(KgmlsmError):
-    """Loss became non-finite during optimization."""

@@ -25,6 +25,7 @@ SEASON_START_DOY = 90  # 0-based index of April 1 in a 365-day year
 SEASON_DAYS = 214  # April 1 .. October 31
 WINDOW_DAYS = 16
 N_WINDOWS = SEASON_DAYS // WINDOW_DAYS  # 13
+DROUGHT_QUANTILE = 0.2  # a sample is drought-flagged below this quantile of its year's sbar
 
 WEATHER_CHANNELS = ("radn", "tmax", "tmin", "ppt")
 VI_CHANNELS = ("gcvi", "evi", "ndwi", "ndvi")
@@ -270,13 +271,13 @@ def channel_major(arrays):
     return series.transpose(0, 2, 1).reshape(len(series), len(SERIES_CHANNELS) * N_WINDOWS)
 
 
-def label_drought(dataset, quantile=0.2):
+def label_drought(dataset):
     """Flag samples whose sbar falls strictly below the per-year quantile."""
     by_year = {}
     for s in dataset.samples:
         by_year.setdefault(s.year, []).append(s)
     for year, group in by_year.items():
-        threshold = float(np.quantile([s.sbar for s in group], quantile))
+        threshold = float(np.quantile([s.sbar for s in group], DROUGHT_QUANTILE))
         for s in group:
             s.drought_flag = bool(s.sbar < threshold)
     return dataset
@@ -381,9 +382,8 @@ def read_daily_csv(path):
     return ids[order], years[order], dates[order], values[order]
 
 
-def write_truth_csv(path, rows):
-    """rows: list of (id, year, lat, lon, yield, hist_avg_yield)."""
-    columns = [[r[i] for r in rows] for i in range(len(TRUTH_HEADER))]
+def write_truth_csv(path, columns):
+    """columns: id, year, lat, lon, yield and hist_avg_yield, as TRUTH_HEADER orders them."""
     artifacts.write_csv(path, TRUTH_HEADER, columns)
 
 

@@ -22,8 +22,9 @@ are mapped back to physical units at the boundary (predict()). Inference
 runs on ParamStore.constants(), so it builds no gradient graph.
 """
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -56,18 +57,13 @@ class ModelConfig:
         return len(self.series_channels()) * T + len(ingest.AUX_FIELDS)
 
     def to_dict(self):
-        return {
-            "d_model": self.d_model, "d_k": self.d_k,
-            "enc_width1": self.enc_width1, "enc_width2": self.enc_width2,
-            "dec_width": self.dec_width,
-            "use_sm_tokens": self.use_sm_tokens, "use_w2s": self.use_w2s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        """Exactly the keys to_dict writes: a missing one would silently
+        """Exactly the fields to_dict writes: a missing one would silently
         take its default (a wrong d_k rescales every score)."""
-        expected = sorted(cls().to_dict())
+        expected = sorted(f.name for f in fields(cls))
         if sorted(d) != expected:
             raise ValueError(f"keys {sorted(d)} != {expected}")
         return cls(**d)
@@ -127,22 +123,15 @@ class Normalization:
         return out
 
     def to_dict(self):
-        out = {}
-        for k, v in self.__dict__.items():
-            if isinstance(v, np.ndarray):
-                out[k] = [bool(x) for x in v] if v.dtype == bool else v.tolist()
-            else:
-                out[k] = v
-        return out
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
-        """Exactly what to_dict writes: each group's mu, sd and const at the
-        group's channel count, and scalar y_mu and y_sd. A missing const
-        would read as all False, and a short mu would broadcast over every
-        channel."""
-        expected = sorted([f"{group}_{part}" for group in cls.WIDTHS
-                           for part in ("mu", "sd", "const")] + ["y_mu", "y_sd"])
+        """Exactly the fields to_dict writes: each group's mu, sd and const
+        at the group's channel count, and scalar y_mu and y_sd. A missing
+        const would read as all False, and a short mu would broadcast over
+        every channel."""
+        expected = sorted(f.name for f in fields(cls))
         if sorted(d) != expected:
             raise ValueError(f"normalization keys {sorted(d)} != {expected}")
         kw = {}
@@ -478,13 +467,8 @@ class ModelBundle:
 
 def token_labels(config):
     """(channel, timestep) label per token; auxiliaries get timestep -1."""
-    labels = []
-    for name in config.series_channels():
-        for t in range(T):
-            labels.append((name, t))
-    for name in ingest.AUX_FIELDS:
-        labels.append((name, -1))
-    return labels
+    return ([(name, t) for name in config.series_channels() for t in range(T)]
+            + [(name, -1) for name in ingest.AUX_FIELDS])
 
 
 # ---------------------------------------------------------------------------
@@ -492,22 +476,24 @@ def token_labels(config):
 
 
 def save_checkpoint(stem, bundle):
+    """stem.json: the format, config, normalization, each parameter's name
+    and shape in store order, and meta; stem.bin: ParamStore.flat()."""
     stem = str(stem)
-    order = bundle.params.names()
     manifest = {
         "format": "kgmlsm-checkpoint-v1",
         "config": bundle.config.to_dict(),
         "normalization": bundle.stats.to_dict(),
-        "params": [{"name": n, "shape": list(bundle.params[n].data.shape)} for n in order],
+        "params": [{"name": n, "shape": list(t.data.shape)} for n, t in bundle.params.items()],
         "meta": bundle.meta,
     }
     artifacts.write_json(stem + ".json", manifest)
-    blob = np.concatenate([bundle.params[n].data.ravel() for n in order]) if order else np.zeros(0)
-    artifacts.write_bytes(stem + ".bin", blob.astype("<f8").tobytes())
+    artifacts.write_bytes(stem + ".bin", bundle.params.flat().astype("<f8").tobytes())
     return stem + ".json", stem + ".bin"
 
 
 def load_checkpoint(stem):
+    """The bundle save_checkpoint wrote. Refuses a parameter table other than
+    param_table(config)'s, and a blob not 8 bytes per value it declares."""
     stem = str(stem)
     if not os.path.exists(stem + ".json") or not os.path.exists(stem + ".bin"):
         raise FileNotFoundError(f"checkpoint {stem} missing .json/.bin")
@@ -535,18 +521,12 @@ def load_checkpoint(stem):
                                  f"where its config makes {want[at]}")
     with open(stem + ".bin", "rb") as f:
         raw = f.read()
-    if len(raw) % 8:
-        raise CheckpointMismatch(f"{stem}.bin holds {len(raw)} bytes, not whole float64 values")
-    blob = np.frombuffer(raw, dtype="<f8")
+    sizes = [math.prod(shape) for _, shape in made]
+    if len(raw) != 8 * sum(sizes):
+        raise CheckpointMismatch(f"{stem}.bin holds {len(raw)} bytes, not 8 for each of the "
+                                 f"{sum(sizes)} float64 values its manifest declares")
     params = ParamStore()
-    offset = 0
-    for name, shape in made:
-        size = int(np.prod(shape)) if shape else 1
-        chunk = blob[offset: offset + size]
-        if chunk.size != size:
-            raise CheckpointMismatch(f"checkpoint blob too short for {name}")
-        params.add(name, chunk.reshape(shape))
-        offset += size
-    if offset != blob.size:
-        raise CheckpointMismatch(f"checkpoint blob has {blob.size - offset} trailing values")
+    blob = np.frombuffer(raw, dtype="<f8")
+    for (name, shape), values in zip(made, np.split(blob, np.cumsum(sizes)[:-1])):
+        params.add(name, values.reshape(shape))
     return ModelBundle(config=config, params=params, stats=stats, meta=meta)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts, ingest, losses, metrics, model
-from .errors import CheckpointMismatch, ConfigError, TrainingDiverged
+from .errors import CheckpointMismatch, ConfigError
 from .optim import StageConfig, fit  # noqa: F401 (StageConfig is re-exported for callers)
 
 
@@ -106,7 +106,8 @@ def _compute_loss(batch, params, mconfig, variant, loss_cfg):
     Returns (total tensor, standardized yield estimate tensor). The SM
     term exists only when the W2S branch runs; without the SMW component
     the drought weight is forced to exactly 1 by zeroing sbar under
-    epsilon=1.
+    epsilon=1. A diverging step raises NonFiniteError where a tensor turns
+    non-finite.
     """
     y_hat, sm_hat, _alpha = model.forward_graph(batch, params, mconfig)
     lam = loss_cfg.lam if variant.use_oe else 0.0
@@ -118,16 +119,9 @@ def _compute_loss(batch, params, mconfig, variant, loss_cfg):
         eps = 1.0
     y_term = losses.yield_loss(batch["y_std"], y_hat, sbar,
                                losses.LossConfig(lam=lam, epsilon=eps))
-    if sm_hat is not None:
-        s_term = losses.sm_loss(batch["s"], sm_hat)
-        total = losses.total_loss(s_term, y_term)
-        parts = {"sm": float(s_term.data), "yield": float(y_term.data)}
-    else:
-        total = y_term
-        parts = {"sm": 0.0, "yield": float(y_term.data)}
-    if not np.isfinite(total.data):
-        raise TrainingDiverged(f"non-finite loss: {parts}")
-    return total, y_hat
+    if sm_hat is None:
+        return y_term, y_hat
+    return losses.total_loss(losses.sm_loss(batch["s"], sm_hat), y_term), y_hat
 
 
 def _yield_rmse(arrays, y_hat, stats):
@@ -187,11 +181,11 @@ def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, varian
     split = temporal_split(county_dataset, split_spec)
     train_arrays = ingest.stack_dataset(split.train)
 
+    params = model.init_params(mconfig, seed)
     if checkpoint is not None:
         if checkpoint.config.to_dict() != mconfig.to_dict():
             raise CheckpointMismatch(
                 f"checkpoint config {checkpoint.config.to_dict()} != variant config {mconfig.to_dict()}")
-        params = model.init_params(mconfig, seed)
         params.load_arrays(checkpoint.params.to_arrays())
         # channels that were constant at pretraining (zeroed VIs) carried
         # no scaling information; take their statistics from this split
@@ -199,7 +193,6 @@ def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, varian
     else:
         # from-scratch run (variants without pretraining, or paired
         # pretrained-vs-scratch comparisons of the same architecture)
-        params = model.init_params(mconfig, seed)
         stats = model.Normalization.from_arrays(train_arrays)
 
     train_arrays = model.standardize(train_arrays, stats)

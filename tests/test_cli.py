@@ -727,6 +727,11 @@ BAD_FILES = {
                              "model.json: meta must be an object, not []"),
     "checkpoint_blob_cut_3_bytes": ("evaluate", CHECKPOINT + ".bin", _cut_bytes(3),
                                     "model.bin holds"),
+    "checkpoint_blob_one_value_extra": ("evaluate", CHECKPOINT + ".bin",
+                                        lambda p: p.write_bytes(p.read_bytes() + bytes(8)),
+                                        "model.bin holds"),
+    "checkpoint_blob_one_value_short": ("evaluate", CHECKPOINT + ".bin", _cut_bytes(8),
+                                        "model.bin holds"),
     "daily_bad_date": ("ingest", os.path.join("data", "daily.csv"),
                        lambda p: _set_cell(p, 3, "date", "x"),
                        "daily.csv: column 'date'"),
@@ -783,6 +788,18 @@ def test_malformed_artifact_exits_1_naming_the_file(case, micro_run, tmp_path, c
     assert cli.main([command, "--config", cfg_path, "--run-dir", run_dir]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_refused_attn_report_writes_no_file(micro_run, tmp_path, capsys):
+    """The box statistics are computed before any attention file is written,
+    so a year without drought-flagged samples leaves `attn/` empty."""
+    _, paths, cfg_path, _ = micro_run
+    run_dir = _copy_run(paths, tmp_path / "run")
+    _set_year(2019, "drought_flag", "0")(tmp_path / "run" / "data" / "county_samples.csv")
+    assert cli.main(["attn-report", "--config", cfg_path, "--run-dir", run_dir]) == 1
+    assert capsys.readouterr().err.startswith("error: year 2019 has 0 drought-flagged and ")
+    attn = tmp_path / "run" / "attn"
+    assert not attn.exists() or list(attn.iterdir()) == []
 
 
 def _declared(cfg, paths, names):

@@ -241,7 +241,7 @@ class TestDroughtLabels:
             # sbar is derived from sm, so build sm at the target level
             ds.samples.append(make_sample(rng, sid=f"c{i}", year=2020,
                                           sm=np.full((13, 2), sbar * 0.5)))
-        ingest.label_drought(ds, quantile=0.2)
+        ingest.label_drought(ds)
         flags = [s.drought_flag for s in ds.samples]
         assert flags == [True, True] + [False] * 8
 
@@ -262,7 +262,7 @@ class TestDroughtLabels:
                                           sm=np.full((13, 2), 0.4 + 0.02 * i)))
             ds.samples.append(make_sample(rng, sid=f"b{i}", year=2020,
                                           sm=np.full((13, 2), 0.1 + 0.02 * i)))
-        ingest.label_drought(ds, quantile=0.3)
+        ingest.label_drought(ds)
         for year in (2019, 2020):
             group = [s for s in ds.samples if s.year == year]
             assert any(s.drought_flag for s in group)

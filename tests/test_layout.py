@@ -2,13 +2,16 @@
 is the one array view of a dataset, `Dataset.from_arrays` the one way in,
 and only `ingest` reaches into `Dataset.samples`. `metrics` alone turns
 per-seed scores into their summary, and `cropsim.draw_unit_year` alone
-draws a simulated unit-year's weather and management."""
+draws a simulated unit-year's weather and management. No function or
+class of the package goes unnamed: each is called, passed or imported
+somewhere in `src`, `tests` or `perfbench`."""
 
 import ast
 import glob
 import os
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "kgmlsm")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SRC = os.path.join(ROOT, "src", "kgmlsm")
 
 
 def _modules():
@@ -81,3 +84,30 @@ def test_cropsim_draws_a_unit_year_in_one_function():
             inside += id(node) in allowed
             outside += [] if id(node) in allowed else [f"cropsim.py:{node.lineno}"]
     assert outside == [] and inside >= 2
+
+
+def _names(tree):
+    """Every name a tree refers to: bare names, attributes and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_every_function_and_class_is_named_somewhere():
+    """No dead helpers: each function and class defined in `src/kgmlsm`,
+    dunder methods aside, is called, passed or imported by name somewhere
+    in `src`, `tests` or `perfbench`."""
+    named = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in glob.glob(os.path.join(ROOT, folder, "**", "*.py"), recursive=True):
+            with open(path, encoding="utf-8") as f:
+                named.update(_names(ast.parse(f.read())))
+    unnamed = [f"{name}:{node.lineno} {node.name}"
+               for name, tree in _modules() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert unnamed == []

@@ -9,9 +9,10 @@ beside its path and moved into place with `os.replace`, so a failed write
 leaves the previous file as it was; missing parent directories are created
 first.
 Readers raise SchemaError, naming the file, on anything off-schema, a
-non-finite float or a flag other than 0/1 included. A reader parses each
-column it declares block by block as it reads, so a cell's text lives no
-longer than its block of rows.
+non-finite float or a flag other than 0/1 included. The reader and the
+writer work block by block: a reader parses each column it declares as it
+reads a block of rows, so a cell's text lives no longer than its block,
+and a caller that takes the blocks one at a time never holds the file.
 """
 
 import contextlib
@@ -90,6 +91,8 @@ def _cells(column):
             return list(map(_FLAGS.__getitem__, column))
         if kind in "iu":
             return list(map(str, column))
+        if kind == "U":  # tolist already made every cell a str
+            return _quoted(column)
     if set(map(type, column)) <= {str}:
         return _quoted(list(map(str, column)))
     return _quoted(list(map(_cell, column)))
@@ -102,15 +105,25 @@ def _lines(columns):
     return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
 
-def write_csv(path, header, columns):
-    """Write equal-length columns (arrays or sequences) under header."""
-    n_rows = {len(c) for c in columns}
-    if len(columns) != len(header) or len(n_rows) > 1:
-        raise ShapeError(f"{path}: columns of lengths {[len(c) for c in columns]} for {header}")
+def write_csv_blocks(path, header, blocks):
+    """Write a sequence of column blocks under header, each block's rows after
+    the previous block's. A block is equal-length columns (arrays or
+    sequences), one per header name; it is formatted _CHUNK_ROWS rows at a
+    time, so no more text than that is held at once."""
     with _replacing(path, "w", newline="", encoding="utf-8") as f:
         f.write(_lines([_quoted([name]) for name in header]))
-        for lo in range(0, n_rows.pop() if n_rows else 0, _CHUNK_ROWS):
-            f.write(_lines([_cells(c[lo: lo + _CHUNK_ROWS]) for c in columns]))
+        for columns in blocks:
+            n_rows = {len(c) for c in columns}
+            if len(columns) != len(header) or len(n_rows) > 1:
+                raise ShapeError(f"{path}: columns of lengths {[len(c) for c in columns]} "
+                                 f"for {header}")
+            for lo in range(0, n_rows.pop() if n_rows else 0, _CHUNK_ROWS):
+                f.write(_lines([_cells(c[lo: lo + _CHUNK_ROWS]) for c in columns]))
+
+
+def write_csv(path, header, columns):
+    """Write equal-length columns (arrays or sequences) under header."""
+    write_csv_blocks(path, header, [columns])
 
 
 def _parse(path, name, cells, kind):
@@ -134,8 +147,9 @@ def _parse(path, name, cells, kind):
 
 
 class Columns(dict):
-    """read_csv's result: header name -> the column as an array of its
-    declared kind, or as its cells' text when it declared none."""
+    """A block of read_csv_blocks, or read_csv's joined result: header name
+    -> the column as an array of its declared kind, or as its cells' text
+    when it declared none."""
 
     def __init__(self, path, columns):
         super().__init__(columns)
@@ -164,15 +178,15 @@ def _line_num(path, row):
         return reader.line_num
 
 
-def read_csv(path, header, kinds=None):
-    """Check the header and every row's width; return the Columns.
+def read_csv_blocks(path, header, kinds):
+    """Check the header and every row's width; yield the Columns of each
+    block of _CHUNK_ROWS rows in file order, or one empty block for a file
+    without rows.
 
     kinds maps a column name to np.float64, np.int64, bool or str. Such a
-    column is parsed as each block of _CHUNK_ROWS rows is read, so no text
-    of it outlives its block; every other column keeps its cells as text."""
-    header, kinds = list(header), kinds or {}
-    blocks = {name: [] for name in header}
-    n_rows = 0
+    column is parsed as its block is read, so no text of it outlives the
+    block; every other column keeps its cells as text."""
+    header, n_rows = list(header), 0
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         if next(reader, None) != header:
@@ -186,17 +200,25 @@ def read_csv(path, header, kinds=None):
                 raise SchemaError(f"{path} line {_line_num(path, n_rows + i)}: {widths[i]} "
                                   f"cells under a {len(header)}-column header")
             n_rows += len(rows)
-            for name, cells in zip(header, zip(*rows)):
-                blocks[name].append(_parse(path, name, cells, kinds[name]) if name in kinds
-                                    else cells)
-            del rows, cells
+            block = {name: _parse(path, name, cells, kinds[name]) if name in kinds
+                     else list(cells) for name, cells in zip(header, zip(*rows))}
+            del rows  # the block's text goes before the block is handed out
+            yield Columns(path, block)
+        if not n_rows:
+            yield Columns(path, {name: _parse(path, name, (), kinds[name]) if name in kinds
+                                 else [] for name in header})
+
+
+def read_csv(path, header, kinds=None):
+    """read_csv_blocks' blocks joined into one Columns."""
+    kinds = kinds or {}
+    blocks = list(read_csv_blocks(path, header, kinds))
     columns = {}
-    for name, parts in blocks.items():  # each column's blocks are freed as it is joined
+    for name in list(blocks[0]):  # each column's blocks are freed as it is joined
+        parts = [block.pop(name) for block in blocks]
         if name not in kinds:
             columns[name] = list(itertools.chain.from_iterable(parts))
-        elif not parts:
-            columns[name] = _parse(path, name, (), kinds[name])
         else:  # one block is taken as it is, not copied
             columns[name] = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        parts.clear()
+        del parts
     return Columns(path, columns)

@@ -226,8 +226,9 @@ def _field_source(cfg, paths):
 
 
 def _ablate_report(cfg, paths):
+    """ablate/<variant>[_unfiltered]/lambda<λ>/report.json, λ as repr(float)."""
     tag = cfg["variant"] + ("" if cfg["filter"]["enabled"] else "_unfiltered")
-    return os.path.join(paths.ablate, tag, "report.json")
+    return os.path.join(paths.ablate, tag, f"lambda{cfg['loss']['lambda']!r}", "report.json")
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +383,9 @@ def cmd_ablate(cfg, paths):
         "unfiltered": not cfg["filter"]["enabled"],
         "seeds": cfg["seeds"], "per_seed": result.per_seed, "summary": result.summary,
     })
-    print(f"ablate {os.path.basename(os.path.dirname(report_path))}: median test RMSE "
-          f"{result.summary['rmse_median']:.3f}, tokens {result.summary['token_count']}")
+    tag = os.path.relpath(os.path.dirname(report_path), paths.ablate)
+    print(f"ablate {tag}: median test RMSE {result.summary['rmse_median']:.3f}, "
+          f"tokens {result.summary['token_count']}")
 
 
 # ---------------------------------------------------------------------------

@@ -351,17 +351,41 @@ def read_samples_csv(csv_path):
     return ds
 
 
-def write_pixels_csv(path, table):
-    artifacts.write_csv(path, PIXELS_HEADER, [getattr(table, name) for name in PIXELS_HEADER])
+def write_pixels_csv(path, tables):
+    """Write PixelTables one after another, each county's rows together."""
+    artifacts.write_csv_blocks(path, PIXELS_HEADER, (
+        [getattr(table, name) for name in PIXELS_HEADER] for table in tables))
 
 
 def read_pixels_csv(path):
-    return PixelTable(**artifacts.read_csv(path, PIXELS_HEADER, PIXELS_KINDS))
+    """Yield pixels.csv as PixelTables of whole counties, in file order: the
+    file is read a block of rows at a time, and the rows of a block's last
+    county carry over into the next. A file without rows yields one empty
+    table. Refuses a county whose rows resume after another county's."""
+    ended, carry = set(), None
+    for cols in artifacts.read_csv_blocks(path, PIXELS_HEADER, PIXELS_KINDS):
+        if carry is not None:
+            cols = {name: np.concatenate([carry[name], cols[name]]) for name in PIXELS_HEADER}
+        ids = cols["county_id"]
+        starts = np.flatnonzero(np.r_[len(ids) > 0, ids[1:] != ids[:-1]])  # each county's first row
+        for sid in ids[starts].tolist():
+            if sid in ended:
+                raise SchemaError(f"{path}: the rows of county {sid} resume after another "
+                                  "county's; each county's pixel rows must be contiguous")
+            ended.add(sid)
+        ended.difference_update(ids[starts[-1:]].tolist())  # its rows go on into the next block
+        cut = starts[-1] if len(starts) else 0
+        if cut:
+            yield PixelTable(**{name: column[:cut] for name, column in cols.items()})
+        carry = {name: column[cut:] for name, column in cols.items()}
+    yield PixelTable(**carry)
 
 
-def write_daily_csv(path, ids, dates, values):
-    """values: each row's six numbers in DAILY_HEADER order, as (rows, 6) or row blocks."""
-    artifacts.write_csv(path, DAILY_HEADER, [ids, dates, *np.reshape(values, (-1, 6)).T])
+def write_daily_csv(path, blocks):
+    """blocks: (ids, dates, values) row blocks, values each row's six numbers
+    in DAILY_HEADER order, (rows, 6)."""
+    artifacts.write_csv_blocks(path, DAILY_HEADER, (
+        [ids, dates, *np.reshape(values, (-1, 6)).T] for ids, dates, values in blocks))
 
 
 def read_daily_csv(path):
@@ -378,8 +402,10 @@ def read_daily_csv(path):
         raise SchemaError(f"{path}: column 'date' has a cell that is not a date: "
                           f"{dates[np.argmax(bad)].item()!r}")
     years = digits.astype(np.int64) @ np.array([1000, 100, 10, 1])
-    order = np.lexsort((dates, years, ids))
-    return ids[order], years[order], dates[order], values[order]
+    order = np.lexsort((dates, years, ids))  # stable: rows already in order keep it
+    if (order[1:] < order[:-1]).any():
+        ids, years, dates, values = ids[order], years[order], dates[order], values[order]
+    return ids, years, dates, values
 
 
 def write_truth_csv(path, columns):
@@ -392,6 +418,43 @@ def read_truth_csv(path):
     return dict(artifacts.read_csv(path, TRUTH_HEADER, TRUTH_KINDS))
 
 
+def _vi_means(pixels_path, daily_path, ids, dates):
+    """The VI means (n, 4) on each row of the sorted daily ids and dates.
+
+    Each block of whole counties of pixels_path goes through
+    spatial_average_all, and each county's means join the rows of its
+    daily dates. Refused unless every county's pixel dates are its daily
+    dates, naming the first county-date, in county then date order, at
+    which the two tables part.
+    """
+    counties, first, n_rows = np.unique(ids, return_index=True, return_counts=True)
+    vi = np.empty((len(ids), len(VI_CHANNELS)))
+    seen = np.zeros(len(counties), dtype=bool)
+    parted = []  # per county whose dates differ: the (county, date) at which they part
+    for block in read_pixels_csv(pixels_path):
+        vi_ids, vi_dates, means = spatial_average_all(block)
+        names, at, size = np.unique(vi_ids, return_index=True, return_counts=True)
+        for sid, lo, n in zip(names.tolist(), at.tolist(), size.tolist()):
+            got = vi_dates[lo: lo + n]
+            k = np.searchsorted(counties, sid)
+            want = dates[:0]
+            if k < len(counties) and counties[k] == sid:
+                seen[k] = True
+                want = dates[first[k]: first[k] + n_rows[k]]
+            if len(got) == len(want) and (got == want).all():
+                vi[first[k]: first[k] + n] = means[lo: lo + n]
+                continue
+            m = min(len(got), len(want))
+            j = np.argmax(np.append(got[:m] != want[:m], True))  # m if one is the other's start
+            parted.append((sid, min(d[j].item() for d in (got, want) if j < len(d))))
+    parted += [(sid, dates[i].item()) for sid, i in zip(counties[~seen].tolist(), first[~seen])]
+    if parted:
+        sid, date = min(parted)
+        raise SchemaError(f"{pixels_path}: county {sid}/{date[:4]}: pixel dates differ from "
+                          f"the daily dates in {daily_path}")
+    return vi
+
+
 def build_county_dataset(pixels_path, daily_path, truth_path):
     """Assemble the county-level dataset from the three ingestion CSVs.
 
@@ -399,12 +462,12 @@ def build_county_dataset(pixels_path, daily_path, truth_path):
     must have one daily row on each of its season_dates, pixels on exactly
     those dates and a truth row; pixels of any other county-year are
     refused, as is a truth file that repeats an (id, year). Truth rows of
-    other county-years are not read.
+    other county-years are not read. The daily and truth files are read
+    whole; the pixels a block of whole counties at a time, each block
+    reduced to its VI means before the next is read (_vi_means).
     """
-    pixels = read_pixels_csv(pixels_path)
     ids, years, dates, values = read_daily_csv(daily_path)
     truth = read_truth_csv(truth_path)
-    vi_ids, vi_dates, vi = spatial_average_all(pixels)
 
     first = np.ones(len(ids), dtype=bool)
     first[1:] = (ids[1:] != ids[:-1]) | (years[1:] != years[:-1])
@@ -427,16 +490,7 @@ def build_county_dataset(pixels_path, daily_path, truth_path):
         raise SchemaError(f"{daily_path}: county {ids[i]}/{years[i]} has dates outside the "
                           "season, April 1 to October 31")
 
-    # both tables are in county then date order: they line up row for row
-    # when every county-year has its pixels on its daily dates
-    n = min(len(ids), len(vi_ids))
-    differ = np.flatnonzero((ids[:n] != vi_ids[:n]) | (dates[:n] != vi_dates[:n]))
-    if len(differ) or len(ids) != len(vi_ids):
-        i = differ[0] if len(differ) else n
-        sid, date = min((a[i].item(), d[i].item()) for a, d in ((ids, dates), (vi_ids, vi_dates))
-                        if i < len(a))
-        raise SchemaError(f"{pixels_path}: county {sid}/{date[:4]}: pixel dates differ from "
-                          f"the daily dates in {daily_path}")
+    vi = _vi_means(pixels_path, daily_path, ids, dates)
 
     # each sample's truth row: code the (id, year) keys of both files together
     _, code = np.unique(np.rec.fromarrays([np.concatenate([gid, truth["id"]]),

@@ -22,6 +22,7 @@ are mapped back to physical units at the boundary (predict()). Inference
 runs on ParamStore.constants(), so it builds no gradient graph.
 """
 
+import hashlib
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -477,23 +478,27 @@ def token_labels(config):
 
 def save_checkpoint(stem, bundle):
     """stem.json: the format, config, normalization, each parameter's name
-    and shape in store order, and meta; stem.bin: ParamStore.flat()."""
+    and shape in store order, meta, and the sha256 of stem.bin;
+    stem.bin: ParamStore.flat()."""
     stem = str(stem)
+    blob = bundle.params.flat().astype("<f8").tobytes()
     manifest = {
         "format": "kgmlsm-checkpoint-v1",
         "config": bundle.config.to_dict(),
         "normalization": bundle.stats.to_dict(),
         "params": [{"name": n, "shape": list(t.data.shape)} for n, t in bundle.params.items()],
         "meta": bundle.meta,
+        "bin_sha256": hashlib.sha256(blob).hexdigest(),
     }
     artifacts.write_json(stem + ".json", manifest)
-    artifacts.write_bytes(stem + ".bin", bundle.params.flat().astype("<f8").tobytes())
+    artifacts.write_bytes(stem + ".bin", blob)
     return stem + ".json", stem + ".bin"
 
 
 def load_checkpoint(stem):
     """The bundle save_checkpoint wrote. Refuses a parameter table other than
-    param_table(config)'s, and a blob not 8 bytes per value it declares."""
+    param_table(config)'s, a blob not 8 bytes per value it declares, and a
+    blob whose sha256 is not the one the manifest records."""
     stem = str(stem)
     if not os.path.exists(stem + ".json") or not os.path.exists(stem + ".bin"):
         raise FileNotFoundError(f"checkpoint {stem} missing .json/.bin")
@@ -525,6 +530,8 @@ def load_checkpoint(stem):
     if len(raw) != 8 * sum(sizes):
         raise CheckpointMismatch(f"{stem}.bin holds {len(raw)} bytes, not 8 for each of the "
                                  f"{sum(sizes)} float64 values its manifest declares")
+    if hashlib.sha256(raw).hexdigest() != manifest.get("bin_sha256"):
+        raise CheckpointMismatch(f"{stem}.bin does not match the sha256 its manifest records")
     params = ParamStore()
     blob = np.frombuffer(raw, dtype="<f8")
     for (name, shape), values in zip(made, np.split(blob, np.cumsum(sizes)[:-1])):

@@ -159,7 +159,7 @@ class TestPrerequisites:
         os.remove(run_dir / "data" / "field_samples.csv")
         argv = ["ablate", "--config", cfg_path, "--run-dir", str(run_dir), "--variant"]
         assert cli.main(argv + ["att"]) == 0
-        assert (run_dir / "ablate" / "att" / "report.json").exists()
+        assert (run_dir / "ablate" / "att" / "lambda2.0" / "report.json").exists()
         assert cli.main(argv + ["att_sim"]) == 1
         err = capsys.readouterr().err
         assert "field_filtered.csv" in err and "`filter`" in err
@@ -209,7 +209,8 @@ class TestEndToEnd:
         _, paths, cfg_path, _ = micro_run
         rc = cli.main(["ablate", "--config", cfg_path, "--variant", "att_wo_sm"])
         assert rc == 0
-        report = json.loads(open(os.path.join(paths.ablate, "att_wo_sm", "report.json")).read())
+        report = json.loads(open(os.path.join(paths.ablate, "att_wo_sm", "lambda2.0",
+                                              "report.json")).read())
         assert report["summary"]["token_count"] == 108
 
     def test_rerun_is_byte_identical(self, micro_run, tmp_path_factory):
@@ -598,13 +599,30 @@ def test_ablate_scores_as_evaluate_does(micro_run, tmp_path):
     shutil.copytree(paths.filter, os.path.join(run_dir, "filter"))
     argv = ["ablate", "--config", cfg_path, "--run-dir", run_dir, "--variant", "kgml_sm"]
     assert cli.main(argv) == 0
-    with open(os.path.join(run_dir, "ablate", "kgml_sm", "report.json")) as f:
+    with open(os.path.join(run_dir, "ablate", "kgml_sm", "lambda2.0", "report.json")) as f:
         report = json.load(f)
     with open(paths.metrics) as f:
         evaluated = json.load(f)
     assert report["per_seed"] == evaluated["per_seed"]
     assert report["summary"]["rmse_mean"] == evaluated["rmse_mean"]
     assert report["summary"]["r2_mean"] == evaluated["r2_mean"]
+
+
+def test_ablate_keeps_one_report_per_lambda(micro_run, tmp_path):
+    """A λ=0 and a λ=2 `ablate` of one variant in one run directory each
+    keep their own report: λ is part of the report's path."""
+    _, paths, cfg_path, _ = micro_run
+    run_dir = _copy_run(paths, tmp_path / "run")
+    shutil.copytree(paths.filter, os.path.join(run_dir, "filter"))
+    argv = ["ablate", "--config", cfg_path, "--run-dir", run_dir, "--variant", "kgml_sm"]
+    for lam in ("0", "2"):
+        assert cli.main(argv + ["--lambda", lam]) == 0
+    reports = {}
+    for lam in (0.0, 2.0):
+        with open(os.path.join(run_dir, "ablate", "kgml_sm", f"lambda{lam!r}", "report.json")) as f:
+            reports[lam] = json.load(f)
+    assert {lam: report["lambda"] for lam, report in reports.items()} == {0.0: 0.0, 2.0: 2.0}
+    assert reports[0.0]["per_seed"] != reports[2.0]["per_seed"]
 
 
 def _set_cell(path, line, column, value):
@@ -678,6 +696,26 @@ def _set_year(year, column, value):
         for line, row in enumerate(lines[1:], start=2):
             if row.split(",")[at] == str(year):
                 _set_cell(path, line, column, value)
+    return corrupt
+
+
+def _move_rows_to_end(first, count):
+    """A corruption that moves count data rows, from data row first (from 1), to
+    the end of a CSV."""
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        lines += lines[first: first + count]
+        del lines[first: first + count]
+        path.write_text("\n".join(lines) + "\n")
+    return corrupt
+
+
+def _flip_byte(at):
+    """A corruption that inverts the bits of one byte and keeps the file's length."""
+    def corrupt(path):
+        data = bytearray(path.read_bytes())
+        data[at] ^= 0xFF
+        path.write_bytes(bytes(data))
     return corrupt
 
 
@@ -773,6 +811,11 @@ BAD_FILES = {
     "samples_flag_2": ("evaluate", os.path.join("data", "county_samples.csv"),
                        lambda p: _set_cell(p, 4, "drought_flag", "2"),
                        "county_samples.csv: column 'drought_flag' has a cell that is not 0 or 1"),
+    "pixels_county_split": ("ingest", os.path.join("data", "pixels.csv"),
+                            _move_rows_to_end(1, 5 * 214),
+                            "pixels.csv: the rows of county c000 resume after another county's"),
+    "checkpoint_blob_byte_flipped": ("evaluate", CHECKPOINT + ".bin", _flip_byte(100),
+                                     "model.bin does not match the sha256 its manifest records"),
     "pixels_mask_2": ("ingest", os.path.join("data", "pixels.csv"),
                       lambda p: _set_cell(p, 4, "corn_mask", "2"),
                       "pixels.csv: column 'corn_mask' has a cell that is not 0 or 1"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import datasets_equal
-from kgmlsm import cropsim, ingest
+from kgmlsm import artifacts, cropsim, ingest
 
 
 class TestManagement:
@@ -125,7 +125,7 @@ class TestCountyInputs:
         cropsim.build_county_inputs(2, [2020, 2021], {"normal": 1.0}, seed=3,
                                     pixels_path=paths[0], daily_path=paths[1],
                                     truth_path=paths[2])
-        pixels = ingest.read_pixels_csv(paths[0])
+        pixels = artifacts.read_csv(paths[0], ingest.PIXELS_HEADER, ingest.PIXELS_KINDS)
         ids, years, dates, _ = ingest.read_daily_csv(paths[1])
         truth = ingest.read_truth_csv(paths[2])
         assert len(truth["id"]) == 4
@@ -133,10 +133,10 @@ class TestCountyInputs:
         assert len(county_years) == 4
         assert (rows == ingest.SEASON_DAYS).all()
         # reflectances are physical
-        for band in (pixels.red, pixels.nir, pixels.blue, pixels.green, pixels.swir):
-            assert band.min() >= 0.0 and band.max() <= 1.0
+        for band in ingest.PIXELS_HEADER[2:7]:
+            assert pixels[band].min() >= 0.0 and pixels[band].max() <= 1.0
         # each county-date has unmasked pixels that must not leak into means
-        assert (~pixels.corn_mask).sum() > 0
+        assert (~pixels["corn_mask"]).sum() > 0
 
     def test_historical_average_is_the_mean_of_the_written_prior_yields(self, tmp_path):
         """Each 2021 county-year's historical average is exactly np.mean of
@@ -158,7 +158,7 @@ class TestCountyInputs:
         cropsim.build_county_inputs(1, [2021], {"normal": 1.0}, seed=3,
                                     pixels_path=paths[0], daily_path=paths[1],
                                     truth_path=paths[2])
-        pixels = ingest.read_pixels_csv(paths[0])
+        (pixels,) = ingest.read_pixels_csv(paths[0])  # one county: one table
         corn_nir = pixels.nir[pixels.corn_mask].mean()
         other_nir = pixels.nir[~pixels.corn_mask].mean()
         assert corn_nir != pytest.approx(other_nir, abs=1e-3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import datasets_equal, make_dataset, make_sample
-from kgmlsm import ingest
+from kgmlsm import artifacts, cropsim, ingest
 from kgmlsm.errors import MissingCoverage, SchemaError, ShapeError
 
 
@@ -366,9 +366,10 @@ class TestDailyCsv:
         rng = np.random.default_rng(14)
         ids, dates, values = _daily_rows(rng)
         perm = rng.permutation(len(ids))
-        ingest.write_daily_csv(tmp_path / "sorted.csv", ids, dates, values)
-        ingest.write_daily_csv(tmp_path / "shuffled.csv", [ids[i] for i in perm],
-                               [dates[i] for i in perm], values[perm])
+        ingest.write_daily_csv(tmp_path / "sorted.csv", [(ids, dates, values)])
+        ingest.write_daily_csv(tmp_path / "shuffled.csv", [([ids[i] for i in perm],
+                                                            [dates[i] for i in perm],
+                                                            values[perm])])
         grouped = ingest.read_daily_csv(tmp_path / "sorted.csv")
         shuffled = ingest.read_daily_csv(tmp_path / "shuffled.csv")
         keys = [(sid, year) for sid in ("c000", "c002", "c010") for year in (2019, 2020)]
@@ -381,7 +382,7 @@ class TestDailyCsv:
     def test_date_without_a_year_names_file_and_column(self, tmp_path):
         ids, dates, values = _daily_rows(np.random.default_rng(15))
         dates[7] = "20x0-04-01"
-        ingest.write_daily_csv(tmp_path / "daily.csv", ids, dates, values)
+        ingest.write_daily_csv(tmp_path / "daily.csv", [(ids, dates, values)])
         with pytest.raises(SchemaError, match=r"daily\.csv: column 'date' has a cell that is "
                                               r"not a date: '20x0-04-01'"):
             ingest.read_daily_csv(tmp_path / "daily.csv")
@@ -395,21 +396,38 @@ class TestPixelsCsv:
         n, rng = 100_000, np.random.default_rng(16)
         days = np.datetime_as_string(np.datetime64("2019-04-01") + np.arange(214)).astype("U10")
         table = ingest.PixelTable(
-            county_id=np.char.add("c", np.char.zfill((np.arange(n) % 100).astype(str), 3)),
+            county_id=np.char.add("c", np.char.zfill((np.arange(n) * 100 // n).astype(str), 3)),
             date=days[np.arange(n) % 214],
             **{name: rng.random(n) for name in ingest.PIXELS_HEADER[2:7]},
             corn_mask=rng.random(n) < 0.5)
-        ingest.write_pixels_csv(tmp_path / "pixels.csv", table)
+        ingest.write_pixels_csv(tmp_path / "pixels.csv", [table])
         tracemalloc.start()
         try:
-            back = ingest.read_pixels_csv(tmp_path / "pixels.csv")
+            back = list(ingest.read_pixels_csv(tmp_path / "pixels.csv"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        arrays = [getattr(back, name) for name in ingest.PIXELS_HEADER]
-        for got, want in zip(arrays, (getattr(table, name) for name in ingest.PIXELS_HEADER)):
+        arrays = [getattr(block, name) for block in back for name in ingest.PIXELS_HEADER]
+        for name in ingest.PIXELS_HEADER:
+            got, want = np.concatenate([getattr(b, name) for b in back]), getattr(table, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert peak < 4 * sum(a.nbytes for a in arrays)
+
+    def test_each_block_holds_whole_counties(self, tmp_path):
+        """A county whose rows span a block boundary comes back in one table."""
+        n = 3 * artifacts._CHUNK_ROWS
+        county = np.arange(n) * 7 // n  # 7 counties over 3 blocks: most span a boundary
+        table = ingest.PixelTable(
+            county_id=np.char.add("c", np.char.zfill(county.astype(str), 3)),
+            date=np.full(n, "2019-04-01"),
+            **{name: np.full(n, 0.1) for name in ingest.PIXELS_HEADER[2:7]},
+            corn_mask=np.ones(n, dtype=bool))
+        ingest.write_pixels_csv(tmp_path / "pixels.csv", [table])
+        blocks = [b.county_id for b in ingest.read_pixels_csv(tmp_path / "pixels.csv")]
+        assert len(blocks) > 1
+        assert np.array_equal(np.concatenate(blocks), table.county_id)
+        per_block = [set(ids.tolist()) for ids in blocks]
+        assert all(a.isdisjoint(b) for i, a in enumerate(per_block) for b in per_block[i + 1:])
 
 
 class TestCountyAssembly:
@@ -422,14 +440,13 @@ class TestCountyAssembly:
 
     def test_weather_composites_match_manual_recompute(self, tmp_path):
         paths = [str(tmp_path / n) for n in ("p.csv", "d.csv", "t.csv")]
-        from kgmlsm import cropsim
-
         cropsim.build_county_inputs(1, [2020], {"normal": 1.0}, seed=2,
                                     pixels_path=paths[0], daily_path=paths[1],
                                     truth_path=paths[2])
         ds = ingest.build_county_dataset(*paths)
         ids, years, _, vals = ingest.read_daily_csv(paths[1])
-        _, _, vi = ingest.spatial_average_all(ingest.read_pixels_csv(paths[0]))
+        (pixels,) = ingest.read_pixels_csv(paths[0])  # one county: one table
+        _, _, vi = ingest.spatial_average_all(pixels)
         sample = next(s for s in ds.samples if s.sid == ids[0] and s.year == years[0])
         # one county-year: every daily and pixel row is this sample's
         expect = np.testing.assert_array_equal
@@ -439,3 +456,47 @@ class TestCountyAssembly:
             expect(sample.vis[:, i], ingest.composite_16day(vi[:, i], "mean"))
         for i in range(2):
             expect(sample.sm[:, i], ingest.composite_16day(vals[:, 4 + i], "mean"))
+
+
+    @pytest.mark.parametrize("old,new,county", [
+        ("\nc001,", "\nc009,", "c001/2020"),  # c001's pixels named c009: c001 is first
+        ("\nc002,2020-", "\nc002,2021-", "c002/2020"),  # c002's pixel dates a year late
+        ("\nc000,2020-10-31,", "\nc000,2020-11-01,", "c000/2020"),  # one date moved
+    ])
+    def test_pixel_dates_off_the_daily_dates_name_the_first_county(self, old, new, county,
+                                                                     tmp_path):
+        """Counties absent from either file, and dates that differ, are
+        refused at the first county-year, in county then date order, where
+        the pixel and daily dates part."""
+        paths = [str(tmp_path / n) for n in ("pixels.csv", "daily.csv", "truth.csv")]
+        cropsim.build_county_inputs(3, [2020], {"normal": 1.0}, seed=2, pixels_path=paths[0],
+                                    daily_path=paths[1], truth_path=paths[2])
+        with open(paths[0], newline="") as f:
+            text = f.read()
+        with open(paths[0], "w", newline="") as f:
+            f.write(text.replace(old, new))
+        with pytest.raises(SchemaError, match=rf"pixels\.csv: county {county}: pixel dates "
+                                              r"differ from the daily dates in .*daily\.csv"):
+            ingest.build_county_dataset(*paths)
+
+
+class TestBoundedMemory:
+    def test_county_pipeline_peak_does_not_follow_the_pixel_table(self, tmp_path):
+        """`simulate` writes and `ingest` reads the pixels a block of whole
+        counties at a time, so four times the counties moves the traced peak
+        of both little: by 1.18x here (16.8 to 19.8 MB), where holding the
+        pixel table took it up 1.83x (18.7 to 34.3 MB). What still grows is
+        the daily rows, a fifth of the pixel rows, and a larger last block."""
+        peaks = {}
+        for n in (8, 32):
+            paths = [str(tmp_path / f"{name}{n}.csv") for name in ("pixels", "daily", "truth")]
+            tracemalloc.start()
+            try:
+                cropsim.build_county_inputs(n, [2021, 2022, 2023], {"normal": 0.8, "drought": 0.2},
+                                            seed=5, pixels_path=paths[0], daily_path=paths[1],
+                                            truth_path=paths[2])
+                ingest.build_county_dataset(*paths)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[32] < 1.4 * peaks[8], peaks

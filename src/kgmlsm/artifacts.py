@@ -53,14 +53,27 @@ def write_json(path, payload):
     write_bytes(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def read_json(path):
+def _open(path, *args, **kwargs):
+    """open(), refusing a file it cannot open with a SchemaError naming it."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
+        return open(path, *args, **kwargs)
     except FileNotFoundError:
         raise SchemaError(f"missing {path}") from None
-    except ValueError as e:
-        raise SchemaError(f"{path} is not valid JSON: {e}") from None
+    except OSError as e:
+        raise SchemaError(f"cannot read {path}: {e.strerror}") from None
+
+
+def read_bytes(path):
+    with _open(path, "rb") as f:
+        return f.read()
+
+
+def read_json(path):
+    with _open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise SchemaError(f"{path} is not valid JSON: {e}") from None
 
 
 def _cell(value):
@@ -187,7 +200,7 @@ def read_csv_blocks(path, header, kinds):
     column is parsed as its block is read, so no text of it outlives the
     block; every other column keeps its cells as text."""
     header, n_rows = list(header), 0
-    with open(path, newline="", encoding="utf-8") as f:
+    with _open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         if next(reader, None) != header:
             raise SchemaError(f"unexpected header in {path}")

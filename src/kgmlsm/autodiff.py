@@ -268,16 +268,25 @@ def backward(loss):
 
 
 class ParamStore:
-    """Named trainable tensors with a stable declared ordering."""
+    """Named trainable tensors over one float64 vector: each tensor's data is
+    a reshaped view of `vector`, in declared order. Whatever moves the
+    parameters as a whole (an Adam step, a restore, a warm start, a
+    checkpoint) writes or reads `vector` in place, so the views stay bound."""
 
     def __init__(self):
         self._params = {}
+        self.vector = np.zeros(0)
 
     def add(self, name, array):
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
-        t = Tensor(np.array(array, dtype=np.float64), requires_grad=True, name=name)
+        t = Tensor(np.asarray(array, dtype=np.float64), requires_grad=True, name=name)
         self._params[name] = t
+        self.vector = np.concatenate([self.vector, t.data.ravel()])
+        offset = 0
+        for p in self._params.values():
+            p.data = self.vector[offset: offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
         return t
 
     def __getitem__(self, name):
@@ -298,21 +307,6 @@ class ParamStore:
     def constants(self):
         """The parameters as tensors outside any graph, for inference."""
         return {name: Tensor(t.data, name=name) for name, t in self._params.items()}
-
-    def to_arrays(self):
-        return {name: t.data.copy() for name, t in self._params.items()}
-
-    def load_arrays(self, arrays):
-        for name, t in self._params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ShapeError(f"parameter {name}: expected {t.data.shape}, got {arr.shape}")
-            t.data = arr.copy()
-
-    def flat(self):
-        if not self._params:
-            return np.zeros(0)
-        return np.concatenate([t.data.ravel() for t in self._params.values()])
 
 
 def gradients(loss, store):

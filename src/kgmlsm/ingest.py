@@ -483,10 +483,12 @@ def build_county_dataset(pixels_path, daily_path, truth_path):
                           f"each of {SEASON_DAYS} distinct dates")
     gid, gyear, k = ids[starts], years[starts], len(starts)
     season_years, at = np.unique(gyear, return_inverse=True)
-    expected = np.stack([season_dates(year) for year in season_years.tolist()])[at].ravel()
-    off_season = dates != expected
+    expected = np.stack([season_dates(year) for year in season_years.tolist()])
+    off_season = np.zeros(k, dtype=bool)
+    for day, got in enumerate(dates.reshape(k, SEASON_DAYS).T):  # one day of every county-year
+        off_season |= got != expected[at, day]
     if off_season.any():
-        i = np.argmax(off_season)
+        i = starts[np.argmax(off_season)]
         raise SchemaError(f"{daily_path}: county {ids[i]}/{years[i]} has dates outside the "
                           "season, April 1 to October 31")
 

@@ -23,8 +23,6 @@ runs on ParamStore.constants(), so it builds no gradient graph.
 """
 
 import hashlib
-import math
-import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -479,9 +477,9 @@ def token_labels(config):
 def save_checkpoint(stem, bundle):
     """stem.json: the format, config, normalization, each parameter's name
     and shape in store order, meta, and the sha256 of stem.bin;
-    stem.bin: ParamStore.flat()."""
+    stem.bin: the bytes of ParamStore.vector, little-endian."""
     stem = str(stem)
-    blob = bundle.params.flat().astype("<f8").tobytes()
+    blob = bundle.params.vector.astype("<f8").tobytes()
     manifest = {
         "format": "kgmlsm-checkpoint-v1",
         "config": bundle.config.to_dict(),
@@ -496,14 +494,13 @@ def save_checkpoint(stem, bundle):
 
 
 def load_checkpoint(stem):
-    """The bundle save_checkpoint wrote. Refuses a parameter table other than
-    param_table(config)'s, a blob not 8 bytes per value it declares, and a
-    blob whose sha256 is not the one the manifest records."""
+    """The bundle save_checkpoint wrote. Refuses a file it cannot read, a
+    parameter table other than param_table(config)'s, a blob not 8 bytes per
+    value it declares, and a blob whose sha256 is not the one recorded."""
     stem = str(stem)
-    if not os.path.exists(stem + ".json") or not os.path.exists(stem + ".bin"):
-        raise FileNotFoundError(f"checkpoint {stem} missing .json/.bin")
     try:
         manifest = artifacts.read_json(stem + ".json")
+        raw = artifacts.read_bytes(stem + ".bin")
     except SchemaError as e:
         raise CheckpointMismatch(str(e)) from None
     if not isinstance(manifest, dict) or manifest.get("format") != "kgmlsm-checkpoint-v1":
@@ -524,16 +521,15 @@ def load_checkpoint(stem):
         at = next(i for i, (a, b) in enumerate(zip(have, want)) if a != b)
         raise CheckpointMismatch(f"{stem}.json: parameter {at} is {have[at]}, "
                                  f"where its config makes {want[at]}")
-    with open(stem + ".bin", "rb") as f:
-        raw = f.read()
-    sizes = [math.prod(shape) for _, shape in made]
-    if len(raw) != 8 * sum(sizes):
+    params = ParamStore()
+    for name, shape in made:
+        params.add(name, np.zeros(shape))
+    if len(raw) != 8 * params.vector.size:
         raise CheckpointMismatch(f"{stem}.bin holds {len(raw)} bytes, not 8 for each of the "
-                                 f"{sum(sizes)} float64 values its manifest declares")
+                                 f"{params.vector.size} float64 values its manifest declares")
     if hashlib.sha256(raw).hexdigest() != manifest.get("bin_sha256"):
         raise CheckpointMismatch(f"{stem}.bin does not match the sha256 its manifest records")
-    params = ParamStore()
-    blob = np.frombuffer(raw, dtype="<f8")
-    for (name, shape), values in zip(made, np.split(blob, np.cumsum(sizes)[:-1])):
-        params.add(name, values.reshape(shape))
+    params.vector[:] = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(params.vector).all():
+        raise CheckpointMismatch(f"{stem}.bin holds a non-finite value")
     return ModelBundle(config=config, params=params, stats=stats, meta=meta)

@@ -14,8 +14,7 @@ PLATEAU_FACTOR, MIN_LR = 0.5, 1e-6
 
 @dataclass
 class AdamState:
-    """Moment estimates over the parameters flattened in store order, plus
-    the shared step counter."""
+    """Moment estimates over ParamStore.vector, plus the shared step counter."""
 
     lr: float
     m: np.ndarray
@@ -26,16 +25,15 @@ class AdamState:
 def adam_init(store, lr):
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
-    size = store.flat().size
-    return AdamState(lr=lr, m=np.zeros(size), v=np.zeros(size))
+    return AdamState(lr=lr, m=np.zeros(store.vector.size), v=np.zeros(store.vector.size))
 
 
 def adam_step(store, grads, state):
     """One Adam update with bias correction over all parameters at once.
 
-    The update is element-wise, so one pass over the flattened parameters
-    gives each value exactly what a pass per parameter would; each
-    parameter then becomes a view of the new flat vector.
+    The update is element-wise, so one pass over store.vector gives each
+    value exactly what a pass per parameter would; it is subtracted in
+    place, so every parameter's data stays a view of the vector.
     """
     params = list(store.items())
     for name, p in params:
@@ -54,11 +52,7 @@ def adam_step(store, grads, state):
     v += (1.0 - b2) * (g * g)
     m_hat = m / bias1
     v_hat = v / bias2
-    flat = store.flat() - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    offset = 0
-    for _, p in params:
-        p.data = flat[offset: offset + p.data.size].reshape(p.data.shape)
-        offset += p.data.size
+    store.vector -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 
@@ -131,7 +125,7 @@ def fit(params, n, batch_loss, end_epoch, cfg, seed, tag):
     """
     adam = adam_init(params, cfg.lr)
     sched = PlateauScheduler(lr=cfg.lr, patience=cfg.scheduler_patience)
-    best_val, best_arrays, best_epoch, bad = None, None, -1, 0
+    best_val, best_vector, best_epoch, bad = None, None, -1, 0
     rows = []
     stop_reason = "max_epochs"
     for epoch in range(cfg.max_epochs):
@@ -155,12 +149,12 @@ def fit(params, n, batch_loss, end_epoch, cfg, seed, tag):
         if val_loss is None:
             continue
         if best_val is None or val_loss < best_val:
-            best_val, best_arrays, best_epoch, bad = val_loss, params.to_arrays(), epoch, 0
+            best_val, best_vector, best_epoch, bad = val_loss, params.vector.copy(), epoch, 0
         else:
             bad += 1
             if cfg.early_stop_patience is not None and bad >= cfg.early_stop_patience:
                 stop_reason = "early_stopping"
                 break
-    if best_arrays is not None:
-        params.load_arrays(best_arrays)
+    if best_vector is not None:
+        params.vector[:] = best_vector
     return rows, stop_reason, best_epoch, best_val

@@ -186,7 +186,7 @@ def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, varian
         if checkpoint.config.to_dict() != mconfig.to_dict():
             raise CheckpointMismatch(
                 f"checkpoint config {checkpoint.config.to_dict()} != variant config {mconfig.to_dict()}")
-        params.load_arrays(checkpoint.params.to_arrays())
+        params.vector[:] = checkpoint.params.vector
         # channels that were constant at pretraining (zeroed VIs) carried
         # no scaling information; take their statistics from this split
         stats = checkpoint.stats.refreshed_from(train_arrays)

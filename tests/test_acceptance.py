@@ -274,6 +274,27 @@ def test_criterion_8_attention_invariants(demo_run_a):
           f"alpha sums ok {sums_ok}, per-year max==1 {max_ok}, csv recompute gap {cat_gap:.1e}")
 
 
+def test_readme_2023_row_is_the_demo_run(demo_run_a):
+    """README's reproduction table quotes the 2023 RMSEs of `kgmlsm all
+    --config demo`: the run criteria 7-9 share, so nothing more is trained."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as f:
+        lines = f.read().splitlines()
+
+    def cells(prefix):
+        row = next(line for line in lines if line.startswith(prefix))
+        return [cell.strip().strip("`") for cell in row.strip("|").split("|")]
+
+    quoted = dict(zip(cells("| target year |"), cells("| 2023 ")))
+    with open(demo_run_a.metrics, encoding="utf-8") as f:
+        run = json.load(f)
+    got = {"kgml_sm": run["rmse_mean"], **{kind: run["baselines"][kind]["rmse"]
+                                           for kind in ("mlp", "ridge", "lr")}}
+    got = {name: f"{value:.3f}" for name, value in got.items()}
+    check("README 2023 row matches the demo run", {name: quoted[name] for name in got} == got,
+          f"README {quoted}, run {got}")
+
+
 # ---------------------------------------------------------------------------
 # 9. determinism of the full pipeline
 

@@ -24,9 +24,9 @@ class TestExtract:
 
     def test_read_only(self, extraction):
         ext, bundle, ds = extraction
-        before = hashlib.sha256(bundle.params.flat().tobytes()).hexdigest()
+        before = hashlib.sha256(bundle.params.vector.tobytes()).hexdigest()
         attnreport.extract(bundle, ds)
-        after = hashlib.sha256(bundle.params.flat().tobytes()).hexdigest()
+        after = hashlib.sha256(bundle.params.vector.tobytes()).hexdigest()
         assert before == after
 
     def test_sm_tokens_only_in_sm_variants(self, tiny_county):

@@ -505,6 +505,13 @@ def test_method_setting_is_no_config_key(key, value, tmp_path, capsys):
     assert not run_dir.exists()
 
 
+def test_config_that_is_a_directory_exits_1(tmp_path, capsys):
+    run_dir = tmp_path / "fresh"
+    assert cli.main(["simulate", "--config", str(tmp_path), "--run-dir", str(run_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config file: cannot read {tmp_path}")
+    assert not run_dir.exists()
+
+
 def test_zero_epochs_leave_the_trained_checkpoints_alone(micro_run, tmp_path, capsys):
     _, paths, _, _ = micro_run
     run_dir = _copy_run(paths, tmp_path / "run")
@@ -776,6 +783,8 @@ BAD_FILES = {
     "daily_short_row": ("ingest", os.path.join("data", "daily.csv"),
                         lambda p: _set_cell(p, 3, "sm_rootzone", None),
                         "daily.csv line 3: 7 cells under a 8-column header"),
+    "daily_is_a_directory": ("ingest", os.path.join("data", "daily.csv"),
+                             lambda p: (p.unlink(), p.mkdir()), "daily.csv: Is a directory"),
     "daily_duplicate_row": ("ingest", os.path.join("data", "daily.csv"), _duplicate_line(3),
                             "daily.csv: county c000/2019 does not have one row on each of 214 "
                             "distinct dates"),

@@ -2,7 +2,9 @@
 is the one array view of a dataset, `Dataset.from_arrays` the one way in,
 and only `ingest` reaches into `Dataset.samples`. `metrics` alone turns
 per-seed scores into their summary, and `cropsim.draw_unit_year` alone
-draws a simulated unit-year's weather and management. No function or
+draws a simulated unit-year's weather and management. Only `autodiff`
+binds a tensor's `data`, so a stored parameter stays a view of
+`ParamStore.vector`. No function or
 class of the package goes unnamed: each is called, passed or imported
 somewhere in `src`, `tests` or `perfbench`."""
 
@@ -29,6 +31,17 @@ def test_only_ingest_touches_dataset_samples():
                     if (isinstance(node, ast.Attribute) and node.attr == "samples")
                     or (isinstance(node, ast.keyword) and node.arg == "samples")]
     assert touched == []
+
+
+def test_only_autodiff_binds_tensor_data():
+    """Outside `autodiff`, nothing assigns to `<expr>.data` but an object's
+    own `self.data` (`cli.RunPaths` has one)."""
+    bound = [f"{name}:{node.lineno}" for name, tree in _modules() if name != "autodiff.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "data"
+             and isinstance(node.ctx, ast.Store)
+             and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    assert bound == []
 
 
 def _from_arrays(tree):

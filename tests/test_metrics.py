@@ -144,7 +144,7 @@ field = cropsim.build_field_dataset(4, [2018, 2019, 2020, 2021], {"normal": 0.7,
                                     seed=11)
 bundle, _ = training.pretrain(field, training.StageConfig(batch_size=8, max_epochs=2),
                               losses.LossConfig(), training.get_variant("kgml_sm"), None, 0)
-print("pretrain", hashlib.sha256(bundle.params.flat()).hexdigest())
+print("pretrain", hashlib.sha256(bundle.params.vector).hexdigest())
 """
 
 

@@ -77,10 +77,8 @@ class TestAttention:
         cfg = model.ModelConfig(**SMALL)
         params = model.init_params(cfg, 0)
         # tie every token's embedding parameters and feed equal values
-        params["att.embed.value"].data = np.tile(params["att.embed.value"].data[:1],
-                                                 (cfg.n_tokens, 1))
-        params["att.embed.bias"].data = np.tile(params["att.embed.bias"].data[:1],
-                                                (cfg.n_tokens, 1))
+        params["att.embed.value"].data[:] = params["att.embed.value"].data[:1]
+        params["att.embed.bias"].data[:] = params["att.embed.bias"].data[:1]
         x = ad.Tensor(np.full((3, cfg.n_tokens), 0.37))
         _, alpha = model.attention_forward(x, params, cfg)
         np.testing.assert_allclose(alpha.data, 1.0 / cfg.n_tokens, atol=1e-12)
@@ -132,7 +130,7 @@ def _random_head(cfg, seed):
     rng = np.random.default_rng(seed)
     params = model.init_params(cfg, seed)
     for name in params.names():
-        params[name].data = rng.normal(scale=0.5, size=params[name].data.shape)
+        params[name].data[...] = rng.normal(scale=0.5, size=params[name].data.shape)
     return params, rng.normal(size=(6, cfg.n_tokens))
 
 
@@ -144,7 +142,7 @@ class TestFoldedHead:
         for seed in range(3):
             params, x = _random_head(cfg, seed)
             y, alpha = model.attention_forward(ad.Tensor(x), params, cfg)
-            y_ref, alpha_ref = _unfolded_head(x, params.to_arrays(), cfg.d_k)
+            y_ref, alpha_ref = _unfolded_head(x, {n: t.data for n, t in params.items()}, cfg.d_k)
             np.testing.assert_allclose(y.data, y_ref, rtol=0, atol=1e-12)
             np.testing.assert_allclose(alpha.data, alpha_ref, rtol=0, atol=1e-12)
 
@@ -412,4 +410,15 @@ class TestCheckpoints:
         with open(bin_path, "wb") as f:
             f.write(blob[:-16])
         with pytest.raises(CheckpointMismatch):
+            model.load_checkpoint(stem)
+
+    def test_non_finite_blob_rejected(self, tiny_field, tmp_path):
+        """A blob whose sha256 the manifest records may still hold a NaN."""
+        cfg = model.ModelConfig(**SMALL)
+        params = model.init_params(cfg, 0)
+        params.vector[3] = np.nan
+        stem = tmp_path / "model"
+        model.save_checkpoint(stem, model.ModelBundle(config=cfg, params=params,
+                                                      stats=_stats(tiny_field)))
+        with pytest.raises(CheckpointMismatch, match="model.bin holds a non-finite value"):
             model.load_checkpoint(stem)

@@ -12,7 +12,7 @@ class TestAdam:
         store.add("a", np.array([1.0, -2.0]))
         store.add("b", np.array(0.5))
         state = adam_init(store, lr=0.001)
-        before = store.to_arrays()
+        before = {name: t.data.copy() for name, t in store.items()}
         adam_step(store, {"a": np.zeros(2), "b": np.zeros(())}, state)
         assert state.t == 1
         for name, arr in before.items():

@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from conftest import make_dataset
 from kgmlsm import ingest, losses, model, training
 from kgmlsm.errors import CheckpointMismatch, ConfigError
+from kgmlsm.optim import adam_init, adam_step
 from kgmlsm.training import (SplitSpec, StageConfig, VARIANTS, get_variant, pretrain,
                              finetune, run_experiment, temporal_split)
 
@@ -135,7 +135,7 @@ class TestPretrain:
     def test_deterministic_for_equal_seed(self, tiny_field):
         a, _ = pretrain(tiny_field, fast_pre(), LCFG, get_variant("kgml_sm"), SMALL, seed=3)
         b, _ = pretrain(tiny_field, fast_pre(), LCFG, get_variant("kgml_sm"), SMALL, seed=3)
-        np.testing.assert_array_equal(a.params.flat(), b.params.flat())
+        np.testing.assert_array_equal(a.params.vector, b.params.vector)
         assert a.meta == b.meta
 
     def test_stop_flag_consistent_with_final_rmse(self, tiny_field):
@@ -256,24 +256,42 @@ class TestRunners:
         assert res.summary["components"]["soil_moisture_tokens"] is False
 
 
-def _params_digest(params):
-    return hashlib.sha256(params.flat().tobytes()).hexdigest()
+def _bouncing_finetune(county, max_epochs, patience):
+    """At lr 0.03, seed 1's validation loss is lowest at epoch 2 and then rises."""
+    stage_cfg = StageConfig(batch_size=8, lr=0.03, max_epochs=max_epochs,
+                            early_stop_patience=patience)
+    return finetune(None, county, SplitSpec(target_year=2023), stage_cfg, LCFG,
+                    get_variant("att"), SMALL, seed=1)
 
 
 class TestEarlyStoppingRestore:
-    def test_restored_params_match_best_epoch_snapshot(self, tiny_county, monkeypatch):
-        snapshots = {}
-        orig = model.ParamStore.to_arrays
+    def test_restored_params_are_those_of_a_run_ending_at_the_best_epoch(self, tiny_county):
+        bundle, rows, _ = _bouncing_finetune(tiny_county, 8, 3)
+        best = bundle.meta["best_epoch"]
+        assert bundle.meta["stop_reason"] == "early_stopping" and best < len(rows) - 1
+        capped, capped_rows, _ = _bouncing_finetune(tiny_county, best + 1, None)
+        assert len(capped_rows) == best + 1 and capped.meta["best_epoch"] == best
+        np.testing.assert_array_equal(bundle.params.vector, capped.params.vector)
 
-        def recording(self):
-            arrays = orig(self)
-            snapshots[len(snapshots)] = hashlib.sha256(
-                np.concatenate([a.ravel() for a in arrays.values()]).tobytes()).hexdigest()
-            return arrays
 
-        monkeypatch.setattr(model.ParamStore, "to_arrays", recording)
-        bundle, rows, _ = finetune(None, tiny_county, SplitSpec(target_year=2023),
-                                   fast_fine(max_epochs=6), LCFG,
-                                   get_variant("att"), SMALL, seed=4)
-        monkeypatch.setattr(model.ParamStore, "to_arrays", orig)
-        assert _params_digest(bundle.params) in set(snapshots.values())
+def _views_of_vector(params):
+    return all(np.shares_memory(t.data, params.vector) for _, t in params.items())
+
+
+def test_parameters_stay_views_of_the_store_vector(tiny_county, tmp_path):
+    """init_params, load_checkpoint, an Adam step and fit's restore each leave
+    every parameter's data a view of ParamStore.vector."""
+    cfg = training.model_config_for(get_variant("att"), SMALL)
+    params = model.init_params(cfg, 0)
+    assert _views_of_vector(params)
+    stats = model.Normalization.from_arrays(ingest.stack_dataset(tiny_county))
+    model.save_checkpoint(tmp_path / "m", model.ModelBundle(config=cfg, params=params,
+                                                            stats=stats))
+    loaded = model.load_checkpoint(tmp_path / "m").params
+    assert _views_of_vector(loaded)
+    np.testing.assert_array_equal(loaded.vector, params.vector)
+    adam_step(params, {n: np.ones(t.data.shape) for n, t in params.items()},
+              adam_init(params, 0.01))
+    assert _views_of_vector(params) and not (params.vector == loaded.vector).any()
+    bundle, rows, _ = _bouncing_finetune(tiny_county, 8, 3)
+    assert bundle.meta["best_epoch"] < len(rows) - 1 and _views_of_vector(bundle.params)

@@ -10,7 +10,9 @@ matrix, is one ``node`` whose closed-form backward the model supplies.
 
 A result records its parents only when some operand requires grad, so a
 forward pass on ``ParamStore.constants()`` builds no graph: each
-intermediate array is freed as soon as the next op has used it.
+intermediate array is freed as soon as the next op has used it. The model
+runs such passes over fixed blocks of rows (``model.forward_blocks``), so
+the largest intermediate is one block's.
 
 Every op validates operand shapes up front and rejects non-finite results,
 so a NaN surfaces at the op that produced it rather than three modules

@@ -19,7 +19,9 @@ bit those of the chain. The token matrix is one more node.
 The network operates in z-scored space: inputs and targets are
 standardized with statistics carried in the checkpoint, and predictions
 are mapped back to physical units at the boundary (predict()). Inference
-runs on ParamStore.constants(), so it builds no gradient graph.
+runs through forward_blocks, on ParamStore.constants() in blocks of
+INFER_ROWS samples, so it builds no gradient graph and its peak does not
+grow with the number of samples.
 """
 
 import hashlib
@@ -425,6 +427,37 @@ def forward_graph(batch, params, config):
     return y, sm_hat, alpha
 
 
+# rows per graph-free forward block. A block holds W2S window arrays of
+# (rows, 8, 192) and (rows, 16, 96) float64. predict on 4320 county samples
+# (2-vCPU host, OpenBLAS 0.3.31) took 208 ms at a 101.2 MB traced peak in one
+# batch; in blocks of 16, 64, 256 and 1024 rows it took 153, 106, 93 and
+# 105 ms at 12.3, 12.3, 16.6 and 34.7 MB, the input and outputs included.
+# Keep it a multiple of 4: OpenBLAS sums a row of the attention readout's
+# (B, n) @ (n, 1) product one way inside its groups of four rows and another
+# way in a leftover row, so a block starting off that grid moves low bits.
+INFER_ROWS = 256
+
+
+def forward_blocks(batch, params, config):
+    """forward_graph on params.constants() over consecutive blocks of
+    INFER_ROWS rows: (y_std (N,), sm_std (N, 13, 2) or None, alpha (N, n))
+    arrays. A row's outputs depend on that row alone, so with INFER_ROWS a
+    multiple of 4 they are bit for bit those of one batch, while the peak
+    holds one block's intermediates.
+    """
+    consts = params.constants()
+    n = len(batch["w"])
+    outs = None
+    for lo in range(0, n, INFER_ROWS):
+        block = forward_graph({k: v[lo:lo + INFER_ROWS] for k, v in batch.items()}, consts, config)
+        if outs is None:
+            outs = [None if t is None else np.empty((n,) + t.shape[1:]) for t in block]
+        for out, t in zip(outs, block):
+            if t is not None:
+                out[lo:lo + INFER_ROWS] = t.data
+    return tuple(outs)
+
+
 # ---------------------------------------------------------------------------
 # stack_dataset arrays <-> z-scored space
 
@@ -453,14 +486,10 @@ class ModelBundle:
         and "alpha" ((N, n_tokens)).
         """
         batch = standardize(stack_dataset(dataset), self.stats)
-        y, sm_hat, alpha = forward_graph(batch, self.params.constants(), self.config)
-        out = {
-            "y_hat": y.data * self.stats.y_sd + self.stats.y_mu,
-            "alpha": alpha.data.copy(),
-            "sm_hat": None,
-        }
+        y, sm_hat, alpha = forward_blocks(batch, self.params, self.config)
+        out = {"y_hat": y * self.stats.y_sd + self.stats.y_mu, "alpha": alpha, "sm_hat": None}
         if sm_hat is not None:
-            out["sm_hat"] = sm_hat.data * self.stats.sm_sd + self.stats.sm_mu
+            out["sm_hat"] = sm_hat * self.stats.sm_sd + self.stats.sm_mu
         return out
 
 

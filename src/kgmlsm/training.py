@@ -99,17 +99,14 @@ def _take(arrays, idx):
     return {k: v[idx] for k, v in arrays.items()}
 
 
-def _compute_loss(batch, params, mconfig, variant, loss_cfg):
-    """Build the loss of one standardized batch; a graph only when params
-    require grad.
+def _loss(batch, y_hat, sm_hat, variant, loss_cfg):
+    """The loss of one standardized batch from the model's outputs on it,
+    tensors in a training graph or arrays from model.forward_blocks.
 
-    Returns (total tensor, standardized yield estimate tensor). The SM
-    term exists only when the W2S branch runs; without the SMW component
-    the drought weight is forced to exactly 1 by zeroing sbar under
-    epsilon=1. A diverging step raises NonFiniteError where a tensor turns
-    non-finite.
+    The SM term exists only when the W2S branch runs; without the SMW
+    component the drought weight is forced to exactly 1 by zeroing sbar
+    under epsilon=1.
     """
-    y_hat, sm_hat, _alpha = model.forward_graph(batch, params, mconfig)
     lam = loss_cfg.lam if variant.use_oe else 0.0
     if variant.use_smw:
         sbar = batch["sbar"]
@@ -120,12 +117,20 @@ def _compute_loss(batch, params, mconfig, variant, loss_cfg):
     y_term = losses.yield_loss(batch["y_std"], y_hat, sbar,
                                losses.LossConfig(lam=lam, epsilon=eps))
     if sm_hat is None:
-        return y_term, y_hat
-    return losses.total_loss(losses.sm_loss(batch["s"], sm_hat), y_term), y_hat
+        return y_term
+    return losses.total_loss(losses.sm_loss(batch["s"], sm_hat), y_term)
+
+
+def _compute_loss(batch, params, mconfig, variant, loss_cfg):
+    """The loss tensor of one standardized batch through the training
+    graph. A diverging step raises NonFiniteError where a tensor turns
+    non-finite."""
+    y_hat, sm_hat, _alpha = model.forward_graph(batch, params, mconfig)
+    return _loss(batch, y_hat, sm_hat, variant, loss_cfg)
 
 
 def _yield_rmse(arrays, y_hat, stats):
-    return metrics.rmse(arrays["y"], y_hat.data * stats.y_sd + stats.y_mu)
+    return metrics.rmse(arrays["y"], y_hat * stats.y_sd + stats.y_mu)
 
 
 def write_epochs_csv(path, rows):
@@ -149,10 +154,10 @@ def pretrain(field_dataset, stage_cfg, loss_cfg, variant, sizes, seed):
     arrays = model.standardize(arrays, stats)
 
     def batch_loss(idx):
-        return _compute_loss(_take(arrays, idx), params, mconfig, variant, loss_cfg)[0]
+        return _compute_loss(_take(arrays, idx), params, mconfig, variant, loss_cfg)
 
     def end_epoch():
-        y_hat, _, _ = model.forward_graph(arrays, params.constants(), mconfig)
+        y_hat, _, _ = model.forward_blocks(arrays, params, mconfig)
         return None, _yield_rmse(arrays, y_hat, stats)
 
     rows, stop_reason, _, _ = fit(params, len(field_dataset), batch_loss, end_epoch,
@@ -199,10 +204,11 @@ def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, varian
     val_arrays = model.standardize(ingest.stack_dataset(split.val), stats)
 
     def batch_loss(idx):
-        return _compute_loss(_take(train_arrays, idx), params, mconfig, variant, loss_cfg)[0]
+        return _compute_loss(_take(train_arrays, idx), params, mconfig, variant, loss_cfg)
 
     def end_epoch():
-        total, y_hat = _compute_loss(val_arrays, params.constants(), mconfig, variant, loss_cfg)
+        y_hat, sm_hat, _ = model.forward_blocks(val_arrays, params, mconfig)
+        total = _loss(val_arrays, y_hat, sm_hat, variant, loss_cfg)
         return float(total.data), _yield_rmse(val_arrays, y_hat, stats)
 
     rows, stop_reason, best_epoch, best_val = fit(params, len(split.train), batch_loss,

@@ -4,7 +4,8 @@ and only `ingest` reaches into `Dataset.samples`. `metrics` alone turns
 per-seed scores into their summary, and `cropsim.draw_unit_year` alone
 draws a simulated unit-year's weather and management. Only `autodiff`
 binds a tensor's `data`, so a stored parameter stays a view of
-`ParamStore.vector`. No function or
+`ParamStore.vector`. Every graph-free forward of the model runs in
+blocks through `model.forward_blocks`. No function or
 class of the package goes unnamed: each is called, passed or imported
 somewhere in `src`, `tests` or `perfbench`."""
 
@@ -97,6 +98,28 @@ def test_cropsim_draws_a_unit_year_in_one_function():
             inside += id(node) in allowed
             outside += [] if id(node) in allowed else [f"cropsim.py:{node.lineno}"]
     assert outside == [] and inside >= 2
+
+
+def test_graph_free_forwards_run_in_blocks():
+    """Every graph-free forward of the yield network goes through
+    `model.forward_blocks`: in a module that names `forward_graph`,
+    `.constants()` is called only inside `forward_blocks`, which calls
+    `forward_graph`."""
+    outside, inside = [], set()
+    for name, tree in _modules():
+        if "forward_graph" not in set(_names(tree)):
+            continue
+        allowed = {id(node) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "forward_blocks"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            called = getattr(func, "id", getattr(func, "attr", None))
+            if called in ("constants", "forward_graph") and id(node) in allowed:
+                inside.add(called)
+            elif called == "constants":
+                outside.append(f"{name}:{node.lineno}")
+    assert outside == [] and inside == {"constants", "forward_graph"}
 
 
 def _names(tree):

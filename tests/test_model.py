@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import chain_oracle as chain
 from kgmlsm import autodiff as ad
-from kgmlsm import ingest, losses, model, training
+from kgmlsm import cropsim, ingest, losses, model, training
 from kgmlsm.errors import CheckpointMismatch, NonFiniteError, ShapeError
 from kgmlsm.gradcheck import check_param_gradients
 
@@ -205,13 +207,28 @@ class TestPredict:
 
 
 class TestGraphFreePredict:
-    @pytest.mark.parametrize("use_w2s", [True, False])
-    def test_equals_the_graph_forward_bitwise(self, tiny_field, use_w2s):
-        cfg = model.ModelConfig(**SMALL, use_w2s=use_w2s)
+    @pytest.mark.parametrize("use_w2s, use_sm_tokens, blocks", [
+        pytest.param(True, True, False, id="True"),
+        pytest.param(False, True, False, id="False"),
+        pytest.param(False, False, False, id="no_sm_tokens"),
+        pytest.param(True, True, True, id="True-blocks"),
+        pytest.param(False, True, True, id="False-blocks"),
+        pytest.param(False, False, True, id="no_sm_tokens-blocks")])
+    def test_equals_the_graph_forward_bitwise(self, tiny_field, monkeypatch, use_w2s,
+                                              use_sm_tokens, blocks):
+        """blocks: 22 samples in blocks of 8, the last one partial. The
+        attention readout's (B, n) @ (n, 1) product sums a row one way when
+        it falls in one of BLAS's groups of four rows and another way when
+        it is left over, so a block of 7 would change low bits of y."""
+        dataset = tiny_field
+        if blocks:
+            monkeypatch.setattr(model, "INFER_ROWS", 8)
+            dataset = tiny_field.subset(range(22))
+        cfg = model.ModelConfig(**SMALL, use_w2s=use_w2s, use_sm_tokens=use_sm_tokens)
         params = model.init_params(cfg, 4)
-        batch, stats = _std_batch(tiny_field)
+        batch, stats = _std_batch(dataset)
         bundle = model.ModelBundle(config=cfg, params=params, stats=stats)
-        pred = bundle.predict(tiny_field)
+        pred = bundle.predict(dataset)
         y, sm_hat, alpha = model.forward_graph(batch, params, cfg)
         assert y.requires_grad  # the reference is the training graph
         assert pred["y_hat"].tobytes() == (y.data * stats.y_sd + stats.y_mu).tobytes()
@@ -245,6 +262,28 @@ class TestGraphFreePredict:
         for name, t in params.items():
             assert t.requires_grad and t.grad is sentinel[name]
             assert np.all(t.grad == 7.0)
+
+    def test_peak_above_input_and_output_does_not_follow_n(self, monkeypatch):
+        """predict holds the standardized input and its outputs, both
+        proportional to N; in blocks of 16 rows, what lies above them moves
+        from 64 to 256 samples by about 1.02x. In one batch it grew 3.9x."""
+        monkeypatch.setattr(model, "INFER_ROWS", 16)
+        dataset = cropsim.build_field_dataset(16, list(range(2008, 2024)), {"normal": 1.0}, seed=7)
+        cfg = model.ModelConfig()
+        bundle = model.ModelBundle(config=cfg, params=model.init_params(cfg, 0),
+                                   stats=_stats(dataset))
+        above = {}
+        for n in (64, 256):
+            part = dataset.subset(range(n))
+            held = sum(a.nbytes for a in _std_batch(part, bundle.stats)[0].values())
+            tracemalloc.start()
+            try:
+                pred = bundle.predict(part)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above[n] = peak - held - sum(a.nbytes for a in pred.values())
+        assert len(dataset) == 256 and above[256] < 1.25 * above[64], above
 
 
 def _step_loss(batch, params, cfg):

@@ -27,8 +27,7 @@ def fast_fine(max_epochs=5, patience=10):
 def _eval_loss(arrays, params, mconfig, variant, loss_cfg):
     """The loss through the training graph: the oracle for the graph-free
     validation loss that finetune records."""
-    total, _ = training._compute_loss(arrays, params, mconfig, variant, loss_cfg)
-    return float(total.data)
+    return float(training._compute_loss(arrays, params, mconfig, variant, loss_cfg).data)
 
 
 class TestTemporalSplit:
@@ -120,10 +119,10 @@ class TestVariants:
         params = model.init_params(cfg, 0)
         stats = model.Normalization.from_arrays(ingest.stack_dataset(tiny_field))
         batch = model.standardize(model.stack_dataset(tiny_field), stats)
-        smw_loss, _ = training._compute_loss(batch, params, cfg, get_variant("att_sim_w2s_smw"),
-                                             losses.LossConfig(lam=2.0))
-        kgml_loss, _ = training._compute_loss(batch, params, cfg, get_variant("kgml_sm"),
-                                              losses.LossConfig(lam=0.0))
+        smw_loss = training._compute_loss(batch, params, cfg, get_variant("att_sim_w2s_smw"),
+                                          losses.LossConfig(lam=2.0))
+        kgml_loss = training._compute_loss(batch, params, cfg, get_variant("kgml_sm"),
+                                           losses.LossConfig(lam=0.0))
         assert float(smw_loss.data) == pytest.approx(float(kgml_loss.data), abs=1e-15)
 
     def test_unknown_variant_rejected(self):
@@ -166,14 +165,14 @@ class TestPretrain:
 
 
 class TestFinetune:
-    def test_best_epoch_val_restored(self, tiny_county):
-        bundle, rows, split = finetune(None, tiny_county, SplitSpec(target_year=2023),
-                                       fast_fine(max_epochs=8), LCFG,
-                                       get_variant("att"), SMALL, seed=1)
+    def test_best_epoch_val_restored(self, tiny_county, monkeypatch):
+        monkeypatch.setattr(model, "INFER_ROWS", 4)  # the 8 validation samples in two blocks
+        bundle, rows, split = _bouncing_finetune(tiny_county, 8, 3)
         best_val = bundle.meta["best_val_loss"]
-        assert best_val == min(r["val_loss"] for r in rows)
-        assert best_val <= rows[-1]["val_loss"]
-        # restored parameters reproduce the recorded best val loss exactly
+        assert len(split.val) == 8 and bundle.meta["best_epoch"] < len(rows) - 1
+        assert best_val == min(r["val_loss"] for r in rows) <= rows[-1]["val_loss"]
+        # the restored parameters, through the one-batch training graph,
+        # reproduce the best validation loss recorded in blocks
         cfg = training.model_config_for(get_variant("att"), SMALL)
         arrays = model.standardize(model.stack_dataset(split.val), bundle.stats)
         recomputed = _eval_loss(arrays, bundle.params, cfg, get_variant("att"), LCFG)

@@ -9,10 +9,12 @@ beside its path and moved into place with `os.replace`, so a failed write
 leaves the previous file as it was; missing parent directories are created
 first.
 Readers raise SchemaError, naming the file, on anything off-schema, a
-non-finite float or a flag other than 0/1 included. The reader and the
-writer work block by block: a reader parses each column it declares as it
-reads a block of rows, so a cell's text lives no longer than its block,
-and a caller that takes the blocks one at a time never holds the file.
+non-finite float or a flag other than 0/1 included. A reader's schema is
+one map from column name to kind, in header order, and every column is
+parsed to its kind. The reader and the writer work block by block: a
+reader parses a block of rows as it reads it, so a cell's text lives no
+longer than its block, and a caller that takes the blocks one at a time
+never holds the file.
 """
 
 import contextlib
@@ -119,8 +121,9 @@ def _lines(columns):
 
 
 def write_csv_blocks(path, header, blocks):
-    """Write a sequence of column blocks under header, each block's rows after
-    the previous block's. A block is equal-length columns (arrays or
+    """Write a sequence of column blocks under header, the column names in
+    order (a reader's kinds map serves), each block's rows after the
+    previous block's. A block is equal-length columns (arrays or
     sequences), one per header name; it is formatted _CHUNK_ROWS rows at a
     time, so no more text than that is held at once."""
     with _replacing(path, "w", newline="", encoding="utf-8") as f:
@@ -129,7 +132,7 @@ def write_csv_blocks(path, header, blocks):
             n_rows = {len(c) for c in columns}
             if len(columns) != len(header) or len(n_rows) > 1:
                 raise ShapeError(f"{path}: columns of lengths {[len(c) for c in columns]} "
-                                 f"for {header}")
+                                 f"for {list(header)}")
             for lo in range(0, n_rows.pop() if n_rows else 0, _CHUNK_ROWS):
                 f.write(_lines([_cells(c[lo: lo + _CHUNK_ROWS]) for c in columns]))
 
@@ -159,29 +162,6 @@ def _parse(path, name, cells, kind):
     return values
 
 
-class Columns(dict):
-    """A block of read_csv_blocks, or read_csv's joined result: header name
-    -> the column as an array of its declared kind, or as its cells' text
-    when it declared none."""
-
-    def __init__(self, path, columns):
-        super().__init__(columns)
-        self.path = path
-
-    def floats(self, name):
-        return self._parse(name, np.float64)
-
-    def ints(self, name):
-        return self._parse(name, np.int64)
-
-    def bools(self, name):
-        return self._parse(name, bool)
-
-    def _parse(self, name, kind):
-        cells = self[name]
-        return cells if isinstance(cells, np.ndarray) else _parse(self.path, name, cells, kind)
-
-
 def _line_num(path, row):
     """The line on which data row `row` (from 0) of a CSV ends."""
     with open(path, newline="", encoding="utf-8") as f:
@@ -191,15 +171,15 @@ def _line_num(path, row):
         return reader.line_num
 
 
-def read_csv_blocks(path, header, kinds):
-    """Check the header and every row's width; yield the Columns of each
-    block of _CHUNK_ROWS rows in file order, or one empty block for a file
-    without rows.
+def read_csv_blocks(path, kinds):
+    """Yield each block of _CHUNK_ROWS rows in file order, or one empty block
+    for a file without rows, as a dict from column name to array.
 
-    kinds maps a column name to np.float64, np.int64, bool or str. Such a
-    column is parsed as its block is read, so no text of it outlives the
-    block; every other column keeps its cells as text."""
-    header, n_rows = list(header), 0
+    kinds maps each column name, in header order, to np.float64, np.int64,
+    bool or str. The file's header must be those names and each row as
+    wide; a column is parsed as its block is read, so no text of it
+    outlives the block."""
+    header, n_rows = list(kinds), 0
     with _open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         if next(reader, None) != header:
@@ -213,25 +193,21 @@ def read_csv_blocks(path, header, kinds):
                 raise SchemaError(f"{path} line {_line_num(path, n_rows + i)}: {widths[i]} "
                                   f"cells under a {len(header)}-column header")
             n_rows += len(rows)
-            block = {name: _parse(path, name, cells, kinds[name]) if name in kinds
-                     else list(cells) for name, cells in zip(header, zip(*rows))}
+            block = {name: _parse(path, name, cells, kinds[name])
+                     for name, cells in zip(header, zip(*rows))}
             del rows  # the block's text goes before the block is handed out
-            yield Columns(path, block)
+            yield block
         if not n_rows:
-            yield Columns(path, {name: _parse(path, name, (), kinds[name]) if name in kinds
-                                 else [] for name in header})
+            yield {name: _parse(path, name, (), kind) for name, kind in kinds.items()}
 
 
-def read_csv(path, header, kinds=None):
-    """read_csv_blocks' blocks joined into one Columns."""
-    kinds = kinds or {}
-    blocks = list(read_csv_blocks(path, header, kinds))
+def read_csv(path, kinds):
+    """read_csv_blocks' blocks joined into one dict of arrays."""
+    blocks = list(read_csv_blocks(path, kinds))
     columns = {}
-    for name in list(blocks[0]):  # each column's blocks are freed as it is joined
+    for name in kinds:  # each column's blocks are freed as it is joined
         parts = [block.pop(name) for block in blocks]
-        if name not in kinds:
-            columns[name] = list(itertools.chain.from_iterable(parts))
-        else:  # one block is taken as it is, not copied
-            columns[name] = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        # a single block is taken as it is, not copied
+        columns[name] = parts[0] if len(parts) == 1 else np.concatenate(parts)
         del parts
-    return Columns(path, columns)
+    return columns

@@ -139,7 +139,7 @@ def box_report(extraction):
 # CSV / SVG emitters
 
 
-RAW_HEADER = ["id", "year", "channel", "timestep", "alpha"]
+RAW_KINDS = {"id": str, "year": np.int64, "channel": str, "timestep": np.int64, "alpha": np.float64}
 
 
 def write_raw_csv(path, extraction):
@@ -147,7 +147,7 @@ def write_raw_csv(path, extraction):
     labels, n = extraction["labels"], len(extraction["years"])
     per_sample = [extraction[k].repeat(len(labels)) for k in ("ids", "years")]
     per_token = [np.tile(np.array([label[i] for label in labels]), n) for i in (0, 1)]
-    artifacts.write_csv(path, RAW_HEADER, [*per_sample, *per_token, extraction["alpha"].ravel()])
+    artifacts.write_csv(path, RAW_KINDS, [*per_sample, *per_token, extraction["alpha"].ravel()])
 
 
 def write_category_csv(path, rows):

@@ -225,6 +225,15 @@ def _field_source(cfg, paths):
     return paths.field_filtered if cfg["filter"]["enabled"] else paths.field_samples
 
 
+def _read_samples(csv_path, level):
+    """The samples of csv_path, refused unless its manifest names level."""
+    dataset = ingest.read_samples_csv(csv_path)
+    if dataset.level != level:
+        raise SchemaError(f"{ingest.manifest_path(csv_path)} describes {dataset.level!r} "
+                          f"samples, but {csv_path} must hold {level!r} samples")
+    return dataset
+
+
 def _ablate_report(cfg, paths):
     """ablate/<variant>[_unfiltered]/lambda<λ>/report.json, λ as repr(float)."""
     tag = cfg["variant"] + ("" if cfg["filter"]["enabled"] else "_unfiltered")
@@ -254,8 +263,8 @@ def cmd_ingest(cfg, paths):
 
 
 def cmd_filter(cfg, paths):
-    field = ingest.read_samples_csv(paths.field_samples)
-    county = ingest.read_samples_csv(paths.county_samples)
+    field = _read_samples(paths.field_samples, "field")
+    county = _read_samples(paths.county_samples, "county")
     sm_model = filtering.fit_sm_regressor(county)
     threshold = cfg["filter"]["threshold"]
     kept, discarded, report = filtering.screen_field_samples(field, sm_model, threshold)
@@ -273,7 +282,7 @@ def cmd_pretrain(cfg, paths):
     if not variant.use_pretrain:
         print(f"pretrain: variant {variant.name} skips pretraining")
         return
-    field = ingest.read_samples_csv(_field_source(cfg, paths))
+    field = _read_samples(_field_source(cfg, paths), "field")
     pre_cfg, _ = stage_configs(cfg)
     for seed in cfg["seeds"]:
         bundle, rows = training.pretrain(field, pre_cfg, loss_config(cfg), variant, None, seed)
@@ -296,7 +305,7 @@ def _load_checkpoint(paths, stage, seed, wanted):
 
 def cmd_finetune(cfg, paths):
     variant = _variant(cfg)
-    county = ingest.read_samples_csv(paths.county_samples)
+    county = _read_samples(paths.county_samples, "county")
     _, fine_cfg = stage_configs(cfg)
     spec = split_spec(cfg)
     # every pretrain checkpoint is checked before any finetune checkpoint is written
@@ -312,7 +321,7 @@ def cmd_finetune(cfg, paths):
 
 
 def cmd_evaluate(cfg, paths):
-    county = ingest.read_samples_csv(paths.county_samples)
+    county = _read_samples(paths.county_samples, "county")
     spec = split_spec(cfg)
     split = training.temporal_split(county, spec)
     metrics.require_scorable(split.test)
@@ -358,7 +367,7 @@ def cmd_evaluate(cfg, paths):
 def cmd_attn_report(cfg, paths):
     seed = cfg["seeds"][0]
     bundle = _load_checkpoint(paths, "finetune", seed, {"variant": cfg["variant"]})
-    extraction = attnreport.extract(bundle, ingest.read_samples_csv(paths.county_samples))
+    extraction = attnreport.extract(bundle, _read_samples(paths.county_samples, "county"))
     rows = attnreport.category_report(extraction)
     boxes = attnreport.box_report(extraction) if bundle.config.use_sm_tokens else None
     attnreport.write_raw_csv(paths.attn_raw, extraction)
@@ -372,8 +381,8 @@ def cmd_attn_report(cfg, paths):
 
 def cmd_ablate(cfg, paths):
     pretrains = _variant(cfg).use_pretrain
-    field = ingest.read_samples_csv(_field_source(cfg, paths)) if pretrains else None
-    county = ingest.read_samples_csv(paths.county_samples)
+    field = _read_samples(_field_source(cfg, paths), "field") if pretrains else None
+    county = _read_samples(paths.county_samples, "county")
     pre_cfg, fine_cfg = stage_configs(cfg)
     result = training.run_experiment(field, county, cfg["variant"], cfg["seeds"],
                                      split_spec(cfg), pre_cfg, fine_cfg, loss_config(cfg))
@@ -461,30 +470,19 @@ def chain(cfg):
     return [n for n in STAGES if n != "ablate" and (n != "filter" or cfg["filter"]["enabled"])]
 
 
-def _validate_artifacts(artifacts):
-    missing = [a for a in artifacts if not os.path.exists(a)]
-    if missing:
-        raise KgmlsmError(f"declared artifacts were not written: {missing}")
-    for path in artifacts:
-        if path.endswith(".json"):
-            read_json(path)
-        elif path.endswith(".csv"):
-            with open(path, encoding="utf-8") as f:
-                header = f.readline()
-            if "," not in header:
-                raise KgmlsmError(f"artifact {path} lacks a CSV header row")
-
-
 def run_stage(name, cfg, paths):
-    """Check inputs, run, check outputs, then snapshot the config that
-    wrote them, less `paths`, so a run's files do not depend on where it is."""
+    """Check inputs, run, check that every declared output exists (each is
+    written whole by `artifacts`), then snapshot the config that wrote
+    them, less `paths`, so a run's files do not depend on where it is."""
     stage = STAGES[name]
     for path in stage.reads(cfg, paths):
         if not os.path.exists(path):
             producer = next(n for n, s in STAGES.items() if path in s.writes(cfg, paths))
             raise KgmlsmError(f"missing {path}; run the `{producer}` subcommand first")
     stage.run(cfg, paths)
-    _validate_artifacts(stage.writes(cfg, paths))
+    missing = [path for path in stage.writes(cfg, paths) if not os.path.exists(path)]
+    if missing:
+        raise KgmlsmError(f"declared artifacts were not written: {missing}")
     write_json(os.path.join(paths.run_dir, "config_snapshot.json"),
                {key: value for key, value in cfg.items() if key != "paths"})
 

@@ -332,7 +332,7 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
 def _county_block(units, years, scenario_mix, seed, scenario_overrides):
     """One block of counties: its PixelTable; its daily rows, as each
     county-year's id and year and the (rows, 6) values of all its rows; and
-    its truth columns in TRUTH_HEADER order."""
+    its truth columns in TRUTH_KINDS order."""
     keys, kept, prior = unit_year_keys(units, years)
     locations, weather, sim = simulate_unit_years(seed, "county", keys.tolist(), scenario_mix,
                                                   scenario_overrides)
@@ -376,7 +376,7 @@ def _county_block(units, years, scenario_mix, seed, scenario_overrides):
     table = ingest.PixelTable(
         county_id=np.repeat(sids, n_px * nd),
         date=np.tile(dates, (1, n_px, 1)).ravel(),
-        **{name: bands[b].ravel() for b, name in enumerate(ingest.PIXELS_HEADER[2:7])},
+        **{name: bands[b].ravel() for b, name in enumerate(list(ingest.PIXELS_KINDS)[2:7])},
         corn_mask=np.tile(np.repeat(np.arange(n_px) < n_px - 1, nd), len(kept)))
     return (table, (sids, kept_years, daily_values.reshape(-1, 6)),
             [sids, kept_years, *locations[kept].T, reported[kept], reported[prior].mean(axis=1)])

@@ -1,8 +1,9 @@
 """Feature construction: vegetation indices from band reflectances,
 cropland-masked spatial averaging, 16-day compositing over the April to
 October season, seasonal soil-moisture means and drought labeling, plus
-the header and column types of the samples, pixels, daily and truth CSVs
-(the text format itself is `artifacts`).
+the schemas of the samples, pixels, daily and truth CSVs: each one map
+from column name, in header order, to kind (the text format itself is
+`artifacts`).
 
 Seasonal layout: April 1 through October 31 is 214 days. The first 208
 days form 13 windows of 16 days; the trailing 6 days are dropped.
@@ -284,26 +285,24 @@ def label_drought(dataset):
 
 
 # ---------------------------------------------------------------------------
-# CSV schemas
+# CSV schemas: each CSV's column names, in header order, mapped to the kind
+# artifacts.read_csv parses the column as
 #
 # samples.csv is wide: id,year,lat,lon,hist_avg_yield,yield,sbar,drought_flag,
 # then w_1..w_52, v_1..v_52, s_1..s_26 in channel-major manifest order
 # (w_1..w_13 = radn windows 1..13, w_14..w_26 = tmax, ...).
 
-SAMPLE_HEADER = (["id", "year", "lat", "lon", "hist_avg_yield", "yield", "sbar", "drought_flag"]
-                 + [f"w_{i + 1}" for i in range(4 * N_WINDOWS)]
-                 + [f"v_{i + 1}" for i in range(4 * N_WINDOWS)]
-                 + [f"s_{i + 1}" for i in range(2 * N_WINDOWS)])
-PIXELS_HEADER = ["county_id", "date", "red", "nir", "blue", "green", "swir", "corn_mask"]
-DAILY_HEADER = ["id", "date", "radn", "tmax", "tmin", "ppt", "sm_surface", "sm_rootzone"]
-TRUTH_HEADER = ["id", "year", "lat", "lon", "yield", "hist_avg_yield"]
-# the kind of each column, as artifacts.read_csv parses it
-SAMPLE_KINDS = {**dict.fromkeys(SAMPLE_HEADER, np.float64), "id": str, "year": np.int64,
-                "drought_flag": bool}
-PIXELS_KINDS = {**dict.fromkeys(PIXELS_HEADER, np.float64), "county_id": str, "date": str,
+SAMPLE_KINDS = {"id": str, "year": np.int64,
+                **dict.fromkeys(["lat", "lon", "hist_avg_yield", "yield", "sbar"], np.float64),
+                "drought_flag": bool,
+                **dict.fromkeys([f"{key}_{i + 1}" for key, n in (("w", 4), ("v", 4), ("s", 2))
+                                 for i in range(n * N_WINDOWS)], np.float64)}
+PIXELS_KINDS = {"county_id": str, "date": str,
+                **dict.fromkeys(["red", "nir", "blue", "green", "swir"], np.float64),
                 "corn_mask": bool}
-DAILY_KINDS = {**dict.fromkeys(DAILY_HEADER, np.float64), "id": str, "date": str}
-TRUTH_KINDS = {**dict.fromkeys(TRUTH_HEADER, np.float64), "id": str, "year": np.int64}
+DAILY_KINDS = {"id": str, "date": str, **dict.fromkeys(WEATHER_CHANNELS + SM_CHANNELS, np.float64)}
+TRUTH_KINDS = {"id": str, "year": np.int64,
+               **dict.fromkeys(["lat", "lon", "yield", "hist_avg_yield"], np.float64)}
 
 
 def manifest_path(csv_path):
@@ -313,7 +312,7 @@ def manifest_path(csv_path):
 def write_samples_csv(dataset, csv_path):
     csv_path = str(csv_path)
     a = stack_dataset(dataset)
-    artifacts.write_csv(csv_path, SAMPLE_HEADER,
+    artifacts.write_csv(csv_path, SAMPLE_KINDS,
                         [a["ids"], a["years"], *a["aux"][:, 1:].T, a["y"], a["sbar"], a["drought"],
                          *channel_major(a).T])
     artifacts.write_json(manifest_path(csv_path), channel_manifest(dataset.level))
@@ -327,10 +326,12 @@ def read_samples_csv(csv_path):
     if not isinstance(manifest, dict) or manifest != channel_manifest(manifest.get("level")):
         raise SchemaError(f"manifest {manifest_file} does not match the schema of its level")
 
-    cols = artifacts.read_csv(csv_path, SAMPLE_HEADER, SAMPLE_KINDS)
-    numbers = np.stack([cols.pop(name) for name in SAMPLE_HEADER[2:7] + SAMPLE_HEADER[8:]],
-                       axis=1)
-    ids, years, flags = cols["id"], cols["year"], cols["drought_flag"]
+    cols = artifacts.read_csv(csv_path, SAMPLE_KINDS)
+    ids, years, flags = cols.pop("id"), cols.pop("year"), cols.pop("drought_flag")
+    if not len(ids):
+        raise SchemaError(f"{csv_path} holds no samples")
+    # lat .. sbar, then the series, popped so that only the stack holds them
+    numbers = np.stack([cols.pop(name) for name in list(cols)], axis=1)
     n, series = len(numbers), numbers[:, 5:]
     sm_cells = series[:, 8 * N_WINDOWS:]
     if (sm_cells < 0).any():  # soil moisture is a water content
@@ -353,8 +354,8 @@ def read_samples_csv(csv_path):
 
 def write_pixels_csv(path, tables):
     """Write PixelTables one after another, each county's rows together."""
-    artifacts.write_csv_blocks(path, PIXELS_HEADER, (
-        [getattr(table, name) for name in PIXELS_HEADER] for table in tables))
+    artifacts.write_csv_blocks(path, PIXELS_KINDS, (
+        [getattr(table, name) for name in PIXELS_KINDS] for table in tables))
 
 
 def read_pixels_csv(path):
@@ -363,9 +364,9 @@ def read_pixels_csv(path):
     county carry over into the next. A file without rows yields one empty
     table. Refuses a county whose rows resume after another county's."""
     ended, carry = set(), None
-    for cols in artifacts.read_csv_blocks(path, PIXELS_HEADER, PIXELS_KINDS):
+    for cols in artifacts.read_csv_blocks(path, PIXELS_KINDS):
         if carry is not None:
-            cols = {name: np.concatenate([carry[name], cols[name]]) for name in PIXELS_HEADER}
+            cols = {name: np.concatenate([carry[name], cols[name]]) for name in PIXELS_KINDS}
         ids = cols["county_id"]
         starts = np.flatnonzero(np.r_[len(ids) > 0, ids[1:] != ids[:-1]])  # each county's first row
         for sid in ids[starts].tolist():
@@ -383,16 +384,16 @@ def read_pixels_csv(path):
 
 def write_daily_csv(path, blocks):
     """blocks: (ids, dates, values) row blocks, values each row's six numbers
-    in DAILY_HEADER order, (rows, 6)."""
-    artifacts.write_csv_blocks(path, DAILY_HEADER, (
+    in DAILY_KINDS order, (rows, 6)."""
+    artifacts.write_csv_blocks(path, DAILY_KINDS, (
         [ids, dates, *np.reshape(values, (-1, 6)).T] for ids, dates, values in blocks))
 
 
 def read_daily_csv(path):
     """daily.csv as (ids, years, dates, values (n, 6)), its rows sorted by
     id, then year, then date."""
-    cols = artifacts.read_csv(path, DAILY_HEADER, DAILY_KINDS)
-    values = np.stack([cols.pop(name) for name in DAILY_HEADER[2:]], axis=1)  # each freed here
+    cols = artifacts.read_csv(path, DAILY_KINDS)
+    values = np.stack([cols.pop(name) for name in WEATHER_CHANNELS + SM_CHANNELS], axis=1)
     ids, dates = cols["id"], cols["date"]
     # a date's first four characters as digit values; any other character
     # (or a short date's padding) wraps to a large unsigned value
@@ -409,13 +410,13 @@ def read_daily_csv(path):
 
 
 def write_truth_csv(path, columns):
-    """columns: id, year, lat, lon, yield and hist_avg_yield, as TRUTH_HEADER orders them."""
-    artifacts.write_csv(path, TRUTH_HEADER, columns)
+    """columns: id, year, lat, lon, yield and hist_avg_yield, as TRUTH_KINDS orders them."""
+    artifacts.write_csv(path, TRUTH_KINDS, columns)
 
 
 def read_truth_csv(path):
-    """The truth CSV as a dict of column arrays, keyed by TRUTH_HEADER."""
-    return dict(artifacts.read_csv(path, TRUTH_HEADER, TRUTH_KINDS))
+    """The truth CSV as a dict of column arrays, keyed by TRUTH_KINDS."""
+    return artifacts.read_csv(path, TRUTH_KINDS)
 
 
 def _vi_means(pixels_path, daily_path, ids, dates):
@@ -512,7 +513,7 @@ def build_county_dataset(pixels_path, daily_path, truth_path):
 
     lat, lon, hist = (truth[name][row] for name in ("lat", "lon", "hist_avg_yield"))
     series = composite_16day(values.reshape(k, SEASON_DAYS, 6).transpose(0, 2, 1),
-                             [COMPOSITE_RULES[name] for name in DAILY_HEADER[2:]])
+                             [COMPOSITE_RULES[name] for name in WEATHER_CHANNELS + SM_CHANNELS])
     vis = composite_16day(vi.reshape(k, SEASON_DAYS, 4).transpose(0, 2, 1),
                           [COMPOSITE_RULES[name] for name in VI_CHANNELS])
     return Dataset.from_arrays("county", {

@@ -254,11 +254,9 @@ def test_criterion_8_attention_invariants(demo_run_a):
                  for y in np.unique(extraction["years"]))
 
     # category means recomputed from the raw CSV alone
-    cols = artifacts.read_csv(paths.attn_raw, attnreport.RAW_HEADER)
+    cols = artifacts.read_csv(paths.attn_raw, attnreport.RAW_KINDS)
     by_key = {}
-    for sid, year, channel, t, a in zip(cols["id"], cols.ints("year").tolist(), cols["channel"],
-                                        cols.ints("timestep").tolist(),
-                                        cols.floats("alpha").tolist()):
+    for sid, year, channel, t, a in zip(*(cols[name].tolist() for name in cols)):
         by_key.setdefault((sid, year), {})[(channel, t)] = a
     acc, n_by_year = {}, {}
     for (sid, year), toks in by_key.items():

@@ -22,7 +22,7 @@ def test_floats_round_trip_bit_for_bit(column, tmp_path):
     artifacts.write_csv(path, ["x"], [column])
     assert path.read_text().split() == ["x", "0.1", "-0.0", "5e-324", "1e+308",
                                         "0.3333333333333333"]
-    assert bits(artifacts.read_csv(path, ["x"]).floats("x")) == bits(EDGE_FLOATS)
+    assert bits(artifacts.read_csv(path, {"x": np.float64})["x"]) == bits(EDGE_FLOATS)
 
 
 def test_int_bool_and_none_cells(tmp_path):
@@ -31,8 +31,9 @@ def test_int_bool_and_none_cells(tmp_path):
                         [np.array([7, -2]), [True, False], np.array([False, True]),
                          [None, 2.5], ["a", "b"]])
     assert path.read_bytes() == b"i,b,nb,n,s\r\n7,1,0,,a\r\n-2,0,1,2.5,b\r\n"
-    cols = artifacts.read_csv(path, ["i", "b", "nb", "n", "s"])
-    assert cols["n"] == ["", "2.5"] and cols.ints("i").tolist() == [7, -2]
+    cols = artifacts.read_csv(path, {"i": np.int64, "b": bool, "nb": bool, "n": str, "s": str})
+    assert cols["n"].tolist() == ["", "2.5"] and cols["i"].tolist() == [7, -2]
+    assert cols["b"].tolist() == [True, False] and cols["nb"].tolist() == [False, True]
 
 
 def _reference_csv(path, header, columns):
@@ -86,15 +87,15 @@ def test_writer_matches_the_csv_module(case, tmp_path):
     cells = _reference_csv(tmp_path / "reference.csv", header, columns)
     artifacts.write_csv(tmp_path / "written.csv", header, columns)
     assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    back = artifacts.read_csv(tmp_path / "written.csv", header)
-    assert [back[name] for name in header] == cells
+    back = artifacts.read_csv(tmp_path / "written.csv", dict.fromkeys(header, str))
+    assert [back[name].tolist() for name in header] == cells
 
 
 def test_header_mismatch_names_the_file(tmp_path):
     path = tmp_path / "h.csv"
     artifacts.write_csv(path, ["a", "b"], [[1], [2]])
     with pytest.raises(SchemaError, match="h.csv"):
-        artifacts.read_csv(path, ["a", "c"])
+        artifacts.read_csv(path, {"a": np.int64, "c": np.int64})
 
 
 @pytest.mark.parametrize("line", ["1", "1,2,3"], ids=["short", "long"])
@@ -102,18 +103,16 @@ def test_row_of_wrong_width_names_file_and_line(line, tmp_path):
     path = tmp_path / "w.csv"
     path.write_text(f"a,b\n1,2\n{line}\n")
     with pytest.raises(SchemaError, match=r"w\.csv line 3"):
-        artifacts.read_csv(path, ["a", "b"])
+        artifacts.read_csv(path, {"a": np.int64, "b": np.int64})
 
 
 def test_unparsable_number_names_file_and_column(tmp_path):
     path = tmp_path / "n.csv"
     path.write_text("a,b\n1,2\n3,abc\n")
-    cols = artifacts.read_csv(path, ["a", "b"])
-    assert cols.floats("a").tolist() == [1.0, 3.0]
-    with pytest.raises(SchemaError, match=r"n\.csv: column 'b'"):
-        cols.floats("b")
-    with pytest.raises(SchemaError, match=r"n\.csv: column 'b'"):
-        cols.ints("b")
+    assert artifacts.read_csv(path, {"a": np.float64, "b": str})["a"].tolist() == [1.0, 3.0]
+    for kind in (np.float64, np.int64):
+        with pytest.raises(SchemaError, match=r"n\.csv: column 'b'"):
+            artifacts.read_csv(path, {"a": np.float64, "b": kind})
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -121,41 +120,38 @@ def test_non_finite_float_names_file_and_column(cell, tmp_path):
     path = tmp_path / "f.csv"
     path.write_text(f"a\n1.5\n{cell}\n")
     with pytest.raises(SchemaError, match=r"f\.csv: column 'a' has a cell that is not a finite"):
-        artifacts.read_csv(path, ["a"]).floats("a")
+        artifacts.read_csv(path, {"a": np.float64})
 
 
 def test_flags_are_0_or_1(tmp_path):
     path = tmp_path / "b.csv"
     path.write_text("ok,bad\n1,0\n0,2\n")
-    cols = artifacts.read_csv(path, ["ok", "bad"])
-    assert cols.bools("ok").tolist() == [True, False]
+    assert artifacts.read_csv(path, {"ok": bool, "bad": str})["ok"].tolist() == [True, False]
     with pytest.raises(SchemaError, match=r"b\.csv: column 'bad' has a cell that is not 0 or 1"):
-        cols.bools("bad")
+        artifacts.read_csv(path, {"ok": bool, "bad": bool})
 
 
-KINDS = {"s": str, "x": np.float64, "i": np.int64, "b": bool}  # "t" is left as text
+KINDS = {"s": str, "x": np.float64, "i": np.int64, "b": bool}
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_declared_columns_equal_the_text_path_bit_for_bit(delta, tmp_path):
+    """Parsing block by block gives what parsing each whole column of text
+    gives, across a block edge."""
     n = artifacts._CHUNK_ROWS + delta
     rng = np.random.default_rng(n)
     path = tmp_path / "k.csv"
-    artifacts.write_csv(path, ["s", "x", "i", "b", "t"], [
+    artifacts.write_csv(path, KINDS, [
         [("a", "b,c", "", 'd"e', "x\r\ny")[i % 5] for i in range(n)],
         rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n),
-        rng.integers(-2 ** 62, 2 ** 62, size=n), rng.random(n) < 0.5,
-        [str(i) for i in range(n)]])
-    text = artifacts.read_csv(path, ["s", "x", "i", "b", "t"])
-    parsed = artifacts.read_csv(path, ["s", "x", "i", "b", "t"], KINDS)
-    expected = {"s": np.array(text["s"]), "x": text.floats("x"), "i": text.ints("i"),
-                "b": text.bools("b")}
+        rng.integers(-2 ** 62, 2 ** 62, size=n), rng.random(n) < 0.5])
+    text = artifacts.read_csv(path, dict.fromkeys(KINDS, str))
+    parsed = artifacts.read_csv(path, KINDS)
+    expected = {"s": text["s"], "x": np.array(text["x"].tolist(), dtype=np.float64),
+                "i": np.array(text["i"].tolist(), dtype=np.int64), "b": text["b"] == "1"}
     for name, values in expected.items():
         assert parsed[name].dtype == values.dtype
         assert parsed[name].tobytes() == values.tobytes()
-    assert parsed["t"] == text["t"]
-    # a parsed column is returned as it is
-    assert parsed.floats("x") is parsed["x"] and parsed.bools("b") is parsed["b"]
 
 
 def _write_rows(path, rows):
@@ -164,7 +160,8 @@ def _write_rows(path, rows):
         f.write("s,i\r\n" + "".join(row + "\r\n" for row in rows))
 
 
-@pytest.mark.parametrize("kinds", [None, {"s": str, "i": np.int64}], ids=["text", "declared"])
+@pytest.mark.parametrize("kinds", [{"s": str, "i": str}, {"s": str, "i": np.int64}],
+                         ids=["text", "declared"])
 @pytest.mark.parametrize("quoted_crlf", [False, True])
 def test_short_row_in_a_later_block_names_its_line(kinds, quoted_crlf, tmp_path):
     bad = artifacts._CHUNK_ROWS + 2
@@ -175,7 +172,7 @@ def test_short_row_in_a_later_block_names_its_line(kinds, quoted_crlf, tmp_path)
     _write_rows(tmp_path / "r.csv", rows)
     line = bad + 2 + quoted_crlf  # the header is line 1, the quoted cell spans two
     with pytest.raises(SchemaError, match=rf"r\.csv line {line}: 1 cells under a 2-column header"):
-        artifacts.read_csv(tmp_path / "r.csv", ["s", "i"], kinds)
+        artifacts.read_csv(tmp_path / "r.csv", kinds)
 
 
 @pytest.mark.parametrize("cell,kind,message", [
@@ -186,17 +183,16 @@ def test_bad_cell_in_a_later_block_names_file_and_column(cell, kind, message, tm
     rows[artifacts._CHUNK_ROWS + 2] = f"a,{cell}"
     _write_rows(tmp_path / "v.csv", rows)
     with pytest.raises(SchemaError, match=rf"v\.csv: column 'i' has a cell that is {message}"):
-        artifacts.read_csv(tmp_path / "v.csv", ["s", "i"], {"s": str, "i": kind})
+        artifacts.read_csv(tmp_path / "v.csv", {"s": str, "i": kind})
 
 
 def test_header_only_file_gives_empty_arrays_of_the_declared_dtypes(tmp_path):
     path = tmp_path / "e.csv"
-    artifacts.write_csv(path, ["s", "x", "i", "b", "t"], [[]] * 5)
-    cols = artifacts.read_csv(path, ["s", "x", "i", "b", "t"], KINDS)
-    assert {name: (cols[name].dtype.kind, cols[name].shape) for name in KINDS} == {
+    artifacts.write_csv(path, KINDS, [[]] * 4)
+    cols = artifacts.read_csv(path, KINDS)
+    assert {name: (cols[name].dtype.kind, cols[name].shape) for name in cols} == {
         "s": ("U", (0,)), "x": ("f", (0,)), "i": ("i", (0,)), "b": ("b", (0,))}
     assert cols["x"].dtype == np.float64 and cols["i"].dtype == np.int64
-    assert cols["t"] == []
 
 
 def test_columns_of_unequal_length_rejected(tmp_path):

@@ -147,13 +147,11 @@ class TestReportRoundTrip:
         ext, _, _ = extraction
         raw_path = tmp_path / "attention_raw.csv"
         attnreport.write_raw_csv(raw_path, ext)
-        cols = artifacts.read_csv(raw_path, attnreport.RAW_HEADER)
+        cols = artifacts.read_csv(raw_path, attnreport.RAW_KINDS)
 
         # rebuild the per-sample matrix from the csv alone
         by_key = {}
-        for sid, year, channel, t, a in zip(cols["id"], cols.ints("year").tolist(), cols["channel"],
-                                            cols.ints("timestep").tolist(),
-                                            cols.floats("alpha").tolist()):
+        for sid, year, channel, t, a in zip(*(cols[name].tolist() for name in cols)):
             by_key.setdefault((sid, year), {})[(channel, t)] = a
         reference = category_report(ext)
         acc = {}

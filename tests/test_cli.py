@@ -732,6 +732,11 @@ def _cut_bytes(n):
     return corrupt
 
 
+def _keep_header(path):
+    """A corruption that drops every row of a CSV but its header."""
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
 MANIFEST = os.path.join("data", "county_samples_manifest.json")
 CHECKPOINT = os.path.join("finetune", "seed0", "model")
 BAD_FILES = {
@@ -828,6 +833,18 @@ BAD_FILES = {
     "pixels_mask_2": ("ingest", os.path.join("data", "pixels.csv"),
                       lambda p: _set_cell(p, 4, "corn_mask", "2"),
                       "pixels.csv: column 'corn_mask' has a cell that is not 0 or 1"),
+    "samples_no_rows_county": ("filter", os.path.join("data", "county_samples.csv"),
+                               _keep_header, "county_samples.csv holds no samples"),
+    "samples_no_rows_field": ("filter", os.path.join("data", "field_samples.csv"),
+                              _keep_header, "field_samples.csv holds no samples"),
+    "manifest_level_swapped": ("filter", MANIFEST, _edit_json(lambda m: m.update(level="field")),
+                               "county_samples_manifest.json describes 'field' samples, but "),
+    "manifest_level_unknown": ("evaluate", MANIFEST, _edit_json(lambda m: m.update(level="bogus")),
+                               "county_samples_manifest.json describes 'bogus' samples, but "),
+    "field_manifest_level_swapped": ("filter", os.path.join("data", "field_samples_manifest.json"),
+                                     _edit_json(lambda m: m.update(level="county")),
+                                     "field_samples_manifest.json describes 'county' samples, "
+                                     "but "),
 }
 
 
@@ -852,6 +869,19 @@ def test_refused_attn_report_writes_no_file(micro_run, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: year 2019 has 0 drought-flagged and ")
     attn = tmp_path / "run" / "attn"
     assert not attn.exists() or list(attn.iterdir()) == []
+
+
+def test_a_declared_write_left_unwritten_is_refused(micro_run, tmp_path, capsys, monkeypatch):
+    """A stage that returns without writing a file it declares exits 1
+    naming that file, and writes no config snapshot."""
+    _, paths, cfg_path, _ = micro_run
+    run_dir = _copy_run(paths, tmp_path / "run")
+    monkeypatch.setattr(cli.metrics, "write_errors_csv", lambda path, tables: None)
+    assert cli.main(["evaluate", "--config", cfg_path, "--run-dir", run_dir]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: declared artifacts were not written: ")
+    assert os.path.join(run_dir, "evaluate", "errors.csv") in err and "metrics.json" not in err
+    assert not os.path.exists(os.path.join(run_dir, "config_snapshot.json"))
 
 
 def _declared(cfg, paths, names):

@@ -125,7 +125,7 @@ class TestCountyInputs:
         cropsim.build_county_inputs(2, [2020, 2021], {"normal": 1.0}, seed=3,
                                     pixels_path=paths[0], daily_path=paths[1],
                                     truth_path=paths[2])
-        pixels = artifacts.read_csv(paths[0], ingest.PIXELS_HEADER, ingest.PIXELS_KINDS)
+        pixels = artifacts.read_csv(paths[0], ingest.PIXELS_KINDS)
         ids, years, dates, _ = ingest.read_daily_csv(paths[1])
         truth = ingest.read_truth_csv(paths[2])
         assert len(truth["id"]) == 4
@@ -133,7 +133,7 @@ class TestCountyInputs:
         assert len(county_years) == 4
         assert (rows == ingest.SEASON_DAYS).all()
         # reflectances are physical
-        for band in ingest.PIXELS_HEADER[2:7]:
+        for band in list(ingest.PIXELS_KINDS)[2:7]:
             assert pixels[band].min() >= 0.0 and pixels[band].max() <= 1.0
         # each county-date has unmasked pixels that must not leak into means
         assert (~pixels["corn_mask"]).sum() > 0

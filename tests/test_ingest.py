@@ -188,7 +188,7 @@ class TestCompositing:
         rng = np.random.default_rng(16)
         # magnitudes from 1e-3 to 1e4, so any change in summation order shows
         daily = rng.normal(size=(40, 6, 214)) * 10.0 ** rng.integers(-3, 5, size=(40, 6, 1))
-        rules = [ingest.COMPOSITE_RULES[name] for name in ingest.DAILY_HEADER[2:]]
+        rules = [ingest.COMPOSITE_RULES[name] for name in list(ingest.DAILY_KINDS)[2:]]
         assert "sum" in rules and "mean" in rules
         # a contiguous batch, and the (N, days, C) rows view ingest composites
         batches = (daily, np.ascontiguousarray(daily.transpose(0, 2, 1)).transpose(0, 2, 1))
@@ -398,7 +398,7 @@ class TestPixelsCsv:
         table = ingest.PixelTable(
             county_id=np.char.add("c", np.char.zfill((np.arange(n) * 100 // n).astype(str), 3)),
             date=days[np.arange(n) % 214],
-            **{name: rng.random(n) for name in ingest.PIXELS_HEADER[2:7]},
+            **{name: rng.random(n) for name in list(ingest.PIXELS_KINDS)[2:7]},
             corn_mask=rng.random(n) < 0.5)
         ingest.write_pixels_csv(tmp_path / "pixels.csv", [table])
         tracemalloc.start()
@@ -407,8 +407,8 @@ class TestPixelsCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        arrays = [getattr(block, name) for block in back for name in ingest.PIXELS_HEADER]
-        for name in ingest.PIXELS_HEADER:
+        arrays = [getattr(block, name) for block in back for name in ingest.PIXELS_KINDS]
+        for name in ingest.PIXELS_KINDS:
             got, want = np.concatenate([getattr(b, name) for b in back]), getattr(table, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert peak < 4 * sum(a.nbytes for a in arrays)
@@ -420,7 +420,7 @@ class TestPixelsCsv:
         table = ingest.PixelTable(
             county_id=np.char.add("c", np.char.zfill(county.astype(str), 3)),
             date=np.full(n, "2019-04-01"),
-            **{name: np.full(n, 0.1) for name in ingest.PIXELS_HEADER[2:7]},
+            **{name: np.full(n, 0.1) for name in list(ingest.PIXELS_KINDS)[2:7]},
             corn_mask=np.ones(n, dtype=bool))
         ingest.write_pixels_csv(tmp_path / "pixels.csv", [table])
         blocks = [b.county_id for b in ingest.read_pixels_csv(tmp_path / "pixels.csv")]

@@ -5,7 +5,8 @@ per-seed scores into their summary, and `cropsim.draw_unit_year` alone
 draws a simulated unit-year's weather and management. Only `autodiff`
 binds a tensor's `data`, so a stored parameter stays a view of
 `ParamStore.vector`. Every graph-free forward of the model runs in
-blocks through `model.forward_blocks`. No function or
+blocks through `model.forward_blocks`. Only `artifacts` calls `open`,
+so it alone knows the file formats. No function or
 class of the package goes unnamed: each is called, passed or imported
 somewhere in `src`, `tests` or `perfbench`."""
 
@@ -120,6 +121,15 @@ def test_graph_free_forwards_run_in_blocks():
             elif called == "constants":
                 outside.append(f"{name}:{node.lineno}")
     assert outside == [] and inside == {"constants", "forward_graph"}
+
+
+def test_only_artifacts_opens_files():
+    """The CSV and JSON formats are known to `artifacts` alone: no other
+    module of the package calls `open`."""
+    opened = [f"{name}:{node.lineno}" for name, tree in _modules() if name != "artifacts.py"
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"]
+    assert opened == []
 
 
 def _names(tree):

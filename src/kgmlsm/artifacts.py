@@ -28,6 +28,7 @@ import numpy as np
 from .errors import SchemaError, ShapeError
 
 _CHUNK_ROWS = 1 << 14  # rows formatted or parsed at a time, to bound the memory text takes
+_CHUNK_CELLS = 8 * _CHUNK_ROWS  # and cells, so a wide file's block holds fewer rows
 _SPECIAL = (",", '"', "\r", "\n")  # characters that make csv quote a cell
 _FLAGS = ("0", "1")
 
@@ -120,12 +121,19 @@ def _lines(columns):
     return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
 
+def _block_rows(n_columns):
+    """Rows of n_columns cells formatted or parsed at a time: at most
+    _CHUNK_ROWS, and at most _CHUNK_CELLS cells."""
+    return max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // max(n_columns, 1)))
+
+
 def write_csv_blocks(path, header, blocks):
     """Write a sequence of column blocks under header, the column names in
     order (a reader's kinds map serves), each block's rows after the
     previous block's. A block is equal-length columns (arrays or
-    sequences), one per header name; it is formatted _CHUNK_ROWS rows at a
+    sequences), one per header name; it is formatted _block_rows rows at a
     time, so no more text than that is held at once."""
+    step = _block_rows(len(header))
     with _replacing(path, "w", newline="", encoding="utf-8") as f:
         f.write(_lines([_quoted([name]) for name in header]))
         for columns in blocks:
@@ -133,8 +141,8 @@ def write_csv_blocks(path, header, blocks):
             if len(columns) != len(header) or len(n_rows) > 1:
                 raise ShapeError(f"{path}: columns of lengths {[len(c) for c in columns]} "
                                  f"for {list(header)}")
-            for lo in range(0, n_rows.pop() if n_rows else 0, _CHUNK_ROWS):
-                f.write(_lines([_cells(c[lo: lo + _CHUNK_ROWS]) for c in columns]))
+            for lo in range(0, n_rows.pop() if n_rows else 0, step):
+                f.write(_lines([_cells(c[lo: lo + step]) for c in columns]))
 
 
 def write_csv(path, header, columns):
@@ -172,7 +180,7 @@ def _line_num(path, row):
 
 
 def read_csv_blocks(path, kinds):
-    """Yield each block of _CHUNK_ROWS rows in file order, or one empty block
+    """Yield each block of _block_rows rows in file order, or one empty block
     for a file without rows, as a dict from column name to array.
 
     kinds maps each column name, in header order, to np.float64, np.int64,
@@ -186,7 +194,7 @@ def read_csv_blocks(path, kinds):
             raise SchemaError(f"unexpected header in {path}")
         # rows as tuples: csv's row lists, once freed, linger on CPython's list
         # free list and keep the memory of their block's text from being returned
-        while rows := list(map(tuple, itertools.islice(reader, _CHUNK_ROWS))):
+        while rows := list(map(tuple, itertools.islice(reader, _block_rows(len(header))))):
             widths = list(map(len, rows))
             if widths.count(len(header)) != len(rows):
                 i = next(i for i, w in enumerate(widths) if w != len(header))

@@ -143,11 +143,19 @@ RAW_KINDS = {"id": str, "year": np.int64, "channel": str, "timestep": np.int64, 
 
 
 def write_raw_csv(path, extraction):
-    """One row per (sample, token), samples in dataset order."""
-    labels, n = extraction["labels"], len(extraction["years"])
-    per_sample = [extraction[k].repeat(len(labels)) for k in ("ids", "years")]
-    per_token = [np.tile(np.array([label[i] for label in labels]), n) for i in (0, 1)]
-    artifacts.write_csv(path, RAW_KINDS, [*per_sample, *per_token, extraction["alpha"].ravel()])
+    """One row per (sample, token), samples in dataset order, built and
+    written model.INFER_ROWS samples at a time."""
+    labels = extraction["labels"]
+    channels, steps = (np.array([label[i] for label in labels]) for i in (0, 1))
+
+    def blocks():
+        for lo in range(0, len(extraction["years"]), model.INFER_ROWS):
+            ids, years, alpha = (extraction[k][lo:lo + model.INFER_ROWS]
+                                 for k in ("ids", "years", "alpha"))
+            yield [ids.repeat(len(labels)), years.repeat(len(labels)),
+                   np.tile(channels, len(ids)), np.tile(steps, len(ids)), alpha.ravel()]
+
+    artifacts.write_csv_blocks(path, RAW_KINDS, blocks())
 
 
 def write_category_csv(path, rows):

@@ -63,9 +63,6 @@ class Tensor:
             return scale(self, float(other))
         return mul(self, other)
 
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
@@ -189,27 +186,6 @@ def softmax_last(a):
             _accumulate(a, y * (go - inner))
 
     return Tensor(y, _parents=(a,), _backward=backward, name="softmax")
-
-
-def _is_basic(part):
-    return isinstance(part, slice) or (isinstance(part, (int, np.integer))
-                                       and not isinstance(part, bool))
-
-
-def getitem(a, idx):
-    """Basic indexing only (ints and slices), so no element is selected
-    twice and the backward is a plain add into zeros."""
-    if not all(_is_basic(p) for p in (idx if isinstance(idx, tuple) else (idx,))):
-        raise ShapeError(f"getitem: only int and slice indices are supported, got {idx!r}")
-    out = a.data[idx]
-
-    def backward(go):
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[idx] += go
-            _accumulate(a, g)
-
-    return Tensor(out, _parents=(a,), _backward=backward, name="slice")
 
 
 def reshape(a, shape):

@@ -14,8 +14,6 @@ CSVs (pixel reflectances, daily weather/SM series, truth), each block's
 pixels before the next block is simulated.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import ingest
@@ -48,37 +46,19 @@ PPT_EVENT_SCALE_RANGE = (3.0, 9.5)  # gamma scale, mm per wet-day event
 SCENARIOS = {"field": ["anomalous", "drought", "normal"], "county": ["drought", "normal"]}
 
 
-@dataclass
-class Management:
-    sow_window_start: int  # 0-based day of year
-    sow_window_end: int
-    plant_population: int
-    fertilizer: int
-    initial_soil_water: float
-
-
-@dataclass
-class WeatherSeries:
-    radn: np.ndarray  # MJ/m2
-    tmax: np.ndarray  # degC
-    tmin: np.ndarray  # degC
-    ppt: np.ndarray  # mm
-
-
 def sample_management(rng):
-    """Uniform draw from each enumerated management set."""
-    return Management(
-        sow_window_start=int(rng.choice(SOW_START_CHOICES)),
-        sow_window_end=int(rng.choice(SOW_END_CHOICES)),
-        plant_population=int(rng.choice(PLANT_POPULATION_CHOICES)),
-        fertilizer=int(rng.choice(FERTILIZER_CHOICES)),
-        initial_soil_water=float(rng.choice(INITIAL_SOIL_WATER_CHOICES)),
-    )
+    """Uniform draw from each enumerated management set, as one row:
+    sowing-window start and end (0-based days of year), plant population,
+    fertilizer and initial soil water."""
+    return np.array([rng.choice(SOW_START_CHOICES), rng.choice(SOW_END_CHOICES),
+                     rng.choice(PLANT_POPULATION_CHOICES), rng.choice(FERTILIZER_CHOICES),
+                     rng.choice(INITIAL_SOIL_WATER_CHOICES)], dtype=np.float64)
 
 
 def synth_weather(rng, location, wet_day_prob=0.30, ppt_event_scale=6.0):
-    """One synthetic weather year: seasonal sinusoids plus noise for
-    temperature and radiation, a gamma wet-day process for rain."""
+    """One synthetic weather year, (4, 365) in WEATHER_CHANNELS order:
+    seasonal sinusoids plus noise for temperature and radiation, a gamma
+    wet-day process for rain."""
     lat, lon = location
     doy = np.arange(DAYS_PER_YEAR, dtype=np.float64)
     tmean_base = 9.0 + 0.7 * (46.0 - lat)
@@ -90,37 +70,31 @@ def synth_weather(rng, location, wet_day_prob=0.30, ppt_event_scale=6.0):
     wet = rng.random(DAYS_PER_YEAR) < wet_day_prob
     amounts = rng.gamma(1.3, ppt_event_scale, DAYS_PER_YEAR)
     ppt = np.where(wet, amounts, 0.0)
-    return WeatherSeries(radn=radn, tmax=tmean + 0.5 * diurnal,
-                         tmin=tmean - 0.5 * diurnal, ppt=ppt)
+    return np.stack([radn, tmean + 0.5 * diurnal, tmean - 0.5 * diurnal, ppt])
 
 
-def potential_yield(plant_population, fertilizer):
-    """Stress-free yield for a management combination, t/ha."""
-    y = 9.0 + 0.25 * (plant_population - 6) + 0.004 * (fertilizer - 200)
-    return min(y, POTENTIAL_YIELD_CAP)
-
-
-def simulate_station_years(weathers, managements):
+def simulate_station_years(weather, management):
     """Daily water balance plus the stress-scaled yield for a batch of
-    station-years, in one kernel call.
+    station-years, in one kernel call: weather (N, 4, 365) in
+    WEATHER_CHANNELS order, management (N, 5) rows as sample_management
+    draws them.
 
     Returns a dict of arrays, one row per station-year: "sm_surface" and
     "sm_rootzone", the (N, 365) daily volumetric SM; "yield_tha",
-    "stress_index", "sow_day" and "potential_yield", each (N,). The
-    seasonal stress index is the whole-window met-demand fraction
-    multiplied by the reproductive-window fraction, so equal season totals
-    with badly timed dry spells still cost yield.
+    "stress_index", "sow_day" and "potential_yield", the stress-free yield
+    of the management, each (N,). The seasonal stress index is the
+    whole-window met-demand fraction multiplied by the reproductive-window
+    fraction, so equal season totals with badly timed dry spells still
+    cost yield.
     """
+    sow_start, sow_end, population, fertilizer, soil_water = management.T
     sow_day, stress_mean, critical_mean, sm_s, sm_r = bucket_water_balance(
-        np.stack([w.radn for w in weathers]), np.stack([w.tmax for w in weathers]),
-        np.stack([w.tmin for w in weathers]), np.stack([w.ppt for w in weathers]),
-        np.array([SM_MIN + m.initial_soil_water * (SM_SAT - SM_MIN) for m in managements]),
-        np.array([m.sow_window_start for m in managements]),
-        np.array([m.sow_window_end for m in managements]))
+        *weather.transpose(1, 0, 2), SM_MIN + soil_water * (SM_SAT - SM_MIN), sow_start, sow_end)
     # reproductive-window stress modulates up to 40% of the yield on top
     # of the season-long supply ratio
     index = stress_mean * (0.6 + 0.4 * critical_mean)
-    pot = np.array([potential_yield(m.plant_population, m.fertilizer) for m in managements])
+    pot = np.minimum(9.0 + 0.25 * (population - 6) + 0.004 * (fertilizer - 200),
+                     POTENTIAL_YIELD_CAP)
     return {"sm_surface": sm_s, "sm_rootzone": sm_r, "yield_tha": pot * index,
             "stress_index": index, "sow_day": sow_day, "potential_yield": pot}
 
@@ -156,9 +130,9 @@ def draw_unit_year(seed, level, unit, year, scenario_mix):
     """Every random draw for one station-year ("field") or county-year
     ("county") under the scenario mix, from the level's own streams.
 
-    Returns (lat, lon), the recorded weather, the weather the water
-    balance runs on, the management and the SM level shift (0.0 for a
-    faithful unit-year). Anomalous unit-years report one weather draw while
+    Returns (lat, lon), the recorded weather and the weather the water
+    balance runs on (each a synth_weather array), the management row and
+    the SM level shift (0.0 for a faithful unit-year). Anomalous unit-years report one weather draw while
     their soil moisture and yield come from an opposite-rainfall draw with
     a level shift on the SM series, standing in for unrealistic
     uncalibrated simulator output: the recorded weather no longer explains
@@ -197,13 +171,12 @@ def simulate_unit_years(seed, level, keys, scenario_mix, overrides=None):
     overrides = {int(year): mix for year, mix in (overrides or {}).items()}
     draws = [draw_unit_year(seed, level, unit, year, overrides.get(year, scenario_mix))
              for unit, year in keys]
-    sim = simulate_station_years([d[2] for d in draws], [d[3] for d in draws])
-    shift = np.array([d[4] for d in draws])
+    locations, weather, driving, management, shift = map(np.array, zip(*draws))
+    sim = simulate_station_years(driving, management)
     rows = shift != 0.0
     for key in ("sm_surface", "sm_rootzone"):
         sim[key][rows] = np.clip(sim[key][rows] + shift[rows, None], SM_MIN, SM_SAT)
-    weather = np.array([[getattr(d[1], name) for name in ingest.WEATHER_CHANNELS] for d in draws])
-    return np.array([d[0] for d in draws]), weather, sim
+    return locations, weather, sim
 
 
 def simulated_years(years):

@@ -4,7 +4,7 @@ signed-error reports used for over/underestimation diagnostics."""
 import numpy as np
 
 from . import artifacts, ingest
-from .autodiff import ParamStore, Tensor, matmul, mean, relu, square
+from .autodiff import ParamStore, Tensor, matmul, mean, relu, reshape, square
 from .errors import KgmlsmError, ShapeError, SingularFit
 from .optim import PAPER_FINETUNE, StageConfig, fit
 
@@ -113,7 +113,7 @@ def baseline_fit_predict(kind, train, test, val=None, seed=0):
 
         def forward(x, q):
             h = relu(matmul(Tensor(x), q["h.w"]) + q["h.b"])
-            return matmul(h, q["o.w"])[:, 0] + q["o.b"]
+            return reshape(matmul(h, q["o.w"]), (len(x),)) + q["o.b"]
 
         def loss_on(x, y, q):
             return mean(square(forward(x, q) - Tensor(y)))

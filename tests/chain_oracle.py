@@ -2,9 +2,9 @@
 that model.w2s_forward and model.assemble_input fuse into one node each.
 
 The fused nodes must equal this chain bit for bit, on outputs and on every
-gradient, so it is kept here as their oracle, with its primitives: the
-edge padding, the width-3 convolution, pair-mean pooling, repeat
-upsampling and concatenation.
+gradient, so it is kept here as their oracle, with its primitives: basic
+slicing, the edge padding, the width-3 convolution, pair-mean pooling,
+repeat upsampling and concatenation.
 """
 
 import numpy as np
@@ -13,6 +13,27 @@ from kgmlsm import autodiff as ad
 from kgmlsm.errors import ShapeError
 
 T = 13
+
+
+def _is_basic(part):
+    return isinstance(part, slice) or (isinstance(part, (int, np.integer))
+                                       and not isinstance(part, bool))
+
+
+def getitem(a, idx):
+    """Basic indexing only (ints and slices), so no element is selected
+    twice and the backward is a plain add into zeros."""
+    if not all(_is_basic(p) for p in (idx if isinstance(idx, tuple) else (idx,))):
+        raise ShapeError(f"getitem: only int and slice indices are supported, got {idx!r}")
+    out = a.data[idx]
+
+    def backward(go):
+        if a.requires_grad:
+            g = np.zeros_like(a.data)
+            g[idx] += go
+            ad._accumulate(a, g)
+
+    return ad.Tensor(out, _parents=(a,), _backward=backward, name="slice")
 
 
 def concat(tensors, axis):
@@ -123,12 +144,12 @@ def w2s_chain(weather, params):
     u1 = upsample_repeat2(d2)
     d1 = ad.relu(conv1d_k3(concat([u1, e1], axis=2), params["w2s.dec1.w"], params["w2s.dec1.b"]))
     sm = ad.matmul(d1, params["w2s.head.w"]) + params["w2s.head.b"]
-    return sm[:, :T, :]
+    return getitem(sm, np.s_[:, :T, :])
 
 
 def assemble_chain(w, o, v, sm, config):
     """Token values (B, n_tokens) as one slice per channel and a concat."""
-    cols = [w[:, :, i] for i in range(4)] + [v[:, :, i] for i in range(4)]
+    cols = [getitem(t, np.s_[:, :, i]) for t in (w, v) for i in range(4)]
     if config.use_sm_tokens:
-        cols += [sm[:, :, i] for i in range(2)]
+        cols += [getitem(sm, np.s_[:, :, i]) for i in range(2)]
     return concat(cols + [o], axis=1)

@@ -1,5 +1,6 @@
 import csv
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,24 @@ def test_bad_cell_in_a_later_block_names_file_and_column(cell, kind, message, tm
     _write_rows(tmp_path / "v.csv", rows)
     with pytest.raises(SchemaError, match=rf"v\.csv: column 'i' has a cell that is {message}"):
         artifacts.read_csv(tmp_path / "v.csv", {"s": str, "i": kind})
+
+
+def test_wide_read_peaks_under_4x_the_arrays_it_returns(tmp_path):
+    """A block is bounded by cells as well as rows, so a file as wide as
+    the samples CSV is not parsed 16384 rows at a time: that peaked at
+    10.6x the returned arrays."""
+    kinds = {f"c{i}": np.float64 for i in range(138)}
+    rng = np.random.default_rng(138)
+    columns = [rng.normal(size=5000) for _ in kinds]
+    artifacts.write_csv(tmp_path / "wide.csv", kinds, columns)
+    tracemalloc.start()
+    try:
+        back = artifacts.read_csv(tmp_path / "wide.csv", kinds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(back[name].tobytes() == c.tobytes() for name, c in zip(kinds, columns))
+    assert peak < 4 * sum(a.nbytes for a in back.values())
 
 
 def test_header_only_file_gives_empty_arrays_of_the_declared_dtypes(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,29 @@ class TestReportRoundTrip:
             key = (ref["year"], ref["category"], ref["timestep"])
             assert acc[key] / n_by_year[ref["year"]] == pytest.approx(
                 ref["alpha_mean"], abs=1e-12)
+
+    def test_raw_csv_peak_does_not_grow_with_the_samples(self, tmp_path):
+        """write_raw_csv builds and writes model.INFER_ROWS samples' rows at
+        a time: over 16 blocks it peaks as over 2, and writes the bytes that
+        whole columns give. Whole columns peaked 4.2x as high over 16."""
+        labels = model.token_labels(model.ModelConfig())[::16]
+        peaks = []
+        for n in (2 * model.INFER_ROWS, 16 * model.INFER_ROWS):
+            rng = np.random.default_rng(n)
+            ext = {"labels": labels, "alpha": rng.dirichlet(np.ones(len(labels)), size=n),
+                   "ids": np.array([f"c{i % 300:03d}" for i in range(n)]),
+                   "years": 2000 + np.arange(n) % 20}
+            tracemalloc.start()
+            try:
+                attnreport.write_raw_csv(tmp_path / "raw.csv", ext)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        artifacts.write_csv(tmp_path / "whole.csv", attnreport.RAW_KINDS, [
+            ext["ids"].repeat(len(labels)), ext["years"].repeat(len(labels)),
+            *(np.tile([label[i] for label in labels], n) for i in (0, 1)), ext["alpha"].ravel()])
+        assert (tmp_path / "raw.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_svg_emitted(self, extraction, tmp_path):
         ext, _, _ = extraction

@@ -9,42 +9,44 @@ class TestManagement:
     def test_draws_stay_in_enumerated_sets(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            m = cropsim.sample_management(rng)
-            assert m.plant_population in {6, 7, 8, 9}
-            assert m.fertilizer in {200, 250, 300}
-            assert m.initial_soil_water in {0.40, 0.50, 0.60}
-            assert m.sow_window_start in cropsim.SOW_START_CHOICES
-            assert m.sow_window_end in cropsim.SOW_END_CHOICES
-            assert m.sow_window_start < m.sow_window_end
+            sow_start, sow_end, population, fertilizer, soil_water = cropsim.sample_management(rng)
+            assert population in {6, 7, 8, 9}
+            assert fertilizer in {200, 250, 300}
+            assert soil_water in {0.40, 0.50, 0.60}
+            assert sow_start in cropsim.SOW_START_CHOICES
+            assert sow_end in cropsim.SOW_END_CHOICES
+            assert sow_start < sow_end
 
     def test_fixed_seed_reproduces_management(self):
         a = cropsim.sample_management(np.random.default_rng(42))
         b = cropsim.sample_management(np.random.default_rng(42))
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
 
 class TestWeather:
     def test_constraints_hold(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            w = cropsim.synth_weather(rng, (42.0, -93.0))
-            assert np.all(w.tmax >= w.tmin)
-            assert np.all(w.ppt >= 0)
-            assert np.all(w.radn >= 0)
+            radn, tmax, tmin, ppt = cropsim.synth_weather(rng, (42.0, -93.0))
+            assert np.all(tmax >= tmin)
+            assert np.all(ppt >= 0)
+            assert np.all(radn >= 0)
 
     def test_drought_knob_reduces_season_rain(self):
         totals = {0.05: [], 0.30: []}
+        ppt = ingest.WEATHER_CHANNELS.index("ppt")
         for seed in range(100):
             for p in (0.05, 0.30):
                 w = cropsim.synth_weather(np.random.default_rng([seed, 5]), (42.0, -93.0),
                                           wet_day_prob=p)
-                totals[p].append(ingest.season_slice(w.ppt).sum())
+                totals[p].append(ingest.season_slice(w[ppt]).sum())
         assert np.mean(totals[0.05]) < np.mean(totals[0.30])
 
     def test_latitude_shifts_temperature(self):
+        tmax = ingest.WEATHER_CHANNELS.index("tmax")
         north = cropsim.synth_weather(np.random.default_rng(7), (48.0, -99.0))
         south = cropsim.synth_weather(np.random.default_rng(7), (38.0, -99.0))
-        assert south.tmax.mean() > north.tmax.mean()
+        assert south[tmax].mean() > north[tmax].mean()
 
 
 class TestSimulation:
@@ -53,7 +55,7 @@ class TestSimulation:
         for _ in range(10):
             m = cropsim.sample_management(rng)
             w = cropsim.synth_weather(rng, (42.0, -93.0))
-            out = cropsim.simulate_station_years([w], [m])
+            out = cropsim.simulate_station_years(w[None], m[None])
             assert 0.0 <= out["yield_tha"][0] <= out["potential_yield"][0] + 1e-12
             assert out["sm_surface"][0].min() >= 0.05 - 1e-12
             assert out["sm_rootzone"][0].max() <= 0.55 + 1e-12
@@ -61,26 +63,30 @@ class TestSimulation:
     def test_more_fertilizer_never_hurts(self):
         rng = np.random.default_rng(3)
         w = cropsim.synth_weather(rng, (42.0, -93.0))
-        base = dict(sow_window_start=110, sow_window_end=136, plant_population=8,
-                    initial_soil_water=0.5)
         y_low, y_high = cropsim.simulate_station_years(
-            [w, w], [cropsim.Management(fertilizer=f, **base) for f in (200, 300)])["yield_tha"]
+            np.stack([w, w]), np.array([[110, 136, 8, f, 0.5] for f in (200, 300)]))["yield_tha"]
         assert y_high >= y_low
 
     def test_wetter_season_never_hurts(self):
         rng = np.random.default_rng(4)
-        m = cropsim.Management(110, 136, 8, 250, 0.5)
+        m = np.array([110, 136, 8, 250, 0.5])
+        ppt = ingest.WEATHER_CHANNELS.index("ppt")
         for _ in range(5):
             w = cropsim.synth_weather(rng, (40.0, -95.0), wet_day_prob=0.15)
-            scaled = cropsim.WeatherSeries(radn=w.radn, tmax=w.tmax, tmin=w.tmin,
-                                           ppt=w.ppt * 1.4)
-            wet, dry = cropsim.simulate_station_years([scaled, w], [m, m])["yield_tha"]
+            scaled = w.copy()
+            scaled[ppt] *= 1.4
+            wet, dry = cropsim.simulate_station_years(np.stack([scaled, w]),
+                                                      np.stack([m, m]))["yield_tha"]
             assert wet >= dry - 1e-12
 
     def test_potential_yield_map(self):
-        assert cropsim.potential_yield(6, 200) == pytest.approx(9.0)
-        assert cropsim.potential_yield(9, 300) == pytest.approx(10.15)
-        assert cropsim.potential_yield(9, 300) <= 12.5
+        w = cropsim.synth_weather(np.random.default_rng(5), (42.0, -93.0))
+        pot = cropsim.simulate_station_years(
+            np.stack([w, w]), np.array([[110, 136, 6, 200, 0.5], [110, 136, 9, 300, 0.5]])
+        )["potential_yield"]
+        assert pot[0] == pytest.approx(9.0)
+        assert pot[1] == pytest.approx(10.15)
+        assert pot[1] <= 12.5
 
 
 MIX = {"normal": 0.7, "drought": 0.2, "anomalous": 0.1}
@@ -109,6 +115,22 @@ class TestFieldDataset:
             _, _, sim = cropsim.simulate_unit_years(9, "field", keys, MIX)
             prior = sim["yield_tha"]
             assert s.hist_avg_yield == pytest.approx(np.mean(prior), abs=1e-12)
+
+    @pytest.mark.parametrize("level,mix", [("field", {"normal": 0.4, "drought": 0.3,
+                                                      "anomalous": 0.3}),
+                                           ("county", {"normal": 0.6, "drought": 0.4})])
+    def test_a_batch_simulates_each_key_as_it_would_alone(self, level, mix):
+        keys = [(unit, year) for unit in (0, 3, 7) for year in (2017, 2018, 2019, 2020)]
+        shifts = [cropsim.draw_unit_year(8, level, *key, mix)[4] for key in keys]
+        assert any(shifts) == (level == "field")  # anomalous field keys shift their SM
+        batch = cropsim.simulate_unit_years(8, level, keys, mix)
+        for i, key in enumerate(keys):
+            alone = cropsim.simulate_unit_years(8, level, [key], mix)
+            assert batch[0][i].tobytes() == alone[0][0].tobytes()
+            assert batch[1][i].tobytes() == alone[1][0].tobytes()
+            assert sorted(batch[2]) == sorted(alone[2])
+            for name in batch[2]:
+                assert batch[2][name][i].tobytes() == alone[2][name][0].tobytes(), (key, name)
 
     def test_sm_yield_correlation_positive_at_scale(self):
         ds = cropsim.build_field_dataset(63, list(range(2016, 2024)),

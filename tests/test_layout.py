@@ -6,7 +6,8 @@ draws a simulated unit-year's weather and management. Only `autodiff`
 binds a tensor's `data`, so a stored parameter stays a view of
 `ParamStore.vector`. Every graph-free forward of the model runs in
 blocks through `model.forward_blocks`. Only `artifacts` calls `open`,
-so it alone knows the file formats. No function or
+so it alone knows the file formats, and only `artifacts` names its text
+block size (`_CHUNK_ROWS`, `_CHUNK_CELLS`, `_block_rows`). No function or
 class of the package goes unnamed: each is called, passed or imported
 somewhere in `src`, `tests` or `perfbench`."""
 
@@ -130,6 +131,16 @@ def test_only_artifacts_opens_files():
               for node in ast.walk(tree) if isinstance(node, ast.Call)
               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"]
     assert opened == []
+
+
+def test_only_artifacts_names_the_text_block_size():
+    """How many rows or cells a CSV block holds is `artifacts`' decision
+    alone: no other module of the package names its block-size constants
+    or the helper that applies them."""
+    sizes = {"_CHUNK_ROWS", "_CHUNK_CELLS", "_block_rows"}
+    named = [f"{name}: {ref}" for name, tree in _modules() if name != "artifacts.py"
+             for ref in _names(tree) if ref in sizes]
+    assert named == [] and sizes <= set(_names(dict(_modules())["artifacts.py"]))
 
 
 def _names(tree):

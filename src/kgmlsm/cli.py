@@ -321,9 +321,9 @@ def cmd_finetune(cfg, paths):
 
 
 def cmd_evaluate(cfg, paths):
-    county = _read_samples(paths.county_samples, "county")
     spec = split_spec(cfg)
-    split = training.temporal_split(county, spec)
+    # the split's parts copy their records: the whole dataset is not kept beside them
+    split = training.temporal_split(_read_samples(paths.county_samples, "county"), spec)
     metrics.require_scorable(split.test)
     # every finetune checkpoint is checked before any seed is scored
     wanted = {"variant": cfg["variant"], **spec.to_meta()}

@@ -10,9 +10,9 @@ days form 13 windows of 16 days; the trailing 6 days are dropped.
 Precipitation composites by window sum, everything else by window mean:
 COMPOSITE_RULES says so, and the manifest records it per channel.
 
-This module alone knows how a Dataset holds its samples: stack_dataset
-is the one array view of a dataset, and Dataset.from_arrays, its
-inverse, the one place a Sample is built.
+This module alone knows how a Dataset holds its samples: one record
+array of SAMPLE_DTYPE. stack_dataset is the one array view of a dataset,
+and Dataset.from_arrays, its inverse, the one way in from arrays.
 """
 
 from dataclasses import dataclass, field
@@ -174,94 +174,68 @@ def season_slice(yearly):
     return yearly[..., SEASON_START_DOY: SEASON_START_DOY + SEASON_DAYS]
 
 
-def seasonal_sm_mean(sm):
-    """Season mean over all timesteps and both soil-moisture layers."""
-    sm = np.asarray(sm, dtype=np.float64)
-    return float(sm.mean())
-
-
 # ---------------------------------------------------------------------------
 # samples and datasets
 
-
-@dataclass
-class Sample:
-    sid: str
-    year: int
-    lat: float
-    lon: float
-    hist_avg_yield: float
-    yield_label: float
-    weather: np.ndarray  # (T, 4)
-    vis: np.ndarray  # (T, 4)
-    sm: np.ndarray  # (T, 2)
-    sbar: float = None
-    drought_flag: bool = False
-
-    def __post_init__(self):
-        self.weather = np.asarray(self.weather, dtype=np.float64)
-        self.vis = np.asarray(self.vis, dtype=np.float64)
-        self.sm = np.asarray(self.sm, dtype=np.float64)
-        if self.weather.shape != (N_WINDOWS, 4) or self.vis.shape != (N_WINDOWS, 4) \
-                or self.sm.shape != (N_WINDOWS, 2):
-            raise ShapeError(
-                f"sample {self.sid}/{self.year}: bad channel shapes "
-                f"{self.weather.shape}/{self.vis.shape}/{self.sm.shape}")
-        # sbar is always derived from the sm matrix; never trusted from callers
-        self.sbar = seasonal_sm_mean(self.sm)
+# One record per sample. sid is an object field, so that no id read from a
+# file is cut to a fixed width; sbar is no field, stack_dataset derives it.
+SAMPLE_DTYPE = np.dtype([
+    ("sid", object), ("year", np.int64),
+    *((name, np.float64) for name in ("lat", "lon", "hist_avg_yield", "yield_label")),
+    ("weather", np.float64, (N_WINDOWS, 4)), ("vis", np.float64, (N_WINDOWS, 4)),
+    ("sm", np.float64, (N_WINDOWS, 2)), ("drought_flag", bool)])
 
 
 @dataclass
 class Dataset:
     level: str  # "field" | "county"
-    samples: list = field(default_factory=list)
+    samples: np.recarray = field(default_factory=list)  # SAMPLE_DTYPE records, or a list of them
+
+    def __post_init__(self):
+        # an array of SAMPLE_DTYPE is viewed, not copied
+        self.samples = np.asarray(self.samples, dtype=SAMPLE_DTYPE).view(np.recarray)
 
     @classmethod
     def from_arrays(cls, level, arrays):
-        """The dataset whose stack_dataset arrays these are, one Sample per
-        row: the one place a Sample is built. sbar is always derived from
-        "s"; the "sbar" key and the year column of "aux" are not read."""
-        w, v, s = (np.ascontiguousarray(arrays[key], dtype=np.float64) for key in "wvs")
-        rows = zip(arrays["ids"].tolist(), arrays["years"].tolist(),
-                   *arrays["aux"][:, 1:].T.tolist(), arrays["y"].tolist(), w, v, s,
-                   arrays["drought"].tolist())
-        return cls(level=level, samples=[
-            Sample(sid=sid, year=year, lat=lat, lon=lon, hist_avg_yield=hist, yield_label=y,
-                   weather=weather, vis=vis, sm=sm, drought_flag=flag)
-            for sid, year, lat, lon, hist, y, weather, vis, sm, flag in rows])
+        """The dataset whose stack_dataset arrays these are. The "sbar" key
+        and the year column of "aux" are not read: sbar is always derived
+        from "s"."""
+        n = len(arrays["ids"])
+        got = tuple(np.shape(arrays[key]) for key in "wvs")
+        if got != ((n, N_WINDOWS, 4), (n, N_WINDOWS, 4), (n, N_WINDOWS, 2)):
+            raise ShapeError(f"{level} dataset of {n} samples: bad w/v/s series shapes "
+                             f"{got[0]}/{got[1]}/{got[2]}, not ({n}, {N_WINDOWS}, 4|4|2)")
+        samples = np.empty(n, dtype=SAMPLE_DTYPE)
+        for name, column in zip(SAMPLE_DTYPE.names, (
+                arrays["ids"], arrays["years"], *arrays["aux"][:, 1:].T, arrays["y"],
+                arrays["w"], arrays["v"], arrays["s"], arrays["drought"])):
+            samples[name] = column
+        return cls(level, samples)
 
     def __len__(self):
         return len(self.samples)
 
-    def key_set(self):
-        return {(s.sid, s.year) for s in self.samples}
-
     def subset(self, idx):
         """The samples at positions idx, in that order, at the same level."""
-        return Dataset(level=self.level, samples=[self.samples[i] for i in idx])
+        return Dataset(self.level, self.samples[np.asarray(idx, dtype=np.intp)])
 
 
 def stack_dataset(dataset):
-    """The one array view of a dataset, one row per sample in order.
+    """The one array view of a dataset, one row per sample in order: a
+    contiguous copy of each field.
 
     Keys: "ids" and "years"; "w", "v" and "s", the (N, T, 4), (N, T, 4) and
     (N, T, 2) weather, VI and SM series; "aux", the (N, 4) auxiliaries in
     AUX_FIELDS order; "y", "sbar" and "drought", the yield labels, seasonal
-    SM means and drought flags.
+    SM means (over all windows and both layers) and drought flags.
     """
-    ss, n = dataset.samples, len(dataset)
-    return {
-        "ids": np.array([s.sid for s in ss], dtype=str),
-        "years": np.array([s.year for s in ss], dtype=np.int64),
-        "w": np.array([s.weather for s in ss], dtype=np.float64).reshape(n, N_WINDOWS, 4),
-        "v": np.array([s.vis for s in ss], dtype=np.float64).reshape(n, N_WINDOWS, 4),
-        "s": np.array([s.sm for s in ss], dtype=np.float64).reshape(n, N_WINDOWS, 2),
-        "aux": np.array([[s.year, s.lat, s.lon, s.hist_avg_yield] for s in ss],
-                        dtype=np.float64).reshape(n, len(AUX_FIELDS)),
-        "y": np.array([s.yield_label for s in ss], dtype=np.float64),
-        "sbar": np.array([s.sbar for s in ss], dtype=np.float64),
-        "drought": np.array([s.drought_flag for s in ss], dtype=bool),
-    }
+    r = dataset.samples
+    s = r.sm.copy()
+    return {"ids": r.sid.astype(str), "years": r.year.copy(), "w": r.weather.copy(),
+            "v": r.vis.copy(), "s": s,
+            "aux": np.column_stack([r.year, r.lat, r.lon, r.hist_avg_yield]),
+            "y": r.yield_label.copy(), "sbar": s.reshape(len(s), 2 * N_WINDOWS).mean(axis=1),
+            "drought": r.drought_flag.copy()}
 
 
 def channel_major(arrays):
@@ -273,14 +247,12 @@ def channel_major(arrays):
 
 
 def label_drought(dataset):
-    """Flag samples whose sbar falls strictly below the per-year quantile."""
-    by_year = {}
-    for s in dataset.samples:
-        by_year.setdefault(s.year, []).append(s)
-    for year, group in by_year.items():
-        threshold = float(np.quantile([s.sbar for s in group], DROUGHT_QUANTILE))
-        for s in group:
-            s.drought_flag = bool(s.sbar < threshold)
+    """Flag samples whose sbar falls strictly below their year's quantile."""
+    a = stack_dataset(dataset)
+    flags = dataset.samples.drought_flag  # a view: each year's group is written into the records
+    for year in np.unique(a["years"]):
+        group = a["years"] == year
+        flags[group] = a["sbar"][group] < np.quantile(a["sbar"][group], DROUGHT_QUANTILE)
     return dataset
 
 
@@ -343,11 +315,11 @@ def read_samples_csv(csv_path):
     ds = Dataset.from_arrays(manifest["level"], {
         "ids": ids, "years": years, "w": w, "v": v, "s": sm,
         "aux": np.column_stack([years, numbers[:, :3]]), "y": numbers[:, 3], "drought": flags})
-    stale = np.abs(np.array([s.sbar for s in ds.samples]) - numbers[:, 4]) > 1e-9
+    stale = np.abs(stack_dataset(ds)["sbar"] - numbers[:, 4]) > 1e-9
     if stale.any():
-        s = ds.samples[np.argmax(stale)]
-        raise SchemaError(f"stale sbar for {s.sid}/{s.year} in {csv_path}")
-    if len(ds.key_set()) != len(ds):
+        i = np.argmax(stale)
+        raise SchemaError(f"stale sbar for {ids[i]}/{years[i]} in {csv_path}")
+    if len(set(zip(ids.tolist(), years.tolist()))) != n:
         raise SchemaError(f"duplicate (id, year) keys in {csv_path}")
     return ds
 

@@ -10,6 +10,7 @@ from kgmlsm import cropsim, ingest  # noqa: E402
 
 
 def make_sample(rng, sid="s0", year=2020, vis_zero=False, sm=None):
+    """One sample record of random auxiliaries and series; its fields can be set."""
     weather = np.stack([
         rng.uniform(5, 25, ingest.N_WINDOWS),
         rng.uniform(15, 32, ingest.N_WINDOWS),
@@ -19,19 +20,21 @@ def make_sample(rng, sid="s0", year=2020, vis_zero=False, sm=None):
     vis = np.zeros((ingest.N_WINDOWS, 4)) if vis_zero else rng.uniform(-0.2, 2.5, (ingest.N_WINDOWS, 4))
     if sm is None:
         sm = rng.uniform(0.05, 0.55, (ingest.N_WINDOWS, 2))
-    return ingest.Sample(sid=sid, year=year, lat=float(rng.uniform(38, 48)),
-                         lon=float(rng.uniform(-102, -84)),
-                         hist_avg_yield=float(rng.uniform(7, 11)),
-                         yield_label=float(rng.uniform(4, 12)),
-                         weather=weather, vis=vis, sm=sm)
+    return np.rec.array([(sid, year, float(rng.uniform(38, 48)), float(rng.uniform(-102, -84)),
+                          float(rng.uniform(7, 11)), float(rng.uniform(4, 12)),
+                          weather, vis, sm, False)], dtype=ingest.SAMPLE_DTYPE)[0]
 
 
 def make_dataset(rng, n=10, level="county", years=(2019, 2020, 2021), vis_zero=False):
-    ds = ingest.Dataset(level=level)
-    for i in range(n):
-        ds.samples.append(make_sample(rng, sid=f"u{i:03d}", year=years[i % len(years)],
-                                      vis_zero=vis_zero))
-    return ds
+    return ingest.Dataset(level=level, samples=[
+        make_sample(rng, sid=f"u{i:03d}", year=years[i % len(years)], vis_zero=vis_zero)
+        for i in range(n)])
+
+
+def key_set(dataset):
+    """The (id, year) keys of a dataset's samples."""
+    a = ingest.stack_dataset(dataset)
+    return set(zip(a["ids"].tolist(), a["years"].tolist()))
 
 
 def datasets_equal(a, b):

@@ -14,9 +14,10 @@ import time
 import numpy as np
 import pytest
 
+from conftest import key_set
+from gradcheck import check_param_gradients
 from kgmlsm import artifacts, attnreport, cli, cropsim, filtering, ingest, losses, metrics, model, training
 from kgmlsm.autodiff import gradients
-from kgmlsm.gradcheck import check_param_gradients
 
 
 def check(name, ok, detail=""):
@@ -103,17 +104,15 @@ def test_criterion_2_loss_algebra():
 
 def _constructed_mse_dataset():
     rng = np.random.default_rng(0)
-    ds = ingest.Dataset(level="field")
+    records = []  # in ingest.SAMPLE_DTYPE field order
     patterns = {0.4: np.full(26, np.sqrt(0.4)),
                 0.5: np.concatenate([np.ones(13), np.zeros(13)]),  # exactly 13/26
                 0.6: np.full(26, np.sqrt(0.6))}
     for i, mse in enumerate((0.4, 0.5, 0.6)):
         weather = rng.uniform(0, 30, (13, 4))
-        ds.samples.append(ingest.Sample(
-            sid=f"f{i}", year=2020, lat=42.0, lon=-93.0, hist_avg_yield=9.0,
-            yield_label=8.0, weather=weather, vis=np.zeros((13, 4)),
-            sm=patterns[mse].reshape(13, 2)))
-    return ds
+        records.append((f"f{i}", 2020, 42.0, -93.0, 9.0, 8.0, weather, np.zeros((13, 4)),
+                        patterns[mse].reshape(13, 2), False))
+    return ingest.Dataset(level="field", samples=records)
 
 
 def test_criterion_3_filtering_contract():
@@ -124,7 +123,7 @@ def test_criterion_3_filtering_contract():
                    and [s.sid for s in kept.samples] == ["f0", "f1"]
                    and report["mse"][1] == 0.5)
     kept2, discarded2, _ = filtering.screen_field_samples(kept, zero_model, 0.5)
-    idempotent = len(discarded2) == 0 and kept2.key_set() == kept.key_set()
+    idempotent = len(discarded2) == 0 and key_set(kept2) == key_set(kept)
     sizes = [len(filtering.screen_field_samples(ds, zero_model, t)[0])
              for t in (0.7, 0.5, 0.45, 0.3)]
     monotone = sizes == sorted(sizes, reverse=True)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import chain_oracle as chain
+from gradcheck import check_param_gradients, relative_error
 from kgmlsm import autodiff as ad
 from kgmlsm.errors import GraphError, NonFiniteError, ShapeError
-from kgmlsm.gradcheck import check_param_gradients, relative_error
 
 
 class TestPrimitives:

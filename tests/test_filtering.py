@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import make_sample
+from conftest import key_set, make_sample
 from kgmlsm import filtering, ingest
 
 
 def _dataset_from(weathers, sms, years=None):
-    ds = ingest.Dataset(level="county")
+    samples = []
     for i, (w, sm) in enumerate(zip(weathers, sms)):
         year = 2019 if years is None else years[i]
         s = make_sample(np.random.default_rng(i), sid=f"x{i:03d}", year=year)
-        s.weather = np.asarray(w, dtype=np.float64)
-        s.sm = np.asarray(sm, dtype=np.float64)
-        ds.samples.append(s)
-    return ds
+        s.weather, s.sm = w, sm
+        samples.append(s)
+    return ingest.Dataset(level="county", samples=samples)
 
 
 class TestFit:
@@ -129,7 +128,7 @@ def _mse_dataset(mses):
     one ulp, which is fine away from the threshold.
     """
     rng = np.random.default_rng(7)
-    ds = ingest.Dataset(level="field")
+    samples = []
     for i, mse in enumerate(mses):
         s = make_sample(rng, sid=f"m{i}", year=2020)
         if mse == 0.5:
@@ -138,8 +137,8 @@ def _mse_dataset(mses):
             s.sm = sm.reshape(13, 2)
         else:
             s.sm = np.full((13, 2), np.sqrt(mse))
-        ds.samples.append(s)
-    return ds
+        samples.append(s)
+    return ingest.Dataset(level="field", samples=samples)
 
 
 class TestScreen:
@@ -156,7 +155,7 @@ class TestScreen:
         ds = _mse_dataset(rng.uniform(0.0, 1.0, 30))
         kept, discarded, _ = filtering.screen_field_samples(ds, _zero_model(), 0.5)
         assert len(kept) + len(discarded) == len(ds)
-        assert kept.key_set().isdisjoint(discarded.key_set())
+        assert key_set(kept).isdisjoint(key_set(discarded))
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
@@ -164,7 +163,7 @@ class TestScreen:
         kept, _, _ = filtering.screen_field_samples(ds, _zero_model(), 0.5)
         kept2, discarded2, _ = filtering.screen_field_samples(kept, _zero_model(), 0.5)
         assert len(discarded2) == 0
-        assert kept2.key_set() == kept.key_set()
+        assert key_set(kept2) == key_set(kept)
 
     def test_threshold_monotone(self):
         rng = np.random.default_rng(10)

@@ -208,39 +208,44 @@ class TestCompositing:
         np.testing.assert_array_equal(batch, np.stack([sliced, -sliced]))
 
 
+def _sbar(*sms):
+    """stack_dataset's sbar of samples with these SM series."""
+    rng = np.random.default_rng(2)
+    ds = ingest.Dataset(level="county", samples=[make_sample(rng, sid=f"c{i}", sm=sm)
+                                                 for i, sm in enumerate(sms)])
+    return ingest.stack_dataset(ds)["sbar"]
+
+
 class TestSeasonalSmMean:
     def test_constant(self):
-        assert ingest.seasonal_sm_mean(np.full((13, 2), 0.3)) == pytest.approx(0.3)
+        assert _sbar(np.full((13, 2), 0.3)) == pytest.approx([0.3])
 
     def test_two_layer_mean(self):
         sm = np.stack([np.full(13, 0.2), np.full(13, 0.4)], axis=1)
-        assert ingest.seasonal_sm_mean(sm) == pytest.approx(0.3, abs=1e-12)
+        assert _sbar(sm) == pytest.approx([0.3], abs=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
         sm = rng.uniform(0.05, 0.55, (13, 2))
         perm = rng.permutation(13)
-        assert ingest.seasonal_sm_mean(sm) == pytest.approx(
-            ingest.seasonal_sm_mean(sm[perm]), abs=1e-15)
+        sbar, permuted = _sbar(sm, sm[perm])
+        assert sbar == pytest.approx(permuted, abs=1e-15)
 
 
 class TestDroughtLabels:
     def test_equal_sbar_flags_nothing(self):
         rng = np.random.default_rng(4)
-        ds = ingest.Dataset(level="county")
-        for i in range(6):
-            ds.samples.append(make_sample(rng, sid=f"c{i}", year=2020,
-                                          sm=np.full((13, 2), 0.3)))
+        ds = ingest.Dataset(level="county", samples=[
+            make_sample(rng, sid=f"c{i}", year=2020, sm=np.full((13, 2), 0.3)) for i in range(6)])
         ingest.label_drought(ds)
         assert not any(s.drought_flag for s in ds.samples)
 
     def test_quantile_by_hand(self):
         rng = np.random.default_rng(5)
-        ds = ingest.Dataset(level="county")
-        for i, sbar in enumerate(np.linspace(0.1, 1.0, 10)):
-            # sbar is derived from sm, so build sm at the target level
-            ds.samples.append(make_sample(rng, sid=f"c{i}", year=2020,
-                                          sm=np.full((13, 2), sbar * 0.5)))
+        # sbar is derived from sm, so build sm at the target level
+        ds = ingest.Dataset(level="county", samples=[
+            make_sample(rng, sid=f"c{i}", year=2020, sm=np.full((13, 2), sbar * 0.5))
+            for i, sbar in enumerate(np.linspace(0.1, 1.0, 10))])
         ingest.label_drought(ds)
         flags = [s.drought_flag for s in ds.samples]
         assert flags == [True, True] + [False] * 8
@@ -255,13 +260,10 @@ class TestDroughtLabels:
 
     def test_per_year_thresholds(self):
         rng = np.random.default_rng(7)
-        ds = ingest.Dataset(level="county")
         # year A is uniformly wetter; each year still gets its own flags
-        for i in range(5):
-            ds.samples.append(make_sample(rng, sid=f"a{i}", year=2019,
-                                          sm=np.full((13, 2), 0.4 + 0.02 * i)))
-            ds.samples.append(make_sample(rng, sid=f"b{i}", year=2020,
-                                          sm=np.full((13, 2), 0.1 + 0.02 * i)))
+        ds = ingest.Dataset(level="county", samples=[
+            make_sample(rng, sid=f"{key}{i}", year=year, sm=np.full((13, 2), base + 0.02 * i))
+            for i in range(5) for key, year, base in (("a", 2019, 0.4), ("b", 2020, 0.1))])
         ingest.label_drought(ds)
         for year in (2019, 2020):
             group = [s for s in ds.samples if s.year == year]
@@ -278,7 +280,7 @@ class TestStackDataset:
         for i, s in enumerate(ds.samples):
             assert (a["ids"][i], a["years"][i]) == (s.sid, s.year)
             assert a["aux"][i].tolist() == [s.year, s.lat, s.lon, s.hist_avg_yield]
-            assert (a["y"][i], a["sbar"][i], a["drought"][i]) == (s.yield_label, s.sbar,
+            assert (a["y"][i], a["sbar"][i], a["drought"][i]) == (s.yield_label, s.sm.mean(),
                                                                   s.drought_flag)
             for key, field in (("w", s.weather), ("v", s.vis), ("s", s.sm)):
                 np.testing.assert_array_equal(a[key][i], field)
@@ -302,11 +304,24 @@ class TestStackDataset:
         assert len(ingest.Dataset.from_arrays("county", ingest.stack_dataset(
             ingest.Dataset(level="county")))) == 0
 
+    def test_from_arrays_refuses_bad_series_shapes(self):
+        arrays = ingest.stack_dataset(make_dataset(np.random.default_rng(18), n=4))
+        short_w = {**arrays, "w": arrays["w"][:, :12]}
+        with pytest.raises(ShapeError, match=r"\(4, 12, 4\)/\(4, 13, 4\)/\(4, 13, 2\)"):
+            ingest.Dataset.from_arrays("county", short_w)
+        short_s = {**arrays, "s": arrays["s"][:3]}
+        with pytest.raises(ShapeError, match=r"\(4, 13, 4\)/\(4, 13, 4\)/\(3, 13, 2\)"):
+            ingest.Dataset.from_arrays("county", short_s)
+
     def test_subset_keeps_order_and_level(self):
         rng = np.random.default_rng(13)
         ds = make_dataset(rng, n=5, level="field")
         sub = ds.subset([3, 0])
         assert sub.level == "field" and [s.sid for s in sub.samples] == ["u003", "u000"]
+        # a list of the dataset's records makes the same subset
+        assert datasets_equal(ingest.Dataset("field", samples=[ds.samples[i] for i in (3, 0)]), sub)
+        # a record array is held as given, not copied
+        assert np.shares_memory(ingest.Dataset("field", samples=ds.samples).samples, ds.samples)
 
 
 class TestCsvRoundTrip:
@@ -318,6 +333,14 @@ class TestCsvRoundTrip:
         ingest.write_samples_csv(ds, path)
         back = ingest.read_samples_csv(path)
         assert datasets_equal(ds, back)
+
+    def test_ids_read_back_unchanged(self, tmp_path):
+        ds = make_dataset(np.random.default_rng(19), n=3)
+        ids = np.array(["c" * 40, "Zürich-東京", "u002"])
+        ds.samples.sid = ids
+        ingest.write_samples_csv(ds, tmp_path / "samples.csv")
+        back = ingest.stack_dataset(ingest.read_samples_csv(tmp_path / "samples.csv"))["ids"]
+        assert back.tolist() == ids.tolist()
 
     def test_stale_sbar_detected(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -435,8 +458,8 @@ class TestCountyAssembly:
         vis = np.stack([s.vis for s in tiny_county.samples])
         assert np.abs(vis).max() > 0.1
         assert len(tiny_county) == 8 * 6
-        for s in tiny_county.samples:
-            assert s.sbar == pytest.approx(ingest.seasonal_sm_mean(s.sm), abs=1e-15)
+        a = ingest.stack_dataset(tiny_county)
+        assert a["sbar"] == pytest.approx(a["s"].mean(axis=(1, 2)), abs=1e-15)
 
     def test_weather_composites_match_manual_recompute(self, tmp_path):
         paths = [str(tmp_path / n) for n in ("p.csv", "d.csv", "t.csv")]

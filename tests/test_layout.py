@@ -1,6 +1,7 @@
-"""`ingest` alone knows how a dataset holds its samples: `stack_dataset`
-is the one array view of a dataset, `Dataset.from_arrays` the one way in,
-and only `ingest` reaches into `Dataset.samples`. `metrics` alone turns
+"""`ingest` alone knows how a dataset holds its samples, one record array
+of `SAMPLE_DTYPE`: only `ingest` names that dtype or `np.recarray`, and
+only `ingest` reaches into `Dataset.samples`; the other modules read the
+arrays of `stack_dataset`. `metrics` alone turns
 per-seed scores into their summary, and `cropsim.draw_unit_year` alone
 draws a simulated unit-year's weather and management. Only `autodiff`
 binds a tensor's `data`, so a stored parameter stays a view of
@@ -9,7 +10,8 @@ blocks through `model.forward_blocks`. Only `artifacts` calls `open`,
 so it alone knows the file formats, and only `artifacts` names its text
 block size (`_CHUNK_ROWS`, `_CHUNK_CELLS`, `_block_rows`). No function or
 class of the package goes unnamed: each is called, passed or imported
-somewhere in `src`, `tests` or `perfbench`."""
+somewhere in `src`, `tests` or `perfbench`. No module of the package
+imports the test oracles `gradcheck` and `chain_oracle`."""
 
 import ast
 import glob
@@ -47,24 +49,22 @@ def test_only_autodiff_binds_tensor_data():
     assert bound == []
 
 
-def _from_arrays(tree):
-    return [fn for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Dataset"
-            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "from_arrays"]
+def test_only_ingest_names_the_sample_records():
+    """The record layout of a dataset is `ingest`'s decision: no other
+    module of the package names `SAMPLE_DTYPE` or `np.recarray`."""
+    layout = {"SAMPLE_DTYPE", "recarray"}
+    named = [f"{name}: {ref}" for name, tree in _modules() if name != "ingest.py"
+             for ref in _names(tree) if ref in layout]
+    assert named == [] and layout <= set(_names(dict(_modules())["ingest.py"]))
 
 
-def test_only_dataset_from_arrays_builds_a_sample():
-    builders, calls = set(), []
-    for name, tree in _modules():
-        allowed = {id(node) for fn in _from_arrays(tree) for node in ast.walk(fn)}
-        for node in ast.walk(tree):
-            func = node.func if isinstance(node, ast.Call) else None
-            if getattr(func, "id", getattr(func, "attr", None)) != "Sample":
-                continue
-            if id(node) in allowed:
-                builders.add(name)
-            else:
-                calls.append(f"{name}:{node.lineno}")
-    assert calls == [] and builders == {"ingest.py"}
+def test_package_imports_no_test_oracle():
+    oracles = {"gradcheck", "chain_oracle"}
+    found = [f"{name}:{node.lineno}" for name, tree in _modules() for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and oracles & {part for dotted in [getattr(node, "module", None) or ""]
+                            + [alias.name for alias in node.names] for part in dotted.split(".")}]
+    assert found == []
 
 
 def test_cli_and_training_leave_per_seed_aggregation_to_metrics():

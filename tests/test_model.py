@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import chain_oracle as chain
+from gradcheck import check_param_gradients
 from kgmlsm import autodiff as ad
 from kgmlsm import cropsim, ingest, losses, model, training
 from kgmlsm.errors import CheckpointMismatch, NonFiniteError, ShapeError
-from kgmlsm.gradcheck import check_param_gradients
 
 SMALL = dict(d_model=8, d_k=8, enc_width1=4, enc_width2=8, dec_width=4)
 

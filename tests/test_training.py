@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import key_set, make_dataset
 from kgmlsm import ingest, losses, model, training
 from kgmlsm.errors import CheckpointMismatch, ConfigError
 from kgmlsm.optim import adam_init, adam_step
@@ -36,7 +36,7 @@ class TestTemporalSplit:
         ds = make_dataset(rng, n=50, years=(2019, 2020, 2021, 2022, 2023))
         split = temporal_split(ds, SplitSpec(target_year=2023))
         assert all(s.year == 2023 for s in split.test.samples)
-        assert all(s.year < 2023 for s in split.train.samples + split.val.samples)
+        assert all(s.year < 2023 for part in (split.train, split.val) for s in part.samples)
 
     def test_eighty_twenty(self):
         rng = np.random.default_rng(1)
@@ -51,15 +51,15 @@ class TestTemporalSplit:
         ds = make_dataset(rng, n=40, years=(2020, 2021, 2022))
         a = temporal_split(ds, SplitSpec(target_year=2022, shuffle_seed=5))
         b = temporal_split(ds, SplitSpec(target_year=2022, shuffle_seed=5))
-        assert a.train.key_set() == b.train.key_set()
-        assert a.val.key_set() == b.val.key_set()
+        assert key_set(a.train) == key_set(b.train)
+        assert key_set(a.val) == key_set(b.val)
 
     def test_partition_exhaustive_and_disjoint(self):
         rng = np.random.default_rng(3)
         ds = make_dataset(rng, n=33, years=(2020, 2021, 2022))
         split = temporal_split(ds, SplitSpec(target_year=2022))
-        keys = split.train.key_set() | split.val.key_set() | split.test.key_set()
-        assert keys == ds.key_set()
+        keys = key_set(split.train) | key_set(split.val) | key_set(split.test)
+        assert keys == key_set(ds)
         assert len(split.train) + len(split.val) + len(split.test) == len(ds)
 
     def test_missing_target_year_rejected(self):
@@ -196,8 +196,8 @@ class TestFinetune:
                              fast_fine(max_epochs=2), LCFG, get_variant("att"), SMALL, seed=0)
         _, _, s_b = finetune(None, tiny_county, SplitSpec(target_year=2023),
                              fast_fine(max_epochs=2), LCFG, get_variant("att"), SMALL, seed=9)
-        assert s_a.test.key_set() == s_b.test.key_set()
-        assert s_a.train.key_set() == s_b.train.key_set()
+        assert key_set(s_a.test) == key_set(s_b.test)
+        assert key_set(s_a.train) == key_set(s_b.train)
 
     def test_pretrained_start_reaches_scratch_val_target_no_slower(self, medium_pair):
         # paired runs per seed: epochs for the pretrained model to reach the
@@ -226,7 +226,7 @@ class TestLeakage:
     def test_no_target_year_samples_in_any_batch(self, tiny_county):
         spec = SplitSpec(target_year=2023)
         split = temporal_split(tiny_county, spec)
-        train_keys = {k for k in split.train.key_set()} | {k for k in split.val.key_set()}
+        train_keys = key_set(split.train) | key_set(split.val)
         assert all(year < 2023 for _, year in train_keys)
         batch_arrays = model.stack_dataset(split.train)
         years = batch_arrays["aux"][:, 0]

@@ -3,10 +3,12 @@
 Graphs are built define-by-run: every op returns a new Tensor that records
 its parents and a closure distributing the output gradient to them.
 ``backward`` topologically sorts the recorded graph and visits each node
-exactly once. Only the primitives the downstream model needs exist here;
+exactly once. Every trained layer is one ``node`` whose closed-form
+backward its module supplies: the W2S encoder-decoder, the token matrix,
+the attention head, the yield loss and the MLP baseline's forward. The
+tape itself keeps only add, scale, square and mean, which the
+soil-moisture loss, the MLP's loss and the sum of two loss terms use;
 there is no general broadcasting machinery beyond what those ops use.
-A layer the model fuses, such as the W2S encoder-decoder or the token
-matrix, is one ``node`` whose closed-form backward the model supplies.
 
 A result records its parents only when some operand requires grad, so a
 forward pass on ``ParamStore.constants()`` builds no graph: each
@@ -44,10 +46,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -57,11 +55,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, scale(_as_tensor(other), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
 
 
 def _as_tensor(x):
@@ -104,18 +97,6 @@ def add(a, b):
     return Tensor(a.data + b.data, _parents=(a, b), _backward=backward, name="add")
 
 
-def mul(a, b):
-    _broadcast_shape(a, b, "mul")
-
-    def backward(go):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(go * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(go * a.data, b.data.shape))
-
-    return Tensor(a.data * b.data, _parents=(a, b), _backward=backward, name="mul")
-
-
 def scale(a, c):
     c = float(c)
 
@@ -124,33 +105,6 @@ def scale(a, c):
             _accumulate(a, go * c)
 
     return Tensor(a.data * c, _parents=(a,), _backward=backward, name="scale")
-
-
-def matmul(a, b):
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-D, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
-
-    def backward(go):
-        if a.requires_grad:
-            ga = np.matmul(go, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), go)
-            _accumulate(b, _unbroadcast(gb, b.data.shape))
-
-    return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward=backward, name="matmul")
-
-
-def relu(a):
-    mask = a.data > 0
-
-    def backward(go):
-        if a.requires_grad:
-            _accumulate(a, go * mask)
-
-    return Tensor(np.where(mask, a.data, 0.0), _parents=(a,), _backward=backward, name="relu")
 
 
 def square(a):
@@ -172,28 +126,6 @@ def mean(a):
             _accumulate(a, np.full(a.data.shape, float(go) / size))
 
     return Tensor(a.data.mean(), _parents=(a,), _backward=backward, name="mean")
-
-
-def softmax_last(a):
-    """Softmax over the last axis, computed with max subtraction."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(go):
-        if a.requires_grad:
-            inner = (go * y).sum(axis=-1, keepdims=True)
-            _accumulate(a, y * (go - inner))
-
-    return Tensor(y, _parents=(a,), _backward=backward, name="softmax")
-
-
-def reshape(a, shape):
-    def backward(go):
-        if a.requires_grad:
-            _accumulate(a, go.reshape(a.data.shape))
-
-    return Tensor(a.data.reshape(shape), _parents=(a,), _backward=backward, name="reshape")
 
 
 def node(data, parents, grads, name):
@@ -269,12 +201,6 @@ class ParamStore:
 
     def __getitem__(self, name):
         return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def __iter__(self):
-        return iter(self._params)
 
     def names(self):
         return list(self._params)

@@ -305,15 +305,18 @@ def _load_checkpoint(paths, stage, seed, wanted):
 
 def cmd_finetune(cfg, paths):
     variant = _variant(cfg)
-    county = _read_samples(paths.county_samples, "county")
-    _, fine_cfg = stage_configs(cfg)
     spec = split_spec(cfg)
+    # split once; neither the whole dataset nor the test part is held through training
+    split = training.temporal_split(_read_samples(paths.county_samples, "county"), spec)
+    train, val = split.train, split.val
+    del split
+    _, fine_cfg = stage_configs(cfg)
     # every pretrain checkpoint is checked before any finetune checkpoint is written
     checkpoints = {seed: (_load_checkpoint(paths, "pretrain", seed, {"variant": variant.name})
                           if variant.use_pretrain else None) for seed in cfg["seeds"]}
     for seed, checkpoint in checkpoints.items():
-        bundle, rows, _split = training.finetune(checkpoint, county, spec, fine_cfg,
-                                                 loss_config(cfg), variant, None, seed)
+        bundle, rows = training.finetune(checkpoint, train, val, spec, fine_cfg,
+                                         loss_config(cfg), variant, None, seed)
         model.save_checkpoint(paths.checkpoint_stem("finetune", seed), bundle)
         training.write_epochs_csv(paths.epochs_csv("finetune", seed), rows)
         print(f"finetune seed {seed}: best epoch {bundle.meta['best_epoch']}, "

@@ -1,5 +1,5 @@
 """Training objectives: soil-moisture MSE, the drought-aware asymmetric
-yield loss, and their unweighted sum.
+yield loss (one autodiff node), and their unweighted sum.
 
 The yield loss is, per sample,
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _as_tensor, mean, mul, relu, scale, square
+from .autodiff import _as_tensor, mean, node, square
 from .errors import ConfigError, ShapeError
 
 
@@ -51,7 +51,8 @@ def drought_weight(sbar, epsilon=1.0):
 
 
 def yield_loss(y, y_hat, sbar, config):
-    """Drought-weighted squared error with the overestimation penalty.
+    """Drought-weighted squared error with the overestimation penalty, one
+    autodiff node whose backward repeats the op-by-op chain bit for bit.
 
     y and sbar are per-sample constants; y_hat may be a graph tensor so
     gradients flow to the model only through the prediction.
@@ -62,12 +63,20 @@ def yield_loss(y, y_hat, sbar, config):
     if y.shape != y_hat.shape or y.shape != sbar.shape:
         raise ShapeError(
             f"yield_loss: length mismatch, y {y.shape}, y_hat {y_hat.shape}, sbar {sbar.shape}")
+    if y.size == 0:
+        raise ShapeError("yield_loss: empty batch")
     d = drought_weight(sbar, config.epsilon)
-    y_t = Tensor(y)
-    base = square(y_t - y_hat)
-    over = square(relu(y_hat - y_t))
-    per_sample = mul(Tensor(d), base + scale(over, config.lam))
-    return mean(per_sample)
+    lam = float(config.lam)
+    diff = y + y_hat.data * -1.0
+    over = y_hat.data + y * -1.0
+    mask = over > 0
+    over = np.where(mask, over, 0.0)
+
+    def grads(go):
+        g = np.full(y.shape, float(go) / y.size) * d
+        return [(g * lam * 2.0 * over) * mask + g * 2.0 * diff * -1.0]
+
+    return node((d * (diff * diff + (over * over) * lam)).mean(), [y_hat], grads, "yield_loss")
 
 
 def total_loss(sm_term, yield_term):

@@ -4,8 +4,8 @@ signed-error reports used for over/underestimation diagnostics."""
 import numpy as np
 
 from . import artifacts, ingest
-from .autodiff import ParamStore, Tensor, matmul, mean, relu, reshape, square
-from .errors import KgmlsmError, ShapeError, SingularFit
+from .autodiff import ParamStore, Tensor, mean, node, square
+from .errors import KgmlsmError, NonFiniteError, ShapeError, SingularFit
 from .optim import PAPER_FINETUNE, StageConfig, fit
 
 
@@ -82,6 +82,27 @@ def _lstsq_normal_equations(design, y, ridge_alpha=0.0):
     return x
 
 
+def mlp_forward(x, q):
+    """The MLP baseline's relu network, (N, d) -> (N,), as one autodiff node;
+    a non-finite pre-activation is refused, since the relu would hide a -inf."""
+    weights = [q[name] for name in ("h.w", "h.b", "o.w", "o.b")]
+    hw, hb, ow, ob = (t.data for t in weights)
+    z = np.matmul(x, hw) + hb
+    if not np.isfinite(z).all():
+        raise NonFiniteError("non-finite value in the mlp hidden layer")
+    mask = z > 0
+    h = np.where(mask, z, 0.0)
+
+    def grads(go):
+        g = go.reshape(len(x), 1)
+        gz = np.matmul(g, ow.T) * mask
+        # the tape sums a batch of one into the (1,) bias by a reshape
+        gb = go if len(go) == 1 else go.sum(axis=0, keepdims=True)
+        return [np.matmul(x.T, gz), gz.sum(axis=0), np.matmul(h.T, g), gb]
+
+    return node(np.matmul(h, ow).reshape(len(x)) + ob, weights, grads, "mlp")
+
+
 def baseline_fit_predict(kind, train, test, val=None, seed=0):
     """Fit a reference model on the train split and predict the test split.
 
@@ -111,18 +132,14 @@ def baseline_fit_predict(kind, train, test, val=None, seed=0):
         p.add("o.w", rng.uniform(-1 / np.sqrt(hidden), 1 / np.sqrt(hidden), size=(hidden, 1)))
         p.add("o.b", np.zeros(1))
 
-        def forward(x, q):
-            h = relu(matmul(Tensor(x), q["h.w"]) + q["h.b"])
-            return reshape(matmul(h, q["o.w"]), (len(x),)) + q["o.b"]
-
         def loss_on(x, y, q):
-            return mean(square(forward(x, q) - Tensor(y)))
+            return mean(square(mlp_forward(x, q) - Tensor(y)))
 
         # only the training batches build a graph; validation and test run on constants
         fit(p, train_x.shape[0], lambda idx: loss_on(train_x[idx], train_t[idx], p),
             lambda: (float(loss_on(val_x, val_y, p.constants()).data), None),
             StageConfig(**PAPER_FINETUNE), seed, 787)
-        return forward(test_x, p.constants()).data * y_sd + y_mu
+        return mlp_forward(test_x, p.constants()).data * y_sd + y_mu
 
     train_x, test_x = _standardize_features(train_x, test_x)
     design = np.hstack([train_x, np.ones((train_x.shape[0], 1))])

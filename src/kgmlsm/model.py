@@ -11,10 +11,11 @@ attention_forward folds the embedding and the key, value and output
 projections into four per-token vectors: it costs O(B n), and its
 parameters and checkpoints are those of the unfolded (B, n, d_model) head.
 
-The W2S encoder-decoder is one autodiff node computed in numpy, with a
-closed-form backward that repeats, operation for operation, the arithmetic
-of the op-by-op chain it replaced, so its outputs and gradients are bit for
-bit those of the chain. The token matrix is one more node.
+The W2S encoder-decoder, the token matrix and the attention head are one
+autodiff node each, computed in numpy, with a closed-form backward that
+repeats, operation for operation, the arithmetic of the op-by-op chain it
+replaced (tests/chain_oracle.py), so their outputs and gradients are bit
+for bit those of the chain; the weather is data and gets no gradient.
 
 The network operates in z-scored space: inputs and targets are
 standardized with statistics carried in the checkpoint, and predictions
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import artifacts, ingest
-from .autodiff import ParamStore, Tensor, matmul, mul, node, reshape, softmax_last
+from .autodiff import ParamStore, Tensor, node
 from .errors import CheckpointMismatch, NonFiniteError, SchemaError, ShapeError
 from .ingest import stack_dataset
 
@@ -287,24 +288,22 @@ def _w2s_arrays(weather, weights, saved):
     return out
 
 
-def _w2s_grads(go, weights, saved, wanted):
+def _w2s_grads(go, weights, saved):
     """Closed-form backward of _w2s_arrays from the gradient of its
     [:, :13] crop. Each step repeats the arithmetic of the op-by-op chain
     it replaced: relu as go * mask, pool as repeat(go * 0.5), upsample as
     the sum of its even and odd steps, weights as per-sample products
     summed over the batch, biases as repeated sums over axis 0.
 
-    Returns {name: gradient} for the layer parameters in wanted, plus
-    "weather" when wanted holds it.
+    Returns {name: gradient} for every layer parameter; the weather is
+    data and gets none.
     """
     grads = {}
 
     def dense(g, layer, to_input=True):  # a layer's weight and bias gradients, then its input's
-        if f"w2s.{layer}.w" in wanted:
-            a = saved[layer + ".in"]
-            grads[f"w2s.{layer}.w"] = np.matmul(np.swapaxes(a, -1, -2), g).sum(axis=0)
-        if f"w2s.{layer}.b" in wanted:
-            grads[f"w2s.{layer}.b"] = g.sum(axis=0).sum(axis=0)
+        a = saved[layer + ".in"]
+        grads[f"w2s.{layer}.w"] = np.matmul(np.swapaxes(a, -1, -2), g).sum(axis=0)
+        grads[f"w2s.{layer}.b"] = g.sum(axis=0).sum(axis=0)
         return np.matmul(g, np.swapaxes(weights[layer][0], -1, -2)) if to_input else None
 
     def split_up(g, width):  # a decoder input's gradient: (upsampled, skip)
@@ -320,16 +319,7 @@ def _w2s_grads(go, weights, saved, wanted):
     g = g * saved["mid"]
     g = (np.repeat(dense(g, "mid") * 0.5, 2, axis=1) + skip2) * saved["enc2"]
     g = (np.repeat(_windows_grad(dense(g, "enc2")) * 0.5, 2, axis=1) + skip1) * saved["enc1"]
-    g = dense(g, "enc1", to_input="weather" in wanted)
-    if g is not None:  # the conv's input rows, then the edge padding
-        g = _windows_grad(g)
-        length = g.shape[1] - _PAD
-        tail = g[:, length].copy()
-        for k in range(length + 1, length + _PAD):
-            tail += g[:, k]
-        gw = g[:, :length].copy()
-        gw[:, length - 1] += tail
-        grads["weather"] = gw
+    dense(g, "enc1", to_input=False)
     return grads
 
 
@@ -340,21 +330,20 @@ def w2s_forward(weather, params):
     two width-3 convolutions with pair-mean pooling, a dense bottleneck,
     two width-3 convolutions over repeat-upsampled inputs joined with the
     encoder outputs, and a dense head. The whole encoder-decoder is one
-    autodiff node with a closed-form backward; on constants it keeps no
-    intermediate.
+    autodiff node over its parameters, with a closed-form backward; on
+    constants it keeps no intermediate.
     """
     if weather.shape[1:] != (T, 4):
         raise ShapeError(f"w2s_forward: expected (B, {T}, 4), got {weather.shape}")
-    parents = (weather,) + tuple(params[name] for name in W2S_PARAMS)
+    parents = [params[name] for name in W2S_PARAMS]
     weights = {layer: (params[f"w2s.{layer}.w"].data, params[f"w2s.{layer}.b"].data)
                for layer in W2S_LAYERS}
     saved = {} if any(t.requires_grad for t in parents) else None
     out = _w2s_arrays(weather.data, weights, saved)
 
     def grads(go):
-        wanted = {name for name, t in zip(("weather",) + W2S_PARAMS, parents) if t.requires_grad}
-        g = _w2s_grads(go, weights, saved, wanted)
-        return [g.get(name) for name in ("weather",) + W2S_PARAMS]
+        g = _w2s_grads(go, weights, saved)
+        return [g[name] for name in W2S_PARAMS]
 
     return node(out[:, :T], parents, grads, "w2s")
 
@@ -393,17 +382,44 @@ def attention_forward(x, params, config):
 
     scores = x a + c and y = sum_n alpha_n (x_n a'_n + c'_n) + b, where
     a, c = (Ev, Eb) Wk q / sqrt(d_k) and a', c' = (Ev, Eb) Wv w_out.
+    y is one autodiff node whose backward repeats the op-by-op chain's
+    arithmetic; the weights are a constant, because no loss reads them.
     """
     n = config.n_tokens
     if x.shape[-1] != n:
         raise ShapeError(f"attention_forward: {x.shape[-1]} tokens, expected {n}")
-    ev, eb = params["att.embed.value"], params["att.embed.bias"]
-    kq = matmul(params["att.wk"], params["att.q"]) * (1.0 / np.sqrt(config.d_k))
-    vo = matmul(params["att.wv"], params["att.out.w"])
-    scores = mul(x, reshape(matmul(ev, kq), (n,))) + reshape(matmul(eb, kq), (n,))
-    alpha = softmax_last(scores)
-    y = matmul(mul(alpha, x), matmul(ev, vo)) + matmul(alpha, matmul(eb, vo))
-    return reshape(y, (x.shape[0],)) + params["att.out.b"], alpha
+    parents = [x] + [params[f"att.{name}"] for name in
+                     ("embed.value", "embed.bias", "wk", "q", "wv", "out.w", "out.b")]
+    xs, ev, eb, wk, q, wv, w_out, b_out = (t.data for t in parents)
+    inv_sqrt_dk = float(1.0 / np.sqrt(config.d_k))
+    kq, vo = np.matmul(wk, q) * inv_sqrt_dk, np.matmul(wv, w_out)
+    a = np.matmul(ev, kq).reshape(n)
+    scores = xs * a + np.matmul(eb, kq).reshape(n)
+    if not np.isfinite(scores).all():
+        raise NonFiniteError("non-finite value in the attention scores")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    ax, ev_vo, eb_vo = alpha * xs, np.matmul(ev, vo), np.matmul(eb, vo)
+    y = (np.matmul(ax, ev_vo) + np.matmul(alpha, eb_vo)).reshape(len(xs)) + b_out
+
+    def grads(go):  # a shared gradient is its first use's term plus its second's
+        g = go.reshape(len(xs), 1)
+        g_ax = np.matmul(g, ev_vo.T)
+        g_alpha = g_ax * xs + np.matmul(g, eb_vo.T)
+        g_s = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))
+        g_a, g_c = (g_s * xs).sum(axis=0).reshape(n, 1), g_s.sum(axis=0).reshape(n, 1)
+        g_ev_vo, g_eb_vo = np.matmul(ax.T, g), np.matmul(alpha.T, g)
+        g_kq = (np.matmul(ev.T, g_a) + np.matmul(eb.T, g_c)) * inv_sqrt_dk
+        g_vo = np.matmul(ev.T, g_ev_vo) + np.matmul(eb.T, g_eb_vo)
+        # the tape sums a batch of one into the (1,) bias by a reshape
+        g_b = go if len(go) == 1 else go.sum(axis=0, keepdims=True)
+        return [g_ax * alpha + g_s * a if x.requires_grad else None,
+                np.matmul(g_ev_vo, vo.T) + np.matmul(g_a, kq.T),
+                np.matmul(g_c, kq.T) + np.matmul(g_eb_vo, vo.T),
+                np.matmul(g_kq, q.T), np.matmul(wk.T, g_kq),
+                np.matmul(g_vo, w_out.T), np.matmul(wv.T, g_vo), g_b]
+
+    return node(y, parents, grads, "head"), Tensor(alpha)
 
 
 def forward_graph(batch, params, config):

@@ -178,13 +178,13 @@ def pretrain(field_dataset, stage_cfg, loss_cfg, variant, sizes, seed):
 # finetuning
 
 
-def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, variant, sizes, seed):
+def finetune(checkpoint, train, val, split_spec, stage_cfg, loss_cfg, variant, sizes, seed):
     """Finetune from a checkpoint (or train from scratch when the variant
-    skips pretraining). Early stopping restores the best-validation
-    parameters. Returns (ModelBundle, per-epoch rows, Split)."""
+    skips pretraining) on the train and val parts of split_spec's split.
+    Early stopping restores the best-validation parameters. Returns
+    (ModelBundle, per-epoch rows)."""
     mconfig = model_config_for(variant, sizes)
-    split = temporal_split(county_dataset, split_spec)
-    train_arrays = ingest.stack_dataset(split.train)
+    train_arrays = ingest.stack_dataset(train)
 
     params = model.init_params(mconfig, seed)
     if checkpoint is not None:
@@ -201,7 +201,7 @@ def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, varian
         stats = model.Normalization.from_arrays(train_arrays)
 
     train_arrays = model.standardize(train_arrays, stats)
-    val_arrays = model.standardize(ingest.stack_dataset(split.val), stats)
+    val_arrays = model.standardize(ingest.stack_dataset(val), stats)
 
     def batch_loss(idx):
         return _compute_loss(_take(train_arrays, idx), params, mconfig, variant, loss_cfg)
@@ -211,7 +211,7 @@ def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, varian
         total = _loss(val_arrays, y_hat, sm_hat, variant, loss_cfg)
         return float(total.data), _yield_rmse(val_arrays, y_hat, stats)
 
-    rows, stop_reason, best_epoch, best_val = fit(params, len(split.train), batch_loss,
+    rows, stop_reason, best_epoch, best_val = fit(params, len(train), batch_loss,
                                                   end_epoch, stage_cfg, seed, 907)
     meta = {
         "stage": "finetune", "seed": seed, "variant": variant.name,
@@ -222,7 +222,7 @@ def finetune(checkpoint, county_dataset, split_spec, stage_cfg, loss_cfg, varian
         **split_spec.to_meta(),
     }
     bundle = model.ModelBundle(config=mconfig, params=params, stats=stats, meta=meta)
-    return bundle, rows, split
+    return bundle, rows
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +243,17 @@ def run_experiment(field_dataset, county_dataset, variant_name, seeds, split_spe
     variant = get_variant(variant_name)
     if variant.use_pretrain and field_dataset is None:
         raise ValueError(f"variant {variant.name} pretrains and needs a field dataset")
-    test = temporal_split(county_dataset, split_spec).test
-    metrics.require_scorable(test)
+    split = temporal_split(county_dataset, split_spec)
+    metrics.require_scorable(split.test)
     predictions = {}
     for seed in seeds:
         checkpoint = None
         if variant.use_pretrain:
             checkpoint, _ = pretrain(field_dataset, pre_cfg, loss_cfg, variant, sizes, seed)
-        bundle, _, _ = finetune(checkpoint, county_dataset, split_spec,
-                                fine_cfg, loss_cfg, variant, sizes, seed)
-        predictions[seed] = bundle.predict(test)
-    _, per_seed, summary = metrics.score_seeds(test, predictions)
+        bundle, _ = finetune(checkpoint, split.train, split.val, split_spec,
+                             fine_cfg, loss_cfg, variant, sizes, seed)
+        predictions[seed] = bundle.predict(split.test)
+    _, per_seed, summary = metrics.score_seeds(split.test, predictions)
     summary["token_count"] = model_config_for(variant, sizes).n_tokens
     summary["components"] = {
         "attention": True,

@@ -1,18 +1,85 @@
-"""The W2S encoder-decoder and token matrix as the op-by-op autodiff chain
-that model.w2s_forward and model.assemble_input fuse into one node each.
+"""The trained layers as the op-by-op autodiff chains that the package
+fuses into one node each: the W2S encoder-decoder and the token matrix
+(model.w2s_forward, model.assemble_input), the attention head
+(model.attention_forward), the yield loss (losses.yield_loss) and the MLP
+baseline's forward (metrics.mlp_forward).
 
-The fused nodes must equal this chain bit for bit, on outputs and on every
-gradient, so it is kept here as their oracle, with its primitives: basic
-slicing, the edge padding, the width-3 convolution, pair-mean pooling,
-repeat upsampling and concatenation.
+The fused nodes must equal these chains bit for bit, on outputs and on
+every gradient, so they are kept here as their oracle, with the
+primitives that only they use: the element-wise product, the matrix
+product, relu, the last-axis softmax, reshape, basic slicing, the edge
+padding, the width-3 convolution, pair-mean pooling, repeat upsampling and
+concatenation.
 """
 
 import numpy as np
 
 from kgmlsm import autodiff as ad
 from kgmlsm.errors import ShapeError
+from kgmlsm.losses import drought_weight
 
 T = 13
+
+
+def mul(a, b):
+    ad._broadcast_shape(a, b, "mul")
+
+    def backward(go):
+        if a.requires_grad:
+            ad._accumulate(a, ad._unbroadcast(go * b.data, a.data.shape))
+        if b.requires_grad:
+            ad._accumulate(b, ad._unbroadcast(go * a.data, b.data.shape))
+
+    return ad.Tensor(a.data * b.data, _parents=(a, b), _backward=backward, name="mul")
+
+
+def matmul(a, b):
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul: operands must be at least 2-D, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
+        raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
+
+    def backward(go):
+        if a.requires_grad:
+            ga = np.matmul(go, np.swapaxes(b.data, -1, -2))
+            ad._accumulate(a, ad._unbroadcast(ga, a.data.shape))
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), go)
+            ad._accumulate(b, ad._unbroadcast(gb, b.data.shape))
+
+    return ad.Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward=backward, name="matmul")
+
+
+def relu(a):
+    mask = a.data > 0
+
+    def backward(go):
+        if a.requires_grad:
+            ad._accumulate(a, go * mask)
+
+    return ad.Tensor(np.where(mask, a.data, 0.0), _parents=(a,), _backward=backward, name="relu")
+
+
+def softmax_last(a):
+    """Softmax over the last axis, computed with max subtraction."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(go):
+        if a.requires_grad:
+            inner = (go * y).sum(axis=-1, keepdims=True)
+            ad._accumulate(a, y * (go - inner))
+
+    return ad.Tensor(y, _parents=(a,), _backward=backward, name="softmax")
+
+
+def reshape(a, shape):
+    def backward(go):
+        if a.requires_grad:
+            ad._accumulate(a, go.reshape(a.data.shape))
+
+    return ad.Tensor(a.data.reshape(shape), _parents=(a,), _backward=backward, name="reshape")
 
 
 def _is_basic(part):
@@ -134,16 +201,16 @@ def upsample_repeat2(a):
 def w2s_chain(weather, params):
     """(B, 13, 4) weather -> (B, 13, 2) SM, one node per op."""
     x = pad_edge(weather, 3)
-    e1 = ad.relu(conv1d_k3(x, params["w2s.enc1.w"], params["w2s.enc1.b"]))
+    e1 = relu(conv1d_k3(x, params["w2s.enc1.w"], params["w2s.enc1.b"]))
     p1 = pool_mean2(e1)
-    e2 = ad.relu(conv1d_k3(p1, params["w2s.enc2.w"], params["w2s.enc2.b"]))
+    e2 = relu(conv1d_k3(p1, params["w2s.enc2.w"], params["w2s.enc2.b"]))
     p2 = pool_mean2(e2)
-    mid = ad.relu(ad.matmul(p2, params["w2s.mid.w"]) + params["w2s.mid.b"])
+    mid = relu(matmul(p2, params["w2s.mid.w"]) + params["w2s.mid.b"])
     u2 = upsample_repeat2(mid)
-    d2 = ad.relu(conv1d_k3(concat([u2, e2], axis=2), params["w2s.dec2.w"], params["w2s.dec2.b"]))
+    d2 = relu(conv1d_k3(concat([u2, e2], axis=2), params["w2s.dec2.w"], params["w2s.dec2.b"]))
     u1 = upsample_repeat2(d2)
-    d1 = ad.relu(conv1d_k3(concat([u1, e1], axis=2), params["w2s.dec1.w"], params["w2s.dec1.b"]))
-    sm = ad.matmul(d1, params["w2s.head.w"]) + params["w2s.head.b"]
+    d1 = relu(conv1d_k3(concat([u1, e1], axis=2), params["w2s.dec1.w"], params["w2s.dec1.b"]))
+    sm = matmul(d1, params["w2s.head.w"]) + params["w2s.head.b"]
     return getitem(sm, np.s_[:, :T, :])
 
 
@@ -153,3 +220,32 @@ def assemble_chain(w, o, v, sm, config):
     if config.use_sm_tokens:
         cols += [getitem(sm, np.s_[:, :, i]) for i in range(2)]
     return concat(cols + [o], axis=1)
+
+
+def head_chain(x, params, config):
+    """The folded attention head, (B, n) -> (y (B,), alpha (B, n)), one
+    node per op; the scale by 1/sqrt(d_k) is the tape's scale."""
+    n = config.n_tokens
+    ev, eb = params["att.embed.value"], params["att.embed.bias"]
+    kq = ad.scale(matmul(params["att.wk"], params["att.q"]), 1.0 / np.sqrt(config.d_k))
+    vo = matmul(params["att.wv"], params["att.out.w"])
+    scores = mul(x, reshape(matmul(ev, kq), (n,))) + reshape(matmul(eb, kq), (n,))
+    alpha = softmax_last(scores)
+    y = matmul(mul(alpha, x), matmul(ev, vo)) + matmul(alpha, matmul(eb, vo))
+    return reshape(y, (x.shape[0],)) + params["att.out.b"], alpha
+
+
+def yield_loss_chain(y, y_hat, sbar, config):
+    """The drought-weighted, overestimation-penalized yield loss, one node per op."""
+    y_t, y_hat = ad.Tensor(np.asarray(y, dtype=np.float64)), ad._as_tensor(y_hat)
+    base = ad.square(y_t - y_hat)
+    over = ad.square(relu(y_hat - y_t))
+    per_sample = mul(ad.Tensor(drought_weight(sbar, config.epsilon)),
+                     base + ad.scale(over, config.lam))
+    return ad.mean(per_sample)
+
+
+def mlp_chain(x, q):
+    """The MLP baseline's relu network, (N, d) -> (N,), one node per op."""
+    h = relu(matmul(ad.Tensor(x), q["h.w"]) + q["h.b"])
+    return reshape(matmul(h, q["o.w"]), (len(x),)) + q["o.b"]

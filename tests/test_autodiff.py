@@ -11,30 +11,30 @@ class TestPrimitives:
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 3))
-        out = ad.matmul(ad.Tensor(np.eye(3)), ad.Tensor(a))
+        out = chain.matmul(ad.Tensor(np.eye(3)), ad.Tensor(a))
         np.testing.assert_array_equal(out.data, a)
 
     def test_softmax_symmetry(self):
-        out = ad.softmax_last(ad.Tensor([0.0, 0.0, 0.0, 0.0]))
+        out = chain.softmax_last(ad.Tensor([0.0, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [0.25, 0.25, 0.25, 0.25], atol=1e-15)
 
     def test_relu_definition(self):
-        out = ad.relu(ad.Tensor([-1.0, 2.0]))
+        out = chain.relu(ad.Tensor([-1.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
     def test_softmax_rows_sum_to_one_and_positive(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             z = rng.normal(scale=5.0, size=(4, 7))
-            y = ad.softmax_last(ad.Tensor(z)).data
+            y = chain.softmax_last(ad.Tensor(z)).data
             np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
             assert (y > 0).all()
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=(3, 5))
-        base = ad.softmax_last(ad.Tensor(z)).data
-        shifted = ad.softmax_last(ad.Tensor(z + 7.3)).data
+        base = chain.softmax_last(ad.Tensor(z)).data
+        shifted = chain.softmax_last(ad.Tensor(z + 7.3)).data
         np.testing.assert_allclose(base, shifted, atol=1e-14)
 
     def test_pool_and_upsample_are_inverse_in_shape(self):
@@ -87,7 +87,7 @@ def _conv3_chain(x, w, b):
     zpad = ad.Tensor(np.zeros((batch, 1, chans)))
     xp = chain.concat([zpad, x, zpad], axis=1)
     win = chain.concat([chain.getitem(xp, np.s_[:, k:length + k, :]) for k in range(3)], axis=2)
-    return ad.matmul(win, w) + b
+    return chain.matmul(win, w) + b
 
 
 class TestConv1dK3:
@@ -105,7 +105,7 @@ class TestConv1dK3:
         for conv in (chain.conv1d_k3, _conv3_chain):
             x, w, b = (ad.Tensor(a.copy(), requires_grad=True) for a in arrays)
             out = conv(x, w, b)
-            ad.backward(ad.mean(ad.mul(out, ad.Tensor(go))))
+            ad.backward(ad.mean(chain.mul(out, ad.Tensor(go))))
             results.append([t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)])
         assert results[0] == results[1]
 
@@ -118,7 +118,7 @@ class TestConv1dK3:
         weight = ad.Tensor(rng.normal(size=(2, 6, 4)))
 
         def loss():
-            return ad.mean(ad.mul(ad.square(chain.conv1d_k3(x, w, b)), weight))
+            return ad.mean(chain.mul(ad.square(chain.conv1d_k3(x, w, b)), weight))
 
         worst = check_param_gradients(lambda: loss().data, store, ad.gradients(loss(), store))
         assert worst < 1e-6
@@ -151,7 +151,7 @@ class TestPadEdge:
         weight = ad.Tensor(rng.normal(size=(2, 8, 3)))
 
         def loss():
-            return ad.mean(ad.mul(ad.square(chain.pad_edge(a, 3)), weight))
+            return ad.mean(chain.mul(ad.square(chain.pad_edge(a, 3)), weight))
 
         worst = check_param_gradients(lambda: loss().data, store, ad.gradients(loss(), store))
         assert worst < 1e-6
@@ -167,7 +167,7 @@ class TestGraphFree:
         store = ad.ParamStore()
         store.add("w", np.ones((3, 2)))
         w = store.constants()["w"]
-        out = ad.relu(ad.matmul(ad.Tensor(np.ones((4, 3))), w))
+        out = chain.relu(chain.matmul(ad.Tensor(np.ones((4, 3))), w))
         assert not w.requires_grad and not out.requires_grad
         assert out._parents == () and out._backward is None
 
@@ -176,7 +176,7 @@ class TestGraphFree:
         p = store.add("w", np.arange(6.0).reshape(2, 3))
         c = store.constants()["w"]
         assert c.data is p.data and c.name == "w"
-        ad.backward(ad.mean(ad.matmul(ad.Tensor(np.ones((1, 2))), c)))
+        ad.backward(ad.mean(chain.matmul(ad.Tensor(np.ones((1, 2))), c)))
         assert p.grad is None
 
     def test_a_graph_still_records_through_constants(self):
@@ -184,7 +184,7 @@ class TestGraphFree:
         p = store.add("p", np.ones(3))
         c = ad.ParamStore()
         c.add("c", np.full(3, 2.0))
-        out = ad.mul(p, c.constants()["c"])
+        out = chain.mul(p, c.constants()["c"])
         assert out._parents[0] is p
         assert ad.gradients(ad.mean(out), store)["p"].tolist() == [2.0 / 3] * 3
 
@@ -192,7 +192,7 @@ class TestGraphFree:
 class TestErrors:
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 2))))
+            chain.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 2))))
 
     def test_concat_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -207,7 +207,7 @@ class TestErrors:
     def test_backward_requires_scalar(self):
         t = ad.Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(GraphError):
-            ad.backward(ad.relu(t))
+            ad.backward(chain.relu(t))
 
     def test_mean_empty(self):
         with pytest.raises(ShapeError):
@@ -239,7 +239,7 @@ class TestBackward:
     def test_shared_subgraph_accumulates(self):
         store = ad.ParamStore()
         x = store.add("x", 2.0)
-        loss = ad.mul(x, x + 1.0)  # x^2 + x -> 2x + 1 = 5
+        loss = chain.mul(x, x + 1.0)  # x^2 + x -> 2x + 1 = 5
         grads = ad.gradients(loss, store)
         assert grads["x"] == pytest.approx(5.0)
 
@@ -250,9 +250,9 @@ class TestBackward:
         x = ad.Tensor(rng.normal(size=(4, 3)))
 
         def build(scale_a, scale_b):
-            h = ad.matmul(x, w)
-            l1 = ad.mean(ad.square(h)) * scale_a
-            l2 = ad.mean(ad.relu(h)) * scale_b
+            h = chain.matmul(x, w)
+            l1 = ad.scale(ad.mean(ad.square(h)), scale_a)
+            l2 = ad.scale(ad.mean(chain.relu(h)), scale_b)
             return l1, l2
 
         l1, l2 = build(1.0, 1.0)
@@ -269,7 +269,7 @@ class TestBackward:
             store = ad.ParamStore()
             w = store.add("w", rng.normal(size=(5, 4)))
             x = ad.Tensor(rng.normal(size=(7, 5)))
-            loss = ad.mean(ad.square(ad.relu(ad.matmul(x, w))))
+            loss = ad.mean(ad.square(chain.relu(chain.matmul(x, w))))
             return loss.data.copy(), ad.gradients(loss, store)["w"]
 
         l1, g1 = run()
@@ -293,9 +293,9 @@ def _random_three_layer(seed):
     y = rng.normal(size=(5, 1))
 
     def loss_tensor():
-        h1 = ad.relu(ad.matmul(ad.Tensor(x), w1) + b1)
-        h2 = ad.relu(ad.matmul(h1, w2) + b2)
-        out = ad.mul(ad.matmul(h2, w3) + b3, gain)
+        h1 = chain.relu(chain.matmul(ad.Tensor(x), w1) + b1)
+        h2 = chain.relu(chain.matmul(h1, w2) + b2)
+        out = chain.mul(chain.matmul(h2, w3) + b3, gain)
         return ad.mean(ad.square(out - ad.Tensor(y)))
 
     assert store.vector.size == 20

@@ -11,7 +11,8 @@ so it alone knows the file formats, and only `artifacts` names its text
 block size (`_CHUNK_ROWS`, `_CHUNK_CELLS`, `_block_rows`). No function or
 class of the package goes unnamed: each is called, passed or imported
 somewhere in `src`, `tests` or `perfbench`. No module of the package
-imports the test oracles `gradcheck` and `chain_oracle`."""
+imports the test oracles `gradcheck` and `chain_oracle`, and no layer is
+built out of the tape's op-by-op primitives."""
 
 import ast
 import glob
@@ -64,6 +65,25 @@ def test_package_imports_no_test_oracle():
              if isinstance(node, (ast.Import, ast.ImportFrom))
              and oracles & {part for dotted in [getattr(node, "module", None) or ""]
                             + [alias.name for alias in node.names] for part in dotted.split(".")}]
+    assert found == []
+
+
+def test_layers_are_nodes_not_tape_chains():
+    """Outside `autodiff`, a module imports from it only the tensor, the
+    store, `node`, `gradients`, `_as_tensor`, `mean` and `square`, and never
+    the module itself: every layer is one node with its own backward."""
+    allowed = {"ParamStore", "Tensor", "node", "gradients", "_as_tensor", "mean", "square"}
+    found = []
+    for name, tree in _modules():
+        if name == "autodiff.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+                found += [f"{name}: {alias.name}" for alias in node.names
+                          if alias.name not in allowed]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{name}: {alias.name}" for alias in node.names
+                          if alias.name.split(".")[-1] == "autodiff"]
     assert found == []
 
 

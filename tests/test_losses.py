@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chain_oracle as chain
 from kgmlsm import autodiff as ad
 from kgmlsm import losses
 from kgmlsm.errors import ShapeError
@@ -110,6 +111,10 @@ class TestYieldLoss:
         with pytest.raises(ShapeError):
             yield_loss(np.zeros(3), np.zeros(2), np.zeros(3), LossConfig())
 
+    def test_empty_batch_refused(self):
+        with pytest.raises(ShapeError, match="empty batch"):
+            yield_loss(np.zeros(0), np.zeros(0), np.zeros(0), LossConfig())
+
     def test_gradient_continuous_at_equality(self):
         cfg = LossConfig(lam=2.0)
         y = np.array([7.0])
@@ -148,7 +153,7 @@ class TestTotalLoss:
             theta = store.add("theta", rng.normal(size=(13, 2)))
             s = np.zeros((13, 2))
             smt = sm_loss(s, theta)
-            y_hat = ad.reshape(ad.mean(theta) * 3.0, (1,))
+            y_hat = chain.reshape(ad.scale(ad.mean(theta), 3.0), (1,))
             yt = yield_loss(np.array([5.0]), y_hat, np.array([0.2]), LossConfig())
             return store, smt, yt
 

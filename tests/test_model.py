@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import chain_oracle as chain
 from gradcheck import check_param_gradients
 from kgmlsm import autodiff as ad
-from kgmlsm import cropsim, ingest, losses, model, training
+from kgmlsm import cropsim, ingest, losses, metrics, model, training
 from kgmlsm.errors import CheckpointMismatch, NonFiniteError, ShapeError
 
 SMALL = dict(d_model=8, d_k=8, enc_width1=4, enc_width2=8, dec_width=4)
@@ -95,7 +96,7 @@ class TestAttention:
         e = x_val[:, :, None] * params["att.embed.value"].data + params["att.embed.bias"].data
         k = e @ params["att.wk"].data
         scores = (k @ params["att.q"].data)[:, :, 0] / np.sqrt(cfg.d_k)
-        shifted = ad.softmax_last(ad.Tensor(scores + 11.5)).data
+        shifted = chain.softmax_last(ad.Tensor(scores + 11.5)).data
         np.testing.assert_allclose(alpha.data, shifted, atol=1e-12)
 
     def test_embedding_injective_at_init_for_equal_values(self):
@@ -153,13 +154,11 @@ class TestFoldedHead:
         cfg = model.ModelConfig(**SMALL, use_sm_tokens=use_sm_tokens, use_w2s=False)
         params, x = _random_head(cfg, 1)
         assert len(params.names()) == 7  # all att.*: the variant has no W2S
-        rng = np.random.default_rng(2)
-        target, weights = rng.normal(size=x.shape[0]), rng.normal(size=x.shape)
+        target = np.random.default_rng(2).normal(size=x.shape[0])
 
         def build():
-            y, alpha = model.attention_forward(ad.Tensor(x), params, cfg)
-            fit = ad.mean(ad.square(y - ad.Tensor(target)))
-            return fit + ad.mean(ad.mul(alpha, ad.Tensor(weights)))
+            y, _ = model.attention_forward(ad.Tensor(x), params, cfg)
+            return ad.mean(ad.square(y - ad.Tensor(target)))
 
         analytic = ad.gradients(build(), params)
         worst = check_param_gradients(lambda: build().data, params, analytic, h=1e-5,
@@ -304,9 +303,25 @@ def _graph(t):
     return list(seen.values())
 
 
+@pytest.fixture(scope="module")
+def step_field():
+    """72 simulated station-years: one batch of 64 and more."""
+    return cropsim.build_field_dataset(12, list(range(2018, 2024)),
+                                       {"normal": 0.7, "drought": 0.2, "anomalous": 0.1}, seed=5)
+
+
+def _mlp_params(d, seed):
+    rng = np.random.default_rng(seed)
+    p = ad.ParamStore()
+    for name, shape in (("h.w", (d, 64)), ("h.b", (64,)), ("o.w", (64, 1)), ("o.b", (1,))):
+        p.add(name, rng.normal(scale=0.5, size=shape))
+    return p
+
+
 class TestFusedNodes:
-    """w2s_forward and assemble_input are one node each, and equal the
-    op-by-op chain they replaced (tests/chain_oracle.py) bit for bit."""
+    """w2s_forward, assemble_input, attention_forward, yield_loss and the
+    MLP baseline's forward are one node each, and equal the op-by-op chain
+    they replaced (tests/chain_oracle.py) bit for bit."""
 
     @pytest.mark.parametrize("widths", [{}, SMALL], ids=["demo", "small"])
     @pytest.mark.parametrize("batch", [1, 16, 64])
@@ -319,33 +334,59 @@ class TestFusedNodes:
         results = []
         for w2s in (model.w2s_forward, chain.w2s_chain):
             params = model.init_params(cfg, batch)
-            w = ad.Tensor(weather.copy(), requires_grad=True)
-            out = w2s(w, params)
-            ad.backward(ad.mean(ad.mul(out, ad.Tensor(go))))
-            results.append([out.data.tobytes(), w.grad.tobytes()]
+            out = w2s(ad.Tensor(weather.copy()), params)
+            ad.backward(ad.mean(chain.mul(out, ad.Tensor(go))))
+            results.append([out.data.tobytes()]
                            + [params[name].grad.tobytes() for name in model.W2S_PARAMS])
         assert results[0] == results[1]
 
-    def test_training_step_matches_the_chain_bitwise(self, tiny_field, monkeypatch):
-        cfg = model.ModelConfig()
-        batch, _ = _std_batch(tiny_field)
+    def test_training_step_matches_the_chain_bitwise(self, step_field, monkeypatch):
+        arrays, _ = _std_batch(step_field)
+        # 13: a last partial batch, whose mean does not divide by a power of two
+        for variant, lam, batch in itertools.product(training.VARIANTS, (0.0, 2.0),
+                                                     (1, 13, 16, 64)):
+            spec = training.get_variant(variant)
+            cfg = training.model_config_for(spec)
+            rows = np.random.default_rng(batch).permutation(len(step_field))[:batch]
+            batch_arrays = {k: v[rows] for k, v in arrays.items()}
+            results = []
+            for fused in (True, False):
+                with monkeypatch.context() as m:
+                    if not fused:
+                        m.setattr(model, "w2s_forward", chain.w2s_chain)
+                        m.setattr(model, "assemble_input", chain.assemble_chain)
+                        m.setattr(model, "attention_forward", chain.head_chain)
+                        m.setattr(losses, "yield_loss", chain.yield_loss_chain)
+                    params = model.init_params(cfg, 8)
+                    loss = training._compute_loss(batch_arrays, params, cfg, spec,
+                                                  losses.LossConfig(lam=lam))
+                    grads = ad.gradients(loss, params)
+                results.append([loss.data.tobytes()]
+                               + [grads[n].tobytes() for n in params.names()])
+            assert len(results[0]) == 1 + len(params.names()), (variant, lam, batch)
+            assert results[0] == results[1], (variant, lam, batch)
+
+    @pytest.mark.parametrize("batch", [1, 16, 64])
+    def test_mlp_matches_the_chain_bitwise(self, batch):
+        rng = np.random.default_rng(batch)
+        x, y = rng.normal(size=(batch, 30)), rng.normal(size=batch)
         results = []
-        for fused in (True, False):
-            if not fused:
-                monkeypatch.setattr(model, "w2s_forward", chain.w2s_chain)
-                monkeypatch.setattr(model, "assemble_input", chain.assemble_chain)
-            params = model.init_params(cfg, 8)
-            loss, _ = _step_loss(batch, params, cfg)
-            grads = ad.gradients(loss, params)
-            results.append([loss.data.tobytes()] + [grads[n].tobytes() for n in params.names()])
-        assert len(results[0]) == 20 and results[0] == results[1]
+        for forward in (metrics.mlp_forward, chain.mlp_chain):
+            params = _mlp_params(30, batch)
+            out = forward(x, params)
+            ad.backward(ad.mean(ad.square(out - ad.Tensor(y))))
+            results.append([out.data.tobytes()] + [params[n].grad.tobytes()
+                                                   for n in ("h.w", "h.b", "o.w", "o.b")])
+        assert len(results[0]) == 5 and results[0] == results[1]
 
     def test_training_step_graph_is_small(self, tiny_field):
-        # 89 nodes when each W2S op and each token column was a node of its own
+        # 89 op nodes when each W2S op and each token column was a node of
+        # its own, and 35 when each op of the head and the yield loss was
         cfg = training.model_config_for(training.get_variant("kgml_sm"))
         batch, _ = _std_batch(tiny_field)
         loss, sm_hat = _step_loss(batch, model.init_params(cfg, 0), cfg)
-        assert len(_graph(loss)) <= 60
+        assert sorted(t.name for t in _graph(loss) if t._parents) == [
+            "add", "add", "head", "mean", "scale", "square", "tokens", "w2s", "yield_loss"]
         assert [t.name for t in _graph(sm_hat) if t._parents] == ["w2s"]
 
     def test_w2s_refuses_a_non_finite_convolution_output(self):
@@ -355,6 +396,23 @@ class TestFusedNodes:
         params["w2s.enc1.w"].data[:] = -1e300
         with pytest.raises(NonFiniteError, match="w2s.enc1"), np.errstate(over="ignore"):
             model.w2s_forward(ad.Tensor(np.full((2, 13, 4), 1e10)), params)
+
+    def test_head_refuses_non_finite_scores(self):
+        # one token's score is -inf: its softmax weight would be a finite 0
+        cfg = model.ModelConfig(**SMALL, use_w2s=False)
+        params, x = _random_head(cfg, 0)
+        x[:, 0] = 1e308 * -np.sign(params["att.embed.value"].data[0] @ params["att.wk"].data
+                                   @ params["att.q"].data)
+        params["att.embed.value"].data[0] *= 1e10
+        with pytest.raises(NonFiniteError, match="attention scores"), np.errstate(over="ignore"):
+            model.attention_forward(ad.Tensor(x), params, cfg)
+
+    def test_mlp_refuses_a_non_finite_pre_activation(self):
+        # every hidden pre-activation is -inf, which the relu would turn into 0
+        params = _mlp_params(3, 0)
+        params["h.w"].data[:] = -1e300
+        with pytest.raises(NonFiniteError, match="mlp"), np.errstate(over="ignore"):
+            metrics.mlp_forward(np.full((2, 3), 1e10), params)
 
 
 class TestGradients:

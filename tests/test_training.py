@@ -179,25 +179,30 @@ class TestFinetune:
         assert recomputed == pytest.approx(best_val, abs=1e-12)
 
     def test_no_early_stop_when_patience_exceeds_epochs(self, tiny_county):
-        bundle, rows, _ = finetune(None, tiny_county, SplitSpec(target_year=2023),
-                                   fast_fine(max_epochs=4, patience=10), LCFG,
-                                   get_variant("att"), SMALL, seed=2)
+        bundle, rows = _finetune(None, tiny_county, SplitSpec(target_year=2023),
+                                 fast_fine(max_epochs=4, patience=10), LCFG,
+                                 get_variant("att"), SMALL, seed=2)
         assert bundle.meta["stop_reason"] == "max_epochs"
         assert len(rows) == 4
 
     def test_checkpoint_architecture_mismatch_rejected(self, tiny_field, tiny_county):
         ckpt, _ = pretrain(tiny_field, fast_pre(), LCFG, get_variant("kgml_sm"), SMALL, seed=0)
         with pytest.raises(CheckpointMismatch):
-            finetune(ckpt, tiny_county, SplitSpec(target_year=2023), fast_fine(), LCFG,
-                     get_variant("kgml_sm"), dict(SMALL, d_model=16), seed=0)
+            _finetune(ckpt, tiny_county, SplitSpec(target_year=2023), fast_fine(), LCFG,
+                      get_variant("kgml_sm"), dict(SMALL, d_model=16), seed=0)
 
     def test_seed_changes_init_not_test_membership(self, tiny_county):
-        _, _, s_a = finetune(None, tiny_county, SplitSpec(target_year=2023),
-                             fast_fine(max_epochs=2), LCFG, get_variant("att"), SMALL, seed=0)
-        _, _, s_b = finetune(None, tiny_county, SplitSpec(target_year=2023),
-                             fast_fine(max_epochs=2), LCFG, get_variant("att"), SMALL, seed=9)
-        assert key_set(s_a.test) == key_set(s_b.test)
-        assert key_set(s_a.train) == key_set(s_b.train)
+        # the split is made once, from the spec: a seed only draws the init
+        spec = SplitSpec(target_year=2023)
+        split = temporal_split(tiny_county, spec)
+        a, _ = finetune(None, split.train, split.val, spec, fast_fine(max_epochs=2), LCFG,
+                        get_variant("att"), SMALL, seed=0)
+        b, _ = finetune(None, split.train, split.val, spec, fast_fine(max_epochs=2), LCFG,
+                        get_variant("att"), SMALL, seed=9)
+        assert not np.array_equal(a.params.vector, b.params.vector)
+        assert key_set(temporal_split(tiny_county, spec).test) == key_set(split.test)
+        assert {k: a.meta[k] for k in spec.to_meta()} == spec.to_meta()
+        assert {k: b.meta[k] for k in spec.to_meta()} == spec.to_meta()
 
     def test_pretrained_start_reaches_scratch_val_target_no_slower(self, medium_pair):
         # paired runs per seed: epochs for the pretrained model to reach the
@@ -208,14 +213,15 @@ class TestFinetune:
                               scheduler_patience=5, rmse_stop=1.0)
         fine_cfg = StageConfig(batch_size=16, lr=0.001, max_epochs=15,
                                scheduler_patience=5, early_stop_patience=10)
+        split = temporal_split(county, spec)
         epochs_pre, epochs_scratch = [], []
         for seed in range(5):
             ckpt, _ = pretrain(field, pre_cfg, LCFG, get_variant("att_sim"), SMALL, seed=seed)
-            scratch, _, _ = finetune(None, county, spec, fine_cfg, LCFG,
-                                     get_variant("att_sim"), SMALL, seed=seed)
+            scratch, _ = finetune(None, split.train, split.val, spec, fine_cfg, LCFG,
+                                  get_variant("att_sim"), SMALL, seed=seed)
             target = scratch.meta["best_val_loss"]
-            _, rows_p, _ = finetune(ckpt, county, spec, fine_cfg, LCFG,
-                                    get_variant("att_sim"), SMALL, seed=seed)
+            _, rows_p = finetune(ckpt, split.train, split.val, spec, fine_cfg, LCFG,
+                                 get_variant("att_sim"), SMALL, seed=seed)
             reached = [r["epoch"] for r in rows_p if r["val_loss"] <= target]
             epochs_pre.append(reached[0] if reached else len(rows_p))
             epochs_scratch.append(scratch.meta["best_epoch"])
@@ -255,12 +261,22 @@ class TestRunners:
         assert res.summary["components"]["soil_moisture_tokens"] is False
 
 
+def _finetune(checkpoint, county, spec, *args, **kwargs):
+    """finetune on the train and val parts of county's split under spec."""
+    split = temporal_split(county, spec)
+    return finetune(checkpoint, split.train, split.val, spec, *args, **kwargs)
+
+
 def _bouncing_finetune(county, max_epochs, patience):
-    """At lr 0.03, seed 1's validation loss is lowest at epoch 2 and then rises."""
+    """At lr 0.03, seed 1's validation loss is lowest at epoch 2 and then
+    rises. Returns (bundle, rows, the split it trained on)."""
     stage_cfg = StageConfig(batch_size=8, lr=0.03, max_epochs=max_epochs,
                             early_stop_patience=patience)
-    return finetune(None, county, SplitSpec(target_year=2023), stage_cfg, LCFG,
-                    get_variant("att"), SMALL, seed=1)
+    spec = SplitSpec(target_year=2023)
+    split = temporal_split(county, spec)
+    bundle, rows = finetune(None, split.train, split.val, spec, stage_cfg, LCFG,
+                            get_variant("att"), SMALL, seed=1)
+    return bundle, rows, split
 
 
 class TestEarlyStoppingRestore:

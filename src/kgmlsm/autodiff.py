@@ -9,6 +9,7 @@ the attention head, the yield loss and the MLP baseline's forward. The
 tape itself keeps only add, scale, square and mean, which the
 soil-moisture loss, the MLP's loss and the sum of two loss terms use;
 there is no general broadcasting machinery beyond what those ops use.
+``gradients`` returns one vector laid out like ``ParamStore.vector``.
 
 A result records its parents only when some operand requires grad, so a
 forward pass on ``ParamStore.constants()`` builds no graph: each
@@ -178,32 +179,25 @@ def backward(loss):
 
 
 class ParamStore:
-    """Named trainable tensors over one float64 vector: each tensor's data is
-    a reshaped view of `vector`, in declared order. Whatever moves the
-    parameters as a whole (an Adam step, a restore, a warm start, a
-    checkpoint) writes or reads `vector` in place, so the views stay bound."""
+    """Named trainable tensors over one float64 vector, laid out once from
+    ordered (name, initial array) pairs: each tensor's data is a reshaped view
+    of `vector`. Whatever moves the parameters as a whole (an Adam step, a
+    restore, a warm start, a checkpoint) moves `vector` in place."""
 
-    def __init__(self):
-        self._params = {}
-        self.vector = np.zeros(0)
-
-    def add(self, name, array):
-        if name in self._params:
-            raise ValueError(f"duplicate parameter {name!r}")
-        t = Tensor(np.asarray(array, dtype=np.float64), requires_grad=True, name=name)
-        self._params[name] = t
-        self.vector = np.concatenate([self.vector, t.data.ravel()])
-        offset = 0
-        for p in self._params.values():
-            p.data = self.vector[offset: offset + p.data.size].reshape(p.data.shape)
-            offset += p.data.size
-        return t
+    def __init__(self, pairs):
+        arrays = {}
+        for name, array in pairs:
+            if name in arrays:
+                raise ValueError(f"duplicate parameter {name!r}")
+            arrays[name] = np.asarray(array, dtype=np.float64)
+        self.vector = np.concatenate([a.ravel() for a in arrays.values()])
+        ends = np.cumsum([a.size for a in arrays.values()])
+        self._params = {name: Tensor(self.vector[end - a.size: end].reshape(a.shape),
+                                     requires_grad=True, name=name)
+                        for (name, a), end in zip(arrays.items(), ends)}
 
     def __getitem__(self, name):
         return self._params[name]
-
-    def names(self):
-        return list(self._params)
 
     def items(self):
         return self._params.items()
@@ -214,12 +208,13 @@ class ParamStore:
 
 
 def gradients(loss, store):
-    """Backward from loss; return grads keyed by parameter name.
-
-    Parameters that do not appear in the loss graph get zero gradients.
-    """
+    """Backward from loss; return one float64 vector laid out like
+    store.vector, with zeros for a parameter the loss graph does not reach.
+    A gradient whose shape is not its parameter's is refused."""
     backward(loss)
-    out = {}
     for name, t in store.items():
-        out[name] = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-    return out
+        if t.grad is not None and t.grad.shape != t.data.shape:
+            raise ShapeError(f"gradients: grad shape {t.grad.shape} != param shape "
+                             f"{t.data.shape} for {name}")
+    return np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
+                           for _, t in store.items()])

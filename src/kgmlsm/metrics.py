@@ -126,11 +126,11 @@ def baseline_fit_predict(kind, train, test, val=None, seed=0):
         train_x, test_x, val_x = _standardize_features(train_x, test_x, val_x)
         d, hidden = train_x.shape[1], 64
         rng = np.random.default_rng([seed, 773])
-        p = ParamStore()
-        p.add("h.w", rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=(d, hidden)))
-        p.add("h.b", np.zeros(hidden))
-        p.add("o.w", rng.uniform(-1 / np.sqrt(hidden), 1 / np.sqrt(hidden), size=(hidden, 1)))
-        p.add("o.b", np.zeros(1))
+        p = ParamStore([
+            ("h.w", rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=(d, hidden))),
+            ("h.b", np.zeros(hidden)),
+            ("o.w", rng.uniform(-1 / np.sqrt(hidden), 1 / np.sqrt(hidden), size=(hidden, 1))),
+            ("o.b", np.zeros(1))])
 
         def loss_on(x, y, q):
             return mean(square(mlp_forward(x, q) - Tensor(y)))

@@ -64,10 +64,15 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d):
         """Exactly the fields to_dict writes: a missing one would silently
-        take its default (a wrong d_k rescales every score)."""
+        take its default (a wrong d_k rescales every score). Each size is an
+        int >= 1 and each flag a bool."""
         expected = sorted(f.name for f in fields(cls))
         if sorted(d) != expected:
             raise ValueError(f"keys {sorted(d)} != {expected}")
+        for f in fields(cls):
+            if type(d[f.name]) is not f.type or (f.type is int and d[f.name] < 1):
+                raise ValueError(f"config {f.name} must be {f.type.__name__}"
+                                 f"{' >= 1' * (f.type is int)}, not {d[f.name]!r}")
         return cls(**d)
 
 
@@ -130,26 +135,24 @@ class Normalization:
     @classmethod
     def from_dict(cls, d):
         """Exactly the fields to_dict writes: each group's mu, sd and const
-        at the group's channel count, and scalar y_mu and y_sd. A missing
-        const would read as all False, and a short mu would broadcast over
-        every channel."""
-        expected = sorted(f.name for f in fields(cls))
-        if sorted(d) != expected:
-            raise ValueError(f"normalization keys {sorted(d)} != {expected}")
+        at the group's channel count, and scalar y_mu and y_sd, each finite
+        and every sd positive. A missing const would read as all False, a
+        short mu would broadcast over every channel, and a NaN or negative
+        sd would turn every prediction NaN or flip its sign."""
+        shapes = {f"{group}_{part}": (width,) for group, width in cls.WIDTHS.items()
+                  for part in ("mu", "sd", "const")} | {"y_mu": (), "y_sd": ()}
+        if sorted(d) != sorted(shapes):
+            raise ValueError(f"normalization keys {sorted(d)} != {sorted(shapes)}")
         kw = {}
-        for group, width in cls.WIDTHS.items():
-            for part in ("mu", "sd", "const"):
-                key = f"{group}_{part}"
-                arr = np.asarray(d[key])
-                kinds = "b" if part == "const" else "iuf"
-                if arr.shape != (width,) or arr.dtype.kind not in kinds:
-                    raise ValueError(f"normalization {key} must be {width} "
-                                     f"{'flags' if part == 'const' else 'numbers'}, not {d[key]!r}")
-                kw[key] = arr if part == "const" else arr.astype(np.float64)
-        for key in ("y_mu", "y_sd"):
-            if isinstance(d[key], bool) or not isinstance(d[key], (int, float)):
-                raise ValueError(f"normalization {key} must be a number, not {d[key]!r}")
-            kw[key] = float(d[key])
+        for key, shape in shapes.items():
+            arr, flags, positive = np.asarray(d[key]), key.endswith("_const"), key.endswith("_sd")
+            if arr.shape != shape or arr.dtype.kind not in ("b" if flags else "iuf"):
+                what = f"{shape[0]} {'flags' if flags else 'numbers'}" if shape else "a number"
+                raise ValueError(f"normalization {key} must be {what}, not {d[key]!r}")
+            if not (flags or np.isfinite(arr).all() and (np.all(arr > 0) or not positive)):
+                raise ValueError(f"normalization {key} must be finite{' and > 0' * positive}, "
+                                 f"not {d[key]!r}")
+            kw[key] = arr if flags else arr.astype(np.float64) if shape else float(arr)
         return cls(**kw)
 
 
@@ -194,10 +197,8 @@ def init_params(config, seed):
     except the token-embedding bias, which must be nonzero so equal-valued
     tokens still embed distinctly."""
     rng = np.random.default_rng([seed, 977])
-    p = ParamStore()
-    for name, shape, fan_in in param_table(config):
-        p.add(name, np.zeros(shape) if fan_in is None else _uniform(rng, fan_in, shape))
-    return p
+    return ParamStore((name, np.zeros(shape) if fan_in is None else _uniform(rng, fan_in, shape))
+                      for name, shape, fan_in in param_table(config))
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +567,7 @@ def load_checkpoint(stem):
         at = next(i for i, (a, b) in enumerate(zip(have, want)) if a != b)
         raise CheckpointMismatch(f"{stem}.json: parameter {at} is {have[at]}, "
                                  f"where its config makes {want[at]}")
-    params = ParamStore()
-    for name, shape in made:
-        params.add(name, np.zeros(shape))
+    params = ParamStore((name, np.zeros(shape)) for name, shape in made)
     if len(raw) != 8 * params.vector.size:
         raise CheckpointMismatch(f"{stem}.bin holds {len(raw)} bytes, not 8 for each of the "
                                  f"{params.vector.size} float64 values its manifest declares")

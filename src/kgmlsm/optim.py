@@ -1,5 +1,6 @@
-"""Adam updates, a reduce-on-plateau learning-rate schedule and the one
-minibatch training loop that every trained model runs through."""
+"""Adam updates of the parameter vector by a gradient vector of its layout,
+a reduce-on-plateau learning-rate schedule and the one minibatch training
+loop that every trained model runs through."""
 
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ PLATEAU_FACTOR, MIN_LR = 0.5, 1e-6
 
 @dataclass
 class AdamState:
-    """Moment estimates over ParamStore.vector, plus the shared step counter."""
+    """Moment estimates over the parameter vector, plus the step counter."""
 
     lr: float
     m: np.ndarray
@@ -22,25 +23,23 @@ class AdamState:
     t: int = 0
 
 
-def adam_init(store, lr):
+def adam_init(vector, lr):
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
-    return AdamState(lr=lr, m=np.zeros(store.vector.size), v=np.zeros(store.vector.size))
+    return AdamState(lr=lr, m=np.zeros(vector.size), v=np.zeros(vector.size))
 
 
-def adam_step(store, grads, state):
-    """One Adam update with bias correction over all parameters at once.
+def adam_step(vector, g, state):
+    """One Adam update with bias correction of the parameter vector, given
+    the gradient vector g in the same layout (autodiff.gradients').
 
-    The update is element-wise, so one pass over store.vector gives each
+    The update is element-wise, so one pass over the vector gives each
     value exactly what a pass per parameter would; it is subtracted in
     place, so every parameter's data stays a view of the vector.
     """
-    params = list(store.items())
-    for name, p in params:
-        if grads[name].shape != p.data.shape:
-            raise ShapeError(f"adam_step: grad shape {grads[name].shape} != param shape "
-                             f"{p.data.shape} for {name}")
-    g = np.concatenate([grads[name].ravel() for name, _ in params])
+    if g.shape != vector.shape:
+        raise ShapeError(f"adam_step: gradient shape {g.shape} != parameter vector shape "
+                         f"{vector.shape}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.t
@@ -52,7 +51,7 @@ def adam_step(store, grads, state):
     v += (1.0 - b2) * (g * g)
     m_hat = m / bias1
     v_hat = v / bias2
-    store.vector -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    vector -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 
@@ -123,7 +122,7 @@ def fit(params, n, batch_loss, end_epoch, cfg, seed, tag):
 
     Returns (per-epoch rows, stop reason, best epoch, best val_loss).
     """
-    adam = adam_init(params, cfg.lr)
+    adam = adam_init(params.vector, cfg.lr)
     sched = PlateauScheduler(lr=cfg.lr, patience=cfg.scheduler_patience)
     best_val, best_vector, best_epoch, bad = None, None, -1, 0
     rows = []
@@ -134,9 +133,8 @@ def fit(params, n, batch_loss, end_epoch, cfg, seed, tag):
         for i in range(0, n, cfg.batch_size):
             idx = order[i: i + cfg.batch_size]
             total = batch_loss(idx)
-            grads = gradients(total, params)
             adam.lr = sched.lr
-            adam_step(params, grads, adam)
+            adam_step(params.vector, gradients(total, params), adam)
             train_loss += float(total.data) * len(idx)
         train_loss /= n
         val_loss, rmse = end_epoch()

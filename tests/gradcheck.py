@@ -40,14 +40,15 @@ def check_param_gradients(loss_fn, store, analytic, h=1e-5, max_coords_per_param
 
     loss_fn: zero-argument callable returning the scalar loss as a float,
         reading the current contents of `store`.
-    analytic: dict name -> gradient array (from autodiff.gradients).
+    analytic: the gradient vector, laid out like store.vector (from
+        autodiff.gradients); each parameter's part is read at its offset.
     max_coords_per_param: if set, check at most that many randomly chosen
         coordinates per parameter tensor (all coordinates otherwise).
 
     Returns the worst relative error observed.
     """
-    worst = 0.0
-    for name, p in store.items():
+    worst, offset = 0.0, 0
+    for _, p in store.items():
         size = p.data.size
         if max_coords_per_param is None or size <= max_coords_per_param:
             coords = np.arange(size)
@@ -55,10 +56,11 @@ def check_param_gradients(loss_fn, store, analytic, h=1e-5, max_coords_per_param
             if rng is None:
                 rng = np.random.default_rng(0)
             coords = rng.choice(size, size=max_coords_per_param, replace=False)
-        a_flat = analytic[name].reshape(-1)
+        a_flat = analytic[offset: offset + size]
         for idx in coords:
             numeric = central_difference(loss_fn, p.data, int(idx), h=h)
             err = float(relative_error(a_flat[int(idx)], numeric))
             if err > worst:
                 worst = err
+        offset += size
     return worst

@@ -111,10 +111,9 @@ class TestConv1dK3:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
-        store = ad.ParamStore()
-        x = store.add("x", rng.normal(size=(2, 6, 3)))
-        w = store.add("w", rng.normal(size=(9, 4)))
-        b = store.add("b", rng.normal(size=4))
+        store = ad.ParamStore([("x", rng.normal(size=(2, 6, 3))), ("w", rng.normal(size=(9, 4))),
+                               ("b", rng.normal(size=4))])
+        x, w, b = store["x"], store["w"], store["b"]
         weight = ad.Tensor(rng.normal(size=(2, 6, 4)))
 
         def loss():
@@ -146,8 +145,8 @@ class TestPadEdge:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(13)
-        store = ad.ParamStore()
-        a = store.add("a", rng.normal(size=(2, 5, 3)))
+        store = ad.ParamStore([("a", rng.normal(size=(2, 5, 3)))])
+        a = store["a"]
         weight = ad.Tensor(rng.normal(size=(2, 8, 3)))
 
         def loss():
@@ -164,29 +163,27 @@ class TestPadEdge:
 
 class TestGraphFree:
     def test_ops_on_constants_record_no_graph(self):
-        store = ad.ParamStore()
-        store.add("w", np.ones((3, 2)))
+        store = ad.ParamStore([("w", np.ones((3, 2)))])
         w = store.constants()["w"]
         out = chain.relu(chain.matmul(ad.Tensor(np.ones((4, 3))), w))
         assert not w.requires_grad and not out.requires_grad
         assert out._parents == () and out._backward is None
 
     def test_constants_share_values_not_grads(self):
-        store = ad.ParamStore()
-        p = store.add("w", np.arange(6.0).reshape(2, 3))
+        store = ad.ParamStore([("w", np.arange(6.0).reshape(2, 3))])
+        p = store["w"]
         c = store.constants()["w"]
         assert c.data is p.data and c.name == "w"
         ad.backward(ad.mean(chain.matmul(ad.Tensor(np.ones((1, 2))), c)))
         assert p.grad is None
 
     def test_a_graph_still_records_through_constants(self):
-        store = ad.ParamStore()
-        p = store.add("p", np.ones(3))
-        c = ad.ParamStore()
-        c.add("c", np.full(3, 2.0))
+        store = ad.ParamStore([("p", np.ones(3))])
+        p = store["p"]
+        c = ad.ParamStore([("c", np.full(3, 2.0))])
         out = chain.mul(p, c.constants()["c"])
         assert out._parents[0] is p
-        assert ad.gradients(ad.mean(out), store)["p"].tolist() == [2.0 / 3] * 3
+        assert ad.gradients(ad.mean(out), store).tolist() == [2.0 / 3] * 3
 
 
 class TestErrors:
@@ -216,37 +213,33 @@ class TestErrors:
 
 class TestBackward:
     def test_square_at_three(self):
-        store = ad.ParamStore()
-        x = store.add("x", 3.0)
-        loss = ad.square(x)
+        store = ad.ParamStore([("x", 3.0)])
+        loss = ad.square(store["x"])
         grads = ad.gradients(loss, store)
-        assert grads["x"] == pytest.approx(6.0)
+        assert grads.tolist() == [pytest.approx(6.0)]
 
     def test_mse_gradient(self):
-        store = ad.ParamStore()
-        y_hat = store.add("y_hat", [0.0])
-        loss = ad.mean(ad.square(ad.Tensor([1.0]) - y_hat))
+        store = ad.ParamStore([("y_hat", [0.0])])
+        loss = ad.mean(ad.square(ad.Tensor([1.0]) - store["y_hat"]))
         grads = ad.gradients(loss, store)
-        assert grads["y_hat"][0] == pytest.approx(-2.0)
+        assert grads[0] == pytest.approx(-2.0)
 
     def test_untouched_parameter_gets_zero_gradient(self):
-        store = ad.ParamStore()
-        x = store.add("x", 2.0)
-        store.add("unused", np.ones(4))
-        grads = ad.gradients(ad.square(x), store)
-        np.testing.assert_array_equal(grads["unused"], np.zeros(4))
+        store = ad.ParamStore([("x", 2.0), ("unused", np.ones(4))])
+        grads = ad.gradients(ad.square(store["x"]), store)
+        np.testing.assert_array_equal(grads, [4.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_shared_subgraph_accumulates(self):
-        store = ad.ParamStore()
-        x = store.add("x", 2.0)
+        store = ad.ParamStore([("x", 2.0)])
+        x = store["x"]
         loss = chain.mul(x, x + 1.0)  # x^2 + x -> 2x + 1 = 5
         grads = ad.gradients(loss, store)
-        assert grads["x"] == pytest.approx(5.0)
+        assert grads.tolist() == [pytest.approx(5.0)]
 
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(5)
-        store = ad.ParamStore()
-        w = store.add("w", rng.normal(size=(3, 2)))
+        store = ad.ParamStore([("w", rng.normal(size=(3, 2)))])
+        w = store["w"]
         x = ad.Tensor(rng.normal(size=(4, 3)))
 
         def build(scale_a, scale_b):
@@ -256,21 +249,20 @@ class TestBackward:
             return l1, l2
 
         l1, l2 = build(1.0, 1.0)
-        g1 = ad.gradients(l1, store)["w"]
+        g1 = ad.gradients(l1, store)
         l1, l2 = build(1.0, 1.0)
-        g2 = ad.gradients(l2, store)["w"]
+        g2 = ad.gradients(l2, store)
         l1, l2 = build(1.0, 1.0)
-        g_sum = ad.gradients(l1 + l2, store)["w"]
+        g_sum = ad.gradients(l1 + l2, store)
         np.testing.assert_allclose(g_sum, g1 + g2, rtol=1e-12, atol=1e-12)
 
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(6)
-            store = ad.ParamStore()
-            w = store.add("w", rng.normal(size=(5, 4)))
+            store = ad.ParamStore([("w", rng.normal(size=(5, 4)))])
             x = ad.Tensor(rng.normal(size=(7, 5)))
-            loss = ad.mean(ad.square(chain.relu(chain.matmul(x, w))))
-            return loss.data.copy(), ad.gradients(loss, store)["w"]
+            loss = ad.mean(ad.square(chain.relu(chain.matmul(x, store["w"]))))
+            return loss.data.copy(), ad.gradients(loss, store)
 
         l1, g1 = run()
         l2, g2 = run()
@@ -281,14 +273,15 @@ class TestBackward:
 def _random_three_layer(seed):
     """3-layer graph with exactly 20 parameter values."""
     rng = np.random.default_rng(seed)
-    store = ad.ParamStore()
-    w1 = store.add("w1", rng.normal(size=(2, 2)))  # 4
-    b1 = store.add("b1", rng.normal(size=(2,)))  # 2
-    w2 = store.add("w2", rng.normal(size=(2, 3)))  # 6
-    b2 = store.add("b2", rng.normal(size=(3,)))  # 3
-    w3 = store.add("w3", rng.normal(size=(3, 1)))  # 3
-    b3 = store.add("b3", rng.normal(size=(1,)))  # 1
-    gain = store.add("gain", rng.normal(size=(1,)))  # 1 -> total 20
+    store = ad.ParamStore([
+        ("w1", rng.normal(size=(2, 2))),  # 4
+        ("b1", rng.normal(size=(2,))),  # 2
+        ("w2", rng.normal(size=(2, 3))),  # 6
+        ("b2", rng.normal(size=(3,))),  # 3
+        ("w3", rng.normal(size=(3, 1))),  # 3
+        ("b3", rng.normal(size=(1,))),  # 1
+        ("gain", rng.normal(size=(1,)))])  # 1 -> total 20
+    w1, b1, w2, b2, w3, b3, gain = (t for _, t in store.items())
     x = rng.normal(size=(5, 2))
     y = rng.normal(size=(5, 1))
 
@@ -317,7 +310,26 @@ class TestFiniteDifferenceOracle:
 
 class TestParamStore:
     def test_duplicate_rejected(self):
-        store = ad.ParamStore()
-        store.add("w", 1.0)
-        with pytest.raises(ValueError):
-            store.add("w", 2.0)
+        with pytest.raises(ValueError, match="duplicate parameter 'w'"):
+            ad.ParamStore([("w", 1.0), ("b", 0.0), ("w", 2.0)])
+
+    def test_laid_out_once_in_declared_order(self):
+        store = ad.ParamStore([("a", [[1.0, 2.0], [3.0, 4.0]]), ("s", 5.0), ("b", [6.0])])
+        assert store.vector.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert [(n, t.data.shape) for n, t in store.items()] == [("a", (2, 2)), ("s", ()),
+                                                                  ("b", (1,))]
+        store.vector[:] = -store.vector
+        assert store["a"].data.tolist() == [[-1.0, -2.0], [-3.0, -4.0]] and store["s"].data == -5.0
+
+    def test_gradients_follow_the_layout(self):
+        store = ad.ParamStore([("a", np.ones((2, 2))), ("unused", np.ones(3)), ("b", [2.0])])
+        grads = ad.gradients(ad.mean(ad.square(store["a"])) + ad.mean(ad.square(store["b"])), store)
+        assert grads.dtype == np.float64 and grads.shape == store.vector.shape
+        assert grads.tolist() == [0.5, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 4.0]
+
+    def test_gradients_refuse_a_gradient_of_another_shape(self):
+        store = ad.ParamStore([("w", np.ones((2, 2))), ("b", np.ones(4))])
+        bad = ad.node(np.array(1.0), [store["w"], store["b"]],
+                      lambda go: (np.ones((2, 2)), np.ones((2, 2))), "bad")
+        with pytest.raises(ShapeError, match=r"\(2, 2\) != param shape \(4,\) for b"):
+            ad.gradients(bad, store)

@@ -761,6 +761,13 @@ BAD_FILES = {
     "checkpoint_config_without_d_k": ("evaluate", CHECKPOINT + ".json",
                                       _edit_json(lambda m: m["config"].pop("d_k")),
                                       "model.json is not a checkpoint manifest"),
+    "checkpoint_float_d_k": ("evaluate", CHECKPOINT + ".json",
+                             _edit_json(lambda m: m["config"].update(d_k=float(m["config"]["d_k"]))),
+                             "model.json is not a checkpoint manifest: ValueError: config d_k "
+                             "must be int >= 1"),
+    "checkpoint_nan_y_sd": ("evaluate", CHECKPOINT + ".json",
+                            _edit_json(lambda m: m["normalization"].update(y_sd=float("nan"))),
+                            "normalization y_sd must be finite and > 0, not nan"),
     "checkpoint_without_vi_const": ("evaluate", CHECKPOINT + ".json",
                                     _edit_json(lambda m: m["normalization"].pop("vi_const")),
                                     "model.json is not a checkpoint manifest"),

@@ -12,7 +12,8 @@ block size (`_CHUNK_ROWS`, `_CHUNK_CELLS`, `_block_rows`). No function or
 class of the package goes unnamed: each is called, passed or imported
 somewhere in `src`, `tests` or `perfbench`. No module of the package
 imports the test oracles `gradcheck` and `chain_oracle`, and no layer is
-built out of the tape's op-by-op primitives."""
+built out of the tape's op-by-op primitives. `optim` handles the
+parameters and their gradient only as arrays."""
 
 import ast
 import glob
@@ -84,6 +85,24 @@ def test_layers_are_nodes_not_tape_chains():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 found += [f"{name}: {alias.name}" for alias in node.names
                           if alias.name.split(".")[-1] == "autodiff"]
+    assert found == []
+
+
+def test_optim_handles_parameters_only_as_arrays():
+    """`optim` sees the parameters as `ParamStore.vector` and their gradient
+    as one vector of its layout: it imports nothing from `autodiff` but
+    `gradients`, calls no `.items()` or `.names()`, and subscripts only by
+    slices, so it indexes no store or gradient by name."""
+    found = []
+    for node in ast.walk(dict(_modules())["optim.py"]):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+            found += [alias.name for alias in node.names if alias.name != "gradients"]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if "autodiff" in alias.name]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("items", "names"):
+            found.append(f"{node.func.attr}():{node.lineno}")
+        elif isinstance(node, ast.Subscript) and not isinstance(node.slice, ast.Slice):
+            found.append(f"[{ast.unparse(node.slice)}]:{node.lineno}")
     assert found == []
 
 

@@ -132,8 +132,8 @@ def _random_head(cfg, seed):
     """Every parameter (out.b included) and the token values drawn at random."""
     rng = np.random.default_rng(seed)
     params = model.init_params(cfg, seed)
-    for name in params.names():
-        params[name].data[...] = rng.normal(scale=0.5, size=params[name].data.shape)
+    for _, t in params.items():
+        t.data[...] = rng.normal(scale=0.5, size=t.data.shape)
     return params, rng.normal(size=(6, cfg.n_tokens))
 
 
@@ -153,7 +153,7 @@ class TestFoldedHead:
     def test_every_head_parameter_matches_finite_differences(self, use_sm_tokens):
         cfg = model.ModelConfig(**SMALL, use_sm_tokens=use_sm_tokens, use_w2s=False)
         params, x = _random_head(cfg, 1)
-        assert len(params.names()) == 7  # all att.*: the variant has no W2S
+        assert len(params.items()) == 7  # all att.*: the variant has no W2S
         target = np.random.default_rng(2).normal(size=x.shape[0])
 
         def build():
@@ -312,10 +312,8 @@ def step_field():
 
 def _mlp_params(d, seed):
     rng = np.random.default_rng(seed)
-    p = ad.ParamStore()
-    for name, shape in (("h.w", (d, 64)), ("h.b", (64,)), ("o.w", (64, 1)), ("o.b", (1,))):
-        p.add(name, rng.normal(scale=0.5, size=shape))
-    return p
+    return ad.ParamStore((name, rng.normal(scale=0.5, size=shape)) for name, shape in
+                         (("h.w", (d, 64)), ("h.b", (64,)), ("o.w", (64, 1)), ("o.b", (1,))))
 
 
 class TestFusedNodes:
@@ -361,9 +359,8 @@ class TestFusedNodes:
                     loss = training._compute_loss(batch_arrays, params, cfg, spec,
                                                   losses.LossConfig(lam=lam))
                     grads = ad.gradients(loss, params)
-                results.append([loss.data.tobytes()]
-                               + [grads[n].tobytes() for n in params.names()])
-            assert len(results[0]) == 1 + len(params.names()), (variant, lam, batch)
+                assert grads.shape == params.vector.shape, (variant, lam, batch)
+                results.append([loss.data.tobytes(), grads.tobytes()])
             assert results[0] == results[1], (variant, lam, batch)
 
     @pytest.mark.parametrize("batch", [1, 16, 64])
@@ -463,8 +460,12 @@ class TestNormalization:
     @pytest.mark.parametrize("edit", [
         lambda d: d.pop("vi_const"), lambda d: d.update(vi_mu=[0.0]),
         lambda d: d.update(sm_const=[0, 1]), lambda d: d.update(y_sd=[1.0]),
-        lambda d: d.update(extra=1)], ids=["no_vi_const", "short_vi_mu", "int_flags",
-                                           "list_y_sd", "unknown_key"])
+        lambda d: d.update(extra=1), lambda d: d.update(y_sd=float("nan")),
+        lambda d: d.update(y_sd=-1.0), lambda d: d.update(y_mu=float("inf")),
+        lambda d: d["weather_sd"].__setitem__(2, -0.5), lambda d: d["sm_sd"].__setitem__(0, 0),
+        lambda d: d["aux_mu"].__setitem__(1, float("nan"))],
+        ids=["no_vi_const", "short_vi_mu", "int_flags", "list_y_sd", "unknown_key", "nan_y_sd",
+             "negative_y_sd", "infinite_y_mu", "negative_weather_sd", "zero_sm_sd", "nan_aux_mu"])
     def test_from_dict_takes_only_what_to_dict_writes(self, edit, tiny_field):
         d = _stats(tiny_field).to_dict()
         edit(d)
@@ -480,6 +481,16 @@ class TestNormalization:
 
 
 class TestCheckpoints:
+    @pytest.mark.parametrize("key,value", [("d_k", 32.0), ("d_model", True), ("enc_width1", 0),
+                                           ("dec_width", "16"), ("use_w2s", 1),
+                                           ("use_sm_tokens", None)])
+    def test_config_from_dict_takes_int_sizes_and_bool_flags(self, key, value):
+        d = model.ModelConfig().to_dict()
+        assert model.ModelConfig.from_dict(dict(d)) == model.ModelConfig()
+        d[key] = value
+        with pytest.raises(ValueError, match=f"config {key} must be "):
+            model.ModelConfig.from_dict(d)
+
     def test_round_trip(self, tiny_field, tmp_path):
         cfg = model.ModelConfig(**SMALL)
         params = model.init_params(cfg, 9)
@@ -491,8 +502,8 @@ class TestCheckpoints:
         back = model.load_checkpoint(stem)
         assert back.config.to_dict() == cfg.to_dict()
         assert back.meta["seed"] == 9
-        for name in params.names():
-            np.testing.assert_array_equal(back.params[name].data, params[name].data)
+        for name, t in params.items():
+            np.testing.assert_array_equal(back.params[name].data, t.data)
         pred_a = bundle.predict(tiny_field)["y_hat"]
         pred_b = back.predict(tiny_field)["y_hat"]
         np.testing.assert_array_equal(pred_a, pred_b)

@@ -11,7 +11,7 @@ builder turns each block into samples with ingest's one array path
 (composite_16day, Dataset.from_arrays); the county builder adds a
 reported yield, a canopy and observation noise, and writes the ingestion
 CSVs (pixel reflectances, daily weather/SM series, truth), each block's
-pixels before the next block is simulated.
+pixel and daily rows before the next block is simulated.
 """
 
 import numpy as np
@@ -186,10 +186,12 @@ def simulated_years(years):
 
 
 # units per simulate_unit_years call. The kernel pays a per-day numpy
-# overhead on every call, so a much smaller block is slower (100 counties
-# over 14 years on a 2-vCPU host: 0.46 s in one batch, 0.58 s in 16-unit
-# blocks, 2.97 s one at a time); a larger one holds more series at once.
-UNIT_BLOCK = 16
+# overhead on every call, so a smaller block is slower, and a larger one
+# holds more series at once. On 100 counties over 14 years (2-vCPU host)
+# the kernel took 0.38 s in one batch, 0.44 s in 16-unit blocks, 0.56 s in
+# 8 and 0.77 s in 4; 8-unit blocks cut the traced peak of the county
+# inputs from 21.8 to 12.7 MB, and of 40 field stations from 37.7 to 19.3 MB.
+UNIT_BLOCK = 8
 
 
 def unit_blocks(n_units):
@@ -278,34 +280,32 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
     canopy and hence the VIs) plus observation noise to the simulated
     yield; a county-year's historical average is its county's mean
     reported yield over the HISTORY_YEARS before it. Counties are
-    simulated a block at a time and each block's pixels are written before
-    the next is simulated; the daily and truth rows, a fifth of the pixel
-    rows or fewer, are written at the end.
+    simulated a block at a time, and each block's pixel and daily rows are
+    written before the next is simulated; the truth rows, one per
+    county-year, are written at the end. An error in any block leaves the
+    pixels and daily files as they were.
     """
-    # each block's daily (sids, years, values) and truth columns; a daily row's
-    # id and date text is rebuilt as it is written, so only its values are held
-    daily, truth = [], []
+    truth = []  # each block's truth columns
 
-    def tables():
+    def tables(write_daily):
         for units in unit_blocks(n_counties):
-            table, block_daily, block_truth = _county_block(
-                units, years, scenario_mix, seed, scenario_overrides)
-            daily.append(block_daily)
+            table, daily, block_truth = _county_block(units, years, scenario_mix, seed,
+                                                      scenario_overrides)
+            write_daily(*daily)
             truth.append(block_truth)
+            del daily
             yield table
+            del table  # the next block is simulated without this one
 
-    nd = ingest.SEASON_DAYS
-    ingest.write_pixels_csv(pixels_path, tables())
-    ingest.write_daily_csv(daily_path, (
-        (np.repeat(sids, nd), np.concatenate([ingest.season_dates(y) for y in block_years]),
-         values) for sids, block_years, values in daily))
+    with ingest.daily_csv_writer(daily_path) as write_daily:
+        ingest.write_pixels_csv(pixels_path, tables(write_daily))
     ingest.write_truth_csv(truth_path, list(map(np.concatenate, zip(*truth))))
 
 
 def _county_block(units, years, scenario_mix, seed, scenario_overrides):
-    """One block of counties: its PixelTable; its daily rows, as each
-    county-year's id and year and the (rows, 6) values of all its rows; and
-    its truth columns in TRUTH_KINDS order."""
+    """One block of counties: its PixelTable; its daily rows, as the ids,
+    dates and (rows, 6) values daily_csv_writer takes; and its truth
+    columns in TRUTH_KINDS order."""
     keys, kept, prior = unit_year_keys(units, years)
     locations, weather, sim = simulate_unit_years(seed, "county", keys.tolist(), scenario_mix,
                                                   scenario_overrides)
@@ -351,5 +351,5 @@ def _county_block(units, years, scenario_mix, seed, scenario_overrides):
         date=np.tile(dates, (1, n_px, 1)).ravel(),
         **{name: bands[b].ravel() for b, name in enumerate(list(ingest.PIXELS_KINDS)[2:7])},
         corn_mask=np.tile(np.repeat(np.arange(n_px) < n_px - 1, nd), len(kept)))
-    return (table, (sids, kept_years, daily_values.reshape(-1, 6)),
+    return (table, (np.repeat(sids, nd), dates.ravel(), daily_values.reshape(-1, 6)),
             [sids, kept_years, *locations[kept].T, reported[kept], reported[prior].mean(axis=1)])

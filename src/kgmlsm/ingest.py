@@ -15,6 +15,9 @@ array of SAMPLE_DTYPE. stack_dataset is the one array view of a dataset,
 and Dataset.from_arrays, its inverse, the one way in from arrays.
 """
 
+import collections
+import contextlib
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,12 +233,15 @@ def stack_dataset(dataset):
     SM means (over all windows and both layers) and drought flags.
     """
     r = dataset.samples
-    s = r.sm.copy()
     return {"ids": r.sid.astype(str), "years": r.year.copy(), "w": r.weather.copy(),
-            "v": r.vis.copy(), "s": s,
+            "v": r.vis.copy(), "s": r.sm.copy(),
             "aux": np.column_stack([r.year, r.lat, r.lon, r.hist_avg_yield]),
-            "y": r.yield_label.copy(), "sbar": s.reshape(len(s), 2 * N_WINDOWS).mean(axis=1),
-            "drought": r.drought_flag.copy()}
+            "y": r.yield_label.copy(), "sbar": _sbar(r), "drought": r.drought_flag.copy()}
+
+
+def _sbar(records):
+    """Each record's seasonal SM mean, over all windows and both layers."""
+    return records["sm"].reshape(len(records), 2 * N_WINDOWS).mean(axis=1)
 
 
 def channel_major(arrays):
@@ -248,11 +254,11 @@ def channel_major(arrays):
 
 def label_drought(dataset):
     """Flag samples whose sbar falls strictly below their year's quantile."""
-    a = stack_dataset(dataset)
-    flags = dataset.samples.drought_flag  # a view: each year's group is written into the records
-    for year in np.unique(a["years"]):
-        group = a["years"] == year
-        flags[group] = a["sbar"][group] < np.quantile(a["sbar"][group], DROUGHT_QUANTILE)
+    r = dataset.samples
+    sbar, flags = _sbar(r), r.drought_flag  # a view: each year's group is written into the records
+    for year in np.unique(r.year):
+        group = r.year == year
+        flags[group] = sbar[group] < np.quantile(sbar[group], DROUGHT_QUANTILE)
     return dataset
 
 
@@ -282,11 +288,13 @@ def manifest_path(csv_path):
 
 
 def write_samples_csv(dataset, csv_path):
-    csv_path = str(csv_path)
-    a = stack_dataset(dataset)
-    artifacts.write_csv(csv_path, SAMPLE_KINDS,
-                        [a["ids"], a["years"], *a["aux"][:, 1:].T, a["y"], a["sbar"], a["drought"],
-                         *channel_major(a).T])
+    """Write a dataset's samples.csv, each column a view of its records
+    (the series channel-major), and its manifest."""
+    csv_path, r = str(csv_path), dataset.samples
+    artifacts.write_csv(csv_path, SAMPLE_KINDS, [
+        r.sid, r.year, r.lat, r.lon, r.hist_avg_yield, r.yield_label, _sbar(r), r.drought_flag,
+        *(r[name][:, t, c] for name, width in (("weather", 4), ("vis", 4), ("sm", 2))
+          for c in range(width) for t in range(N_WINDOWS))])
     artifacts.write_json(manifest_path(csv_path), channel_manifest(dataset.level))
     return csv_path
 
@@ -299,86 +307,111 @@ def read_samples_csv(csv_path):
         raise SchemaError(f"manifest {manifest_file} does not match the schema of its level")
 
     cols = artifacts.read_csv(csv_path, SAMPLE_KINDS)
-    ids, years, flags = cols.pop("id"), cols.pop("year"), cols.pop("drought_flag")
-    if not len(ids):
+    n = len(cols["id"])
+    if not n:
         raise SchemaError(f"{csv_path} holds no samples")
-    # lat .. sbar, then the series, popped so that only the stack holds them
-    numbers = np.stack([cols.pop(name) for name in list(cols)], axis=1)
-    n, series = len(numbers), numbers[:, 5:]
-    sm_cells = series[:, 8 * N_WINDOWS:]
-    if (sm_cells < 0).any():  # soil moisture is a water content
-        row, col = np.unravel_index(np.argmax(sm_cells < 0), sm_cells.shape)
+    # each column is popped into the records, so that it is held once
+    samples = np.empty(n, dtype=SAMPLE_DTYPE)
+    for name, column in (("sid", "id"), ("year", "year"), ("lat", "lat"), ("lon", "lon"),
+                         ("hist_avg_yield", "hist_avg_yield"), ("yield_label", "yield"),
+                         ("drought_flag", "drought_flag")):
+        samples[name] = cols.pop(column)
+    sbar = cols.pop("sbar")
+    for name, key, width in (("weather", "w", 4), ("vis", "v", 4), ("sm", "s", 2)):
+        for c in range(width):  # channel-major: every window of a channel in turn
+            for t in range(N_WINDOWS):
+                samples[name][:, t, c] = cols.pop(f"{key}_{c * N_WINDOWS + t + 1}")
+    ids, years, sm = samples["sid"], samples["year"], samples["sm"]
+    negative = sm < 0  # soil moisture is a water content
+    if negative.any():
+        row = np.argmax(negative.any(axis=(1, 2)))
+        col = np.argmax(negative[row].T.ravel())  # the s_ column, channel-major
         raise SchemaError(f"{csv_path}: column 's_{col + 1}' has a negative soil moisture "
-                          f"{float(sm_cells[row, col])!r} for {ids[row]}/{years[row]}")
-    w, v, sm = (series[:, lo * N_WINDOWS: hi * N_WINDOWS].reshape(n, hi - lo, N_WINDOWS)
-                .transpose(0, 2, 1) for lo, hi in ((0, 4), (4, 8), (8, 10)))
-    ds = Dataset.from_arrays(manifest["level"], {
-        "ids": ids, "years": years, "w": w, "v": v, "s": sm,
-        "aux": np.column_stack([years, numbers[:, :3]]), "y": numbers[:, 3], "drought": flags})
-    stale = np.abs(stack_dataset(ds)["sbar"] - numbers[:, 4]) > 1e-9
+                          f"{float(sm[row, col % N_WINDOWS, col // N_WINDOWS])!r} for "
+                          f"{ids[row]}/{years[row]}")
+    stale = np.abs(_sbar(samples) - sbar) > 1e-9
     if stale.any():
         i = np.argmax(stale)
         raise SchemaError(f"stale sbar for {ids[i]}/{years[i]} in {csv_path}")
     if len(set(zip(ids.tolist(), years.tolist()))) != n:
         raise SchemaError(f"duplicate (id, year) keys in {csv_path}")
-    return ds
+    return Dataset(manifest["level"], samples)
 
 
 def write_pixels_csv(path, tables):
-    """Write PixelTables one after another, each county's rows together."""
-    artifacts.write_csv_blocks(path, PIXELS_KINDS, (
-        [getattr(table, name) for name in PIXELS_KINDS] for table in tables))
+    """Write PixelTables one after another, each county's rows together;
+    no table is held past its block."""
+    artifacts.write_csv_blocks(path, PIXELS_KINDS, map(operator.attrgetter(*PIXELS_KINDS), tables))
 
 
-def read_pixels_csv(path):
-    """Yield pixels.csv as PixelTables of whole counties, in file order: the
-    file is read a block of rows at a time, and the rows of a block's last
-    county carry over into the next. A file without rows yields one empty
-    table. Refuses a county whose rows resume after another county's."""
+def _runs(ids):
+    """The index of each run's first row in ids, a run being equal adjacent ids."""
+    return np.flatnonzero(np.r_[len(ids) > 0, ids[1:] != ids[:-1]])
+
+
+def _county_blocks(path, kinds, rows):
+    """Yield a CSV whose first column is a county id as blocks of whole
+    counties, in file order, each a dict from column name to array: the
+    file is read a block of rows at a time (artifacts.read_csv_blocks), and
+    the rows of a block's last county carry over into the next. A file
+    without rows yields one empty block. Refuses a county whose rows resume
+    after another county's, calling them its `rows` rows."""
+    key = next(iter(kinds))
     ended, carry = set(), None
-    for cols in artifacts.read_csv_blocks(path, PIXELS_KINDS):
+    for cols in artifacts.read_csv_blocks(path, kinds):
         if carry is not None:
-            cols = {name: np.concatenate([carry[name], cols[name]]) for name in PIXELS_KINDS}
-        ids = cols["county_id"]
-        starts = np.flatnonzero(np.r_[len(ids) > 0, ids[1:] != ids[:-1]])  # each county's first row
+            cols = {name: np.concatenate([carry[name], cols[name]]) for name in kinds}
+        ids = cols[key]
+        starts = _runs(ids)
         for sid in ids[starts].tolist():
             if sid in ended:
                 raise SchemaError(f"{path}: the rows of county {sid} resume after another "
-                                  "county's; each county's pixel rows must be contiguous")
+                                  f"county's; each county's {rows} rows must be contiguous")
             ended.add(sid)
         ended.difference_update(ids[starts[-1:]].tolist())  # its rows go on into the next block
         cut = starts[-1] if len(starts) else 0
         if cut:
-            yield PixelTable(**{name: column[:cut] for name, column in cols.items()})
+            yield {name: column[:cut] for name, column in cols.items()}
         carry = {name: column[cut:] for name, column in cols.items()}
-    yield PixelTable(**carry)
+    yield carry
 
 
-def write_daily_csv(path, blocks):
-    """blocks: (ids, dates, values) row blocks, values each row's six numbers
-    in DAILY_KINDS order, (rows, 6)."""
-    artifacts.write_csv_blocks(path, DAILY_KINDS, (
-        [ids, dates, *np.reshape(values, (-1, 6)).T] for ids, dates, values in blocks))
+def read_pixels_csv(path):
+    """Yield pixels.csv as PixelTables of whole counties, in file order
+    (_county_blocks)."""
+    return (PixelTable(**cols) for cols in _county_blocks(path, PIXELS_KINDS, "pixel"))
+
+
+@contextlib.contextmanager
+def daily_csv_writer(path):
+    """Yield write(ids, dates, values), which appends rows to daily.csv,
+    values each row's six numbers in DAILY_KINDS order, (rows, 6); the file
+    replaces path when the with-block completes (artifacts.csv_writer)."""
+    with artifacts.csv_writer(path, DAILY_KINDS) as write:
+        yield lambda ids, dates, values: write([ids, dates, *np.reshape(values, (-1, 6)).T])
 
 
 def read_daily_csv(path):
-    """daily.csv as (ids, years, dates, values (n, 6)), its rows sorted by
-    id, then year, then date."""
-    cols = artifacts.read_csv(path, DAILY_KINDS)
-    values = np.stack([cols.pop(name) for name in WEATHER_CHANNELS + SM_CHANNELS], axis=1)
-    ids, dates = cols["id"], cols["date"]
-    # a date's first four characters as digit values; any other character
-    # (or a short date's padding) wraps to a large unsigned value
-    digits = dates.astype("U4").view(np.uint32).reshape(len(dates), 4) - ord("0")
-    bad = (digits > 9).any(axis=1)
-    if bad.any():
-        raise SchemaError(f"{path}: column 'date' has a cell that is not a date: "
-                          f"{dates[np.argmax(bad)].item()!r}")
-    years = digits.astype(np.int64) @ np.array([1000, 100, 10, 1])
-    order = np.lexsort((dates, years, ids))  # stable: rows already in order keep it
-    if (order[1:] < order[:-1]).any():
-        ids, years, dates, values = ids[order], years[order], dates[order], values[order]
-    return ids, years, dates, values
+    """Yield daily.csv as blocks of whole counties, in file order
+    (_county_blocks), each as (ids, years, dates, values (n, 6)), a
+    county's rows sorted by year, then date."""
+    for cols in _county_blocks(path, DAILY_KINDS, "daily"):
+        values = np.stack([cols.pop(name) for name in WEATHER_CHANNELS + SM_CHANNELS], axis=1)
+        ids, dates = cols["id"], cols["date"]
+        # a date's first four characters as digit values; any other character
+        # (or a short date's padding) wraps to a large unsigned value
+        digits = dates.astype("U4").view(np.uint32).reshape(len(dates), 4) - ord("0")
+        bad = (digits > 9).any(axis=1)
+        if bad.any():
+            raise SchemaError(f"{path}: column 'date' has a cell that is not a date: "
+                              f"{dates[np.argmax(bad)].item()!r}")
+        years = digits.astype(np.int64) @ np.array([1000, 100, 10, 1])
+        starts = _runs(ids)
+        county = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(ids))))
+        order = np.lexsort((dates, years, county))  # stable: rows in order keep it
+        if (order[1:] < order[:-1]).any():
+            ids, years, dates, values = ids[order], years[order], dates[order], values[order]
+        yield ids, years, dates, values
 
 
 def write_truth_csv(path, columns):
@@ -391,57 +424,44 @@ def read_truth_csv(path):
     return artifacts.read_csv(path, TRUTH_KINDS)
 
 
-def _vi_means(pixels_path, daily_path, ids, dates):
-    """The VI means (n, 4) on each row of the sorted daily ids and dates.
-
-    Each block of whole counties of pixels_path goes through
-    spatial_average_all, and each county's means join the rows of its
-    daily dates. Refused unless every county's pixel dates are its daily
-    dates, naming the first county-date, in county then date order, at
-    which the two tables part.
-    """
-    counties, first, n_rows = np.unique(ids, return_index=True, return_counts=True)
-    vi = np.empty((len(ids), len(VI_CHANNELS)))
-    seen = np.zeros(len(counties), dtype=bool)
-    parted = []  # per county whose dates differ: the (county, date) at which they part
+def _county_means(pixels_path):
+    """Yield (county id, dates, VI means (n, 4)) for each county of
+    pixels_path, in file order: each block of whole counties goes through
+    spatial_average_all, which orders a county's rows by date."""
     for block in read_pixels_csv(pixels_path):
         vi_ids, vi_dates, means = spatial_average_all(block)
         names, at, size = np.unique(vi_ids, return_index=True, return_counts=True)
-        for sid, lo, n in zip(names.tolist(), at.tolist(), size.tolist()):
-            got = vi_dates[lo: lo + n]
-            k = np.searchsorted(counties, sid)
-            want = dates[:0]
-            if k < len(counties) and counties[k] == sid:
-                seen[k] = True
-                want = dates[first[k]: first[k] + n_rows[k]]
-            if len(got) == len(want) and (got == want).all():
-                vi[first[k]: first[k] + n] = means[lo: lo + n]
-                continue
+        spans = dict(zip(names.tolist(), zip(at.tolist(), (at + size).tolist())))
+        for sid in block.county_id[_runs(block.county_id)].tolist():
+            lo, hi = spans[sid]
+            yield sid, vi_dates[lo:hi], means[lo:hi]
+
+
+def _vi_means(pixel_counties, ids, dates):
+    """The VI means (n, 4) on each row of a daily block's ids and dates,
+    each of its counties joined to the next county of pixel_counties
+    (_county_means), and None; or None and the (county, date) at which the
+    two files part: the first date of a county on which they differ, or
+    the lesser of two counties that differ, on its first date."""
+    vi = np.empty((len(ids), len(VI_CHANNELS)))
+    starts = _runs(ids)
+    for lo, hi in zip(starts.tolist(), np.append(starts[1:], len(ids)).tolist()):
+        sid, want = ids[lo], dates[lo:hi]
+        pixel_sid, got, means = next(pixel_counties, (None, None, None))
+        if pixel_sid != sid:
+            return None, min((s, d[0].item()) for s, d in ((sid, want), (pixel_sid, got))
+                             if s is not None)
+        if len(got) != len(want) or (got != want).any():
             m = min(len(got), len(want))
             j = np.argmax(np.append(got[:m] != want[:m], True))  # m if one is the other's start
-            parted.append((sid, min(d[j].item() for d in (got, want) if j < len(d))))
-    parted += [(sid, dates[i].item()) for sid, i in zip(counties[~seen].tolist(), first[~seen])]
-    if parted:
-        sid, date = min(parted)
-        raise SchemaError(f"{pixels_path}: county {sid}/{date[:4]}: pixel dates differ from "
-                          f"the daily dates in {daily_path}")
-    return vi
+            return None, (sid, min(d[j].item() for d in (got, want) if j < len(d)))
+        vi[lo:hi] = means
+    return vi, None
 
 
-def build_county_dataset(pixels_path, daily_path, truth_path):
-    """Assemble the county-level dataset from the three ingestion CSVs.
-
-    One sample per (id, year) of the daily CSV, in id then year order. Each
-    must have one daily row on each of its season_dates, pixels on exactly
-    those dates and a truth row; pixels of any other county-year are
-    refused, as is a truth file that repeats an (id, year). Truth rows of
-    other county-years are not read. The daily and truth files are read
-    whole; the pixels a block of whole counties at a time, each block
-    reduced to its VI means before the next is read (_vi_means).
-    """
-    ids, years, dates, values = read_daily_csv(daily_path)
-    truth = read_truth_csv(truth_path)
-
+def _check_daily(daily_path, ids, years, dates):
+    """The first row of each county-year of a read_daily_csv block, refused
+    unless each has one row on each of its season_dates."""
     first = np.ones(len(ids), dtype=bool)
     first[1:] = (ids[1:] != ids[:-1]) | (years[1:] != years[:-1])
     starts = np.flatnonzero(first)  # each county-year's first row
@@ -454,42 +474,76 @@ def build_county_dataset(pixels_path, daily_path, truth_path):
         i = starts[np.argmax(bad)]
         raise SchemaError(f"{daily_path}: county {ids[i]}/{years[i]} does not have one row on "
                           f"each of {SEASON_DAYS} distinct dates")
-    gid, gyear, k = ids[starts], years[starts], len(starts)
-    season_years, at = np.unique(gyear, return_inverse=True)
-    expected = np.stack([season_dates(year) for year in season_years.tolist()])
-    off_season = np.zeros(k, dtype=bool)
-    for day, got in enumerate(dates.reshape(k, SEASON_DAYS).T):  # one day of every county-year
+    season_years, at = np.unique(years[starts], return_inverse=True)
+    expected = np.array([season_dates(year) for year in season_years.tolist()],
+                        dtype="U10").reshape(-1, SEASON_DAYS)
+    off_season = np.zeros(len(starts), dtype=bool)
+    for day, got in enumerate(dates.reshape(len(starts), SEASON_DAYS).T):  # one day of each
         off_season |= got != expected[at, day]
     if off_season.any():
         i = starts[np.argmax(off_season)]
         raise SchemaError(f"{daily_path}: county {ids[i]}/{years[i]} has dates outside the "
                           "season, April 1 to October 31")
+    return starts
 
-    vi = _vi_means(pixels_path, daily_path, ids, dates)
 
-    # each sample's truth row: code the (id, year) keys of both files together
-    _, code = np.unique(np.rec.fromarrays([np.concatenate([gid, truth["id"]]),
-                                           np.concatenate([gyear, truth["year"]])]),
-                        return_inverse=True)
-    repeated = np.bincount(code[k:])[code[k:]] > 1
-    if repeated.any():
-        i = np.argmax(repeated)
+def build_county_dataset(pixels_path, daily_path, truth_path):
+    """Assemble the county-level dataset from the three ingestion CSVs.
+
+    One sample per (id, year) of the daily CSV: counties in file order,
+    each county's years in order. Each must have one daily row on each of
+    its season_dates, pixels on exactly those dates and a truth row. Pixels
+    of any other county-year are refused, as are pixel counties in another
+    order than the daily counties and a truth file that repeats an (id,
+    year); truth rows of other county-years are not read. The truth file
+    is read whole; the daily and pixels files a block of whole counties at
+    a time, and each daily block is checked, joined to its counties' VI
+    means (_vi_means) and truth rows, and composited before the next is
+    read. Where the two files part, both are still read to the end, so
+    that a refusal of either file alone (a county that resumes, say) comes
+    first; the parting is named after that.
+    """
+    truth = read_truth_csv(truth_path)
+    keys = list(zip(truth["id"].tolist(), truth["year"].tolist()))
+    truth_row = dict(zip(keys, range(len(keys))))
+    if len(truth_row) < len(keys):
+        count = collections.Counter(keys)
+        i = next(i for i, key in enumerate(keys) if count[key] > 1)
         raise SchemaError(f"{truth_path}: county {truth['id'][i]}/{truth['year'][i]} has more "
                           "than one row")
-    row = np.full(len(code), -1)
-    row[code[k:]] = np.arange(len(code) - k)
-    row = row[code[:k]]
-    if (row < 0).any():
-        i = np.argmax(row < 0)
-        raise SchemaError(f"county {gid[i]}/{gyear[i]} missing from truth csv {truth_path}")
 
-    lat, lon, hist = (truth[name][row] for name in ("lat", "lon", "hist_avg_yield"))
-    series = composite_16day(values.reshape(k, SEASON_DAYS, 6).transpose(0, 2, 1),
-                             [COMPOSITE_RULES[name] for name in WEATHER_CHANNELS + SM_CHANNELS])
-    vis = composite_16day(vi.reshape(k, SEASON_DAYS, 4).transpose(0, 2, 1),
-                          [COMPOSITE_RULES[name] for name in VI_CHANNELS])
-    return Dataset.from_arrays("county", {
-        "ids": gid, "years": gyear, "w": series[:, :4].transpose(0, 2, 1),
-        "v": vis.transpose(0, 2, 1), "s": series[:, 4:].transpose(0, 2, 1),
-        "aux": np.column_stack([gyear, lat, lon, hist]),
-        "y": truth["yield"][row], "drought": np.zeros(k, dtype=bool)})
+    pixel_counties = _county_means(pixels_path)
+    # each sample has a truth row of its own, so there are no more samples than truth rows
+    parted, samples, n = None, np.empty(len(keys), dtype=SAMPLE_DTYPE), 0
+    for ids, years, dates, values in read_daily_csv(daily_path):
+        starts = _check_daily(daily_path, ids, years, dates)
+        if parted is None:
+            vi, parted = _vi_means(pixel_counties, ids, dates)
+        if parted is not None:
+            continue  # the files have parted: the rest is read only for its own refusals
+        gid, gyear, k = ids[starts], years[starts], len(starts)
+        row = np.array([truth_row.get(key, -1) for key in zip(gid.tolist(), gyear.tolist())],
+                       dtype=np.intp)
+        if (row < 0).any():
+            i = np.argmax(row < 0)
+            raise SchemaError(f"county {gid[i]}/{gyear[i]} missing from truth csv {truth_path}")
+        lat, lon, hist = (truth[name][row] for name in ("lat", "lon", "hist_avg_yield"))
+        series = composite_16day(values.reshape(k, SEASON_DAYS, 6).transpose(0, 2, 1),
+                                 [COMPOSITE_RULES[name] for name in WEATHER_CHANNELS + SM_CHANNELS])
+        vis = composite_16day(vi.reshape(k, SEASON_DAYS, 4).transpose(0, 2, 1),
+                              [COMPOSITE_RULES[name] for name in VI_CHANNELS])
+        samples[n: n + k] = Dataset.from_arrays("county", {
+            "ids": gid, "years": gyear, "w": series[:, :4].transpose(0, 2, 1),
+            "v": vis.transpose(0, 2, 1), "s": series[:, 4:].transpose(0, 2, 1),
+            "aux": np.column_stack([gyear, lat, lon, hist]),
+            "y": truth["yield"][row], "drought": np.zeros(k, dtype=bool)}).samples
+        n += k
+    # pixel counties after the last daily county part the files too
+    parted = parted or next(((sid, got[0].item()) for sid, got, _ in pixel_counties), None)
+    for _ in pixel_counties:  # the rest of the pixels is read for its own refusals
+        pass
+    if parted:
+        sid, date = parted
+        raise SchemaError(f"{pixels_path}: county {sid}/{date[:4]}: pixel dates differ from "
+                          f"the daily dates in {daily_path}")
+    return Dataset("county", samples[:n])

@@ -835,6 +835,13 @@ BAD_FILES = {
     "pixels_county_split": ("ingest", os.path.join("data", "pixels.csv"),
                             _move_rows_to_end(1, 5 * 214),
                             "pixels.csv: the rows of county c000 resume after another county's"),
+    "daily_county_split": ("ingest", os.path.join("data", "daily.csv"),
+                           _move_rows_to_end(1, 214),
+                           "daily.csv: the rows of county c000 resume after another county's"),
+    "pixels_county_order": ("ingest", os.path.join("data", "pixels.csv"),
+                            _move_rows_to_end(1, 4 * 5 * 214),  # all of c000's rows
+                            "pixels.csv: county c000/2019: pixel dates differ from the daily "
+                            "dates in "),
     "checkpoint_blob_byte_flipped": ("evaluate", CHECKPOINT + ".bin", _flip_byte(100),
                                      "model.bin does not match the sha256 its manifest records"),
     "pixels_mask_2": ("ingest", os.path.join("data", "pixels.csv"),

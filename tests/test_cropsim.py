@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -148,7 +150,7 @@ class TestCountyInputs:
                                     pixels_path=paths[0], daily_path=paths[1],
                                     truth_path=paths[2])
         pixels = artifacts.read_csv(paths[0], ingest.PIXELS_KINDS)
-        ids, years, dates, _ = ingest.read_daily_csv(paths[1])
+        ids, years, dates, _ = map(np.concatenate, zip(*ingest.read_daily_csv(paths[1])))
         truth = ingest.read_truth_csv(paths[2])
         assert len(truth["id"]) == 4
         county_years, rows = np.unique(np.char.add(ids, years.astype(str)), return_counts=True)
@@ -174,6 +176,30 @@ class TestCountyInputs:
             prior = (truth["id"] == truth["id"][row]) & (truth["year"] < 2021)
             assert prior.sum() == cropsim.HISTORY_YEARS
             assert truth["hist_avg_yield"][row] == np.mean(truth["yield"][prior])
+
+    def test_an_error_in_a_later_block_leaves_pixels_and_daily_as_they_were(self, tmp_path,
+                                                                            monkeypatch):
+        """The pixel and daily rows are written block by block, each file
+        beside its path, and replace the old files only once every block is
+        written: an error while simulating the second block of counties
+        leaves both byte for byte as they were, and no temp file behind."""
+        paths = [str(tmp_path / n) for n in ("pixels.csv", "daily.csv", "truth.csv")]
+        n = cropsim.UNIT_BLOCK + 1  # two blocks
+        cropsim.build_county_inputs(n, [2021], {"normal": 1.0}, 3, *paths)
+        before = [open(p, "rb").read() for p in paths[:2]]
+        simulate, calls = cropsim.simulate_unit_years, []
+
+        def fail_on_the_second_block(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("second block")
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(cropsim, "simulate_unit_years", fail_on_the_second_block)
+        with pytest.raises(RuntimeError, match="second block"):
+            cropsim.build_county_inputs(n, [2021], {"normal": 1.0}, 4, *paths)
+        assert [open(p, "rb").read() for p in paths[:2]] == before
+        assert sorted(os.listdir(tmp_path)) == ["daily.csv", "pixels.csv", "truth.csv"]
 
     def test_unmasked_pixels_differ_from_corn(self, tmp_path):
         paths = [str(tmp_path / n) for n in ("p.csv", "d.csv", "t.csv")]

@@ -17,6 +17,7 @@ and Dataset.from_arrays, its inverse, the one way in from arrays.
 
 import collections
 import contextlib
+import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -305,6 +306,9 @@ def read_samples_csv(csv_path):
     manifest = artifacts.read_json(manifest_file)
     if not isinstance(manifest, dict) or manifest != channel_manifest(manifest.get("level")):
         raise SchemaError(f"manifest {manifest_file} does not match the schema of its level")
+    if manifest["level"] not in ("field", "county"):
+        raise SchemaError(f"{manifest_file} describes {manifest['level']!r} samples, but "
+                          f"{csv_path} must hold 'field' or 'county' samples")
 
     cols = artifacts.read_csv(csv_path, SAMPLE_KINDS)
     n = len(cols["id"])
@@ -344,42 +348,36 @@ def write_pixels_csv(path, tables):
     artifacts.write_csv_blocks(path, PIXELS_KINDS, map(operator.attrgetter(*PIXELS_KINDS), tables))
 
 
+def _counties(path, kinds, rows):
+    """Yield a CSV whose first column is a county id one county at a time,
+    in file order, as a dict from column name to array: the file is read a
+    block of rows at a time (artifacts.read_csv_blocks), and a county's
+    rows are joined across the blocks they span; a file without rows
+    yields nothing. Refuses a county whose rows resume after another
+    county's, calling them its `rows` rows."""
+    key, ended = next(iter(kinds)), set()
+    runs = ((block[key][lo], {name: column[lo:hi] for name, column in block.items()})
+            for block in artifacts.read_csv_blocks(path, kinds)
+            for lo, hi in _runs(block[key]))
+    for sid, parts in itertools.groupby(runs, key=operator.itemgetter(0)):
+        if sid in ended:
+            raise SchemaError(f"{path}: the rows of county {sid} resume after another "
+                              f"county's; each county's {rows} rows must be contiguous")
+        ended.add(sid)
+        parts = [cols for _, cols in parts]
+        yield {name: np.concatenate([cols[name] for cols in parts]) for name in kinds}
+
+
 def _runs(ids):
-    """The index of each run's first row in ids, a run being equal adjacent ids."""
-    return np.flatnonzero(np.r_[len(ids) > 0, ids[1:] != ids[:-1]])
-
-
-def _county_blocks(path, kinds, rows):
-    """Yield a CSV whose first column is a county id as blocks of whole
-    counties, in file order, each a dict from column name to array: the
-    file is read a block of rows at a time (artifacts.read_csv_blocks), and
-    the rows of a block's last county carry over into the next. A file
-    without rows yields one empty block. Refuses a county whose rows resume
-    after another county's, calling them its `rows` rows."""
-    key = next(iter(kinds))
-    ended, carry = set(), None
-    for cols in artifacts.read_csv_blocks(path, kinds):
-        if carry is not None:
-            cols = {name: np.concatenate([carry[name], cols[name]]) for name in kinds}
-        ids = cols[key]
-        starts = _runs(ids)
-        for sid in ids[starts].tolist():
-            if sid in ended:
-                raise SchemaError(f"{path}: the rows of county {sid} resume after another "
-                                  f"county's; each county's {rows} rows must be contiguous")
-            ended.add(sid)
-        ended.difference_update(ids[starts[-1:]].tolist())  # its rows go on into the next block
-        cut = starts[-1] if len(starts) else 0
-        if cut:
-            yield {name: column[:cut] for name, column in cols.items()}
-        carry = {name: column[cut:] for name, column in cols.items()}
-    yield carry
+    """The (start, end) of each run of equal adjacent ids."""
+    ends = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist() + [len(ids)]
+    return zip([0] + ends[:-1], ends) if len(ids) else ()
 
 
 def read_pixels_csv(path):
-    """Yield pixels.csv as PixelTables of whole counties, in file order
-    (_county_blocks)."""
-    return (PixelTable(**cols) for cols in _county_blocks(path, PIXELS_KINDS, "pixel"))
+    """Yield pixels.csv one county at a time, in file order, as PixelTables
+    (_counties)."""
+    return (PixelTable(**cols) for cols in _counties(path, PIXELS_KINDS, "pixel"))
 
 
 @contextlib.contextmanager
@@ -392,10 +390,9 @@ def daily_csv_writer(path):
 
 
 def read_daily_csv(path):
-    """Yield daily.csv as blocks of whole counties, in file order
-    (_county_blocks), each as (ids, years, dates, values (n, 6)), a
-    county's rows sorted by year, then date."""
-    for cols in _county_blocks(path, DAILY_KINDS, "daily"):
+    """Yield daily.csv one county at a time, in file order (_counties), as
+    (ids, years, dates, values (n, 6)), its rows sorted by year, then date."""
+    for cols in _counties(path, DAILY_KINDS, "daily"):
         values = np.stack([cols.pop(name) for name in WEATHER_CHANNELS + SM_CHANNELS], axis=1)
         ids, dates = cols["id"], cols["date"]
         # a date's first four characters as digit values; any other character
@@ -406,9 +403,7 @@ def read_daily_csv(path):
             raise SchemaError(f"{path}: column 'date' has a cell that is not a date: "
                               f"{dates[np.argmax(bad)].item()!r}")
         years = digits.astype(np.int64) @ np.array([1000, 100, 10, 1])
-        starts = _runs(ids)
-        county = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(ids))))
-        order = np.lexsort((dates, years, county))  # stable: rows in order keep it
+        order = np.lexsort((dates, years))  # stable: rows in order keep it
         if (order[1:] < order[:-1]).any():
             ids, years, dates, values = ids[order], years[order], dates[order], values[order]
         yield ids, years, dates, values
@@ -425,49 +420,38 @@ def read_truth_csv(path):
 
 
 def _county_means(pixels_path):
-    """Yield (county id, dates, VI means (n, 4)) for each county of
-    pixels_path, in file order: each block of whole counties goes through
-    spatial_average_all, which orders a county's rows by date."""
-    for block in read_pixels_csv(pixels_path):
-        vi_ids, vi_dates, means = spatial_average_all(block)
-        names, at, size = np.unique(vi_ids, return_index=True, return_counts=True)
-        spans = dict(zip(names.tolist(), zip(at.tolist(), (at + size).tolist())))
-        for sid in block.county_id[_runs(block.county_id)].tolist():
-            lo, hi = spans[sid]
-            yield sid, vi_dates[lo:hi], means[lo:hi]
+    """Yield spatial_average_all of each county of pixels_path, in file
+    order; a county-date without coverage is refused naming the file."""
+    for table in read_pixels_csv(pixels_path):
+        try:
+            means = spatial_average_all(table)
+        except MissingCoverage as e:
+            raise SchemaError(f"{pixels_path}: {e}") from e
+        yield means
 
 
-def _vi_means(pixel_counties, ids, dates):
-    """The VI means (n, 4) on each row of a daily block's ids and dates,
-    each of its counties joined to the next county of pixel_counties
-    (_county_means), and None; or None and the (county, date) at which the
-    two files part: the first date of a county on which they differ, or
-    the lesser of two counties that differ, on its first date."""
-    vi = np.empty((len(ids), len(VI_CHANNELS)))
-    starts = _runs(ids)
-    for lo, hi in zip(starts.tolist(), np.append(starts[1:], len(ids)).tolist()):
-        sid, want = ids[lo], dates[lo:hi]
-        pixel_sid, got, means = next(pixel_counties, (None, None, None))
-        if pixel_sid != sid:
-            return None, min((s, d[0].item()) for s, d in ((sid, want), (pixel_sid, got))
-                             if s is not None)
-        if len(got) != len(want) or (got != want).any():
-            m = min(len(got), len(want))
-            j = np.argmax(np.append(got[:m] != want[:m], True))  # m if one is the other's start
-            return None, (sid, min(d[j].item() for d in (got, want) if j < len(d)))
-        vi[lo:hi] = means
-    return vi, None
+def _parting(sid, want, pixel_sid, got):
+    """None if pixel county pixel_sid, on dates got, is daily county sid,
+    on dates want; else the (county, date) at which the two files part:
+    the first date of the county on which they differ, or the lesser of
+    two counties that differ, on its first date."""
+    if pixel_sid != sid:
+        return min((s, d[0].item()) for s, d in ((sid, want), (pixel_sid, got))
+                   if s is not None)
+    if len(got) != len(want) or (got != want).any():
+        m = min(len(got), len(want))
+        j = np.argmax(np.append(got[:m] != want[:m], True))  # m if one is the other's start
+        return sid, min(d[j].item() for d in (got, want) if j < len(d))
+    return None
 
 
 def _check_daily(daily_path, ids, years, dates):
-    """The first row of each county-year of a read_daily_csv block, refused
-    unless each has one row on each of its season_dates."""
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = (ids[1:] != ids[:-1]) | (years[1:] != years[:-1])
+    """The first row of each year of a read_daily_csv county, refused unless
+    each has one row on each of its season_dates."""
+    first = np.r_[True, years[1:] != years[:-1]]
     starts = np.flatnonzero(first)  # each county-year's first row
     # rows are in date order within a county-year, so a repeated date is the previous row's
-    repeated = np.zeros(len(ids), dtype=bool)
-    repeated[1:] = (dates[1:] == dates[:-1]) & ~first[1:]
+    repeated = np.r_[False, (dates[1:] == dates[:-1]) & ~first[1:]]
     bad = np.diff(np.append(starts, len(ids))) != SEASON_DAYS
     bad[np.cumsum(first)[repeated] - 1] = True
     if bad.any():
@@ -496,12 +480,12 @@ def build_county_dataset(pixels_path, daily_path, truth_path):
     of any other county-year are refused, as are pixel counties in another
     order than the daily counties and a truth file that repeats an (id,
     year); truth rows of other county-years are not read. The truth file
-    is read whole; the daily and pixels files a block of whole counties at
-    a time, and each daily block is checked, joined to its counties' VI
-    means (_vi_means) and truth rows, and composited before the next is
-    read. Where the two files part, both are still read to the end, so
-    that a refusal of either file alone (a county that resumes, say) comes
-    first; the parting is named after that.
+    is read whole; the daily and pixels files one county at a time, and
+    each daily county is checked, joined to the next pixel county's VI
+    means (_county_means, _parting) and to its truth rows, and composited
+    before the next is read. Where the two files part, both are still
+    read to the end, so that a refusal of either file alone (a county that
+    resumes, say) comes first; the parting is named after that.
     """
     truth = read_truth_csv(truth_path)
     keys = list(zip(truth["id"].tolist(), truth["year"].tolist()))
@@ -518,7 +502,8 @@ def build_county_dataset(pixels_path, daily_path, truth_path):
     for ids, years, dates, values in read_daily_csv(daily_path):
         starts = _check_daily(daily_path, ids, years, dates)
         if parted is None:
-            vi, parted = _vi_means(pixel_counties, ids, dates)
+            pixel_ids, pixel_dates, vi = next(pixel_counties, ([None], None, None))
+            parted = _parting(ids[0], dates, pixel_ids[0], pixel_dates)
         if parted is not None:
             continue  # the files have parted: the rest is read only for its own refusals
         gid, gyear, k = ids[starts], years[starts], len(starts)
@@ -539,7 +524,7 @@ def build_county_dataset(pixels_path, daily_path, truth_path):
             "y": truth["yield"][row], "drought": np.zeros(k, dtype=bool)}).samples
         n += k
     # pixel counties after the last daily county part the files too
-    parted = parted or next(((sid, got[0].item()) for sid, got, _ in pixel_counties), None)
+    parted = parted or next(((sid[0], got[0].item()) for sid, got, _ in pixel_counties), None)
     for _ in pixel_counties:  # the rest of the pixels is read for its own refusals
         pass
     if parted:

@@ -675,6 +675,16 @@ def _drop_rows(county, date):
     return corrupt
 
 
+def _unmask(county, date):
+    """A corruption that sets corn_mask, the last column, to 0 on every
+    pixel row of one county on one date."""
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(x[:-1] + "0" if x.startswith(f"{county},{date},") else x
+                                  for x in lines) + "\n")
+    return corrupt
+
+
 def _append_copy(line, column, value):
     """A corruption that appends a copy of one CSV row with one cell changed."""
     def corrupt(path):
@@ -807,6 +817,9 @@ BAD_FILES = {
                             _drop_rows("c000", "2019-07-01"),
                             "pixels.csv: county c000/2019: pixel dates differ from the daily "
                             "dates"),
+    "pixels_uncovered_date": ("ingest", os.path.join("data", "pixels.csv"),
+                              _unmask("c000", "2019-07-01"),
+                              "pixels.csv: no corn-masked pixels for county c000 on 2019-07-01"),
     "truth_bad_yield": ("ingest", os.path.join("data", "county_truth.csv"),
                         lambda p: _set_cell(p, 2, "yield", "abc"),
                         "county_truth.csv: column 'yield'"),

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -379,6 +380,18 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError):
             ingest.read_samples_csv(path)
 
+    @pytest.mark.parametrize("level", ["bogus", ["county"], None])
+    def test_manifest_of_an_unknown_level_rejected(self, level, tmp_path):
+        """A manifest that matches the schema of a level other than "field"
+        or "county" is refused by the reader itself, naming the manifest."""
+        path = tmp_path / "samples.csv"
+        ingest.write_samples_csv(make_dataset(np.random.default_rng(21), n=2), path)
+        artifacts.write_json(tmp_path / "samples_manifest.json", ingest.channel_manifest(level))
+        message = (rf"samples_manifest\.json describes {re.escape(repr(level))} samples, but "
+                   r".*samples\.csv must hold 'field' or 'county' samples")
+        with pytest.raises(SchemaError, match=message):
+            ingest.read_samples_csv(path)
+
     def test_duplicate_keys_rejected(self, tmp_path):
         rng = np.random.default_rng(11)
         ds = make_dataset(rng, n=2, years=(2020,))
@@ -424,6 +437,16 @@ class TestDailyCsv:
             assert got_dates.tolist() == dates
             assert got_values.tobytes() == values.tobytes()
 
+    def test_each_item_holds_one_county(self, tmp_path):
+        """Each item holds exactly one county, a county whose rows span a
+        block boundary included."""
+        n = 3 * artifacts._CHUNK_ROWS
+        ids = np.char.add("c", np.char.zfill((np.arange(n) * 7 // n).astype(str), 3))
+        _write_daily(tmp_path / "daily.csv", ids, np.full(n, "2019-04-01"), np.zeros((n, 6)))
+        got = [county for county, _, _, _ in ingest.read_daily_csv(tmp_path / "daily.csv")]
+        assert [np.unique(county).tolist() for county in got] == [[f"c{i:03d}"] for i in range(7)]
+        assert np.array_equal(np.concatenate(got), ids)
+
     def test_date_without_a_year_names_file_and_column(self, tmp_path):
         ids, dates, values = _daily_rows(np.random.default_rng(15))
         dates[7] = "20x0-04-01"
@@ -459,7 +482,8 @@ class TestPixelsCsv:
         assert peak < 4 * sum(a.nbytes for a in arrays)
 
     def test_each_block_holds_whole_counties(self, tmp_path):
-        """A county whose rows span a block boundary comes back in one table."""
+        """Each table holds exactly one county, a county whose rows span a
+        block boundary included."""
         n = 3 * artifacts._CHUNK_ROWS
         county = np.arange(n) * 7 // n  # 7 counties over 3 blocks: most span a boundary
         table = ingest.PixelTable(
@@ -473,6 +497,7 @@ class TestPixelsCsv:
         assert np.array_equal(np.concatenate(blocks), table.county_id)
         per_block = [set(ids.tolist()) for ids in blocks]
         assert all(a.isdisjoint(b) for i, a in enumerate(per_block) for b in per_block[i + 1:])
+        assert [len(ids) for ids in per_block] == [1] * 7
 
 
 class TestCountyAssembly:

@@ -8,7 +8,8 @@ binds a tensor's `data`, so a stored parameter stays a view of
 `ParamStore.vector`. Every graph-free forward of the model runs in
 blocks through `model.forward_blocks`. Only `artifacts` calls `open`,
 so it alone knows the file formats, and only `artifacts` names its text
-block size (`_CHUNK_ROWS`, `_CHUNK_CELLS`, `_block_rows`). No function or
+block size (`_CHUNK_ROWS`, `_CHUNK_CELLS`, `_block_rows`); beside it,
+only `ingest` calls `read_csv_blocks`. No function or
 class of the package goes unnamed: each is called, passed or imported
 somewhere in `src`, `tests` or `perfbench`. No module of the package
 imports the test oracles `gradcheck` and `chain_oracle`, and no layer is
@@ -180,6 +181,17 @@ def test_only_artifacts_names_the_text_block_size():
     named = [f"{name}: {ref}" for name, tree in _modules() if name != "artifacts.py"
              for ref in _names(tree) if ref in sizes]
     assert named == [] and sizes <= set(_names(dict(_modules())["artifacts.py"]))
+
+
+def test_only_artifacts_and_ingest_read_csv_blocks():
+    """No module but `artifacts`, which defines it, and `ingest` calls
+    `read_csv_blocks`, so `ingest._counties` stays the one block-wise
+    reader of the county files."""
+    calls = [f"{name}:{node.lineno}" for name, tree in _modules()
+             if name not in ("artifacts.py", "ingest.py")
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "read_csv_blocks"]
+    assert calls == []
 
 
 def _names(tree):

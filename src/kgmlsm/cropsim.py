@@ -5,13 +5,16 @@ weather, a two-bucket water balance for surface and rootzone soil
 moisture (see kernels.py), and a stress-modulated yield. Field
 station-years and county-years go through one path: draw_unit_year makes
 a unit-year's draws from its level's replayable rng streams, and
-simulate_unit_years simulates a block of UNIT_BLOCK units, all their
-years, warm-up years included, as arrays in one kernel call. The field
-builder turns each block into samples with ingest's one array path
-(composite_16day, Dataset.from_arrays); the county builder adds a
-reported yield, a canopy and observation noise, and writes the ingestion
-CSVs (pixel reflectances, daily weather/SM series, truth), each block's
-pixel and daily rows before the next block is simulated.
+simulate_unit_years draws a block of units, all their years, warm-up
+years included, into the block's own arrays and simulates them in one
+kernel call. A block is as many whole units as make about
+BLOCK_UNIT_YEARS unit-years, at either level. The field builder turns
+each block into samples with ingest's one array path (composite_16day,
+Dataset.from_arrays), compositing only the years it keeps; the county
+builder adds a reported yield, a canopy and observation noise, and
+writes the ingestion CSVs (pixel reflectances, daily weather/SM series,
+truth): one county's pixel and daily rows at a time, each block's before
+the next block is simulated.
 """
 
 import numpy as np
@@ -166,16 +169,25 @@ def simulate_unit_years(seed, level, keys, scenario_mix, overrides=None):
     WEATHER_CHANNELS order, the simulate_station_years arrays with each
     SM shift applied and clipped to the physical range), one row per key
     in order. Every draw has its own rng stream, so the batch does not
-    change any value.
+    change any value. Each draw lands in its row of the returned arrays:
+    the weather array holds the driving weather until the kernel returns,
+    and only the recorded weather of an anomalous draw, which differs
+    from its driving weather, is held apart meanwhile.
     """
     overrides = {int(year): mix for year, mix in (overrides or {}).items()}
-    draws = [draw_unit_year(seed, level, unit, year, overrides.get(year, scenario_mix))
-             for unit, year in keys]
-    locations, weather, driving, management, shift = map(np.array, zip(*draws))
-    sim = simulate_station_years(driving, management)
-    rows = shift != 0.0
-    for key in ("sm_surface", "sm_rootzone"):
-        sim[key][rows] = np.clip(sim[key][rows] + shift[rows, None], SM_MIN, SM_SAT)
+    n = len(keys)
+    locations, weather = np.empty((n, 2)), np.empty((n, 4, DAYS_PER_YEAR))
+    management, anomalous = np.empty((n, 5)), {}  # row: (recorded weather, SM shift)
+    for i, (unit, year) in enumerate(keys):
+        locations[i], record, weather[i], management[i], shift = draw_unit_year(
+            seed, level, unit, year, overrides.get(year, scenario_mix))
+        if shift:
+            anomalous[i] = record, shift
+    sim = simulate_station_years(weather, management)
+    for i, (record, shift) in anomalous.items():
+        weather[i] = record
+        for key in ("sm_surface", "sm_rootzone"):
+            sim[key][i] = np.clip(sim[key][i] + shift, SM_MIN, SM_SAT)
     return locations, weather, sim
 
 
@@ -185,18 +197,25 @@ def simulated_years(years):
     return range(min(years) - HISTORY_YEARS, max(years) + 1)
 
 
-# units per simulate_unit_years call. The kernel pays a per-day numpy
-# overhead on every call, so a smaller block is slower, and a larger one
-# holds more series at once. On 100 counties over 14 years (2-vCPU host)
-# the kernel took 0.38 s in one batch, 0.44 s in 16-unit blocks, 0.56 s in
-# 8 and 0.77 s in 4; 8-unit blocks cut the traced peak of the county
-# inputs from 21.8 to 12.7 MB, and of 40 field stations from 37.7 to 19.3 MB.
-UNIT_BLOCK = 8
+# unit-years per simulate_unit_years call, at either level: a block is
+# as many whole units as make this many simulated years (at least one
+# unit). Each kernel call pays a fixed overhead (kernels.py), so a smaller
+# block is slower, and a larger one holds more series at once. On the
+# prep benchmark's 40 stations over 30 simulated years and 100 counties
+# over 14 (2-vCPU host), the field and county kernels took 0.95 and 1.05 s
+# at 28 unit-years, 0.89 and 0.52 s at 56, 0.31 and 0.32 s at 112, and
+# 0.18 and 0.17 s at 240; `simulate` peaked at 45.0, 45.0, 45.6 and
+# 50.0 MB RSS, and the traced peaks of the two builds were 2.9 and 4.4,
+# 2.9 and 4.6, 3.8 and 5.1, and 8.9 and 6.1 MB.
+BLOCK_UNIT_YEARS = 112
 
 
-def unit_blocks(n_units):
-    """The units 0 .. n_units - 1 as ranges of UNIT_BLOCK consecutive units."""
-    return [range(lo, min(lo + UNIT_BLOCK, n_units)) for lo in range(0, n_units, UNIT_BLOCK)]
+def unit_blocks(n_units, years):
+    """The units 0 .. n_units - 1 as ranges of consecutive units, each as
+    many as simulate BLOCK_UNIT_YEARS unit-years over simulated_years(years),
+    and at least one."""
+    step = max(1, BLOCK_UNIT_YEARS // len(simulated_years(years)))
+    return [range(lo, min(lo + step, n_units)) for lo in range(0, n_units, step)]
 
 
 def unit_year_keys(units, years):
@@ -212,18 +231,10 @@ def build_field_dataset(n_stations, years, scenario_mix, seed):
     """One sample per station-year; VI channels all zero at field level.
     Each sample's historical average is its station's mean simulated
     yield over the HISTORY_YEARS before it. Stations are simulated a block
-    at a time, and only each block's 16-day composites are kept."""
-    channels = ingest.WEATHER_CHANNELS + ingest.SM_CHANNELS
-    blocks = []
-    for units in unit_blocks(n_stations):
-        keys, kept, prior = unit_year_keys(units, years)
-        locations, weather, sim = simulate_unit_years(seed, "field", keys.tolist(), scenario_mix)
-        daily = np.concatenate([weather, np.stack([sim["sm_surface"], sim["sm_rootzone"]],
-                                                  axis=1)], axis=1)[kept]
-        series = ingest.composite_16day(ingest.season_slice(daily), [
-            ingest.COMPOSITE_RULES[name] for name in channels]).transpose(0, 2, 1)  # (n, T, 6)
-        blocks.append((keys[kept], series, locations[kept], sim["yield_tha"][prior].mean(axis=1),
-                       sim["yield_tha"][kept]))
+    at a time, and only the 16-day composites of each block's kept years
+    are kept."""
+    blocks = [_field_block(units, years, scenario_mix, seed)
+              for units in unit_blocks(n_stations, years)]
     keys, series, locations, hist, y = map(np.concatenate, zip(*blocks))
     stations, sample_years = keys.T
     ds = ingest.Dataset.from_arrays("field", {
@@ -234,6 +245,21 @@ def build_field_dataset(n_stations, years, scenario_mix, seed):
         "y": y, "drought": np.zeros(len(keys), dtype=bool)})
     ingest.label_drought(ds)
     return ds
+
+
+def _field_block(units, years, scenario_mix, seed):
+    """One block of stations: the (unit, year) keys of its samples, their
+    (n, T, 6) series in WEATHER_CHANNELS + SM_CHANNELS order, locations,
+    historical averages and yields."""
+    keys, kept, prior = unit_year_keys(units, years)
+    locations, weather, sim = simulate_unit_years(seed, "field", keys.tolist(), scenario_mix)
+    sm = np.stack([sim[name][kept] for name in ingest.SM_CHANNELS], axis=1)
+    season = ingest.season_slice
+    daily = np.concatenate([season(weather)[kept], season(sm)], axis=1)  # (n, 6, days)
+    rules = [ingest.COMPOSITE_RULES[name] for name in ingest.WEATHER_CHANNELS + ingest.SM_CHANNELS]
+    series = ingest.composite_16day(daily, rules).transpose(0, 2, 1)  # (n, T, 6)
+    return (keys[kept], series, locations[kept], sim["yield_tha"][prior].mean(axis=1),
+            sim["yield_tha"][kept])
 
 
 # ---------------------------------------------------------------------------
@@ -280,22 +306,24 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
     canopy and hence the VIs) plus observation noise to the simulated
     yield; a county-year's historical average is its county's mean
     reported yield over the HISTORY_YEARS before it. Counties are
-    simulated a block at a time, and each block's pixel and daily rows are
-    written before the next is simulated; the truth rows, one per
-    county-year, are written at the end. An error in any block leaves the
-    pixels and daily files as they were.
+    simulated a block at a time, and within a block one county's pixel
+    and daily rows are made and written at a time, before the next
+    county's; the truth rows, one per county-year, are written at the
+    end. An error in any block leaves the pixels and daily files as they
+    were.
     """
     truth = []  # each block's truth columns
 
     def tables(write_daily):
-        for units in unit_blocks(n_counties):
-            table, daily, block_truth = _county_block(units, years, scenario_mix, seed,
-                                                      scenario_overrides)
-            write_daily(*daily)
+        for units in unit_blocks(n_counties, years):
+            block_truth, counties = _county_block(units, years, scenario_mix, seed,
+                                                  scenario_overrides)
             truth.append(block_truth)
-            del daily
-            yield table
-            del table  # the next block is simulated without this one
+            for table, daily in counties:
+                write_daily(*daily)
+                del daily
+                yield table
+                del table  # the next county is made without this one
 
     with ingest.daily_csv_writer(daily_path) as write_daily:
         ingest.write_pixels_csv(pixels_path, tables(write_daily))
@@ -303,9 +331,9 @@ def build_county_inputs(n_counties, years, scenario_mix, seed, pixels_path, dail
 
 
 def _county_block(units, years, scenario_mix, seed, scenario_overrides):
-    """One block of counties: its PixelTable; its daily rows, as the ids,
-    dates and (rows, 6) values daily_csv_writer takes; and its truth
-    columns in TRUTH_KINDS order."""
+    """Simulate one block of counties. Returns its truth columns in
+    TRUTH_KINDS order, and an iterator that makes each county's rows in
+    turn (_county_rows)."""
     keys, kept, prior = unit_year_keys(units, years)
     locations, weather, sim = simulate_unit_years(seed, "county", keys.tolist(), scenario_mix,
                                                   scenario_overrides)
@@ -318,14 +346,28 @@ def _county_block(units, years, scenario_mix, seed, scenario_overrides):
     season = ingest.season_slice
     canopy = season(_canopy_curve(sim["sow_day"][kept, None], sim["stress_index"][kept, None],
                                   effect[kept, None]))
-    weather = season(weather)[kept]
-    sm_s, sm_r = season(sim["sm_surface"])[kept], season(sim["sm_rootzone"])[kept]
+    state = (season(weather)[kept], season(sim["sm_surface"])[kept],
+             season(sim["sm_rootzone"])[kept], canopy)
+    counties, kept_years = keys[kept].T
+    sids = np.array([f"c{c:03d}" for c in counties.tolist()])
+    n = len(kept) // len(units)  # kept rows run unit by unit, n years each
+    rows = (_county_rows(seed, c, sids[lo], kept_years[lo: lo + n],
+                         *(a[lo: lo + n] for a in state))
+            for c, lo in zip(units, range(0, len(kept), n)))
+    return ([sids, kept_years, *locations[kept].T, reported[kept], reported[prior].mean(axis=1)],
+            rows)
 
+
+def _county_rows(seed, c, sid, years, weather, sm_s, sm_r, canopy):
+    """County c's (id sid) rows over its years: its PixelTable, and its daily
+    rows as the ids, dates and (rows, 6) values daily_csv_writer takes.
+    weather is the years' (n, 4, SEASON_DAYS) true season weather; sm_s,
+    sm_r and canopy are (n, SEASON_DAYS)."""
     nd, n_px = ingest.SEASON_DAYS, PIXELS_PER_COUNTY
-    daily_values = np.empty((len(kept), nd, 6))
-    # band, county-year, pixel, day: each band's rows in file order
-    bands = np.empty((5, len(kept), n_px, nd))
-    for i, (c, year) in enumerate(keys[kept].tolist()):
+    daily_values = np.empty((len(years), nd, 6))
+    # band, year, pixel, day: each band's rows in file order
+    bands = np.empty((5, len(years), n_px, nd))
+    for i, year in enumerate(years.tolist()):
         # gridded-product observation noise: the county record is a
         # noisy view of the true weather/SM that drove the simulation
         obs = _rng(seed, "county_obs", c, year)
@@ -342,14 +384,11 @@ def _county_block(units, years, scenario_mix, seed, scenario_overrides):
         for p in range(n_px):
             bands[:, i, p] = _pixel_reflectances(px_rng, canopy[i], sm_s[i], p < n_px - 1)
 
-    # rows: county-year, then pixel, then day
-    counties, kept_years = keys[kept].T
-    sids = np.array([f"c{c:03d}" for c in counties.tolist()])
-    dates = np.array([ingest.season_dates(year) for year in kept_years]).reshape(-1, 1, nd)
+    # rows: year, then pixel, then day
+    dates = np.array([ingest.season_dates(year) for year in years]).reshape(-1, 1, nd)
     table = ingest.PixelTable(
-        county_id=np.repeat(sids, n_px * nd),
+        county_id=np.full(bands[0].size, sid),
         date=np.tile(dates, (1, n_px, 1)).ravel(),
         **{name: bands[b].ravel() for b, name in enumerate(list(ingest.PIXELS_KINDS)[2:7])},
-        corn_mask=np.tile(np.repeat(np.arange(n_px) < n_px - 1, nd), len(kept)))
-    return (table, (np.repeat(sids, nd), dates.ravel(), daily_values.reshape(-1, 6)),
-            [sids, kept_years, *locations[kept].T, reported[kept], reported[prior].mean(axis=1)])
+        corn_mask=np.tile(np.repeat(np.arange(n_px) < n_px - 1, nd), len(years)))
+    return table, (np.full(dates.size, sid), dates.ravel(), daily_values.reshape(-1, 6))

@@ -17,7 +17,6 @@ and Dataset.from_arrays, its inverse, the one way in from arrays.
 
 import collections
 import contextlib
-import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -353,19 +352,34 @@ def _counties(path, kinds, rows):
     in file order, as a dict from column name to array: the file is read a
     block of rows at a time (artifacts.read_csv_blocks), and a county's
     rows are joined across the blocks they span; a file without rows
-    yields nothing. Refuses a county whose rows resume after another
-    county's, calling them its `rows` rows."""
-    key, ended = next(iter(kinds)), set()
-    runs = ((block[key][lo], {name: column[lo:hi] for name, column in block.items()})
-            for block in artifacts.read_csv_blocks(path, kinds)
-            for lo, hi in _runs(block[key]))
-    for sid, parts in itertools.groupby(runs, key=operator.itemgetter(0)):
-        if sid in ended:
-            raise SchemaError(f"{path}: the rows of county {sid} resume after another "
-                              f"county's; each county's {rows} rows must be contiguous")
-        ended.add(sid)
-        parts = [cols for _, cols in parts]
-        yield {name: np.concatenate([cols[name] for cols in parts]) for name in kinds}
+    yields nothing. A block's last run of rows, which may go on in the next
+    block, is copied out of it, so that no block is held while the next is
+    parsed. Refuses a county whose rows resume after another county's,
+    calling them its `rows` rows."""
+    key, ended, parts = next(iter(kinds)), set(), []
+    for block in artifacts.read_csv_blocks(path, kinds):
+        runs = list(_runs(block[key]))
+        for i, (lo, hi) in enumerate(runs, 1):
+            sid = block[key][lo]
+            if parts and sid != parts[0][key][0]:
+                yield _joined(parts)
+                parts = []
+            if not parts:
+                if sid in ended:
+                    raise SchemaError(f"{path}: the rows of county {sid} resume after another "
+                                      f"county's; each county's {rows} rows must be contiguous")
+                ended.add(sid)
+            last = i == len(runs)
+            parts.append({name: column[lo:hi].copy() if last else column[lo:hi]
+                          for name, column in block.items()})
+        block = None  # the next block is parsed without this one
+    if parts:
+        yield _joined(parts)
+
+
+def _joined(parts):
+    """Runs of one county's rows joined into one dict of column arrays."""
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 def _runs(ids):

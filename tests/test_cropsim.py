@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ class TestCountyInputs:
         written: an error while simulating the second block of counties
         leaves both byte for byte as they were, and no temp file behind."""
         paths = [str(tmp_path / n) for n in ("pixels.csv", "daily.csv", "truth.csv")]
-        n = cropsim.UNIT_BLOCK + 1  # two blocks
+        n = len(cropsim.unit_blocks(1000, [2021])[0]) + 1  # two blocks
         cropsim.build_county_inputs(n, [2021], {"normal": 1.0}, 3, *paths)
         before = [open(p, "rb").read() for p in paths[:2]]
         simulate, calls = cropsim.simulate_unit_years, []
@@ -210,3 +211,47 @@ class TestCountyInputs:
         corn_nir = pixels.nir[pixels.corn_mask].mean()
         other_nir = pixels.nir[~pixels.corn_mask].mean()
         assert corn_nir != pytest.approx(other_nir, abs=1e-3)
+
+
+class TestBlocks:
+    def test_block_size_changes_no_byte(self, tmp_path, monkeypatch):
+        """A block of one unit writes the same field samples, pixels, daily
+        and truth files as the default block, here one block of all five
+        units: every draw has its own rng stream, and every kernel row is
+        its own station-year."""
+        years = [2020, 2021]
+
+        def build(name):
+            run = tmp_path / name
+            ingest.write_samples_csv(cropsim.build_field_dataset(5, years, MIX, seed=4),
+                                     run / "field.csv")
+            cropsim.build_county_inputs(5, years, {"normal": 0.7, "drought": 0.3}, 4,
+                                        *(str(run / n) for n in ("p.csv", "d.csv", "t.csv")),
+                                        scenario_overrides={2021: {"drought": 1.0}})
+            return {path.name: path.read_bytes() for path in sorted(run.iterdir())}
+
+        assert [len(units) for units in cropsim.unit_blocks(5, years)] == [5]
+        default = build("default")
+        monkeypatch.setattr(cropsim, "BLOCK_UNIT_YEARS", 1)
+        assert [len(units) for units in cropsim.unit_blocks(5, years)] == [1] * 5
+        assert build("one_unit") == default
+        assert len(default) == 5
+
+    def test_simulate_unit_years_peaks_under_1_3x_the_arrays_it_returns(self):
+        """Each draw lands in its row of the returned arrays, and only the
+        recorded weather of the anomalous rows is held apart while the
+        kernel runs on the driving weather: 1.21x here, where holding every
+        draw in a list and copying it into a weather and a driving array
+        peaked at 2.67x."""
+        mix = {"normal": 0.4, "drought": 0.3, "anomalous": 0.3}
+        keys = [(unit, year) for unit in range(20) for year in range(2010, 2020)]
+        cropsim.simulate_unit_years(3, "field", keys[:2], mix)  # one-off first-call allocations
+        tracemalloc.start()
+        try:
+            locations, weather, sim = cropsim.simulate_unit_years(3, "field", keys, mix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert any(cropsim.draw_unit_year(3, "field", *key, mix)[4] for key in keys)  # anomalous
+        returned = locations.nbytes + weather.nbytes + sum(a.nbytes for a in sim.values())
+        assert peak <= 1.3 * returned, peak / returned
